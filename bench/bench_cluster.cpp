@@ -297,9 +297,10 @@ int main(int argc, char** argv) {
         so.sampler.temperature = 0.0f;
         so.max_queue = requests;
         runtime::ServeDeployment d = runtime::synthetic_serve(cfg, 42, so);
-        std::vector<std::future<runtime::ServeResult>> futs;
+        std::vector<runtime::RequestHandle> futs;
         for (std::size_t r = 0; r < requests; ++r) {
-            futs.push_back(d.engine->submit(prompt_of(r), max_new));
+            futs.push_back(d.engine->submit(runtime::ServeRequest{
+                .prompt = prompt_of(r), .max_new_tokens = max_new}));
         }
         d.engine->run_until_idle();
         for (auto& f : futs) baseline.push_back(f.get().tokens);

@@ -60,9 +60,10 @@ std::vector<std::vector<std::int32_t>> baseline_tokens(
     so.sampler.temperature = 0.0f;
     so.max_queue = requests;
     serve::ServeEngine engine(qw, so);
-    std::vector<std::future<runtime::ServeResult>> futs;
+    std::vector<runtime::RequestHandle> futs;
     for (std::size_t r = 0; r < requests; ++r) {
-        futs.push_back(engine.submit(prompt_of(r), max_new));
+        futs.push_back(engine.submit(runtime::ServeRequest{
+            .prompt = prompt_of(r), .max_new_tokens = max_new}));
     }
     engine.run_until_idle();
     std::vector<std::vector<std::int32_t>> out;

@@ -89,10 +89,12 @@ double run_once(const model::QuantizedModelWeights& qw, Mode mode,
         sampler->start();
     }
 
-    std::vector<std::future<serve::ServeResult>> futs;
+    std::vector<serve::RequestHandle> futs;
     futs.reserve(requests);
     for (std::size_t r = 0; r < requests; ++r) {
-        futs.push_back(eng.submit("overhead probe " + std::to_string(r), max_new));
+        futs.push_back(eng.submit(serve::Request{
+            .prompt = "overhead probe " + std::to_string(r),
+            .max_new_tokens = max_new}));
     }
     const double cpu0 = thread_cpu_s();
     eng.run_until_idle();

@@ -80,14 +80,16 @@ EngineResult run_engine(const model::QuantizedModelWeights& qw, bool sharing,
     serve::ServeEngine eng(qw, opts);
 
     const std::string sys(kSysChars, 's');
-    std::future<serve::ServeResult> warm = eng.submit(sys, max_new);
+    serve::RequestHandle warm = eng.submit(serve::Request{
+        .prompt = sys, .max_new_tokens = max_new});
     eng.run_until_idle();
     (void)warm.get();
 
-    std::vector<std::future<serve::ServeResult>> futs;
+    std::vector<serve::RequestHandle> futs;
     for (std::size_t r = 0; r < sessions; ++r) {
-        futs.push_back(
-            eng.submit(r == 0 ? sys : sys + "/" + std::to_string(r), max_new));
+        futs.push_back(eng.submit(serve::Request{
+            .prompt = r == 0 ? sys : sys + "/" + std::to_string(r),
+            .max_new_tokens = max_new}));
     }
     const auto t0 = std::chrono::steady_clock::now();
     eng.run_until_idle();

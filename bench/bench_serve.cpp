@@ -91,10 +91,11 @@ BatchResult run_serve_opts(const model::QuantizedModelWeights& qw,
     opts.max_queue = requests;
     serve::ServeEngine eng(qw, opts);
 
-    std::vector<std::future<serve::ServeResult>> futs;
+    std::vector<serve::RequestHandle> futs;
     futs.reserve(requests);
     for (std::size_t r = 0; r < requests; ++r) {
-        futs.push_back(eng.submit(prompt_prefix + std::to_string(r), max_new));
+        futs.push_back(eng.submit(serve::Request{
+            .prompt = prompt_prefix + std::to_string(r), .max_new_tokens = max_new}));
     }
     const auto t0 = std::chrono::steady_clock::now();
     eng.run_until_idle();

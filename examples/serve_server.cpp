@@ -20,8 +20,9 @@
 //   --serve-seconds S   serve for S seconds instead of until stdin EOF
 //   --metrics-dump S    print the cluster's Prometheus snapshot every S
 //                       seconds while serving (same body a kMetrics wire
-//                       scrape returns), plus a one-line windowed-rates
-//                       summary (trailing 10s arrivals/tokens per second)
+//                       scrape returns), plus a one-line summary of the
+//                       rates since the previous dump (tokens, completions,
+//                       deferrals, failovers per second)
 //   --trace-out PATH    enable the trace ring + per-phase profiler and write
 //                       the Perfetto timeline JSON to PATH at exit (the same
 //                       body a kTraceDump wire request returns live)
@@ -174,28 +175,38 @@ int main(int argc, char** argv) {
     std::thread dumper;
     if (metrics_dump_seconds > 0) {
         dumper = std::thread([&] {
+            obs::MetricsSnapshot prev;
+            auto prev_t = std::chrono::steady_clock::now();
             std::unique_lock<std::mutex> lk(dump_mu);
             while (!dump_cv.wait_for(lk,
                                      std::chrono::seconds(metrics_dump_seconds),
                                      [&] { return dump_stop; })) {
                 lk.unlock();
                 const obs::MetricsSnapshot snap = d.router->metrics_snapshot();
+                const auto now = std::chrono::steady_clock::now();
                 std::printf("--- metrics dump ---\n%s",
                             obs::to_prometheus(snap).c_str());
-                // The windowed view: what the cluster is doing RIGHT NOW,
-                // not since boot (the cumulative counters above).
-                const auto gauge = [&](const char* name) {
-                    const auto it = snap.gauges.find(name);
-                    return it == snap.gauges.end() ? 0.0 : it->second;
+                // What the cluster did since the last dump, not since boot:
+                // deltas of the cumulative counters above (a restarted
+                // shard's reset counts from zero).
+                const double dt = std::chrono::duration<double>(now - prev_t).count();
+                const auto rate = [&](const char* name) {
+                    const auto cur = snap.counters.find(name);
+                    const auto old = prev.counters.find(name);
+                    const std::uint64_t c = cur == snap.counters.end() ? 0 : cur->second;
+                    const std::uint64_t p = old == prev.counters.end() ? 0 : old->second;
+                    return static_cast<double>(c >= p ? c - p : c) / dt;
                 };
                 std::printf(
-                    "window[10s]: %.1f arrivals/s, %.1f tokens/s, "
+                    "last %.1fs: %.1f tokens/s, %.1f completions/s, "
                     "%.1f deferrals/s, %.1f failovers/s\n",
-                    gauge("serve_arrivals_per_s_window_10s"),
-                    gauge("serve_tokens_per_s_window_10s"),
-                    gauge("serve_deferrals_per_s_window_10s"),
-                    gauge("serve_failovers_per_s_window_10s"));
+                    dt, rate("serve_generated_tokens"),
+                    rate("serve_requests_completed"),
+                    rate("serve_capacity_deferrals"),
+                    rate("serve_requests_resumed"));
                 std::fflush(stdout);
+                prev = snap;
+                prev_t = now;
                 lk.lock();
             }
         });

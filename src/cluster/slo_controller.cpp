@@ -49,6 +49,15 @@ SloController::SloController(ClusterRouter& router, Options opts)
         on_transition(rule, t);
     });
     sampler_.set_on_sample([this](std::uint64_t now_ns) {
+        if (opts_.governor != nullptr) {
+            // The shed sweep's TTFT estimate: mean of the merged shards'
+            // first-token latency over the trailing 10s (0 = none landed).
+            // Published before evaluation so a sweep engaged by this very
+            // sample already judges by it.
+            const obs::HistogramSnapshot h = store_.histogram_over(
+                "serve_ttft_ns", 10'000'000'000ull, now_ns);
+            opts_.governor->set_ttft_estimate_ns(h.count == 0 ? 0 : h.sum / h.count);
+        }
         engine_.evaluate(now_ns);
     });
 }

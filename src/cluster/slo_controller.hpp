@@ -11,7 +11,9 @@
 //             index) and, on firing, triggers a flight-recorder bundle.
 //   actuate — firing/resolving alerts engage/disengage the OverloadGovernor
 //             in ServeOptions::overload, which the engines' shed sweep and
-//             the router's admission/placement paths read directly.
+//             the router's admission/placement paths read directly. Every
+//             sample also publishes the governor's TTFT estimate (the TSDB's
+//             trailing-10s serve_ttft_ns mean) for the shed sweep.
 //
 // A shard failure ALSO triggers a flight capture, through the router's
 // failure observer — registered by this controller when a flight directory

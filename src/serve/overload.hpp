@@ -7,7 +7,7 @@
 //
 //   ServeEngine      — while engaged, the queue sweep sheds deadline-HOPELESS
 //                      requests (ones whose remaining budget cannot cover the
-//                      currently observed TTFT) with FinishReason::
+//                      published TTFT estimate) with FinishReason::
 //                      kShedOverload before they ever take a slot, so the
 //                      slots go to requests that can still meet their SLO.
 //   ClusterRouter    — while engaged, try_submit's retry hints stretch by
@@ -18,7 +18,10 @@
 //                      placement until the alert resolves.
 //
 // Engagement is a count of currently-firing subscribed alerts, so two
-// overlapping alerts disengage only when BOTH resolve.
+// overlapping alerts disengage only when BOTH resolve. The TTFT estimate the
+// shed sweep judges hopelessness by is published here too, by the SLO
+// controller after every sample: the mean of the TSDB's trailing-10s
+// serve_ttft_ns histogram, merged across shards.
 #pragma once
 
 #include <atomic>
@@ -36,7 +39,7 @@ public:
         // Skip prefix-affinity probing while engaged.
         bool degrade_placement = true;
         // Hopelessness margin: hopeless when
-        // now + observed_ttft * margin > deadline.
+        // now + ttft_estimate * margin > deadline.
         double hopeless_margin = 1.0;
     };
 
@@ -72,6 +75,14 @@ public:
         return opts_.degrade_placement && engaged();
     }
 
+    // Cluster-wide TTFT estimate in ns; 0 = no data (the sweep never sheds).
+    void set_ttft_estimate_ns(std::uint64_t ns) noexcept {
+        ttft_estimate_ns_.store(ns, std::memory_order_relaxed);
+    }
+    [[nodiscard]] std::uint64_t ttft_estimate_ns() const noexcept {
+        return ttft_estimate_ns_.load(std::memory_order_relaxed);
+    }
+
     // Bookkeeping read back by metrics exposition.
     void count_shed() noexcept {
         shed_.fetch_add(1, std::memory_order_relaxed);
@@ -89,6 +100,7 @@ private:
     std::atomic<int> firing_{0};
     std::atomic<std::uint64_t> engagements_{0};
     std::atomic<std::uint64_t> shed_{0};
+    std::atomic<std::uint64_t> ttft_estimate_ns_{0};
 };
 
 }  // namespace efld::serve

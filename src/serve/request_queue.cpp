@@ -74,7 +74,14 @@ void RequestQueue::wait_for_work(const std::function<bool()>& wake) {
     cv_.wait(lock, [&] { return !q_.empty() || wake(); });
 }
 
-void RequestQueue::notify_all() { cv_.notify_all(); }
+void RequestQueue::notify_all() {
+    // Pass through m_ first: a waiter that evaluated its predicate before the
+    // caller flipped its flag is then either already blocked (and gets this
+    // notify) or not yet past the lock (and re-reads the flag). Without it
+    // the notify can land in that gap and the driver sleeps forever.
+    { const std::lock_guard<std::mutex> lock(m_); }
+    cv_.notify_all();
+}
 
 std::vector<PendingRequest> RequestQueue::remove_if(
     const std::function<bool(const PendingRequest&)>& pred) {

@@ -69,7 +69,9 @@ public:
 
     // Blocks until the queue is non-empty or `wake()` returns true. push()
     // notifies; an external waker (ServeEngine::stop) flips its flag and
-    // calls notify_all(). The background serve driver idles here.
+    // calls notify_all(), which takes the queue mutex before notifying so
+    // the wake-up cannot slip between a waiter's predicate check and its
+    // sleep. The background serve driver idles here.
     void wait_for_work(const std::function<bool()>& wake);
     void notify_all();
 

@@ -167,15 +167,6 @@ void ServeEngine::init() {
     hist_ttft_ = &metrics_.histogram("serve_ttft_ns");
     hist_intertoken_ = &metrics_.histogram("serve_intertoken_gap_ns");
     hist_e2e_ = &metrics_.histogram("serve_e2e_ns");
-    // Rolling windows are always on (they cost a mutexed bucket bump at
-    // control-plane rate); the profiler costs are opt-in.
-    obs::RollingWindow::Options wopts;
-    win_arrivals_ = std::make_unique<obs::RollingWindow>(clock_, wopts);
-    win_deferrals_ = std::make_unique<obs::RollingWindow>(clock_, wopts);
-    win_failovers_ = std::make_unique<obs::RollingWindow>(clock_, wopts);
-    win_tokens_ = std::make_unique<obs::RollingWindow>(clock_, wopts);
-    wopts.with_histogram = true;
-    win_ttft_ = std::make_unique<obs::RollingWindow>(clock_, wopts);
     if (opts_.profile) {
         prof_.enable(clock_, opts_.shard_id, opts_.profiler_spans);
         prof_.bind_registry(metrics_);
@@ -191,33 +182,6 @@ void ServeEngine::init() {
 void ServeEngine::trace(std::uint64_t request_id, obs::TraceEvent event,
                         std::uint64_t arg) const {
     if (opts_.trace) opts_.trace->record(request_id, opts_.shard_id, event, arg);
-}
-
-PendingRequest ServeEngine::make_pending(
-    const std::string& prompt, std::size_t max_new,
-    std::optional<std::chrono::steady_clock::time_point> deadline,
-    TokenCallback on_token) {
-    PendingRequest req;
-    req.id = next_id_.fetch_add(1, std::memory_order_relaxed);
-    req.prompt = tokenizer_.encode(prompt);
-    check(!req.prompt.empty(), "ServeEngine: empty prompt after tokenization");
-    check(req.prompt.size() <= backend_->config().max_seq_len,
-          "ServeEngine: prompt exceeds the context window");
-    req.max_new_tokens = max_new;
-    req.deadline = deadline;
-    req.on_token = std::move(on_token);
-    req.control = std::make_shared<RequestControl>();
-    if (governor_ != nullptr) {
-        // A demand that exceeds the WHOLE pool can never be admitted; reject
-        // now instead of deferring it forever at the head of the queue.
-        check(governor_->ever_admissible(
-                  governor_->predict_pages(req.prompt.size(), max_new)),
-              "ServeEngine: prompt + max_new demand exceeds the whole KV pool");
-    }
-    req.submitted_ns = clock_->now_ns();
-    win_arrivals_->add();
-    trace(req.id, obs::TraceEvent::kSubmitted, req.prompt.size());
-    return req;
 }
 
 FinishReason ServeEngine::finish_reason_of(Retire why) noexcept {
@@ -249,9 +213,26 @@ void ServeEngine::resolve_unstarted(PendingRequest&& req, Retire why) {
 }
 
 RequestHandle ServeEngine::submit(Request req) {
-    PendingRequest p =
-        make_pending(req.prompt, req.max_new_tokens, req.deadline,
-                     std::move(req.on_token));
+    PendingRequest p;
+    p.id = next_id_.fetch_add(1, std::memory_order_relaxed);
+    p.prompt = tokenizer_.encode(req.prompt);
+    check(!p.prompt.empty(), "ServeEngine: empty prompt after tokenization");
+    check(p.prompt.size() <= backend_->config().max_seq_len,
+          "ServeEngine: prompt exceeds the context window");
+    p.max_new_tokens = req.max_new_tokens;
+    p.deadline = req.deadline;
+    p.on_token = std::move(req.on_token);
+    p.control = std::make_shared<RequestControl>();
+    if (governor_ != nullptr) {
+        // A demand that exceeds the WHOLE pool can never be admitted; reject
+        // now instead of deferring it forever at the head of the queue.
+        check(governor_->ever_admissible(
+                  governor_->predict_pages(p.prompt.size(), p.max_new_tokens)),
+              "ServeEngine: prompt + max_new demand exceeds the whole KV pool");
+    }
+    p.submitted_ns = clock_->now_ns();
+    trace(p.id, obs::TraceEvent::kSubmitted, p.prompt.size());
+
     const std::uint64_t id = p.id;
     std::shared_ptr<RequestControl> control = p.control;
     std::shared_future<ServeResult> fut = p.promise.get_future().share();
@@ -272,25 +253,6 @@ RequestHandle ServeEngine::submit(Request req) {
         }
     }
     return RequestHandle(id, std::move(control), std::move(fut));
-}
-
-std::future<ServeResult> ServeEngine::submit(const std::string& prompt,
-                                             std::size_t max_new_tokens) {
-    PendingRequest p = make_pending(prompt, max_new_tokens, std::nullopt, nullptr);
-    const std::uint64_t id = p.id;
-    std::future<ServeResult> fut = p.promise.get_future();
-    if (max_new_tokens == 0) {
-        resolve_unstarted(std::move(p), Retire::kBudget);
-        return fut;
-    }
-    check(queue_.push(std::move(p)), "ServeEngine: request queue full");
-    if (failed()) {
-        for (PendingRequest& mine : queue_.remove_if(
-                 [id](const PendingRequest& r) { return r.id == id; })) {
-            resolve_lost(std::move(mine));
-        }
-    }
-    return fut;
 }
 
 void ServeEngine::admit() {
@@ -356,7 +318,6 @@ void ServeEngine::admit() {
             // The pick (scheduler's or promoted) does not fit the pool yet.
             // It stays queued in place and admission stops for this boundary —
             // strict policy order, so a big request is delayed, never starved.
-            win_deferrals_->add();
             const std::lock_guard<std::mutex> g(stats_mu_);
             ++stats_.capacity_deferrals;
             return;
@@ -618,7 +579,6 @@ bool ServeEngine::resubmit(PendingRequest& req) {
     const std::uint64_t id = req.id;
     const std::size_t failover_count = req.failovers;
     if (!queue_.push(std::move(req))) return false;  // full: req left intact
-    win_failovers_->add();
     {
         const std::lock_guard<std::mutex> g(stats_mu_);
         ++stats_.requests_resumed;
@@ -677,15 +637,15 @@ bool ServeEngine::step_locked() {
 
     // Overload shedding: while an SLO alert has the governor engaged, shed
     // queued requests whose deadline the engine can no longer plausibly meet
-    // — remaining budget below the TTFT observed over the last 10s — so free
-    // slots go to requests that can still land inside their SLO. Resolved
-    // with kShedOverload (not kDeadline: the deadline has NOT passed yet;
-    // the caller learns it was load-shed, the HTTP-503 of admission).
+    // — remaining budget below the governor's TTFT estimate (the cluster's
+    // trailing-10s mean, published by the SLO controller) — so free slots go
+    // to requests that can still land inside their SLO. Resolved with
+    // kShedOverload (not kDeadline: the deadline has NOT passed yet; the
+    // caller learns it was load-shed, the HTTP-503 of admission).
     if (opts_.overload != nullptr && opts_.overload->shed_hopeless()) {
-        const obs::WindowSnapshot w = win_ttft_->over(10'000'000'000ull);
-        if (w.count > 0) {
-            const double est_ns = static_cast<double>(w.sum) /
-                                  static_cast<double>(w.count) *
+        const std::uint64_t ttft_ns = opts_.overload->ttft_estimate_ns();
+        if (ttft_ns > 0) {
+            const double est_ns = static_cast<double>(ttft_ns) *
                                   opts_.overload->options().hopeless_margin;
             const auto est = std::chrono::nanoseconds(
                 static_cast<std::int64_t>(est_ns));
@@ -851,7 +811,6 @@ bool ServeEngine::step_locked() {
                 const std::uint64_t ttft =
                     step_ns > s.submitted_ns ? step_ns - s.submitted_ns : 0;
                 hist_ttft_->record(ttft);
-                win_ttft_->record(ttft);
             }
             trace(s.id, obs::TraceEvent::kFirstToken,
                   static_cast<std::uint64_t>(static_cast<std::uint32_t>(next)));
@@ -878,7 +837,6 @@ bool ServeEngine::step_locked() {
             s.pending_token = next;
         }
     }
-    if (step_generated_tokens > 0) win_tokens_->add(step_generated_tokens);
     {
         const std::lock_guard<std::mutex> g(stats_mu_);
         stats_.prompt_tokens += step_prompt_tokens;
@@ -1072,29 +1030,6 @@ obs::MetricsSnapshot ServeEngine::metrics_snapshot() const {
         s.set_counter("serve_trace_dropped_total", opts_.trace->dropped());
     }
     if (prof_.enabled()) prof_.export_into(s);
-    // Rolling-window series: rates as gauges (gauges ADD on cluster merge,
-    // so the cluster's windowed rate is the sum of shard rates), windowed
-    // TTFT as histograms (buckets merge, quantiles come out the other side).
-    static constexpr struct {
-        const char* suffix;
-        std::uint64_t ns;
-    } kWindows[] = {{"1s", 1'000'000'000ull},
-                    {"10s", 10'000'000'000ull},
-                    {"60s", 60'000'000'000ull}};
-    for (const auto& w : kWindows) {
-        s.set_gauge(std::string("serve_arrivals_per_s_window_") + w.suffix,
-                    win_arrivals_->over(w.ns).rate_per_s());
-        s.set_gauge(std::string("serve_deferrals_per_s_window_") + w.suffix,
-                    win_deferrals_->over(w.ns).rate_per_s());
-        s.set_gauge(std::string("serve_failovers_per_s_window_") + w.suffix,
-                    win_failovers_->over(w.ns).rate_per_s());
-        s.set_gauge(std::string("serve_tokens_per_s_window_") + w.suffix,
-                    win_tokens_->over(w.ns).rate_per_s());
-    }
-    s.histograms["serve_ttft_ns_window_10s"] =
-        win_ttft_->over(10'000'000'000ull).histogram();
-    s.histograms["serve_ttft_ns_window_60s"] =
-        win_ttft_->over(60'000'000'000ull).histogram();
     return s;
 }
 

@@ -49,7 +49,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -65,7 +64,6 @@
 #include "obs/clock.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/profiler.hpp"
-#include "obs/rolling_window.hpp"
 #include "obs/trace.hpp"
 #include "serve/overload.hpp"
 #include "serve/request_queue.hpp"
@@ -133,8 +131,9 @@ struct ServeOptions {
     // cluster's shards and flipped by the SLO controller on alert
     // transitions: while engaged, the queue sweep sheds deadline-hopeless
     // requests with FinishReason::kShedOverload (requests whose remaining
-    // deadline budget cannot cover the TTFT currently observed in the 10s
-    // window), so slots go to work that can still meet its SLO.
+    // deadline budget cannot cover the governor's TTFT estimate, which the
+    // SLO controller publishes from its TSDB's trailing-10s serve_ttft_ns
+    // mean), so slots go to work that can still meet its SLO.
     std::shared_ptr<OverloadGovernor> overload;
     // Starting point for this engine's request ids (first id = id_base + 1).
     // The cluster router gives every shard engine a disjoint namespace so a
@@ -172,12 +171,6 @@ public:
     // Tokenizes and enqueues; the handle cancels/polls/awaits the request.
     // Throws when the queue is full or the prompt exceeds the context window.
     RequestHandle submit(Request req);
-
-    // Legacy shim (pre-DecodeBackend API): submit(prompt, max_new) with a
-    // plain future and no streaming/cancellation. Equivalent to
-    // submit(Request{...}).future(), kept so existing call sites compile.
-    std::future<ServeResult> submit(const std::string& prompt,
-                                    std::size_t max_new_tokens);
 
     // One batched token step: retire cancelled/expired sessions, admit queued
     // requests into free slots (Scheduler order, gated by the capacity
@@ -303,10 +296,6 @@ private:
 
     void init();
     void init_governor(const model::ModelConfig& cfg);
-    PendingRequest make_pending(const std::string& prompt, std::size_t max_new,
-                                std::optional<std::chrono::steady_clock::time_point>
-                                    deadline,
-                                TokenCallback on_token);
     // Resolves a request that never took a slot here (zero budget, shed from
     // the queue by cancel/deadline) — a resumed request keeps the tokens the
     // dead shard already generated.
@@ -339,15 +328,8 @@ private:
     obs::LatencyHistogram* hist_ttft_ = nullptr;
     obs::LatencyHistogram* hist_intertoken_ = nullptr;
     obs::LatencyHistogram* hist_e2e_ = nullptr;
-    // Phase profiler (inert unless opts_.profile) and the always-on rolling
-    // windows behind the *_window_* series (constructed at init once the
-    // clock is resolved; 64 one-second buckets each).
+    // Phase profiler (inert unless opts_.profile).
     obs::Profiler prof_;
-    std::unique_ptr<obs::RollingWindow> win_arrivals_;
-    std::unique_ptr<obs::RollingWindow> win_deferrals_;
-    std::unique_ptr<obs::RollingWindow> win_failovers_;
-    std::unique_ptr<obs::RollingWindow> win_tokens_;
-    std::unique_ptr<obs::RollingWindow> win_ttft_;  // value-recording
     engine::BackendBundle bundle_;              // owns the backend (+ packed image)
     engine::DecodeBackend* backend_ = nullptr;  // = bundle_.backend.get()
     std::unique_ptr<Scheduler> scheduler_;

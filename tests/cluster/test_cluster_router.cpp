@@ -46,9 +46,10 @@ TEST(ClusterRouter, ServesAcrossShardsWithSingleEngineParity) {
     so.sampler.temperature = 0.0f;
     runtime::ServeDeployment single =
         runtime::synthetic_serve(model::ModelConfig::micro_256(), 42, so);
-    std::vector<std::future<runtime::ServeResult>> futs;
+    std::vector<runtime::RequestHandle> futs;
     for (int r = 0; r < 8; ++r) {
-        futs.push_back(single.engine->submit("cluster " + std::to_string(r), 6));
+        futs.push_back(single.engine->submit(runtime::ServeRequest{
+            .prompt = "cluster " + std::to_string(r), .max_new_tokens = 6}));
     }
     single.engine->run_until_idle();
     for (std::size_t r = 0; r < handles.size(); ++r) {

@@ -62,12 +62,18 @@ SloCluster deploy(std::size_t shards, ClusterOptions opts = {}) {
 }
 
 void run_burst(ClusterRouter& router, std::size_t n, const std::string& tag) {
+    const std::size_t before = router.stats().requests_completed();
     std::vector<runtime::RequestHandle> handles;
     for (std::size_t i = 0; i < n; ++i) {
         handles.push_back(router.submit(runtime::ServeRequest{
             .prompt = tag + " " + std::to_string(i), .max_new_tokens = 4}));
     }
     for (auto& h : handles) (void)h.get();
+    // A handle resolves just before its engine counts the completion; wait
+    // for the count too, or a sample taken now could miss the last one.
+    while (router.stats().requests_completed() < before + n) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
 }
 
 }  // namespace
@@ -136,6 +142,49 @@ TEST(ClusterSlo, ClosedLoopLifecycleFromTrafficToGovernorAndBack) {
     EXPECT_NE(q.find("\"series\":\"serve_requests_completed\""),
               std::string::npos);
     EXPECT_NE(q.find("\"points\":[["), std::string::npos);
+
+    c.d.router->drain();
+    c.d.router->stop();
+}
+
+TEST(ClusterSlo, GovernorTtftEstimateIsTheTsdbWindowMean) {
+    SloCluster c = deploy(2);
+    SloController::Options so;
+    so.governor = c.governor;  // no rules: the estimate flows regardless
+    SloController slo(*c.d.router, so);
+
+    // t=1s: the first sample only baselines the cumulative histograms.
+    slo.sample_now();
+    EXPECT_EQ(c.governor->ttft_estimate_ns(), 0u);
+
+    // Queue a burst, let 250ms of manual time pass, then serve it: every
+    // first token lands at t=1.25s, so each TTFT is exactly 250ms.
+    std::vector<runtime::RequestHandle> handles;
+    for (int i = 0; i < 4; ++i) {
+        handles.push_back(c.d.router->submit(runtime::ServeRequest{
+            .prompt = "ttft " + std::to_string(i), .max_new_tokens = 4}));
+    }
+    c.clock->advance_ns(kSec / 4);
+    c.d.router->start();
+    for (auto& h : handles) (void)h.get();
+
+    // t=2s: the burst's deltas are in the store, merged across both shards.
+    c.clock->advance_ns(3 * kSec / 4);
+    slo.sample_now();
+    const obs::HistogramSnapshot h =
+        slo.store().histogram_over("serve_ttft_ns", 10 * kSec, c.clock->now_ns());
+    ASSERT_EQ(h.count, 4u);
+    EXPECT_EQ(c.governor->ttft_estimate_ns(), h.sum / h.count);
+    EXPECT_EQ(c.governor->ttft_estimate_ns(), kSec / 4);
+
+    // t=13s: the burst has aged out of the 10s window — back to no data.
+    c.clock->advance_ns(11 * kSec);
+    slo.sample_now();
+    EXPECT_EQ(slo.store()
+                  .histogram_over("serve_ttft_ns", 10 * kSec, c.clock->now_ns())
+                  .count,
+              0u);
+    EXPECT_EQ(c.governor->ttft_estimate_ns(), 0u);
 
     c.d.router->drain();
     c.d.router->stop();

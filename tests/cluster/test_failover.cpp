@@ -30,10 +30,11 @@ std::vector<std::vector<std::int32_t>> reference_tokens(
     so.sampler.temperature = 0.0f;
     runtime::ServeDeployment single =
         runtime::synthetic_serve(model::ModelConfig::micro_256(), 42, so);
-    std::vector<std::future<runtime::ServeResult>> futs;
+    std::vector<runtime::RequestHandle> futs;
     futs.reserve(prompts.size());
     for (const std::string& p : prompts) {
-        futs.push_back(single.engine->submit(p, max_new));
+        futs.push_back(single.engine->submit(runtime::ServeRequest{
+            .prompt = p, .max_new_tokens = max_new}));
     }
     single.engine->run_until_idle();
     std::vector<std::vector<std::int32_t>> out;

@@ -99,9 +99,10 @@ TEST(Trace, ServeExportsDroppedCounterFromItsRing) {
     opts.trace = trace;
     runtime::ServeDeployment d = runtime::synthetic_serve(
         model::ModelConfig::micro_256(), 42, opts);
-    std::vector<std::future<serve::ServeResult>> futs;
+    std::vector<serve::RequestHandle> futs;
     for (int r = 0; r < 4; ++r) {
-        futs.push_back(d.engine->submit("drop probe " + std::to_string(r), 4));
+        futs.push_back(d.engine->submit(serve::Request{
+            .prompt = "drop probe " + std::to_string(r), .max_new_tokens = 4}));
     }
     d.engine->run_until_idle();
     for (auto& f : futs) (void)f.get();
@@ -115,7 +116,8 @@ TEST(Trace, ServeExportsDroppedCounterFromItsRing) {
     bare.max_batch = 2;
     runtime::ServeDeployment d2 = runtime::synthetic_serve(
         model::ModelConfig::micro_256(), 42, bare);
-    auto fut = d2.engine->submit("no trace", 3);
+    auto fut = d2.engine->submit(serve::Request{
+        .prompt = "no trace", .max_new_tokens = 3});
     d2.engine->run_until_idle();
     (void)fut.get();
     EXPECT_EQ(d2.engine->metrics_snapshot().counters.count(

@@ -294,18 +294,6 @@ TEST(ServeControl, ByoBackendWithFreeSlotsServes) {
     EXPECT_EQ(h.get().tokens.size(), 3u);
 }
 
-TEST(ServeControl, LegacySubmitStillWorks) {
-    // The pre-DecodeBackend API is a thin shim over the Request path.
-    ServeOptions opts;
-    runtime::ServeDeployment d = deploy(opts);
-    std::future<ServeResult> fut = d.engine->submit("legacy prompt", 5);
-    d.engine->run_until_idle();
-    const ServeResult r = fut.get();
-    EXPECT_FALSE(r.tokens.empty());
-    EXPECT_FALSE(r.cancelled);
-    EXPECT_FALSE(r.hit_deadline);
-}
-
 // ---- option validation (std::invalid_argument, not silent misbehavior) ----
 
 TEST(ServeControl, InvalidServeOptionsRejected) {

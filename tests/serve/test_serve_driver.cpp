@@ -58,6 +58,37 @@ TEST(ServeDriver, WakesFromIdleOnLateSubmit) {
     d.engine->stop();
 }
 
+TEST(ServeDriver, RunThenImmediateStopNeverHangs) {
+    // stop() right after run() races a fresh driver into its idle wait. The
+    // stop flag must never slip between the driver's wake-predicate check
+    // and its sleep — a lost wake-up would hang stop()'s join forever.
+    runtime::ServeDeployment d = deploy();
+    for (int i = 0; i < 2000; ++i) {
+        d.engine->run();
+        // Sweep stop() across the driver's startup and idle entry.
+        const auto until = std::chrono::steady_clock::now() +
+                           std::chrono::microseconds(i % 50);
+        while (std::chrono::steady_clock::now() < until) {}
+        d.engine->stop();
+    }
+    EXPECT_FALSE(d.engine->running());
+
+    // With a submit in between: each request either finishes under its
+    // cycle's driver or stays queued for a later one — never lost.
+    std::vector<runtime::RequestHandle> hs;
+    for (int i = 0; i < 8; ++i) {
+        d.engine->run();
+        hs.push_back(d.engine->submit(runtime::ServeRequest{
+            .prompt = "cycle " + std::to_string(i), .max_new_tokens = 2}));
+        d.engine->stop();
+    }
+    d.engine->run();
+    for (auto& h : hs) EXPECT_EQ(h.get().tokens.size(), 2u);
+    d.engine->wait_until_idle();
+    d.engine->stop();
+    EXPECT_EQ(d.engine->stats().requests_completed, 8u);
+}
+
 TEST(ServeDriver, StreamingCallbacksFireOnDriverThread) {
     runtime::ServeDeployment d = deploy();
     const std::thread::id main_id = std::this_thread::get_id();

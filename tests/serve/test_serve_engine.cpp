@@ -69,9 +69,10 @@ TEST(ServeEngine, ContinuousBatchingMatchesSoloRuns) {
     opts.max_batch = 3;
     runtime::ServeDeployment d = runtime::synthetic_serve(test_cfg(), 42, opts);
 
-    std::vector<std::future<ServeResult>> futs;
+    std::vector<RequestHandle> futs;
     for (const Submission& s : mixed_submissions()) {
-        futs.push_back(d.engine->submit(s.prompt, s.max_new));
+        futs.push_back(d.engine->submit(Request{
+            .prompt = s.prompt, .max_new_tokens = s.max_new}));
     }
     d.engine->run_until_idle();
 
@@ -96,9 +97,10 @@ TEST(ServeEngine, BatchSizeNeverChangesTokens) {
         ServeOptions opts;
         opts.max_batch = mb;
         runtime::ServeDeployment d = runtime::synthetic_serve(test_cfg(), 42, opts);
-        std::vector<std::future<ServeResult>> futs;
+        std::vector<RequestHandle> futs;
         for (const Submission& s : mixed_submissions()) {
-            futs.push_back(d.engine->submit(s.prompt, s.max_new));
+            futs.push_back(d.engine->submit(Request{
+                .prompt = s.prompt, .max_new_tokens = s.max_new}));
         }
         d.engine->run_until_idle();
         std::vector<std::vector<std::int32_t>> tokens;
@@ -119,8 +121,10 @@ TEST(ServeEngine, PackedWeightServingMatchesByteCodes) {
     plain.max_batch = 2;
     runtime::ServeDeployment db = runtime::synthetic_serve(test_cfg(), 7, plain);
 
-    auto fp = dp.engine->submit("packed parity", 5);
-    auto fb = db.engine->submit("packed parity", 5);
+    auto fp = dp.engine->submit(Request{
+        .prompt = "packed parity", .max_new_tokens = 5});
+    auto fb = db.engine->submit(Request{
+        .prompt = "packed parity", .max_new_tokens = 5});
     dp.engine->run_until_idle();
     db.engine->run_until_idle();
     EXPECT_EQ(fp.get().tokens, fb.get().tokens);
@@ -133,8 +137,11 @@ TEST(ServeEngine, StatsExposeWeightWalkAmortization) {
     ServeOptions opts;
     opts.max_batch = 4;
     runtime::ServeDeployment d = runtime::synthetic_serve(test_cfg(), 11, opts);
-    std::vector<std::future<ServeResult>> futs;
-    for (int i = 0; i < 4; ++i) futs.push_back(d.engine->submit("same prompt", 8));
+    std::vector<RequestHandle> futs;
+    for (int i = 0; i < 4; ++i) {
+        futs.push_back(d.engine->submit(
+            Request{.prompt = "same prompt", .max_new_tokens = 8}));
+    }
     d.engine->run_until_idle();
     for (auto& f : futs) (void)f.get();
 
@@ -152,7 +159,7 @@ TEST(ServeEngine, StatsExposeWeightWalkAmortization) {
 TEST(ServeEngine, FutureCarriesTextAndMetadata) {
     ServeOptions opts;
     runtime::ServeDeployment d = runtime::synthetic_serve(test_cfg(), 13, opts);
-    auto fut = d.engine->submit("abc", 4);
+    auto fut = d.engine->submit(Request{.prompt = "abc", .max_new_tokens = 4});
     d.engine->run_until_idle();
     const ServeResult r = fut.get();
     model::ByteTokenizer tok;
@@ -166,8 +173,9 @@ TEST(ServeEngine, QueueFullRejectsSubmit) {
     opts.max_batch = 1;
     opts.max_queue = 1;
     runtime::ServeDeployment d = runtime::synthetic_serve(test_cfg(), 17, opts);
-    auto f1 = d.engine->submit("first", 2);
-    EXPECT_THROW((void)d.engine->submit("second", 2), efld::Error);
+    auto f1 = d.engine->submit(Request{.prompt = "first", .max_new_tokens = 2});
+    EXPECT_THROW((void)d.engine->submit(Request{
+        .prompt = "second", .max_new_tokens = 2}), efld::Error);
     d.engine->run_until_idle();
     EXPECT_EQ(f1.get().tokens.size(), 2u);
 }
@@ -175,7 +183,7 @@ TEST(ServeEngine, QueueFullRejectsSubmit) {
 TEST(ServeEngine, ZeroMaxTokensResolvesImmediately) {
     ServeOptions opts;
     runtime::ServeDeployment d = runtime::synthetic_serve(test_cfg(), 19, opts);
-    auto fut = d.engine->submit("noop", 0);
+    auto fut = d.engine->submit(Request{.prompt = "noop", .max_new_tokens = 0});
     const ServeResult r = fut.get();  // resolved without any stepping
     EXPECT_TRUE(r.tokens.empty());
     EXPECT_EQ(d.engine->stats().steps, 0u);
@@ -187,7 +195,8 @@ TEST(ServeEngine, ContextLimitRetiresSessionLikeSolo) {
     ServeOptions opts;
     opts.max_batch = 2;
     runtime::ServeDeployment d = runtime::synthetic_serve(cfg, 23, opts);
-    auto fut = d.engine->submit("abcd", 100);  // 5 prompt ids + headroom of 3
+    // 5 prompt ids + headroom of 3
+    auto fut = d.engine->submit(Request{.prompt = "abcd", .max_new_tokens = 100});
     d.engine->run_until_idle();
     const ServeResult r = fut.get();
     const std::vector<std::int32_t> want = solo_generate(*d.weights, opts, "abcd", 100);
@@ -200,7 +209,8 @@ TEST(ServeEngine, OverlongPromptRejected) {
     model::ModelConfig cfg = test_cfg();
     cfg.max_seq_len = 4;
     runtime::ServeDeployment d = runtime::synthetic_serve(cfg, 29, ServeOptions{});
-    EXPECT_THROW((void)d.engine->submit("way too long prompt", 1), efld::Error);
+    EXPECT_THROW((void)d.engine->submit(Request{
+        .prompt = "way too long prompt", .max_new_tokens = 1}), efld::Error);
 }
 
 TEST(ServeEngine, LateSubmissionsJoinARunningBatch) {
@@ -210,10 +220,11 @@ TEST(ServeEngine, LateSubmissionsJoinARunningBatch) {
     ServeOptions opts;
     opts.max_batch = 2;
     runtime::ServeDeployment d = runtime::synthetic_serve(test_cfg(), 31, opts);
-    auto f0 = d.engine->submit("long running request", 10);
+    auto f0 = d.engine->submit(Request{
+        .prompt = "long running request", .max_new_tokens = 10});
     for (int i = 0; i < 3 && d.engine->step(); ++i) {}
     EXPECT_EQ(d.engine->active_sessions(), 1u);
-    auto f1 = d.engine->submit("joiner", 4);
+    auto f1 = d.engine->submit(Request{.prompt = "joiner", .max_new_tokens = 4});
     d.engine->run_until_idle();
     EXPECT_EQ(f0.get().tokens, solo_generate(*d.weights, opts, "long running request", 10));
     EXPECT_EQ(f1.get().tokens, solo_generate(*d.weights, opts, "joiner", 4));

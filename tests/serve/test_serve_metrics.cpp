@@ -24,9 +24,10 @@ TEST(ServeMetrics, CountersMatchServeStatsExactly) {
     runtime::ServeDeployment d = runtime::synthetic_serve(test_cfg(), 42, opts);
 
     constexpr std::size_t kRequests = 5;
-    std::vector<std::future<ServeResult>> futs;
+    std::vector<RequestHandle> futs;
     for (std::size_t r = 0; r < kRequests; ++r) {
-        futs.push_back(d.engine->submit("metrics req " + std::to_string(r), 6));
+        futs.push_back(d.engine->submit(Request{
+            .prompt = "metrics req " + std::to_string(r), .max_new_tokens = 6}));
     }
     d.engine->run_until_idle();
     for (auto& f : futs) (void)f.get();
@@ -56,9 +57,10 @@ TEST(ServeMetrics, LatencyHistogramsFireOncePerBoundary) {
     runtime::ServeDeployment d = runtime::synthetic_serve(test_cfg(), 42, opts);
 
     constexpr std::size_t kRequests = 4;
-    std::vector<std::future<ServeResult>> futs;
+    std::vector<RequestHandle> futs;
     for (std::size_t r = 0; r < kRequests; ++r) {
-        futs.push_back(d.engine->submit("latency req " + std::to_string(r), 5));
+        futs.push_back(d.engine->submit(Request{
+            .prompt = "latency req " + std::to_string(r), .max_new_tokens = 5}));
     }
     d.engine->run_until_idle();
     for (auto& f : futs) (void)f.get();
@@ -89,9 +91,11 @@ TEST(ServeMetrics, TraceTellsEachRequestsStoryInOrder) {
     opts.shard_id = 3;
     runtime::ServeDeployment d = runtime::synthetic_serve(test_cfg(), 42, opts);
 
-    std::vector<std::future<ServeResult>> futs;
-    futs.push_back(d.engine->submit("trace one", 4));
-    futs.push_back(d.engine->submit("trace two", 4));
+    std::vector<RequestHandle> futs;
+    futs.push_back(d.engine->submit(Request{
+        .prompt = "trace one", .max_new_tokens = 4}));
+    futs.push_back(d.engine->submit(Request{
+        .prompt = "trace two", .max_new_tokens = 4}));
     d.engine->run_until_idle();
     std::vector<std::uint64_t> ids;
     for (auto& f : futs) ids.push_back(f.get().id);

@@ -1,10 +1,11 @@
 // OverloadGovernor: the actuator half of the SLO loop. Unit tests for the
-// engagement state machine, plus the ServeEngine queue sweep that sheds
-// deadline-hopeless requests with kShedOverload while the governor is
-// engaged.
+// engagement state machine and the published TTFT estimate, plus the
+// ServeEngine queue sweep that sheds deadline-hopeless requests with
+// kShedOverload while the governor is engaged.
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -16,6 +17,19 @@ namespace efld::serve {
 namespace {
 
 model::ModelConfig test_cfg() { return model::ModelConfig::micro_256(); }
+
+// A TTFT estimate far beyond the 10s deadlines below: any such deadline is
+// hopeless, so the sweep's decision does not race the real clock.
+constexpr std::uint64_t kMinuteNs = 60'000'000'000ull;
+
+Request with_deadline(const char* prompt, std::size_t max_new,
+                      std::chrono::seconds budget) {
+    Request r;
+    r.prompt = prompt;
+    r.max_new_tokens = max_new;
+    r.deadline = std::chrono::steady_clock::now() + budget;
+    return r;
+}
 
 }  // namespace
 
@@ -71,43 +85,43 @@ TEST(OverloadGovernor, OptionsGateEachActuator) {
     EXPECT_EQ(g.shed_total(), 2u);
 }
 
+TEST(OverloadGovernor, TtftEstimateDefaultsToNoData) {
+    OverloadGovernor g;
+    EXPECT_EQ(g.ttft_estimate_ns(), 0u);  // 0 = no data
+    g.set_ttft_estimate_ns(1'500'000);
+    EXPECT_EQ(g.ttft_estimate_ns(), 1'500'000u);
+    g.set_ttft_estimate_ns(0);  // the window idled out
+    EXPECT_EQ(g.ttft_estimate_ns(), 0u);
+}
+
 TEST(ServeOverload, EngagedGovernorShedsDeadlineHopelessQueuedRequests) {
     ServeOptions opts;
     opts.max_batch = 1;
     opts.sampler.temperature = 0.0f;
     opts.trace = std::make_shared<obs::TraceRecorder>(1024);
-    // A huge hopelessness margin makes any finite deadline hopeless once a
-    // single TTFT sample exists — the sweep's decision becomes deterministic
-    // instead of racing the real clock.
-    OverloadGovernor::Options go;
-    go.hopeless_margin = 1e9;
-    auto governor = std::make_shared<OverloadGovernor>(go);
+    auto governor = std::make_shared<OverloadGovernor>();
     opts.overload = governor;
     runtime::ServeDeployment d = runtime::synthetic_serve(test_cfg(), 42, opts);
 
-    // Warm up: one completed request seeds the 10s TTFT window the sweep
-    // estimates from (no observation → no shedding).
-    auto warm = d.engine->submit("warmup", 2);
-    d.engine->run_until_idle();
-    (void)warm.get();
-
+    governor->set_ttft_estimate_ns(kMinuteNs);
     governor->on_alert_firing();
     Request blocker;
     blocker.prompt = "blocker";
     blocker.max_new_tokens = 8;
-    RequestHandle hb = d.engine->submit(std::move(blocker));
+    RequestHandle hb = d.engine->submit(std::move(blocker));  // no deadline
+    // Deadline beyond the estimate: can still make it, so it is kept.
+    RequestHandle patient = d.engine->submit(
+        with_deadline("patient", 4, std::chrono::hours(1)));
     std::vector<RequestHandle> doomed;
     for (int i = 0; i < 3; ++i) {
-        Request r;
-        r.prompt = "hopeless";
-        r.max_new_tokens = 4;
-        r.deadline = std::chrono::steady_clock::now() +
-                     std::chrono::seconds(10);  // future, but inside est TTFT
-        doomed.push_back(d.engine->submit(std::move(r)));
+        // Future deadline, but inside the estimated TTFT.
+        doomed.push_back(d.engine->submit(
+            with_deadline("hopeless", 4, std::chrono::seconds(10))));
     }
     d.engine->run_until_idle();
 
     EXPECT_EQ(hb.get().finish_reason, FinishReason::kBudget);
+    EXPECT_EQ(patient.get().finish_reason, FinishReason::kBudget);
     for (RequestHandle& h : doomed) {
         const ServeResult& r = h.get();
         EXPECT_EQ(r.finish_reason, FinishReason::kShedOverload);
@@ -134,23 +148,16 @@ TEST(ServeOverload, DisengagedGovernorNeverSheds) {
     ServeOptions opts;
     opts.max_batch = 1;
     opts.sampler.temperature = 0.0f;
-    OverloadGovernor::Options go;
-    go.hopeless_margin = 1e9;
-    auto governor = std::make_shared<OverloadGovernor>(go);
+    auto governor = std::make_shared<OverloadGovernor>();
     opts.overload = governor;
     runtime::ServeDeployment d = runtime::synthetic_serve(test_cfg(), 42, opts);
 
-    auto warm = d.engine->submit("warmup", 2);
-    d.engine->run_until_idle();
-    (void)warm.get();
     // Same hopeless shape as above — but no firing alert, so they decode.
+    governor->set_ttft_estimate_ns(kMinuteNs);
     std::vector<RequestHandle> fine;
     for (int i = 0; i < 3; ++i) {
-        Request r;
-        r.prompt = "still fine";
-        r.max_new_tokens = 2;
-        r.deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-        fine.push_back(d.engine->submit(std::move(r)));
+        fine.push_back(d.engine->submit(
+            with_deadline("still fine", 2, std::chrono::seconds(10))));
     }
     d.engine->run_until_idle();
     for (RequestHandle& h : fine) {
@@ -160,24 +167,26 @@ TEST(ServeOverload, DisengagedGovernorNeverSheds) {
     EXPECT_EQ(governor->shed_total(), 0u);
 }
 
-TEST(ServeOverload, NoTtftObservationMeansNoShedding) {
-    // Engaged, but the TTFT window is empty: the sweep has no estimate to
-    // judge hopelessness by, so it must not guess.
+TEST(ServeOverload, NoTtftEstimateMeansNoShedding) {
+    // Engaged, but no estimate has been published (0 = no data): the sweep
+    // has nothing to judge hopelessness by, so it must not guess.
     ServeOptions opts;
-    opts.max_batch = 2;
+    opts.max_batch = 1;
     opts.sampler.temperature = 0.0f;
     auto governor = std::make_shared<OverloadGovernor>();
     opts.overload = governor;
     runtime::ServeDeployment d = runtime::synthetic_serve(test_cfg(), 42, opts);
 
     governor->on_alert_firing();
-    Request r;
-    r.prompt = "first ever";
-    r.max_new_tokens = 2;
-    r.deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    RequestHandle h = d.engine->submit(std::move(r));
+    std::vector<RequestHandle> hs;
+    for (int i = 0; i < 3; ++i) {
+        hs.push_back(d.engine->submit(
+            with_deadline("no estimate", 2, std::chrono::seconds(10))));
+    }
     d.engine->run_until_idle();
-    EXPECT_EQ(h.get().finish_reason, FinishReason::kBudget);
+    for (RequestHandle& h : hs) {
+        EXPECT_EQ(h.get().finish_reason, FinishReason::kBudget);
+    }
     EXPECT_EQ(governor->shed_total(), 0u);
 }
 

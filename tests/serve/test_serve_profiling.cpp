@@ -23,10 +23,11 @@ model::ModelConfig test_cfg() { return model::ModelConfig::micro_256(); }
 runtime::ServeDeployment run_profiled(ServeOptions opts, std::size_t requests,
                                       std::size_t max_new) {
     runtime::ServeDeployment d = runtime::synthetic_serve(test_cfg(), 42, opts);
-    std::vector<std::future<ServeResult>> futs;
+    std::vector<RequestHandle> futs;
     for (std::size_t r = 0; r < requests; ++r) {
-        futs.push_back(d.engine->submit("profile req " + std::to_string(r),
-                                        max_new));
+        futs.push_back(d.engine->submit(
+            Request{.prompt = "profile req " + std::to_string(r),
+                    .max_new_tokens = max_new}));
     }
     d.engine->run_until_idle();
     for (auto& f : futs) (void)f.get();
