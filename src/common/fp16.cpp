@@ -35,8 +35,10 @@ std::uint16_t float_to_half_bits(float f) noexcept {
     // (the generic path covers them because the exponent arithmetic carries).
 
     const std::int32_t exp32 = static_cast<std::int32_t>((absx >> 23) & 0xFF) - 127;
-    if (exp32 < -24) {
-        // Too small even for a subnormal half: rounds to signed zero.
+    if (exp32 < -25) {
+        // Below half the smallest subnormal (2^-25): rounds to signed zero.
+        // [2^-25, 2^-24) still rounds to the smallest subnormal (or, at
+        // exactly 2^-25, ties to even zero) in the branch below.
         return static_cast<std::uint16_t>(sign);
     }
 

@@ -1,6 +1,8 @@
 // Full functional accelerator vs. the software reference engines.
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "accel/accelerator.hpp"
 #include "common/check.hpp"
 #include "common/mathutil.hpp"
@@ -162,6 +164,38 @@ TEST(Accelerator, GqaModelWorks) {
         lt = twin.forward(t);
     }
     EXPECT_GT(efld::cosine_similarity(la, lt), 0.99);
+}
+
+TEST(Accelerator, GoldenBatchedLogitsHash) {
+    // Bit-exact pin on the whole functional datapath (VPU, SPUs, KV8 cache):
+    // 4 slots at staggered positions, 40 greedy batched steps, an FNV-1a hash
+    // over every logit's bits. Any change to a rounding step or to the
+    // reduction order moves the hash.
+    AcceleratorOptions opts;
+    opts.max_batch = 4;
+    opts.collect_timing = false;
+    Accelerator acc(micro_fixture().packed, opts);
+    const std::size_t vocab = micro_fixture().packed.config.vocab_size;
+    const std::vector<std::size_t> slots{0, 1, 2, 3};
+    std::vector<std::int32_t> tokens{11, 22, 33, 44};
+    std::vector<float> logits(slots.size() * vocab);
+    for (std::size_t s = 1; s < slots.size(); ++s) {
+        for (std::size_t t = 0; t < s; ++t) {
+            acc.decode_batch(std::span(tokens).subspan(s, 1), std::span(slots).subspan(s, 1),
+                             logits);
+        }
+    }
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+    for (int step = 0; step < 40; ++step) {
+        acc.decode_batch(tokens, slots, logits);
+        for (const float v : logits) {
+            hash = (hash ^ std::bit_cast<std::uint32_t>(v)) * 0x100000001b3ull;
+        }
+        for (std::size_t b = 0; b < slots.size(); ++b) {
+            tokens[b] = model::Sampler::argmax(std::span(logits).subspan(b * vocab, vocab));
+        }
+    }
+    EXPECT_EQ(hash, 0x226a43a4271ae325ull) << std::hex << hash;
 }
 
 }  // namespace

@@ -45,6 +45,14 @@ TEST(Fp16, UnderflowToZero) {
     EXPECT_TRUE(Fp16::from_float(1e-10f).is_zero());
     EXPECT_TRUE(Fp16::from_float(-1e-10f).is_zero());
     EXPECT_TRUE(Fp16::from_float(-1e-10f).sign());  // signed zero preserved
+    // (2^-25, 2^-24) rounds up to the smallest subnormal; 2^-25 itself is
+    // the tie between 0 and 2^-24 and goes to even (zero).
+    EXPECT_EQ(Fp16::from_float(0x1.8p-25f).bits(), 0x0001);
+    EXPECT_EQ(Fp16::from_float(0x1p-25f).bits(), 0x0000);
+    EXPECT_EQ(Fp16::from_float(0x1.fffffep-25f).bits(), 0x0001);
+    EXPECT_EQ(Fp16::from_float(-0x1.8p-25f).bits(), 0x8001);
+    EXPECT_EQ(Fp16::from_float(-0x1p-25f).bits(), 0x8000);
+    EXPECT_EQ(Fp16::from_float(-0x1.fffffep-25f).bits(), 0x8001);
 }
 
 TEST(Fp16, NanPropagation) {
