@@ -36,8 +36,8 @@ void BM_Fp16Conversion(benchmark::State& state) {
 BENCHMARK(BM_Fp16Conversion);
 
 void BM_Dot128(benchmark::State& state) {
-    const auto a = random_halfs(128, 2);
-    const auto b = random_halfs(128, 3);
+    const auto a = accel::to_float(random_halfs(128, 2));
+    const auto b = accel::to_float(random_halfs(128, 3));
     for (auto _ : state) {
         benchmark::DoNotOptimize(accel::DotEngine::dot128(a, b));
     }
@@ -55,8 +55,9 @@ void BM_PackedGemv(benchmark::State& state) {
     const auto stream = quant::pack_weight_stream(q);
     const auto x = random_halfs(cols, 5);
     std::vector<Fp16> y(rows);
+    accel::DotEngine vpu;
     for (auto _ : state) {
-        accel::DotEngine::gemv(stream, rows, cols, x, y);
+        vpu.gemv(stream, rows, cols, x, y);
         benchmark::DoNotOptimize(y.data());
     }
     state.SetItemsProcessed(state.iterations() * rows * cols);

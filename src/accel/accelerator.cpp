@@ -1,5 +1,6 @@
 #include "accel/accelerator.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <stdexcept>
@@ -34,6 +35,16 @@ Accelerator::Accelerator(const PackedModel& m, AcceleratorOptions opts)
                     m.config.n_kv_heads);
     v_cache_.resize(k_cache_.size());
     ctx_scratch_.reserve(mb);
+
+    const model::ModelConfig& c = m.config;
+    for (auto* v : {&x_, &xn_, &q_, &att_out_, &proj_}) v->resize(c.dim);
+    k_.resize(c.kv_dim());
+    v_.resize(c.kv_dim());
+    for (auto* v : {&gate_, &up_, &hidden_}) v->resize(c.hidden_dim);
+    scores_.resize(c.max_seq_len);
+    probs_.resize(c.max_seq_len);
+    logits_h_.resize(c.vocab_size);
+    for (auto* v : {&q_head_, &kv_head_, &out_head_}) v->resize(c.head_dim());
 }
 
 void Accelerator::reset_session(std::size_t slot) {
@@ -185,7 +196,7 @@ engine::PrefixSharingStats Accelerator::prefix_stats() const {
     return s;
 }
 
-void Accelerator::attention(std::size_t layer, std::size_t slot, std::vector<Fp16>& x) {
+void Accelerator::attention(std::size_t layer, std::size_t slot) {
     const obs::ScopedPhase phase(profiler_, obs::Phase::kAttention);
     const model::ModelConfig& cfg = model_->config;
     const PackedLayer& lw = model_->layers[layer];
@@ -194,28 +205,26 @@ void Accelerator::attention(std::size_t layer, std::size_t slot, std::vector<Fp1
     const std::size_t pos = pos_[slot];
 
     // Layer-entry RMSNorm (square sum computed by the DOT engine side-path).
-    std::vector<Fp16> xn(cfg.dim);
-    rms_.run(x, lw.attn_norm, cfg.rms_eps, xn, SpuRmsNorm::square_sum(x));
+    rms_.run(x_, lw.attn_norm, cfg.rms_eps, xn_, SpuRmsNorm::square_sum(x_));
 
     // Projections from the interleaved weight streams.
-    std::vector<Fp16> q(cfg.dim), k(cfg.kv_dim()), v(cfg.kv_dim());
-    DotEngine::gemv(lw.wq.stream, cfg.dim, cfg.dim, xn, q);
-    DotEngine::gemv(lw.wk.stream, cfg.kv_dim(), cfg.dim, xn, k);
-    DotEngine::gemv(lw.wv.stream, cfg.kv_dim(), cfg.dim, xn, v);
+    vpu_.gemv(lw.wq.stream, cfg.dim, cfg.dim, xn_, q_);
+    vpu_.gemv(lw.wk.stream, cfg.kv_dim(), cfg.dim, xn_, k_);
+    vpu_.gemv(lw.wv.stream, cfg.kv_dim(), cfg.dim, xn_, v_);
 
     // On-the-fly RoPE.
     for (std::size_t h = 0; h < cfg.n_heads; ++h) {
-        rope_.run(std::span<Fp16>(q).subspan(h * hd, hd), pos);
+        rope_.run(std::span<Fp16>(q_).subspan(h * hd, hd), pos);
     }
     for (std::size_t h = 0; h < cfg.n_kv_heads; ++h) {
-        rope_.run(std::span<Fp16>(k).subspan(h * hd, hd), pos);
+        rope_.run(std::span<Fp16>(k_).subspan(h * hd, hd), pos);
     }
 
     // Online KV8 quantization; packs go through the Fig. 4B FIFO, codes
     // through the serial-to-parallel unit (to DDR on the real device).
     for (std::size_t h = 0; h < cfg.n_kv_heads; ++h) {
-        SpuQuant::Result qk = kv_quant_.run(std::span<const Fp16>(k).subspan(h * hd, hd));
-        SpuQuant::Result qv = kv_quant_.run(std::span<const Fp16>(v).subspan(h * hd, hd));
+        SpuQuant::Result qk = kv_quant_.run(std::span<const Fp16>(k_).subspan(h * hd, hd));
+        SpuQuant::Result qv = kv_quant_.run(std::span<const Fp16>(v_).subspan(h * hd, hd));
         for (const std::uint8_t c : qk.codes) (void)s2p_.push_byte(c);
         for (const std::uint8_t c : qv.codes) (void)s2p_.push_byte(c);
         (void)sz_fifo_[slot].append(layer, h, false, pos, qk.params);
@@ -226,60 +235,61 @@ void Accelerator::attention(std::size_t layer, std::size_t slot, std::vector<Fp1
 
     // Head-wise attention: history from the quantized cache, the current
     // token's K/V used pre-quantization (they are still on chip — §V.A).
+    // Lanes are exact fp16 floats and every multiply and add rounds once,
+    // as in the VPU.
     const Fp16 inv_sqrt_d = Fp16::from_float(1.0f / std::sqrt(static_cast<float>(hd)));
-    std::vector<Fp16> att_out(cfg.dim);
-    std::vector<Fp16> scores(pos + 1);
+    const std::span<const Fp16> scores(scores_.data(), pos + 1);
+    const std::span<Fp16> probs(probs_.data(), pos + 1);
     for (std::size_t h = 0; h < cfg.n_heads; ++h) {
         const std::size_t kvh = h / heads_per_kv;
-        const std::span<const Fp16> qh(q.data() + h * hd, hd);
+        for (std::size_t i = 0; i < hd; ++i) q_head_[i] = q_[h * hd + i].to_float();
 
         for (std::size_t t = 0; t < pos; ++t) {
             const KvEntry& e = k_cache_[kv_slot(slot, layer, t, kvh)];
-            const std::vector<Fp16> kt = DequantUnit::run_kv(e.codes, e.params);
-            scores[t] = DotEngine::dot(qh, kt) * inv_sqrt_d;
+            DequantUnit::run_kv(e.codes, e.params, kv_head_);
+            scores_[t] = Fp16::from_float(DotEngine::dot(q_head_, kv_head_)) * inv_sqrt_d;
         }
-        scores[pos] =
-            DotEngine::dot(qh, std::span<const Fp16>(k).subspan(kvh * hd, hd)) *
-            inv_sqrt_d;
+        for (std::size_t i = 0; i < hd; ++i) kv_head_[i] = k_[kvh * hd + i].to_float();
+        scores_[pos] = Fp16::from_float(DotEngine::dot(q_head_, kv_head_)) * inv_sqrt_d;
 
-        std::vector<Fp16> probs(pos + 1);
         softmax_.run(scores, probs);
 
         // Scaled-dot accumulation of values (fp16 MACs, one value row at a
         // time as the history streams in).
-        std::span<Fp16> out(att_out.data() + h * hd, hd);
-        for (auto& o : out) o = Fp16::zero();
+        std::fill(out_head_.begin(), out_head_.end(), 0.0f);
+        const auto accumulate = [&](Fp16 prob) {
+            const float p = prob.to_float();
+            for (std::size_t i = 0; i < hd; ++i) {
+                out_head_[i] = round_to_fp16(out_head_[i] + round_to_fp16(p * kv_head_[i]));
+            }
+        };
         for (std::size_t t = 0; t < pos; ++t) {
             const KvEntry& e = v_cache_[kv_slot(slot, layer, t, kvh)];
-            const std::vector<Fp16> vt = DequantUnit::run_kv(e.codes, e.params);
-            for (std::size_t i = 0; i < hd; ++i) out[i] = out[i] + probs[t] * vt[i];
+            DequantUnit::run_kv(e.codes, e.params, kv_head_);
+            accumulate(probs[t]);
         }
-        for (std::size_t i = 0; i < hd; ++i) {
-            out[i] = out[i] + probs[pos] * v[kvh * hd + i];
-        }
+        for (std::size_t i = 0; i < hd; ++i) kv_head_[i] = v_[kvh * hd + i].to_float();
+        accumulate(probs[pos]);
+        for (std::size_t i = 0; i < hd; ++i) att_out_[h * hd + i] = Fp16::from_float(out_head_[i]);
     }
 
     // Output projection + residual add (fused with the square-sum pass).
-    std::vector<Fp16> o(cfg.dim);
-    DotEngine::gemv(lw.wo.stream, cfg.dim, cfg.dim, att_out, o);
-    for (std::size_t i = 0; i < cfg.dim; ++i) x[i] = x[i] + o[i];
+    vpu_.gemv(lw.wo.stream, cfg.dim, cfg.dim, att_out_, proj_);
+    for (std::size_t i = 0; i < cfg.dim; ++i) x_[i] = x_[i] + proj_[i];
 }
 
-void Accelerator::mlp(std::size_t layer, std::vector<Fp16>& x) {
+void Accelerator::mlp(std::size_t layer) {
     const model::ModelConfig& cfg = model_->config;
     const PackedLayer& lw = model_->layers[layer];
 
-    std::vector<Fp16> xn(cfg.dim);
-    rms_.run(x, lw.mlp_norm, cfg.rms_eps, xn, SpuRmsNorm::square_sum(x));
+    rms_.run(x_, lw.mlp_norm, cfg.rms_eps, xn_, SpuRmsNorm::square_sum(x_));
 
-    std::vector<Fp16> gate(cfg.hidden_dim), up(cfg.hidden_dim), hidden(cfg.hidden_dim);
-    DotEngine::gemv(lw.w_gate.stream, cfg.hidden_dim, cfg.dim, xn, gate);
-    DotEngine::gemv(lw.w_up.stream, cfg.hidden_dim, cfg.dim, xn, up);
-    silu_.run(gate, up, hidden);
+    vpu_.gemv(lw.w_gate.stream, cfg.hidden_dim, cfg.dim, xn_, gate_);
+    vpu_.gemv(lw.w_up.stream, cfg.hidden_dim, cfg.dim, xn_, up_);
+    silu_.run(gate_, up_, hidden_);
 
-    std::vector<Fp16> down(cfg.dim);
-    DotEngine::gemv(lw.w_down.stream, cfg.dim, cfg.hidden_dim, hidden, down);
-    for (std::size_t i = 0; i < cfg.dim; ++i) x[i] = x[i] + down[i];
+    vpu_.gemv(lw.w_down.stream, cfg.dim, cfg.hidden_dim, hidden_, proj_);
+    for (std::size_t i = 0; i < cfg.dim; ++i) x_[i] = x_[i] + proj_[i];
 }
 
 void Accelerator::forward_slot(std::int32_t token, std::size_t slot,
@@ -292,21 +302,19 @@ void Accelerator::forward_slot(std::int32_t token, std::size_t slot,
     check(logits_out.size() >= cfg.vocab_size, "Accelerator: logits_out too small");
 
     // Embedding row (fp16 in DDR).
-    std::vector<Fp16> x(cfg.dim);
     const std::size_t base = static_cast<std::size_t>(token) * cfg.dim;
-    for (std::size_t i = 0; i < cfg.dim; ++i) x[i] = model_->embedding[base + i];
+    std::copy_n(model_->embedding.begin() + static_cast<std::ptrdiff_t>(base), cfg.dim,
+                x_.begin());
 
     for (std::size_t layer = 0; layer < cfg.n_layers; ++layer) {
-        attention(layer, slot, x);
-        mlp(layer, x);
+        attention(layer, slot);
+        mlp(layer);
     }
 
-    std::vector<Fp16> xn(cfg.dim);
-    rms_.run(x, model_->final_norm, cfg.rms_eps, xn, SpuRmsNorm::square_sum(x));
-    std::vector<Fp16> logits_h(cfg.vocab_size);
-    DotEngine::gemv(model_->lm_head.stream, cfg.vocab_size, cfg.dim, xn, logits_h);
+    rms_.run(x_, model_->final_norm, cfg.rms_eps, xn_, SpuRmsNorm::square_sum(x_));
+    vpu_.gemv(model_->lm_head.stream, cfg.vocab_size, cfg.dim, xn_, logits_h_);
     for (std::size_t i = 0; i < cfg.vocab_size; ++i) {
-        logits_out[i] = logits_h[i].to_float();
+        logits_out[i] = logits_h_[i].to_float();
     }
     ++pos_[slot];
 }

@@ -168,8 +168,9 @@ private:
     // float logits and advancing the slot's position. No timing.
     void forward_slot(std::int32_t token, std::size_t slot, std::span<float> logits_out);
 
-    void attention(std::size_t layer, std::size_t slot, std::vector<Fp16>& x);
-    void mlp(std::size_t layer, std::vector<Fp16>& x);
+    // One layer's halves of the forward pass, reading and updating x_.
+    void attention(std::size_t layer, std::size_t slot);
+    void mlp(std::size_t layer);
 
     const PackedModel* model_;
     AcceleratorOptions opts_;
@@ -182,7 +183,17 @@ private:
     SpuSilu silu_;
     SpuQuant kv_quant_;
     SerialToParallel s2p_;
+    DotEngine vpu_;
     std::vector<quant::ScaleZeroFifo> sz_fifo_;  // one per session slot
+
+    // Forward-pass scratch, sized once at construction so a step allocates
+    // only the KV entries it stores. fp16 vectors feed the SPUs and GEMVs;
+    // the float ones hold exact fp16 lanes for the attention dot products.
+    std::vector<Fp16> x_, xn_, q_, k_, v_, att_out_, proj_;  // dim / kv_dim
+    std::vector<Fp16> gate_, up_, hidden_;                   // hidden_dim
+    std::vector<Fp16> scores_, probs_;                       // max_seq_len
+    std::vector<Fp16> logits_h_;                             // vocab_size
+    std::vector<float> q_head_, kv_head_, out_head_;         // head_dim
 
     std::vector<std::size_t> pos_;           // per session slot
     engine::SlotLedger slots_;               // DecodeBackend reservations

@@ -6,8 +6,15 @@
 // pace with the 512-bit weight stream — 128 dequantized fp16 values per
 // clock. It consists of the dequant stage (512b -> 2048b), 128 fp16
 // multipliers, a binary adder tree, a scaling multiplier and an accumulator.
-// All arithmetic is correctly rounded fp16, so results are bit-comparable to
-// an RTL FP16 datapath with the same reduction order.
+//
+// Invariant: every value the VPU holds — dequantized weight, activation,
+// lane product, adder-tree node, row accumulator — is a float that is
+// exactly an fp16 value, and each hardware operation rounds its result once,
+// to nearest even, through round_to_fp16. float32 holds the exact product of
+// two halves, and rounding a float32 sum of two halves to fp16 equals
+// rounding the exact sum, so every operation is a correctly rounded fp16
+// operation and results are bit-comparable to an RTL FP16 datapath with the
+// same reduction order.
 #pragma once
 
 #include <array>
@@ -23,44 +30,52 @@ namespace efld::accel {
 
 inline constexpr std::size_t kVpuLanes = 128;
 
-// 512b weight word + group scale/zero -> 128 fp16 lanes.
+// One wave of fp16 lanes, held as exact floats.
+using Lanes = std::array<float, kVpuLanes>;
+
 class DequantUnit {
 public:
-    [[nodiscard]] static std::array<Fp16, kVpuLanes> run(const Word512& word, Fp16 scale,
-                                                         std::uint8_t zero) noexcept;
+    // A 4-bit code has 16 values, so a group's dequantizer is a 16-entry
+    // table: entry c = (c - zero) * scale, rounded once to fp16.
+    [[nodiscard]] static std::array<float, 16> table(Fp16 scale, std::uint8_t zero) noexcept;
 
-    // Same dequantization over already-demultiplexed 4-bit codes.
-    [[nodiscard]] static std::array<Fp16, kVpuLanes> run(
-        std::span<const std::uint8_t> codes, Fp16 scale, std::uint8_t zero) noexcept;
+    // 512b weight word (one group's 128 codes) + scale/zero -> 128 fp16
+    // lanes (512b -> 2048b).
+    [[nodiscard]] static Lanes run(const Word512& word, Fp16 scale, std::uint8_t zero) noexcept;
 
-    // KV8 variant: 64 codes per word (8-bit lanes); `count` trims the tail.
-    [[nodiscard]] static std::vector<Fp16> run_kv(std::span<const std::uint8_t> codes,
-                                                  quant::KvQuantParams params);
+    // KV8 variant: one lane per 8-bit code, written to out[0, codes.size()).
+    static void run_kv(std::span<const std::uint8_t> codes, quant::KvQuantParams params,
+                       std::span<float> out);
 };
 
 class DotEngine {
 public:
-    // Binary-tree fp16 reduction (the hardware adder tree). Length need not
-    // be a power of two; odd elements pass through a stage unchanged.
-    [[nodiscard]] static Fp16 tree_sum(std::span<const Fp16> vals) noexcept;
+    // Binary-tree fp16 reduction (the hardware adder tree) over at most 128
+    // lanes. Length need not be a power of two; odd elements pass through a
+    // stage unchanged.
+    [[nodiscard]] static float tree_sum(std::span<const float> vals);
 
-    // One cycle of the engine: elementwise multiply + tree reduce.
-    [[nodiscard]] static Fp16 dot128(std::span<const Fp16> a, std::span<const Fp16> b) noexcept;
+    // One cycle of the engine: elementwise multiply + tree reduce (<= 128).
+    [[nodiscard]] static float dot128(std::span<const float> a, std::span<const float> b);
 
-    // Accumulating dot over arbitrary-length fp16 vectors, processed in
-    // 128-lane waves exactly as the hardware would.
-    [[nodiscard]] static Fp16 dot(std::span<const Fp16> a, std::span<const Fp16> b) noexcept;
+    // Accumulating dot over arbitrary-length vectors, processed in 128-lane
+    // waves exactly as the hardware would.
+    [[nodiscard]] static float dot(std::span<const float> a, std::span<const float> b);
 
     // Full GEMV over a packed weight stream: y[rows] = W x.
-    // Walks the Fig. 4A stream through a WeightStreamDecoder, dequantizes
-    // group by group and accumulates per output row in fp16.
-    static void gemv(std::span<const Word512> stream, std::size_t rows, std::size_t cols,
-                     std::span<const Fp16> x, std::span<Fp16> y);
+    // Loads x into the activation buffer, walks the Fig. 4A stream through a
+    // WeightStreamDecoder, dequantizes group by group and accumulates per
+    // output row in fp16.
+    void gemv(std::span<const Word512> stream, std::size_t rows, std::size_t cols,
+              std::span<const Fp16> x, std::span<Fp16> y);
 
     // Cycle cost of that GEMV: one group per clock, fully pipelined.
     [[nodiscard]] static std::uint64_t gemv_cycles(std::size_t rows, std::size_t cols) noexcept {
         return rows * (cols / kVpuLanes);
     }
+
+private:
+    std::vector<float> x_;  // on-chip activation buffer; grows, never shrinks
 };
 
 // Helpers bridging float vectors and fp16 lanes.

@@ -2,11 +2,6 @@
 
 namespace efld {
 
-std::uint8_t Word512::nibble(std::size_t i) const noexcept {
-    const std::uint64_t lane = lanes[i / 16];
-    return static_cast<std::uint8_t>((lane >> ((i % 16) * 4)) & 0xFu);
-}
-
 void Word512::set_nibble(std::size_t i, std::uint8_t v) noexcept {
     std::uint64_t& lane = lanes[i / 16];
     const unsigned shift = static_cast<unsigned>((i % 16) * 4);

@@ -7,6 +7,7 @@
 // result a correctly rounded FP16 FPU produces for +, -, *, /.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <iosfwd>
 
@@ -65,6 +66,29 @@ private:
 // Scalar conversion primitives (exposed for tests and packing code).
 [[nodiscard]] std::uint16_t float_to_half_bits(float f) noexcept;
 [[nodiscard]] float half_bits_to_float(std::uint16_t h) noexcept;
+
+// Rounds `v` to the nearest binary16 value (ties to even) and returns it as a
+// float: bit-identical to half_bits_to_float(float_to_half_bits(v)) for every
+// input, NaN included (canonical quiet NaN, sign kept). Datapaths that hold
+// exact fp16 values in floats call this once per operation instead of
+// converting through the 16-bit encoding.
+[[nodiscard]] inline float round_to_fp16(float v) noexcept {
+    const std::uint32_t u = std::bit_cast<std::uint32_t>(v);
+    const std::uint32_t sign = u & 0x8000'0000u;
+    const std::uint32_t a = u & 0x7FFF'FFFFu;
+    // |v| >= 2^-14 (normal half exponent, or beyond): round the 23-bit
+    // mantissa to 10 bits, RNE; a carry bumps the exponent. 65520 and up
+    // (inf included) end at >= 2^16 and become infinity.
+    std::uint32_t normal = (a + 0x0FFFu + ((a >> 13) & 1u)) & ~0x1FFFu;
+    normal = normal >= 0x4780'0000u ? 0x7F80'0000u : normal;
+    normal = a > 0x7F80'0000u ? 0x7FC0'0000u : normal;  // NaN
+    // Subnormal half range: a fixed 2^-24 quantum. Adding 0.5 (ulp 2^-24)
+    // makes the float adder round there, RNE; subtracting it back is exact.
+    const std::uint32_t subnormal =
+        std::bit_cast<std::uint32_t>((std::bit_cast<float>(a) + 0.5f) - 0.5f);
+    // Both paths are computed and one selected, so loops over lanes vectorize.
+    return std::bit_cast<float>(sign | (a >= 0x3880'0000u ? normal : subnormal));
+}
 
 std::ostream& operator<<(std::ostream& os, Fp16 h);
 

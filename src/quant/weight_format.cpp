@@ -97,8 +97,9 @@ QuantizedLinear unpack_weight_stream(std::span<const Word512> words, std::size_t
     std::size_t g = 0;
     for (const auto& w : words) {
         if (auto grp = dec.consume(w)) {
-            std::copy(grp->codes.begin(), grp->codes.end(),
-                      codes.begin() + static_cast<std::ptrdiff_t>(g * kFormatGroupSize));
+            for (std::size_t n = 0; n < kFormatGroupSize; ++n) {
+                codes[g * kFormatGroupSize + n] = grp->codes.nibble(n);
+            }
             scales[g] = grp->scale;
             zeros[g] = grp->zero;
             ++g;
@@ -114,11 +115,20 @@ QuantizedLinear unpack_weight_stream(std::span<const Word512> words, std::size_t
 }
 
 WeightStreamDecoder::WeightStreamDecoder(std::size_t num_groups)
-    : num_groups_(num_groups), schedule_(stream_schedule(num_groups)) {}
+    : num_groups_(num_groups) {}
 
 WordKind WeightStreamDecoder::expected_kind() const {
-    check(cursor_ < schedule_.size(), "WeightStreamDecoder: stream already complete");
-    return schedule_[cursor_];
+    check(groups_done_ < num_groups_, "WeightStreamDecoder: stream already complete");
+    // The next group's weight word follows its chunk's zero word and its
+    // block's scale word; the cursor lags that position by the words still
+    // missing in front of it.
+    const std::size_t g = groups_done_;
+    const std::size_t weight_pos = g + (g / kGroupsPerZeroWord + 1) + (g / kGroupsPerScaleWord + 1);
+    switch (weight_pos - cursor_) {
+        case 0: return WordKind::kWeight;
+        case 1: return WordKind::kScale;
+        default: return WordKind::kZero;
+    }
 }
 
 std::optional<DecodedGroup> WeightStreamDecoder::consume(const Word512& word) {
@@ -137,9 +147,7 @@ std::optional<DecodedGroup> WeightStreamDecoder::consume(const Word512& word) {
             // how many groups this chunk has already produced.
             const std::size_t chunk_off = groups_done_ % kGroupsPerZeroWord;
             const std::size_t block_off = chunk_off % kGroupsPerScaleWord;
-            for (std::size_t n = 0; n < kFormatGroupSize; ++n) {
-                grp.codes[n] = word.nibble(n);
-            }
+            grp.codes = word;
             grp.scale = scale_word_.half(block_off);
             grp.zero = zero_word_.nibble(chunk_off);
             ++groups_done_;

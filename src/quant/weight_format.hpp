@@ -54,7 +54,7 @@ enum class WordKind : std::uint8_t { kZero, kScale, kWeight };
 
 // One dequantization-ready group as it leaves the demultiplexer.
 struct DecodedGroup {
-    std::array<std::uint8_t, kFormatGroupSize> codes{};
+    Word512 codes{};  // the weight word itself: code n is codes.nibble(n)
     Fp16 scale;
     std::uint8_t zero = 0;
 };
@@ -72,13 +72,13 @@ public:
 
     [[nodiscard]] bool done() const noexcept { return groups_done_ == num_groups_; }
     [[nodiscard]] std::size_t groups_done() const noexcept { return groups_done_; }
+    // The stream_schedule() entry at the cursor, derived from the cursor.
     [[nodiscard]] WordKind expected_kind() const;
 
 private:
     std::size_t num_groups_;
     std::size_t groups_done_ = 0;
-    std::vector<WordKind> schedule_;
-    std::size_t cursor_ = 0;
+    std::size_t cursor_ = 0;  // words consumed
     Word512 zero_word_{};
     Word512 scale_word_{};
 };

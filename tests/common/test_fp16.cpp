@@ -2,8 +2,11 @@
 // accelerator's numerics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "common/fp16.hpp"
 #include "common/rng.hpp"
@@ -138,6 +141,47 @@ TEST(Fp16, SubnormalArithmetic) {
     const Fp16 sum = tiny + tiny;
     EXPECT_EQ(sum.bits(), 0x0002);
     EXPECT_EQ((tiny - tiny).bits(), 0x0000);
+}
+
+TEST(Fp16, RoundToFp16MatchesTheConversionPairOnEveryRoundingCase) {
+    // round_to_fp16(v) must be bit-identical to decoding float_to_half_bits(v).
+    // The result depends only on the mantissa bits rounding drops, the lowest
+    // kept bit (ties to even) and whether the kept bits are all ones (carry
+    // into the exponent). So for every exponent and both signs: every dropped
+    // pattern, under kept patterns 0, 1, all-ones - 1 and all-ones. Normal
+    // halves and beyond (overflow, inf, NaN) drop 13 bits; the half-subnormal
+    // range (2^-25 <= |v| < 2^-14) drops 14..23, which makes every mantissa
+    // at 2^-25 .. 2^-22 part of the sweep. Below 2^-25 everything is +-0.
+    std::vector<std::uint32_t> decoded(0x10000);
+    for (std::uint32_t h = 0; h <= 0xFFFF; ++h) {
+        decoded[h] = std::bit_cast<std::uint32_t>(half_bits_to_float(static_cast<std::uint16_t>(h)));
+    }
+    std::uint64_t checked = 0, mismatches = 0;
+    for (std::uint32_t exp = 0; exp <= 0xFF; ++exp) {
+        const bool subnormal = exp >= 102 && exp <= 112;
+        const std::uint32_t kept_bits = subnormal ? (exp > 103 ? exp - 103 : 0) : 10;
+        const std::uint32_t dropped_bits = 23 - kept_bits;
+        const std::uint32_t kept_max = (1u << kept_bits) - 1;
+        std::vector<std::uint32_t> kept;
+        for (const std::uint32_t k : {0u, 1u, kept_max - 1, kept_max}) {
+            if (k <= kept_max && std::find(kept.begin(), kept.end(), k) == kept.end()) {
+                kept.push_back(k);
+            }
+        }
+        for (const std::uint32_t sign : {0u, 0x8000'0000u}) {
+            for (const std::uint32_t k : kept) {
+                const std::uint32_t high = sign | (exp << 23) | (k << dropped_bits);
+                for (std::uint32_t low = 0; low < (1u << dropped_bits); ++low) {
+                    const float v = std::bit_cast<float>(high | low);
+                    mismatches += std::bit_cast<std::uint32_t>(round_to_fp16(v)) !=
+                                  decoded[float_to_half_bits(v)];
+                    ++checked;
+                }
+            }
+        }
+    }
+    EXPECT_EQ(mismatches, 0u);
+    EXPECT_GT(checked, 80'000'000u);
 }
 
 }  // namespace

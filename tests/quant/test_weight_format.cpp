@@ -84,7 +84,7 @@ TEST(WeightFormat, DecoderAttachesCorrectScaleZero) {
             EXPECT_EQ(grp->zero, layer.zero(g)) << g;
             const auto codes = layer.codes().subspan(g * 128, 128);
             for (std::size_t i = 0; i < 128; ++i) {
-                EXPECT_EQ(grp->codes[i], codes[i]);
+                EXPECT_EQ(grp->codes.nibble(i), codes[i]);
             }
             ++g;
         }
