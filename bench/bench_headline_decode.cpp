@@ -1,6 +1,12 @@
 // Headline result (§I, §VII): ~5 token/s LLaMA2-7B decoding on the KV260 at
 // ~85% of the theoretical bandwidth limit, across the context window.
+//
+// --check turns the reproduction into a paper-fidelity gate: exit 1 unless
+// the generation-average rate is within 4.9 token/s +-5% and bandwidth
+// utilization within 84.5% +-3 points.
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 
 #include "accel/cycle_model.hpp"
 
@@ -8,7 +14,8 @@ using namespace efld;
 using accel::DecodeCycleModel;
 using accel::TokenTiming;
 
-int main() {
+int main(int argc, char** argv) {
+    const bool check = argc > 1 && std::strcmp(argv[1], "--check") == 0;
     std::printf("=== Headline: LLaMA2-7B decoding on KV260 (simulated) ===\n\n");
     const auto cfg = model::ModelConfig::llama2_7b();
     const auto scheme = model::QuantScheme::w4a16_kv8();
@@ -44,5 +51,13 @@ int main() {
     std::printf("\ngeneration-average decode rate: %.2f token/s  -> %.1f%% of "
                 "theoretical  [paper: 4.9 token/s, 84.5%%]\n",
                 avg, 100.0 * avg / theo);
-    return 0;
+    if (!check) return 0;
+
+    const double util_pct = 100.0 * avg / theo;
+    const bool rate_ok = std::abs(avg - 4.9) <= 0.05 * 4.9;
+    const bool util_ok = std::abs(util_pct - 84.5) <= 3.0;
+    std::printf("check: decode rate %.2f in 4.9 +-5%%: %s\n", avg, rate_ok ? "ok" : "FAIL");
+    std::printf("check: bandwidth utilization %.1f%% in 84.5 +-3 pts: %s\n", util_pct,
+                util_ok ? "ok" : "FAIL");
+    return rate_ok && util_ok ? 0 : 1;
 }

@@ -270,7 +270,9 @@ void Accelerator::attention(std::size_t layer, std::size_t slot) {
         }
         for (std::size_t i = 0; i < hd; ++i) kv_head_[i] = v_[kvh * hd + i].to_float();
         accumulate(probs[pos]);
-        for (std::size_t i = 0; i < hd; ++i) att_out_[h * hd + i] = Fp16::from_float(out_head_[i]);
+        for (std::size_t i = 0; i < hd; ++i) {
+            att_out_[h * hd + i] = Fp16::from_float(out_head_[i]);
+        }
     }
 
     // Output projection + residual add (fused with the square-sum pass).

@@ -12,7 +12,9 @@ namespace {
 // rounding each node to fp16; an odd last element passes through.
 std::size_t tree_stage(const float* in, std::size_t n, float* out) noexcept {
     const std::size_t pairs = n / 2;
-    for (std::size_t i = 0; i < pairs; ++i) out[i] = round_to_fp16(in[2 * i] + in[2 * i + 1]);
+    for (std::size_t i = 0; i < pairs; ++i) {
+        out[i] = round_to_fp16(in[2 * i] + in[2 * i + 1]);
+    }
     if (n % 2 == 1) out[pairs] = in[n - 1];
     return pairs + n % 2;
 }

@@ -37,11 +37,13 @@ class DequantUnit {
 public:
     // A 4-bit code has 16 values, so a group's dequantizer is a 16-entry
     // table: entry c = (c - zero) * scale, rounded once to fp16.
-    [[nodiscard]] static std::array<float, 16> table(Fp16 scale, std::uint8_t zero) noexcept;
+    [[nodiscard]] static std::array<float, 16> table(Fp16 scale,
+                                                     std::uint8_t zero) noexcept;
 
     // 512b weight word (one group's 128 codes) + scale/zero -> 128 fp16
     // lanes (512b -> 2048b).
-    [[nodiscard]] static Lanes run(const Word512& word, Fp16 scale, std::uint8_t zero) noexcept;
+    [[nodiscard]] static Lanes run(const Word512& word, Fp16 scale,
+                                   std::uint8_t zero) noexcept;
 
     // KV8 variant: one lane per 8-bit code, written to out[0, codes.size()).
     static void run_kv(std::span<const std::uint8_t> codes, quant::KvQuantParams params,

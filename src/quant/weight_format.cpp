@@ -123,7 +123,8 @@ WordKind WeightStreamDecoder::expected_kind() const {
     // block's scale word; the cursor lags that position by the words still
     // missing in front of it.
     const std::size_t g = groups_done_;
-    const std::size_t weight_pos = g + (g / kGroupsPerZeroWord + 1) + (g / kGroupsPerScaleWord + 1);
+    const std::size_t weight_pos =
+        g + (g / kGroupsPerZeroWord + 1) + (g / kGroupsPerScaleWord + 1);
     switch (weight_pos - cursor_) {
         case 0: return WordKind::kWeight;
         case 1: return WordKind::kScale;

@@ -181,8 +181,8 @@ TEST(Accelerator, GoldenBatchedLogitsHash) {
     std::vector<float> logits(slots.size() * vocab);
     for (std::size_t s = 1; s < slots.size(); ++s) {
         for (std::size_t t = 0; t < s; ++t) {
-            acc.decode_batch(std::span(tokens).subspan(s, 1), std::span(slots).subspan(s, 1),
-                             logits);
+            acc.decode_batch(std::span(tokens).subspan(s, 1),
+                             std::span(slots).subspan(s, 1), logits);
         }
     }
     std::uint64_t hash = 0xcbf29ce484222325ull;

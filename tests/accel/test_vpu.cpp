@@ -23,7 +23,9 @@ std::vector<float> lanes_of(std::initializer_list<float> xs) {
 Fp16 oracle_tree(std::vector<Fp16> stage) {
     while (stage.size() > 1) {
         std::vector<Fp16> next;
-        for (std::size_t i = 0; i + 1 < stage.size(); i += 2) next.push_back(stage[i] + stage[i + 1]);
+        for (std::size_t i = 0; i + 1 < stage.size(); i += 2) {
+            next.push_back(stage[i] + stage[i + 1]);
+        }
         if (stage.size() % 2 == 1) next.push_back(stage.back());
         stage = std::move(next);
     }
@@ -89,7 +91,8 @@ TEST(DequantUnit, RunRoundsEachLaneOnce) {
     const Fp16 s = Fp16::from_float(0.07f);
     const Lanes lanes = DequantUnit::run(word, s, 3);
     for (std::size_t i = 0; i < kVpuLanes; ++i) {
-        const Fp16 want = Fp16::from_float(static_cast<float>(word.nibble(i) - 3) * s.to_float());
+        const Fp16 want =
+            Fp16::from_float(static_cast<float>(word.nibble(i) - 3) * s.to_float());
         EXPECT_EQ(std::bit_cast<std::uint32_t>(lanes[i]),
                   std::bit_cast<std::uint32_t>(want.to_float()))
             << i;
@@ -117,10 +120,11 @@ TEST(DotEngine, TreeSumEmptyAndSingle) {
 }
 
 TEST(DotEngine, TreeSumPairsNeighboursAndPassesOddThrough) {
-    // ((2048 + 1) + (1 + 1)) + 1 with ulp 2: 2049 ties to 2048, 2048 + 2 is
-    // 2050, 2050 + 1 ties to 2052. A left fold would stay at 2048.
-    EXPECT_FLOAT_EQ(DotEngine::tree_sum(lanes_of({2048.0f, 1.0f, 1.0f, 1.0f, 1.0f})),
-                    2052.0f);
+    // ((2048 + 1) + (3 + 2)) + 2 with ulp 2: 2049 ties to 2048, 2048 + 5
+    // ties to 2052, + 2 is 2054. Pairing (i, i + n/2) gives 2058, a left
+    // fold 2056.
+    EXPECT_FLOAT_EQ(DotEngine::tree_sum(lanes_of({2048.0f, 1.0f, 3.0f, 2.0f, 2.0f})),
+                    2054.0f);
 }
 
 TEST(DotEngine, TreeSumRejectsMoreThan128Lanes) {
@@ -186,7 +190,9 @@ TEST(DotEngine, GemvBitIdenticalToFp16OperatorOracle) {
     for (const RandomLayer& spec : specs) {
         const auto q = random_layer(spec, rng);
         std::vector<Fp16> x(spec.cols);
-        for (auto& v : x) v = Fp16::from_float(static_cast<float>(rng.gaussian(0.0, spec.x_mag)));
+        for (auto& v : x) {
+            v = Fp16::from_float(static_cast<float>(rng.gaussian(0.0, spec.x_mag)));
+        }
         std::vector<Fp16> y(spec.rows);
         vpu.gemv(quant::pack_weight_stream(q), spec.rows, spec.cols, x, y);
         const std::vector<Fp16> want = oracle_gemv(q, x);

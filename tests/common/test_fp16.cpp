@@ -154,7 +154,8 @@ TEST(Fp16, RoundToFp16MatchesTheConversionPairOnEveryRoundingCase) {
     // at 2^-25 .. 2^-22 part of the sweep. Below 2^-25 everything is +-0.
     std::vector<std::uint32_t> decoded(0x10000);
     for (std::uint32_t h = 0; h <= 0xFFFF; ++h) {
-        decoded[h] = std::bit_cast<std::uint32_t>(half_bits_to_float(static_cast<std::uint16_t>(h)));
+        const float f = half_bits_to_float(static_cast<std::uint16_t>(h));
+        decoded[h] = std::bit_cast<std::uint32_t>(f);
     }
     std::uint64_t checked = 0, mismatches = 0;
     for (std::uint32_t exp = 0; exp <= 0xFF; ++exp) {

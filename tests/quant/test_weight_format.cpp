@@ -94,15 +94,18 @@ TEST(WeightFormat, DecoderAttachesCorrectScaleZero) {
 }
 
 TEST(WeightFormat, DecoderExpectedKindFollowsSchedule) {
-    const std::size_t groups = 70;
-    const auto sched = stream_schedule(groups);
-    WeightStreamDecoder dec(groups);
-    for (const auto kind : sched) {
-        EXPECT_EQ(dec.expected_kind(), kind);
-        (void)dec.consume(Word512{});
+    // One partial chunk, one full chunk, and several chunks with a partial
+    // tail: the decoder derives each word's kind from its cursor.
+    for (const std::size_t groups : {70u, 128u, 129u, 300u}) {
+        const auto sched = stream_schedule(groups);
+        WeightStreamDecoder dec(groups);
+        for (const auto kind : sched) {
+            EXPECT_EQ(dec.expected_kind(), kind) << "groups=" << groups;
+            (void)dec.consume(Word512{});
+        }
+        EXPECT_TRUE(dec.done());
+        EXPECT_THROW((void)dec.expected_kind(), efld::Error);
     }
-    EXPECT_TRUE(dec.done());
-    EXPECT_THROW((void)dec.expected_kind(), efld::Error);
 }
 
 TEST(WeightFormat, RejectsWrongGroupSize) {
