@@ -3,8 +3,10 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -59,27 +61,10 @@ bool wait_ready(int fd, short events, const Deadline& deadline) {
     }
 }
 
-// Loop write/read until the whole buffer moved (short transfers and EINTR are
-// normal on stream sockets) or the deadline passes. false = peer gone or
-// timed out — either way the stream position is unknown, so the caller must
-// drop the connection.
-bool write_exact(int fd, const std::uint8_t* data, std::size_t n,
-                 const Deadline& deadline = std::nullopt) {
-    while (n > 0) {
-        if (!wait_ready(fd, POLLOUT, deadline)) return false;
-        const ssize_t w = ::send(fd, data, n, MSG_NOSIGNAL);
-        if (w < 0) {
-            if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) {
-                continue;  // poll raced a full buffer; re-wait
-            }
-            return false;
-        }
-        data += w;
-        n -= static_cast<std::size_t>(w);
-    }
-    return true;
-}
-
+// Loop read until the whole buffer arrived (short reads and EINTR are normal
+// on stream sockets) or the deadline passes. false = peer gone or timed out —
+// either way the stream position is unknown, so the caller must drop the
+// connection.
 bool read_exact(int fd, std::uint8_t* data, std::size_t n,
                 const Deadline& deadline = std::nullopt) {
     while (n > 0) {
@@ -98,6 +83,13 @@ bool read_exact(int fd, std::uint8_t* data, std::size_t n,
     return true;
 }
 
+// One frame is one gathered write of {length prefix, payload}: the prefix
+// never travels as a segment of its own, so (with TCP_NODELAY) no part of a
+// frame sits in Nagle's buffer waiting for the peer's delayed ACK. Each
+// sendmsg is non-blocking (MSG_DONTWAIT) and preceded by a deadline-bounded
+// poll, so a peer that stops reading cannot pin the writer past `deadline`;
+// a short send advances across both iovecs. false = peer gone or timed out —
+// the stream position is unknown, so the caller must drop the connection.
 bool write_frame(int fd, std::span<const std::uint8_t> payload,
                  const Deadline& deadline = std::nullopt) {
     std::uint8_t len[4];
@@ -106,8 +98,36 @@ bool write_frame(int fd, std::span<const std::uint8_t> payload,
     len[1] = static_cast<std::uint8_t>((n >> 8) & 0xff);
     len[2] = static_cast<std::uint8_t>((n >> 16) & 0xff);
     len[3] = static_cast<std::uint8_t>((n >> 24) & 0xff);
-    return write_exact(fd, len, 4, deadline) &&
-           write_exact(fd, payload.data(), payload.size(), deadline);
+    // sendmsg only reads the buffers; iovec is merely not const-qualified.
+    iovec iov[2] = {{len, sizeof(len)},
+                    {const_cast<std::uint8_t*>(payload.data()), payload.size()}};
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = 2;
+    std::size_t left = sizeof(len) + payload.size();
+    while (left > 0) {
+        if (!wait_ready(fd, POLLOUT, deadline)) return false;
+        const ssize_t w = ::sendmsg(fd, &msg, MSG_NOSIGNAL | MSG_DONTWAIT);
+        if (w < 0) {
+            if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) {
+                continue;  // poll raced a full buffer; re-wait
+            }
+            return false;
+        }
+        left -= static_cast<std::size_t>(w);
+        for (std::size_t sent = static_cast<std::size_t>(w); sent > 0;) {
+            iovec& head = msg.msg_iov[0];
+            const std::size_t take = std::min(sent, head.iov_len);
+            head.iov_base = static_cast<std::uint8_t*>(head.iov_base) + take;
+            head.iov_len -= take;
+            sent -= take;
+            if (head.iov_len == 0) {
+                ++msg.msg_iov;
+                --msg.msg_iovlen;
+            }
+        }
+    }
+    return true;
 }
 
 // nullopt = connection closed/failed/timed out. `header_deadline` bounds the
@@ -131,6 +151,12 @@ std::optional<std::vector<std::uint8_t>> read_frame(
     return payload;
 }
 
+// Turns on a boolean socket option. false = the kernel refused it.
+[[nodiscard]] bool set_flag(int fd, int level, int name) noexcept {
+    const int one = 1;
+    return ::setsockopt(fd, level, name, &one, sizeof(one)) == 0;
+}
+
 sockaddr_in loopback_addr(std::uint16_t port, const char* host) {
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
@@ -146,14 +172,13 @@ SocketServer::SocketServer(ClusterRouter& router, Options opts)
     : router_(router), opts_(std::move(opts)) {
     listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
     check(listen_fd_ >= 0, "socket: socket() failed");
-    const int one = 1;
-    ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
     sockaddr_in addr = loopback_addr(opts_.port, opts_.host.c_str());
-    if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
+    if (!set_flag(listen_fd_, SOL_SOCKET, SO_REUSEADDR) ||
+        ::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
         ::listen(listen_fd_, opts_.backlog) != 0) {
         ::close(listen_fd_);
         listen_fd_ = -1;
-        throw Error("socket: bind/listen failed (port in use?)");
+        throw Error("socket: setsockopt/bind/listen failed (port in use?)");
     }
     socklen_t len = sizeof(addr);
     check(::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len) == 0,
@@ -214,6 +239,10 @@ void SocketServer::accept_loop(int lfd) {
                 continue;
             }
             break;  // listener shut down
+        }
+        if (!set_flag(fd, IPPROTO_TCP, TCP_NODELAY)) {
+            ::close(fd);  // the client sees EOF and may reconnect
+            continue;
         }
         const std::lock_guard<std::mutex> lock(conn_mu_);
         if (stopping_.load(std::memory_order_acquire)) {
@@ -416,6 +445,10 @@ void SocketClient::connect_now() {
                     " failed");
     }
     if (opts_.connect_timeout_ms > 0) ::fcntl(fd, F_SETFL, flags);
+    if (!set_flag(fd, IPPROTO_TCP, TCP_NODELAY)) {
+        ::close(fd);
+        throw Error("socket: setsockopt(TCP_NODELAY) failed");
+    }
     fd_ = fd;
 }
 
@@ -426,9 +459,14 @@ wire::WireResponse SocketClient::request(const wire::WireRequest& req) {
         disconnect();  // stream position unknown; the link is unusable
         throw Error("SocketClient: connection lost/timed out while sending");
     }
-    std::optional<std::vector<std::uint8_t>> frame =
-        read_frame(fd_, wire::kMaxFrameBytes, deadline_in(opts_.io_timeout_ms),
-                   opts_.io_timeout_ms);
+    std::optional<std::vector<std::uint8_t>> frame;
+    try {
+        frame = read_frame(fd_, wire::kMaxFrameBytes,
+                           deadline_in(opts_.io_timeout_ms), opts_.io_timeout_ms);
+    } catch (const Error&) {
+        disconnect();  // oversized prefix: its payload is still in the stream
+        throw;
+    }
     if (!frame.has_value()) {
         disconnect();
         throw Error("SocketClient: connection lost/timed out while waiting");

@@ -33,7 +33,9 @@
 // and backs off (capped exponential, seeded jitter, honoring the server's
 // 429 retry hint) until the request lands or the attempt budget runs out.
 // Both ends enforce I/O timeouts so one stalled peer can never wedge a
-// thread forever. POSIX-only (Linux CI / deployment target).
+// thread forever. Both ends also set TCP_NODELAY and write each frame as one
+// gathered sendmsg, so a round trip costs the work, never the peer's
+// delayed-ACK timer. POSIX-only (Linux CI / deployment target).
 #pragma once
 
 #include <atomic>

@@ -1,9 +1,17 @@
 // Socket front-end smoke: real loopback TCP round trips through the cluster
 // router — token parity with a direct submit, concurrent clients, 429
-// backpressure on the wire, and request-level errors that keep the
-// connection alive.
+// backpressure on the wire, request-level errors that keep the connection
+// alive, frames larger than the socket buffers, and round trips that cost
+// the work rather than TCP's delayed-ACK timer.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
 #include <map>
 #include <memory>
 #include <string>
@@ -23,6 +31,12 @@ namespace {
 runtime::ClusterDeployment deploy(ClusterOptions opts) {
     opts.shard.sampler.temperature = 0.0f;  // deterministic
     return runtime::synthetic_cluster(model::ModelConfig::micro_256(), 42, opts);
+}
+
+// Lower quartile (nearest rank) of a non-empty sample.
+double lower_quartile(std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 4];
 }
 
 TEST(SocketFrontend, RoundTripOverLoopback) {
@@ -318,6 +332,155 @@ TEST(SocketFrontend, StopJoinsCleanlyWithIdleConnections) {
     EXPECT_FALSE(server.running());
     server.stop();  // idempotent
     d.router->stop();
+}
+
+TEST(SocketFrontend, SmallRoundTripsDoNotWaitOnDelayedAck) {
+    ClusterOptions opts;
+    opts.shards = 1;
+    runtime::ClusterDeployment d = deploy(opts);
+    d.router->start();
+    SocketServer server(*d.router);
+    server.start();
+    SocketClient client("127.0.0.1", server.port());
+
+    // The same 1-token requests over the socket and straight into the
+    // router, interleaved so both sides see the same host load. A frame held
+    // back by Nagle until the peer's delayed ACK fires costs >= 40 ms on
+    // Linux; the socket may add transport, not a timer. One-byte prompts keep
+    // the engine time small next to that timer. The timer is a floor under
+    // every stalled round trip, so it lifts every quantile; the lower
+    // quartile is compared because scheduler noise only ever adds time, and
+    // under TSan with a parallel ctest it moved the medians by +-25 ms.
+    using Clock = std::chrono::steady_clock;
+    const auto ms_since = [](Clock::time_point t0) {
+        return std::chrono::duration<double, std::milli>(Clock::now() - t0)
+            .count();
+    };
+    constexpr int kRequests = 20;
+    std::vector<double> socket_ms;
+    std::vector<double> inproc_ms;
+    for (int i = 0; i < kRequests; ++i) {
+        const std::string prompt(1, static_cast<char>('a' + i));
+        Clock::time_point t0 = Clock::now();
+        const wire::WireResponse resp = client.request(
+            wire::WireRequest{.prompt = prompt, .max_new_tokens = 1});
+        socket_ms.push_back(ms_since(t0));
+        ASSERT_EQ(resp.status, wire::Status::kOk);
+        ASSERT_EQ(resp.tokens.size(), 1u);
+
+        t0 = Clock::now();
+        runtime::RequestHandle direct = d.router->submit(
+            runtime::ServeRequest{.prompt = prompt, .max_new_tokens = 1});
+        EXPECT_EQ(direct.get().tokens, resp.tokens);
+        inproc_ms.push_back(ms_since(t0));
+    }
+    const double socket_q1 = lower_quartile(socket_ms);
+    const double inproc_q1 = lower_quartile(inproc_ms);
+    EXPECT_LT(socket_q1 - inproc_q1, 20.0)
+        << "socket q1 " << socket_q1 << " ms vs in-process q1 " << inproc_q1
+        << " ms";
+    server.stop();
+    d.router->stop();
+}
+
+TEST(SocketFrontend, MultiMebibyteFramesCrossWholeAndLinkStaysInStep) {
+    ClusterOptions opts;
+    opts.shards = 1;
+    runtime::ClusterDeployment d = deploy(opts);
+    d.router->start();
+    SloController slo(*d.router, SloController::Options{});
+    SocketServer server(*d.router);
+    server.set_slo(&slo);
+    server.start();
+    SocketClient client("127.0.0.1", server.port());
+
+    // 6 MiB frames: larger than the loopback send buffer (4 MiB at most), so
+    // each leaves in several partial sends, yet under kMaxFrameBytes.
+    constexpr std::size_t kBig = 6u << 20;
+
+    // A prompt far past micro-256's 64-token window: a server that read the
+    // whole frame answers with the context-window error — a torn frame
+    // would fail to decode instead.
+    wire::WireRequest huge;
+    huge.prompt = std::string(kBig, 'x');
+    huge.max_new_tokens = 4;
+    ASSERT_LT(wire::encode_request(huge).size(), wire::kMaxFrameBytes);
+    const wire::WireResponse err = client.request(huge);
+    EXPECT_EQ(err.status, wire::Status::kError);
+    EXPECT_NE(err.error.find("context window"), std::string::npos) << err.error;
+
+    // Byte-exact in both directions: the server echoes a query's series name
+    // in its reply, so a resent or skipped chunk on either side shows up as
+    // a mismatch. The name is aperiodic so a misplaced chunk cannot match.
+    std::string series(kBig, 'a');
+    std::uint32_t x = 12345;
+    for (char& c : series) {
+        x = x * 1664525u + 1013904223u;
+        c = static_cast<char>('a' + (x >> 24) % 26);
+    }
+    const std::string body = client.query(series);
+    const std::string expected =
+        "{\"series\":\"" + series + "\",\"points\":[]}";
+    EXPECT_TRUE(body == expected)  // not EXPECT_EQ: it would print 12 MiB
+        << "the " << body.size() << "-byte reply differs from the expected "
+        << expected.size() << " bytes";
+
+    // Same connection: the next frame starts exactly where the big ones
+    // ended.
+    const wire::WireResponse ok = client.request(
+        wire::WireRequest{.prompt = "after the big ones", .max_new_tokens = 3});
+    ASSERT_EQ(ok.status, wire::Status::kOk);
+    runtime::RequestHandle direct = d.router->submit(runtime::ServeRequest{
+        .prompt = "after the big ones", .max_new_tokens = 3});
+    EXPECT_EQ(direct.get().tokens, ok.tokens);
+    server.stop();
+    d.router->stop();
+}
+
+TEST(SocketFrontend, OversizedResponsePrefixDisconnectsTheClient) {
+    // A raw listener standing in for a broken server: it answers any
+    // request with the length prefix 0xFFFFFFFF, past kMaxFrameBytes.
+    const int lfd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(lfd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t addr_len = sizeof(addr);
+    ASSERT_EQ(::bind(lfd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+    ASSERT_EQ(::listen(lfd, 1), 0);
+    ASSERT_EQ(::getsockname(lfd, reinterpret_cast<sockaddr*>(&addr), &addr_len),
+              0);
+
+    bool peer_saw_eof = false;
+    std::thread peer([&] {
+        const int fd = ::accept(lfd, nullptr, nullptr);
+        if (fd < 0) return;
+        std::uint8_t buf[256];
+        if (::recv(fd, buf, sizeof(buf), 0) > 0) {
+            const std::uint8_t bogus[4] = {0xff, 0xff, 0xff, 0xff};
+            (void)::send(fd, bogus, sizeof(bogus), MSG_NOSIGNAL);
+            // The client must hang up: drain until EOF, bounded.
+            pollfd p{fd, POLLIN, 0};
+            while (::poll(&p, 1, 5000) == 1) {
+                const ssize_t r = ::recv(fd, buf, sizeof(buf), 0);
+                if (r <= 0) {
+                    peer_saw_eof = r == 0;
+                    break;
+                }
+            }
+        }
+        ::close(fd);
+    });
+
+    SocketClient client("127.0.0.1", ntohs(addr.sin_port));
+    EXPECT_THROW((void)client.request(
+                     wire::WireRequest{.prompt = "hi", .max_new_tokens = 1}),
+                 efld::Error);
+    // The unread payload would otherwise be parsed as the next frame.
+    EXPECT_FALSE(client.connected());
+    peer.join();
+    EXPECT_TRUE(peer_saw_eof);
+    ::close(lfd);
 }
 
 }  // namespace
