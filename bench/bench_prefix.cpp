@@ -59,6 +59,7 @@ struct EngineResult {
     obs::LatencySummary ttft;
     engine::PrefixSharingStats prefix;
     std::size_t prefix_hits = 0;
+    std::size_t prefix_hit_tokens = 0;
     std::vector<std::vector<std::int32_t>> tokens;  // parity fingerprint
 };
 
@@ -100,6 +101,7 @@ EngineResult run_engine(const model::QuantizedModelWeights& qw, bool sharing,
     res.peak_sessions = eng.stats().peak_batch;
     res.deferrals = eng.stats().capacity_deferrals;
     res.prefix_hits = eng.stats().prefix_hits;
+    res.prefix_hit_tokens = eng.stats().prefix_hit_tokens;
     res.prefix = eng.load().prefix;
     res.tok_s = static_cast<double>(sessions * max_new) / s;
     const obs::MetricsSnapshot snap = eng.metrics().snapshot();
@@ -225,7 +227,7 @@ int main(int argc, char** argv) {
                 shared.prefix.pages_shared);
     std::printf(
         "(shared run: %zu hits, %zu covered tokens, %zu CoW %s)\n",
-        shared.prefix_hits, static_cast<std::size_t>(shared.prefix.covered_tokens),
+        shared.prefix_hits, shared.prefix_hit_tokens,
         static_cast<std::size_t>(shared.prefix.cow_copies),
         shared.prefix.cow_copies == 1 ? "copy" : "copies");
 
@@ -294,7 +296,7 @@ int main(int argc, char** argv) {
             << ", \"ttft_p99_ms\": "
             << static_cast<double>(shared.ttft.p99_ns) / 1e6
             << ", \"prefix_hits\": " << shared.prefix_hits
-            << ", \"covered_tokens\": " << shared.prefix.covered_tokens
+            << ", \"covered_tokens\": " << shared.prefix_hit_tokens
             << ", \"pages_shared\": " << shared.prefix.pages_shared
             << ", \"cow_copies\": " << shared.prefix.cow_copies << "},\n"
             << "  \"parity\": " << (parity ? "true" : "false") << ",\n"

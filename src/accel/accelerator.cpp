@@ -10,30 +10,43 @@
 
 namespace efld::accel {
 
+namespace {
+
+// Storage page when the cycle model prices a contiguous layout: KvPoolConfig's
+// default, the scale-zero FIFO flush width, so a page never splits a pack
+// word.
+constexpr std::size_t kContiguousPageTokens = kvpool::KvPoolConfig{}.page_tokens;
+
+const AcceleratorOptions& validated(const AcceleratorOptions& opts) {
+    if (opts.max_batch == 0) {
+        throw std::invalid_argument("AcceleratorOptions: max_batch must be >= 1");
+    }
+    return opts;
+}
+
+}  // namespace
+
 Accelerator::Accelerator(const PackedModel& m, AcceleratorOptions opts)
     : model_(&m),
-      opts_(opts),
+      opts_(validated(opts)),
       timing_(m.config, model::QuantScheme::w4a16_kv8(), opts.accel, opts.mem),
       rope_(m.config.rope_theta),
       softmax_(exp_),
-      silu_(exp_) {
-    if (opts_.max_batch == 0) {
-        throw std::invalid_argument("AcceleratorOptions: max_batch must be >= 1");
-    }
-    if (opts_.prefix_sharing && opts_.accel.kv_page_tokens == 0) {
-        throw std::invalid_argument(
-            "AcceleratorOptions: prefix_sharing requires accel.kv_page_tokens > 0");
-    }
+      silu_(exp_),
+      kv_(m.config,
+          kvpool::pool_config(m.config, opts.max_batch,
+                              opts.accel.kv_page_tokens > 0 ? opts.accel.kv_page_tokens
+                                                            : kContiguousPageTokens,
+                              opts.kv_pool_pages)) {
     const std::size_t mb = opts_.max_batch;
     sz_fifo_.reserve(mb);
     for (std::size_t s = 0; s < mb; ++s) {
         sz_fifo_.emplace_back(m.config.n_layers, m.config.n_kv_heads);
+        (void)kv_.create_sequence();
     }
+    if (opts_.accel.kv_page_tokens > 0) prefix_.emplace(kv_.pool());
     pos_.assign(mb, 0);
     slots_ = engine::SlotLedger(mb);
-    k_cache_.resize(mb * m.config.n_layers * m.config.max_seq_len *
-                    m.config.n_kv_heads);
-    v_cache_.resize(k_cache_.size());
     ctx_scratch_.reserve(mb);
 
     const model::ModelConfig& c = m.config;
@@ -45,6 +58,8 @@ Accelerator::Accelerator(const PackedModel& m, AcceleratorOptions opts)
     probs_.resize(c.max_seq_len);
     logits_h_.resize(c.vocab_size);
     for (auto* v : {&q_head_, &kv_head_, &out_head_}) v->resize(c.head_dim());
+    kq_.resize(c.n_kv_heads);
+    vq_.resize(c.n_kv_heads);
 }
 
 void Accelerator::reset_session(std::size_t slot) {
@@ -52,12 +67,7 @@ void Accelerator::reset_session(std::size_t slot) {
     pos_[slot] = 0;
     sz_fifo_[slot] =
         quant::ScaleZeroFifo(model_->config.n_layers, model_->config.n_kv_heads);
-    const std::size_t per_session =
-        model_->config.n_layers * model_->config.max_seq_len * model_->config.n_kv_heads;
-    for (std::size_t i = slot * per_session; i < (slot + 1) * per_session; ++i) {
-        k_cache_[i] = KvEntry{};
-        v_cache_[i] = KvEntry{};
-    }
+    kv_.reset_sequence(slot);  // pages back to the pool
 }
 
 void Accelerator::reset() {
@@ -76,124 +86,48 @@ void Accelerator::release_slot(std::size_t slot) {
     reset_session(slot);
 }
 
-std::size_t Accelerator::kv_slot(std::size_t session, std::size_t layer,
-                                 std::size_t token, std::size_t kv_head) const noexcept {
-    return ((session * model_->config.n_layers + layer) * model_->config.max_seq_len +
-            token) *
-               model_->config.n_kv_heads +
-           kv_head;
-}
-
-std::size_t Accelerator::page_entry_idx(std::size_t layer, std::size_t t,
-                                        std::size_t kv_head) const noexcept {
-    return (layer * opts_.accel.kv_page_tokens + t) * model_->config.n_kv_heads +
-           kv_head;
-}
-
-std::size_t Accelerator::matched_pages(
-    const std::vector<std::uint64_t>& hashes) const {
-    std::size_t n = 0;
-    while (n < hashes.size() &&
-           prefix_store_.find(hashes[n]) != prefix_store_.end()) {
-        ++n;
-    }
-    return n;
-}
-
 std::size_t Accelerator::probe_prefix(std::span<const std::int32_t> prompt,
                                       std::size_t max_cover) const {
-    if (!opts_.prefix_sharing) return 0;
-    const std::size_t pt = opts_.accel.kv_page_tokens;
-    const std::vector<std::uint64_t> hashes = prefix::prefix_chain_hashes(prompt, pt);
-    const std::lock_guard<std::mutex> lock(prefix_mu_);
-    // Full pages only: the scale-zero FIFO replay leaves a prefilled state
-    // only at a flush boundary.
-    std::size_t covered = std::min(matched_pages(hashes) * pt, max_cover);
-    return covered - covered % pt;
+    return prefix_ ? prefix_->match(prompt, max_cover).covered : 0;
 }
 
 std::size_t Accelerator::adopt_prefix(std::size_t slot,
                                       std::span<const std::int32_t> prompt,
                                       std::size_t max_cover) {
-    if (!opts_.prefix_sharing) return 0;
+    if (!prefix_) return 0;
+    const prefix::PrefixStore::Match m = prefix_->match(prompt, max_cover);
+    if (m.covered == 0) return 0;
+    kv_.adopt_prefix(slot, m.pages, m.covered);
+    // Replay the adopted scale-zero packs through the slot's fresh FIFO in
+    // prefill order, so it holds exactly what prefilling the covered tokens
+    // would have left in it, partial last page included.
     const model::ModelConfig& cfg = model_->config;
-    check(slot < opts_.max_batch, "adopt_prefix: slot out of range");
-    check(pos_[slot] == 0, "adopt_prefix: slot already holds history");
-    const std::size_t pt = opts_.accel.kv_page_tokens;
-    const std::vector<std::uint64_t> hashes = prefix::prefix_chain_hashes(prompt, pt);
-    const std::lock_guard<std::mutex> lock(prefix_mu_);
-    std::size_t covered = std::min(matched_pages(hashes) * pt, max_cover);
-    covered -= covered % pt;
-    if (covered == 0) return 0;
-    check(covered <= cfg.max_seq_len, "adopt_prefix: prefix exceeds context window");
-    // Deep-copy the stored entries into the slot's caches and replay their
-    // scale-zero packs through the slot's fresh FIFO in prefill order, so the
-    // slot state is bit-for-bit what re-prefilling the covered span produces.
-    for (std::size_t tok = 0; tok < covered; ++tok) {
-        const StoredPage& page = prefix_store_.at(hashes[tok / pt]);
+    for (std::size_t tok = 0; tok < m.covered; ++tok) {
         for (std::size_t layer = 0; layer < cfg.n_layers; ++layer) {
             for (std::size_t h = 0; h < cfg.n_kv_heads; ++h) {
-                const std::size_t e = page_entry_idx(layer, tok % pt, h);
-                k_cache_[kv_slot(slot, layer, tok, h)] = page.k[e];
-                v_cache_[kv_slot(slot, layer, tok, h)] = page.v[e];
-                (void)sz_fifo_[slot].append(layer, h, false, tok, page.k[e].params);
-                (void)sz_fifo_[slot].append(layer, h, true, tok, page.v[e].params);
+                (void)sz_fifo_[slot].append(layer, h, false, tok,
+                                            kv_.key(slot, layer, h, tok).params);
+                (void)sz_fifo_[slot].append(layer, h, true, tok,
+                                            kv_.value(slot, layer, h, tok).params);
             }
         }
     }
-    pos_[slot] = covered;
-    prefix_hits_.fetch_add(1, std::memory_order_relaxed);
-    prefix_covered_.fetch_add(covered, std::memory_order_relaxed);
-    return covered;
+    pos_[slot] = m.covered;
+    return m.covered;
 }
 
 std::size_t Accelerator::register_prefix(std::size_t slot,
                                          std::span<const std::int32_t> prompt,
                                          std::size_t max_new_pages) {
-    if (!opts_.prefix_sharing || max_new_pages == 0) return 0;
-    const model::ModelConfig& cfg = model_->config;
-    check(slot < opts_.max_batch, "register_prefix: slot out of range");
-    const std::size_t pt = opts_.accel.kv_page_tokens;
-    const std::vector<std::uint64_t> hashes = prefix::prefix_chain_hashes(prompt, pt);
-    if (pos_[slot] < hashes.size() * pt) return 0;  // prefill incomplete
-    const std::size_t epp = cfg.n_layers * pt * cfg.n_kv_heads;
-    const std::lock_guard<std::mutex> lock(prefix_mu_);
-    std::size_t added = 0;
-    for (std::size_t p = 0; p < hashes.size() && added < max_new_pages; ++p) {
-        if (prefix_store_.find(hashes[p]) != prefix_store_.end()) continue;
-        StoredPage page;
-        page.k.resize(epp);
-        page.v.resize(epp);
-        for (std::size_t t = 0; t < pt; ++t) {
-            const std::size_t tok = p * pt + t;
-            for (std::size_t layer = 0; layer < cfg.n_layers; ++layer) {
-                for (std::size_t h = 0; h < cfg.n_kv_heads; ++h) {
-                    const std::size_t e = page_entry_idx(layer, t, h);
-                    page.k[e] = k_cache_[kv_slot(slot, layer, tok, h)];
-                    page.v[e] = v_cache_[kv_slot(slot, layer, tok, h)];
-                }
-            }
-        }
-        prefix_store_.emplace(hashes[p], std::move(page));
-        ++added;
-    }
-    return added;
+    return prefix_ ? prefix_->register_prefix(slot, prompt, max_new_pages) : 0;
 }
 
-std::size_t Accelerator::drop_prefix_cache() {
-    const std::lock_guard<std::mutex> lock(prefix_mu_);
-    const std::size_t n = prefix_store_.size();
-    prefix_store_.clear();
-    return n;
-}
+std::size_t Accelerator::drop_prefix_cache() { return prefix_ ? prefix_->drop() : 0; }
 
 engine::PrefixSharingStats Accelerator::prefix_stats() const {
-    engine::PrefixSharingStats s;
-    s.hits = prefix_hits_.load(std::memory_order_relaxed);
-    s.covered_tokens = prefix_covered_.load(std::memory_order_relaxed);
-    const std::lock_guard<std::mutex> lock(prefix_mu_);
-    s.pages_shared = prefix_store_.size();
-    return s;
+    if (!prefix_) return {};
+    return {.pages_shared = prefix_->pages_held(),
+            .cow_copies = static_cast<std::size_t>(kv_.pool().cow_copies())};
 }
 
 void Accelerator::attention(std::size_t layer, std::size_t slot) {
@@ -229,11 +163,12 @@ void Accelerator::attention(std::size_t layer, std::size_t slot) {
         for (const std::uint8_t c : qv.codes) (void)s2p_.push_byte(c);
         (void)sz_fifo_[slot].append(layer, h, false, pos, qk.params);
         (void)sz_fifo_[slot].append(layer, h, true, pos, qv.params);
-        k_cache_[kv_slot(slot, layer, pos, h)] = {std::move(qk.codes), qk.params};
-        v_cache_[kv_slot(slot, layer, pos, h)] = {std::move(qv.codes), qv.params};
+        kq_[h] = std::move(qk);
+        vq_[h] = std::move(qv);
     }
+    kv_.append_quantized(slot, layer, kq_, vq_);
 
-    // Head-wise attention: history from the quantized cache, the current
+    // Head-wise attention: history from the arena's pages, the current
     // token's K/V used pre-quantization (they are still on chip — §V.A).
     // Lanes are exact fp16 floats and every multiply and add rounds once,
     // as in the VPU.
@@ -245,7 +180,7 @@ void Accelerator::attention(std::size_t layer, std::size_t slot) {
         for (std::size_t i = 0; i < hd; ++i) q_head_[i] = q_[h * hd + i].to_float();
 
         for (std::size_t t = 0; t < pos; ++t) {
-            const KvEntry& e = k_cache_[kv_slot(slot, layer, t, kvh)];
+            const quant::KvQuantized& e = kv_.key(slot, layer, kvh, t);
             DequantUnit::run_kv(e.codes, e.params, kv_head_);
             scores_[t] = Fp16::from_float(DotEngine::dot(q_head_, kv_head_)) * inv_sqrt_d;
         }
@@ -264,7 +199,7 @@ void Accelerator::attention(std::size_t layer, std::size_t slot) {
             }
         };
         for (std::size_t t = 0; t < pos; ++t) {
-            const KvEntry& e = v_cache_[kv_slot(slot, layer, t, kvh)];
+            const quant::KvQuantized& e = kv_.value(slot, layer, kvh, t);
             DequantUnit::run_kv(e.codes, e.params, kv_head_);
             accumulate(probs[t]);
         }

@@ -10,27 +10,31 @@
 // decode-speed numbers.
 //
 // The accelerator is also a DecodeBackend: with max_batch > 1 it owns that
-// many independent KV session slots (per-slot cache, position, and scale-zero
-// FIFO) and decode_batch advances any subset of them in one simulated step.
+// many independent KV session slots (per-slot arena sequence, position, and
+// scale-zero FIFO) and decode_batch advances any subset of them in one simulated step.
 // The functional math stays per-session (each lane is bit-identical to a solo
 // run), but the step is PRICED as the device would execute it — weights
 // streamed once for the whole batch, KV streams and SPU work per session
 // (DecodeCycleModel::batch_timing) — so the serving layer can report
 // simulated KV260 serving throughput, not just single-stream decode.
 //
-// Paged KV (AccelConfig::kv_page_tokens > 0): a session's KV history is
-// priced as one DDR burst per block-table page (each with its own descriptor
-// overhead) instead of one contiguous burst, matching the kvpool layout the
-// serving layer budgets with. Functional results are unchanged — paging is a
-// capacity/layout property; the twin's in-memory KV arrays are simulation
-// scaffolding, not modeled DDR.
+// KV storage: the slots' KV8 entries live in a kvpool::PagedQuantizedKvArena
+// (one sequence per slot), the same page store the host engine uses, so
+// both backends share its copy-on-write, cadence and pool-exhaustion rules.
+// Attention reads history through the slot's block table. Pages are
+// AccelConfig::kv_page_tokens tokens when set, else 16 (the scale-zero FIFO
+// flush width), and the pool holds AcceleratorOptions::kv_pool_pages of them.
+//
+// Paged KV (AccelConfig::kv_page_tokens > 0): the cycle model prices a
+// session's history as one DDR burst per block-table page (each with its own
+// descriptor overhead) instead of one contiguous burst, and the twin shares
+// prefixes through prefix::PrefixStore like the host. Functional results are
+// unchanged — paging is a capacity/layout property.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <mutex>
+#include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "accel/cycle_model.hpp"
@@ -44,6 +48,7 @@
 #include "accel/spu_softmax.hpp"
 #include "accel/vpu.hpp"
 #include "engine/decode_backend.hpp"
+#include "kvpool/paged_kv_cache.hpp"
 #include "model/sampler.hpp"
 #include "prefix/prefix_index.hpp"
 #include "quant/scale_zero_pack.hpp"
@@ -54,18 +59,13 @@ struct AcceleratorOptions {
     AccelConfig accel{};
     memsim::MemorySystemConfig mem = memsim::MemorySystemConfig::kv260();
     bool collect_timing = true;  // disable to run functional-only (faster)
-    // Concurrent KV session slots (DecodeBackend). Each slot reserves its own
-    // KV cache region, position, and scale-zero FIFO.
+    // Concurrent KV session slots (DecodeBackend), each with its own arena
+    // sequence, position, and scale-zero FIFO.
     std::size_t max_batch = 1;
-    // Prefix sharing (requires accel.kv_page_tokens > 0): keep a store of
-    // computed KV pages keyed by chained prompt-page hashes, so sessions whose
-    // prompts start with an already-served prefix skip that prefill. The twin
-    // has no shared physical pool — its in-memory caches are per-session
-    // simulation scaffolding — so adoption deep-copies the stored entries
-    // (bit-identical to re-prefilling) and there is no copy-on-write; the DDR
-    // capacity effect is modeled by the serving layer's governor, the latency
-    // effect by DecodeCycleModel::prefill_timing_shared. Off by default.
-    bool prefix_sharing = false;
+    // KV arena size in pages. 0 = max_batch full-context sessions; the
+    // serving layer's CapacityGovernor sizes it from the DDR budget, as it
+    // does EngineOptions::kv_pool_pages for the host.
+    std::size_t kv_pool_pages = 0;
 };
 
 struct StepResult {
@@ -124,10 +124,10 @@ public:
     }
     void set_profiler(obs::Profiler* profiler) override { profiler_ = profiler; }
 
-    // Prefix sharing (active when opts_.prefix_sharing): the contract is in
-    // decode_backend.hpp. Full-page adoption only — the scale-zero FIFO is
-    // replayed from the stored packs, so covered spans must end on a page
-    // boundary to leave it exactly as a real prefill would.
+    // Prefix sharing (paged only; 0 otherwise): the contract is in
+    // decode_backend.hpp, the store and adoption rule in prefix::PrefixStore.
+    // Adoption replays the adopted packs through the slot's scale-zero FIFO,
+    // leaving it exactly as a prefill of the covered tokens would.
     [[nodiscard]] std::size_t probe_prefix(std::span<const std::int32_t> prompt,
                                            std::size_t max_cover) const override;
     std::size_t adopt_prefix(std::size_t slot, std::span<const std::int32_t> prompt,
@@ -139,29 +139,6 @@ public:
     [[nodiscard]] engine::PrefixSharingStats prefix_stats() const override;
 
 private:
-    struct KvEntry {
-        std::vector<std::uint8_t> codes;
-        quant::KvQuantParams params;
-    };
-
-    // One stored prefix page: deep copies of the KV entries for a full
-    // kv_page_tokens span, keyed in prefix_store_ by the span's chain hash.
-    // Entry (layer, t, head) lives at (layer * page_tokens + t) * n_kv_heads
-    // + head.
-    struct StoredPage {
-        std::vector<KvEntry> k;
-        std::vector<KvEntry> v;
-    };
-
-    [[nodiscard]] std::size_t kv_slot(std::size_t session, std::size_t layer,
-                                      std::size_t token,
-                                      std::size_t kv_head) const noexcept;
-    [[nodiscard]] std::size_t page_entry_idx(std::size_t layer, std::size_t t,
-                                             std::size_t kv_head) const noexcept;
-    // Pages of `hashes` present front-to-back in prefix_store_ (first miss
-    // stops the walk). Caller holds prefix_mu_.
-    [[nodiscard]] std::size_t matched_pages(
-        const std::vector<std::uint64_t>& hashes) const;
     void reset_session(std::size_t slot);
 
     // One functional forward pass of `token` through session `slot`, writing
@@ -194,21 +171,15 @@ private:
     std::vector<Fp16> scores_, probs_;                       // max_seq_len
     std::vector<Fp16> logits_h_;                             // vocab_size
     std::vector<float> q_head_, kv_head_, out_head_;         // head_dim
+    std::vector<quant::KvQuantized> kq_, vq_;                // n_kv_heads
 
     std::vector<std::size_t> pos_;           // per session slot
     engine::SlotLedger slots_;               // DecodeBackend reservations
-    std::vector<KvEntry> k_cache_;           // [session][layer][token][kv_head]
-    std::vector<KvEntry> v_cache_;
+    kvpool::PagedQuantizedKvArena kv_;       // slot s = arena sequence s
+    std::optional<prefix::PrefixStore> prefix_;  // over kv_'s pool; paged only
     std::vector<std::size_t> ctx_scratch_;   // batch pricing, no per-step alloc
     engine::StepCost last_cost_{};
     obs::Profiler* profiler_ = nullptr;      // serving-layer owned; may be null
-
-    // Prefix store + its lock (probe reads cross-thread while the driver
-    // adopts/registers); hit counters are relaxed atomics like the host's.
-    mutable std::mutex prefix_mu_;
-    std::unordered_map<std::uint64_t, StoredPage> prefix_store_;
-    std::atomic<std::size_t> prefix_hits_{0};
-    std::atomic<std::size_t> prefix_covered_{0};
 };
 
 }  // namespace efld::accel

@@ -17,9 +17,8 @@ namespace efld::accel {
 
 class SpuQuant {
 public:
-    struct Result {
-        std::vector<std::uint8_t> codes;
-        quant::KvQuantParams params;
+    // The {codes, params} entry the paged KV arena stores, plus cost.
+    struct Result : quant::KvQuantized {
         SpuCycles cycles;
     };
 

@@ -33,10 +33,10 @@ BackendBundle make_backend(BackendKind kind, const model::QuantizedModelWeights&
         b.packed =
             std::make_unique<accel::PackedModel>(accel::PackedModel::build(weights));
         accel_opts.max_batch = host_opts.max_batch;
-        // The accel twin prices paged KV in the cycle model (per-page bursts);
-        // its functional KV storage is host-side scaffolding either way.
+        // Same page layout and pool as the host: the twin stores its KV in a
+        // kvpool arena and prices the per-page bursts in its cycle model.
         accel_opts.accel.kv_page_tokens = host_opts.kv_page_tokens;
-        accel_opts.prefix_sharing = host_opts.prefix_sharing;
+        accel_opts.kv_pool_pages = host_opts.kv_pool_pages;
         b.backend = std::make_unique<accel::Accelerator>(*b.packed, accel_opts);
     }
     if (!plan.empty()) {

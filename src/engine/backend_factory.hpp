@@ -41,8 +41,9 @@ struct BackendBundle {
 
 // Builds the selected backend around `weights` (non-owning for kHost:
 // `weights` must outlive the bundle; kAccel copies what it needs into the
-// packed image). host_opts.max_batch sizes the slot count for both kinds;
-// accel_opts contributes the cycle-model/memory configuration for kAccel.
+// packed image). host_opts.max_batch, kv_page_tokens and kv_pool_pages size
+// the slots and the KV page pool for both kinds; accel_opts contributes the
+// cycle-model/memory configuration for kAccel.
 // A non-empty `fault_spec` (see fault_injection.hpp for the grammar) wraps
 // the backend in a FaultInjectingBackend with that scripted schedule, so
 // tests and benches can spawn an engine guaranteed to die at step K; throws

@@ -59,13 +59,12 @@ struct StepCost {
     double sim_overhead_ns = 0.0;
 };
 
-// Counters a prefix-sharing backend exposes (zeros when the backend does not
-// share). hits/covered_tokens count adoptions; pages_shared is the pages the
-// backend's index currently pins resident; cow_copies counts private copies
-// made when a session diverged into a shared page.
+// Page-store state a prefix-sharing backend exposes (zeros when the backend
+// is not paged): pages_shared is the pages its prefix store currently pins
+// resident; cow_copies counts private copies made when a session diverged
+// into a shared page. Adoptions are counted once, by the caller of
+// adopt_prefix (serve::ServeStats::prefix_hits / prefix_hit_tokens).
 struct PrefixSharingStats {
-    std::size_t hits = 0;
-    std::size_t covered_tokens = 0;
     std::size_t pages_shared = 0;
     std::size_t cow_copies = 0;
 };
@@ -111,8 +110,10 @@ public:
 
     // ---- prefix sharing (optional; default: no sharing) ----
     //
-    // A sharing backend keeps a PrefixIndex of full prompt pages it has
-    // already computed KV for. The serving layer probes before admission
+    // A paged backend keeps a prefix::PrefixStore of full prompt pages it has
+    // already computed KV for (both backends share that store's code, so
+    // they answer every call below identically for the same prompt and
+    // pool). The serving layer probes before admission
     // (capacity math), adopts after reserving a slot (skipping prefill for
     // covered tokens), and registers a prompt's pages once its prefill
     // completes. Tokens covered by adoption are NEVER fed through
@@ -131,7 +132,8 @@ public:
 
     // Maps the longest indexed prefix of `prompt` into the freshly reserved
     // `slot` (position advances past the covered tokens). Returns the tokens
-    // covered, <= max_cover; 0 when nothing matched or sharing is off.
+    // covered, <= max_cover; 0 when nothing matched or the backend is not
+    // paged.
     virtual std::size_t adopt_prefix(std::size_t /*slot*/,
                                      std::span<const std::int32_t> /*prompt*/,
                                      std::size_t /*max_cover*/) {

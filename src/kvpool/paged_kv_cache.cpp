@@ -1,77 +1,90 @@
 #include "kvpool/paged_kv_cache.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/check.hpp"
 
 namespace efld::kvpool {
 
-namespace {
-// Appends share the contiguous caches' cadence: every layer writes the same
-// position, the token advances after the last layer. The cadence counter is
-// advanced only AFTER the pool grants the token, so a refused append (pool
-// exhausted) leaves the sequence in a consistent, retryable state.
-bool first_layer_of_position(std::vector<std::size_t>& appended, std::size_t seq) {
-    if (seq >= appended.size()) appended.resize(seq + 1, 0);
-    return appended[seq] == 0;
+KvPoolConfig pool_config(const model::ModelConfig& cfg, std::size_t max_batch,
+                         std::size_t page_tokens, std::size_t n_pages) {
+    KvPoolConfig pc;
+    pc.page_tokens = page_tokens;
+    pc.n_pages = n_pages > 0 ? n_pages
+                             : max_batch * ((cfg.max_seq_len + page_tokens - 1) /
+                                            page_tokens);
+    return pc;
 }
 
-void advance_layer_cadence(std::vector<std::size_t>& appended, std::size_t seq,
-                           std::size_t n_layers) {
-    if (++appended[seq] == n_layers) appended[seq] = 0;
+PagedArena::PagedArena(const model::ModelConfig& cfg, KvPoolConfig pool_cfg)
+    : cfg_(cfg), pool_(pool_cfg) {}
+
+void PagedArena::free_sequence(std::size_t seq) {
+    pool_.free_sequence(seq);
+    if (seq < appended_this_pos_.size()) appended_this_pos_[seq] = 0;
 }
-}  // namespace
+
+void PagedArena::reset_sequence(std::size_t seq) {
+    pool_.reset_sequence(seq);
+    if (seq < appended_this_pos_.size()) appended_this_pos_[seq] = 0;
+}
+
+void PagedArena::adopt_prefix(std::size_t seq, std::span<const std::size_t> pages,
+                              std::size_t tokens) {
+    pool_.adopt_pages(seq, pages, tokens);
+    if (seq >= appended_this_pos_.size()) appended_this_pos_.resize(seq + 1, 0);
+    appended_this_pos_[seq] = 0;  // adoption lands on a position boundary
+}
+
+PagedArena::WriteSlot PagedArena::open_write(std::size_t seq, std::size_t layer) {
+    check(layer < cfg_.n_layers, "PagedArena: layer out of range");
+    if (seq >= appended_this_pos_.size()) appended_this_pos_.resize(seq + 1, 0);
+    WriteSlot w;
+    std::size_t token = pool_.seq_tokens(seq);
+    if (appended_this_pos_[seq] == 0) {
+        if (pool_.write_needs_cow(seq)) {
+            const KvBlockPool::CowResult cow = pool_.cow_page(seq);
+            check(cow.ok,
+                  "PagedArena: no free page for a copy-on-write divergence "
+                  "(admission should have reserved it)");
+            w.cow_source = cow.old_page;
+        }
+        check(pool_.append_token(seq),
+              "PagedArena: KV pool exhausted (admission should have deferred "
+              "this sequence)");
+    } else {
+        --token;  // later layers write the position the first layer opened
+    }
+    // Advanced only AFTER the pool granted the token, so a refused append
+    // leaves the cadence where it was.
+    if (++appended_this_pos_[seq] == cfg_.n_layers) appended_this_pos_[seq] = 0;
+    w.at = pool_.locate(seq, token);
+    return w;
+}
 
 PagedKvArena::PagedKvArena(const model::ModelConfig& cfg, KvPoolConfig pool_cfg)
-    : cfg_(cfg), pool_(pool_cfg) {
+    : PagedArena(cfg, pool_cfg) {
     page_floats_ =
         cfg_.n_layers * cfg_.n_kv_heads * pool_.page_tokens() * cfg_.head_dim();
     k_.resize(pool_.pages_total() * page_floats_);
     v_.resize(pool_.pages_total() * page_floats_);
 }
 
-void PagedKvArena::free_sequence(std::size_t seq) {
-    pool_.free_sequence(seq);
-    if (seq < appended_this_pos_.size()) appended_this_pos_[seq] = 0;
-}
-
-void PagedKvArena::reset_sequence(std::size_t seq) {
-    pool_.reset_sequence(seq);
-    if (seq < appended_this_pos_.size()) appended_this_pos_[seq] = 0;
-}
-
 void PagedKvArena::append(std::size_t seq, std::size_t layer, std::span<const float> k,
                           std::span<const float> v) {
-    check(layer < cfg_.n_layers, "PagedKvArena: layer out of range");
     check(k.size() == cfg_.kv_dim() && v.size() == cfg_.kv_dim(),
           "PagedKvArena: bad vector size");
-    std::size_t token = pool_.seq_tokens(seq);
-    if (first_layer_of_position(appended_this_pos_, seq)) {
-        if (pool_.write_needs_cow(seq)) {
-            // Writing into a page another holder still maps: give this
-            // sequence a private copy of the slab first.
-            const KvBlockPool::CowResult cow = pool_.cow_page(seq);
-            check(cow.ok,
-                  "PagedKvArena: no free page for a copy-on-write divergence "
-                  "(admission should have reserved it)");
-            std::copy_n(k_.data() + cow.old_page * page_floats_, page_floats_,
-                        k_.data() + cow.new_page * page_floats_);
-            std::copy_n(v_.data() + cow.old_page * page_floats_, page_floats_,
-                        v_.data() + cow.new_page * page_floats_);
-        }
-        check(pool_.append_token(seq),
-              "PagedKvArena: KV pool exhausted (admission should have deferred "
-              "this sequence)");
-    } else {
-        --token;  // later layers write the position the first layer opened
+    const WriteSlot w = open_write(seq, layer);
+    float* kp = k_.data() + w.at.page * page_floats_;
+    float* vp = v_.data() + w.at.page * page_floats_;
+    if (w.cow_source != KvBlockPool::kNoPage) {
+        std::copy_n(k_.data() + w.cow_source * page_floats_, page_floats_, kp);
+        std::copy_n(v_.data() + w.cow_source * page_floats_, page_floats_, vp);
     }
-    advance_layer_cadence(appended_this_pos_, seq, cfg_.n_layers);
-    const KvBlockPool::PageSlot slot = pool_.locate(seq, token);
     const std::size_t hd = cfg_.head_dim();
-    float* kp = k_.data() + slot.page * page_floats_;
-    float* vp = v_.data() + slot.page * page_floats_;
     for (std::size_t h = 0; h < cfg_.n_kv_heads; ++h) {
-        const std::size_t off = page_off(layer, h, slot.offset);
+        const std::size_t off = page_off(layer, h, w.at.offset);
         std::copy_n(k.data() + h * hd, hd, kp + off);
         std::copy_n(v.data() + h * hd, hd, vp + off);
     }
@@ -99,13 +112,6 @@ std::span<const float> PagedKvArena::gather(const std::vector<float>& store,
     return out.first(len * hd);
 }
 
-void PagedKvArena::adopt_prefix(std::size_t seq, std::span<const std::size_t> pages,
-                                std::size_t tokens) {
-    pool_.adopt_pages(seq, pages, tokens);
-    if (seq >= appended_this_pos_.size()) appended_this_pos_.resize(seq + 1, 0);
-    appended_this_pos_[seq] = 0;  // adoption lands on a position boundary
-}
-
 std::span<const float> PagedKvArena::gather_keys(std::size_t seq, std::size_t layer,
                                                  std::size_t kv_head, std::size_t len,
                                                  std::span<float> out) const {
@@ -120,74 +126,71 @@ std::span<const float> PagedKvArena::gather_values(std::size_t seq, std::size_t 
 
 PagedQuantizedKvArena::PagedQuantizedKvArena(const model::ModelConfig& cfg,
                                              KvPoolConfig pool_cfg, unsigned kv_bits)
-    : cfg_(cfg), kv_bits_(kv_bits), pool_(pool_cfg) {
+    : PagedArena(cfg, pool_cfg), kv_bits_(kv_bits) {
     const std::size_t entries_per_page =
         cfg_.n_layers * cfg_.n_kv_heads * pool_.page_tokens();
     k_.resize(pool_.pages_total() * entries_per_page);
     v_.resize(pool_.pages_total() * entries_per_page);
 }
 
-void PagedQuantizedKvArena::free_sequence(std::size_t seq) {
-    pool_.free_sequence(seq);
-    if (seq < appended_this_pos_.size()) appended_this_pos_[seq] = 0;
-}
-
-void PagedQuantizedKvArena::reset_sequence(std::size_t seq) {
-    pool_.reset_sequence(seq);
-    if (seq < appended_this_pos_.size()) appended_this_pos_[seq] = 0;
-}
-
 void PagedQuantizedKvArena::append(std::size_t seq, std::size_t layer,
                                    std::span<const float> k, std::span<const float> v) {
-    check(layer < cfg_.n_layers, "PagedQuantizedKvArena: layer out of range");
     check(k.size() == cfg_.kv_dim() && v.size() == cfg_.kv_dim(),
           "PagedQuantizedKvArena: bad vector size");
-    std::size_t token = pool_.seq_tokens(seq);
-    if (first_layer_of_position(appended_this_pos_, seq)) {
-        if (pool_.write_needs_cow(seq)) {
-            const KvBlockPool::CowResult cow = pool_.cow_page(seq);
-            check(cow.ok,
-                  "PagedQuantizedKvArena: no free page for a copy-on-write "
-                  "divergence (admission should have reserved it)");
-            const std::size_t epp =
-                cfg_.n_layers * cfg_.n_kv_heads * pool_.page_tokens();
-            // Deep entry copies: the sharers keep their codes untouched.
-            for (std::size_t i = 0; i < epp; ++i) {
-                k_[cow.new_page * epp + i] = k_[cow.old_page * epp + i];
-                v_[cow.new_page * epp + i] = v_[cow.old_page * epp + i];
-            }
-        }
-        check(pool_.append_token(seq),
-              "PagedQuantizedKvArena: KV pool exhausted (admission should have "
-              "deferred this sequence)");
-    } else {
-        --token;
-    }
-    advance_layer_cadence(appended_this_pos_, seq, cfg_.n_layers);
-    const KvBlockPool::PageSlot slot = pool_.locate(seq, token);
     const std::size_t hd = cfg_.head_dim();
+    qk_.resize(cfg_.n_kv_heads);
+    qv_.resize(cfg_.n_kv_heads);
     for (std::size_t h = 0; h < cfg_.n_kv_heads; ++h) {
-        // Per-head quantization, same granularity as QuantizedKvCache (and
-        // the SPU quantizer / Fig. 4B FIFO).
-        quant::KvQuantized qk = quant::kv_quantize_bits(k.subspan(h * hd, hd), kv_bits_);
-        quant::KvQuantized qv = quant::kv_quantize_bits(v.subspan(h * hd, hd), kv_bits_);
-        k_[entry_idx(slot.page, layer, h, slot.offset)] = {std::move(qk.codes),
-                                                           qk.params};
-        v_[entry_idx(slot.page, layer, h, slot.offset)] = {std::move(qv.codes),
-                                                           qv.params};
+        quant::kv_quantize_bits_into(k.subspan(h * hd, hd), kv_bits_, qk_[h]);
+        quant::kv_quantize_bits_into(v.subspan(h * hd, hd), kv_bits_, qv_[h]);
+    }
+    append_quantized(seq, layer, qk_, qv_);
+}
+
+void PagedQuantizedKvArena::append_quantized(std::size_t seq, std::size_t layer,
+                                             std::span<quant::KvQuantized> k,
+                                             std::span<quant::KvQuantized> v) {
+    check(k.size() == cfg_.n_kv_heads && v.size() == cfg_.n_kv_heads,
+          "PagedQuantizedKvArena: need one entry per KV head");
+    const WriteSlot w = open_write(seq, layer);
+    if (w.cow_source != KvBlockPool::kNoPage) {
+        // Deep entry copies: the sharers keep their codes untouched.
+        const std::size_t epp = cfg_.n_layers * cfg_.n_kv_heads * pool_.page_tokens();
+        for (std::size_t i = 0; i < epp; ++i) {
+            k_[w.at.page * epp + i] = k_[w.cow_source * epp + i];
+            v_[w.at.page * epp + i] = v_[w.cow_source * epp + i];
+        }
+    }
+    for (std::size_t h = 0; h < cfg_.n_kv_heads; ++h) {
+        std::swap(k_[entry_idx(w.at.page, layer, h, w.at.offset)], k[h]);
+        std::swap(v_[entry_idx(w.at.page, layer, h, w.at.offset)], v[h]);
     }
 }
 
-void PagedQuantizedKvArena::adopt_prefix(std::size_t seq,
-                                         std::span<const std::size_t> pages,
-                                         std::size_t tokens) {
-    pool_.adopt_pages(seq, pages, tokens);
-    if (seq >= appended_this_pos_.size()) appended_this_pos_.resize(seq + 1, 0);
-    appended_this_pos_[seq] = 0;
+const quant::KvQuantized& PagedQuantizedKvArena::entry(
+    const std::vector<quant::KvQuantized>& store, std::size_t seq, std::size_t layer,
+    std::size_t kv_head, std::size_t token) const {
+    check(layer < cfg_.n_layers && kv_head < cfg_.n_kv_heads,
+          "PagedQuantizedKvArena: bad head");
+    const KvBlockPool::PageSlot slot = pool_.locate(seq, token);
+    return store[entry_idx(slot.page, layer, kv_head, slot.offset)];
+}
+
+const quant::KvQuantized& PagedQuantizedKvArena::key(std::size_t seq, std::size_t layer,
+                                                     std::size_t kv_head,
+                                                     std::size_t token) const {
+    return entry(k_, seq, layer, kv_head, token);
+}
+
+const quant::KvQuantized& PagedQuantizedKvArena::value(std::size_t seq,
+                                                       std::size_t layer,
+                                                       std::size_t kv_head,
+                                                       std::size_t token) const {
+    return entry(v_, seq, layer, kv_head, token);
 }
 
 std::span<const float> PagedQuantizedKvArena::dequant(
-    const std::vector<Entry>& store, std::size_t seq, std::size_t layer,
+    const std::vector<quant::KvQuantized>& store, std::size_t seq, std::size_t layer,
     std::size_t kv_head, std::size_t len, std::span<float> out) const {
     check(layer < cfg_.n_layers && kv_head < cfg_.n_kv_heads,
           "PagedQuantizedKvArena: bad head");
@@ -198,7 +201,7 @@ std::span<const float> PagedQuantizedKvArena::dequant(
     const std::vector<std::size_t>& table = pool_.block_table(seq);
     const std::size_t pt = pool_.page_tokens();
     for (std::size_t t = 0; t < len; ++t) {
-        const Entry& e = store[entry_idx(table[t / pt], layer, kv_head, t % pt)];
+        const quant::KvQuantized& e = store[entry_idx(table[t / pt], layer, kv_head, t % pt)];
         quant::kv_dequantize_into(e.codes, e.params, out.subspan(t * hd, hd));
     }
     return out.first(len * hd);

@@ -1,8 +1,9 @@
-// Physically paged KV storage for the host engine: the KvBlockPool's block
-// tables backed by real page-resident slabs.
+// Physically paged KV storage: the KvBlockPool's block tables backed by real
+// page-resident slabs.
 //
 // Two arenas mirror the two contiguous caches in model/kv_cache.hpp — float
-// (golden path) and KV8-quantized (deployed form) — but storage is a shared
+// (golden path) and KV8-quantized (deployed form, the store of both the host
+// engine's KV8 path and the KV260 twin) — but storage is a shared
 // page arena instead of a per-session max_seq_len reservation: a sequence
 // owns only the pages its history actually fills, so the arena's footprint is
 // the pool budget, not sessions x context window.
@@ -27,20 +28,66 @@
 
 namespace efld::kvpool {
 
-// Float paged KV arena (reference path).
-class PagedKvArena {
-public:
-    PagedKvArena(const model::ModelConfig& cfg, KvPoolConfig pool_cfg);
+// Pool of `page_tokens`-token pages for `max_batch` sequences: `n_pages` when
+// > 0, else enough for every sequence to fill the context window (paging
+// layout without capacity pressure).
+[[nodiscard]] KvPoolConfig pool_config(const model::ModelConfig& cfg,
+                                       std::size_t max_batch, std::size_t page_tokens,
+                                       std::size_t n_pages);
 
+// What both arenas share: the pool, its block tables, and the append cadence
+// (same as KvCache::append: all layers at a position, then the next token).
+class PagedArena {
+public:
     [[nodiscard]] std::size_t create_sequence() { return pool_.create_sequence(); }
     void free_sequence(std::size_t seq);
     void reset_sequence(std::size_t seq);
 
-    // Appends one token's K and V for `layer` (same cadence as
-    // KvCache::append: all layers at a position, then the next token). Takes
-    // a page from the pool at page boundaries; throws efld::Error when the
-    // pool is exhausted — the admission governor exists to make that
-    // unreachable for admitted sequences.
+    // Maps an already-resident prefix chain into the EMPTY sequence `seq` at
+    // `tokens` logical tokens without recomputing any KV (the pages carry
+    // complete per-layer state, so adoption is cadence-safe at any position).
+    // A subsequent append into a still-shared page copies the page first —
+    // copy-on-write, so sharers never see the divergence.
+    void adopt_prefix(std::size_t seq, std::span<const std::size_t> pages,
+                      std::size_t tokens);
+
+    [[nodiscard]] std::size_t length(std::size_t seq) const {
+        return pool_.seq_tokens(seq);
+    }
+    [[nodiscard]] const KvBlockPool& pool() const noexcept { return pool_; }
+    [[nodiscard]] KvBlockPool& pool() noexcept { return pool_; }
+
+protected:
+    PagedArena(const model::ModelConfig& cfg, KvPoolConfig pool_cfg);
+
+    // Where one layer's append for `seq` writes. The first layer of a
+    // position takes the token from the pool (a fresh page at a page
+    // boundary); throws efld::Error when the pool is exhausted — the
+    // admission governor exists to make that unreachable for admitted
+    // sequences. When the write lands in a page another holder still maps,
+    // `seq` first gets a private page: cow_source is then the shared
+    // original, whose contents the caller copies into at.page before
+    // writing. A refused append leaves the sequence consistent and
+    // retryable.
+    struct WriteSlot {
+        KvBlockPool::PageSlot at;
+        std::size_t cow_source = KvBlockPool::kNoPage;
+    };
+    [[nodiscard]] WriteSlot open_write(std::size_t seq, std::size_t layer);
+
+    model::ModelConfig cfg_;
+    KvBlockPool pool_;
+
+private:
+    std::vector<std::size_t> appended_this_pos_;  // per sequence (layer cadence)
+};
+
+// Float paged KV arena (reference path).
+class PagedKvArena : public PagedArena {
+public:
+    PagedKvArena(const model::ModelConfig& cfg, KvPoolConfig pool_cfg);
+
+    // Appends one token's K and V for `layer` (see PagedArena::open_write).
     void append(std::size_t seq, std::size_t layer, std::span<const float> k,
                 std::span<const float> v);
 
@@ -54,20 +101,6 @@ public:
                                          std::size_t kv_head, std::size_t len,
                                          std::span<float> out) const;
 
-    // Maps an already-resident prefix chain into the EMPTY sequence `seq` at
-    // `tokens` logical tokens without recomputing any KV (the pages carry
-    // complete per-layer state, so adoption is cadence-safe at any position).
-    // A subsequent append into a still-shared page copies the page slab
-    // first — copy-on-write, so sharers never see the divergence.
-    void adopt_prefix(std::size_t seq, std::span<const std::size_t> pages,
-                      std::size_t tokens);
-
-    [[nodiscard]] std::size_t length(std::size_t seq) const {
-        return pool_.seq_tokens(seq);
-    }
-    [[nodiscard]] const KvBlockPool& pool() const noexcept { return pool_; }
-    [[nodiscard]] KvBlockPool& pool() noexcept { return pool_; }
-
 private:
     // Float offset of (layer, kv_head, token_in_page) inside a page slab.
     [[nodiscard]] std::size_t page_off(std::size_t layer, std::size_t kv_head,
@@ -80,27 +113,40 @@ private:
                                   std::size_t layer, std::size_t kv_head,
                                   std::size_t len, std::span<float> out) const;
 
-    model::ModelConfig cfg_;
-    KvBlockPool pool_;
     std::size_t page_floats_ = 0;  // floats per page slab (K or V)
     std::vector<float> k_;         // [page][layer][kv_head][tok_in_page][head_dim]
     std::vector<float> v_;
-    std::vector<std::size_t> appended_this_pos_;  // per sequence (layer cadence)
 };
 
 // KV8 paged arena (deployed form): per-(token, head) code vectors + params,
 // page-resident like the codes/packs regions in DDR.
-class PagedQuantizedKvArena {
+class PagedQuantizedKvArena : public PagedArena {
 public:
     PagedQuantizedKvArena(const model::ModelConfig& cfg, KvPoolConfig pool_cfg,
                           unsigned kv_bits = 8);
 
-    [[nodiscard]] std::size_t create_sequence() { return pool_.create_sequence(); }
-    void free_sequence(std::size_t seq);
-    void reset_sequence(std::size_t seq);
-
+    // Quantizes each head of one token's K and V (per-head params, like
+    // QuantizedKvCache) and stores them through append_quantized, reusing
+    // the replaced entries' code buffers (no allocation in steady state).
     void append(std::size_t seq, std::size_t layer, std::span<const float> k,
                 std::span<const float> v);
+
+    // The one write path: stores one token's already-quantized K and V heads
+    // (n_kv_heads entries each) for `layer`. Entries are swapped in: k and v
+    // come back holding the entries they replaced, so a caller can reuse
+    // their code buffers.
+    void append_quantized(std::size_t seq, std::size_t layer,
+                          std::span<quant::KvQuantized> k,
+                          std::span<quant::KvQuantized> v);
+
+    // One stored entry of history token `token` (read through the block
+    // table), for consumers that dequantize with their own datapath.
+    [[nodiscard]] const quant::KvQuantized& key(std::size_t seq, std::size_t layer,
+                                                std::size_t kv_head,
+                                                std::size_t token) const;
+    [[nodiscard]] const quant::KvQuantized& value(std::size_t seq, std::size_t layer,
+                                                  std::size_t kv_head,
+                                                  std::size_t token) const;
 
     // Dequantizes `len` history rows of one head into caller scratch
     // (matches QuantizedKvCache::dequant_*_into bit-for-bit).
@@ -111,22 +157,7 @@ public:
                                                std::size_t kv_head, std::size_t len,
                                                std::span<float> out) const;
 
-    // See PagedKvArena::adopt_prefix — same contract over quantized entries.
-    void adopt_prefix(std::size_t seq, std::span<const std::size_t> pages,
-                      std::size_t tokens);
-
-    [[nodiscard]] std::size_t length(std::size_t seq) const {
-        return pool_.seq_tokens(seq);
-    }
-    [[nodiscard]] const KvBlockPool& pool() const noexcept { return pool_; }
-    [[nodiscard]] KvBlockPool& pool() noexcept { return pool_; }
-
 private:
-    struct Entry {
-        std::vector<std::uint8_t> codes;
-        quant::KvQuantParams params;
-    };
-
     [[nodiscard]] std::size_t entry_idx(std::size_t page, std::size_t layer,
                                         std::size_t kv_head,
                                         std::size_t tok_in_page) const noexcept {
@@ -134,16 +165,18 @@ private:
                    pool_.page_tokens() +
                tok_in_page;
     }
-    std::span<const float> dequant(const std::vector<Entry>& store, std::size_t seq,
-                                   std::size_t layer, std::size_t kv_head,
-                                   std::size_t len, std::span<float> out) const;
+    [[nodiscard]] const quant::KvQuantized& entry(
+        const std::vector<quant::KvQuantized>& store, std::size_t seq,
+        std::size_t layer, std::size_t kv_head, std::size_t token) const;
+    std::span<const float> dequant(const std::vector<quant::KvQuantized>& store,
+                                   std::size_t seq, std::size_t layer,
+                                   std::size_t kv_head, std::size_t len,
+                                   std::span<float> out) const;
 
-    model::ModelConfig cfg_;
     unsigned kv_bits_ = 8;
-    KvBlockPool pool_;
-    std::vector<Entry> k_;  // [page][layer][kv_head][tok_in_page]
-    std::vector<Entry> v_;
-    std::vector<std::size_t> appended_this_pos_;
+    std::vector<quant::KvQuantized> k_;  // [page][layer][kv_head][tok_in_page]
+    std::vector<quant::KvQuantized> v_;
+    std::vector<quant::KvQuantized> qk_, qv_;  // append's per-head scratch
 };
 
 }  // namespace efld::kvpool

@@ -85,8 +85,8 @@ void QuantizedKvCache::append(std::size_t layer, std::span<const float> k,
         // granularity the SPU quantizer and the Fig. 4B FIFO operate at.
         quant::KvQuantized qk = quant::kv_quantize_bits(k.subspan(h * hd, hd), kv_bits_);
         quant::KvQuantized qv = quant::kv_quantize_bits(v.subspan(h * hd, hd), kv_bits_);
-        k_[slot(layer, len_, h)] = {std::move(qk.codes), qk.params};
-        v_[slot(layer, len_, h)] = {std::move(qv.codes), qv.params};
+        k_[slot(layer, len_, h)] = std::move(qk);
+        v_[slot(layer, len_, h)] = std::move(qv);
     }
     if (++appended_this_pos_ == cfg_.n_layers) {
         appended_this_pos_ = 0;
@@ -101,7 +101,7 @@ std::span<const float> QuantizedKvCache::dequant_keys_into(std::size_t layer,
     const std::size_t hd = cfg_.head_dim();
     check(out.size() >= len * hd, "QuantizedKvCache: dequant scratch too small");
     for (std::size_t t = 0; t < len; ++t) {
-        const Entry& e = k_[slot(layer, t, kv_head)];
+        const quant::KvQuantized& e = k_[slot(layer, t, kv_head)];
         quant::kv_dequantize_into(e.codes, e.params, out.subspan(t * hd, hd));
     }
     return out.first(len * hd);
@@ -114,7 +114,7 @@ std::span<const float> QuantizedKvCache::dequant_values_into(std::size_t layer,
     const std::size_t hd = cfg_.head_dim();
     check(out.size() >= len * hd, "QuantizedKvCache: dequant scratch too small");
     for (std::size_t t = 0; t < len; ++t) {
-        const Entry& e = v_[slot(layer, t, kv_head)];
+        const quant::KvQuantized& e = v_[slot(layer, t, kv_head)];
         quant::kv_dequantize_into(e.codes, e.params, out.subspan(t * hd, hd));
     }
     return out.first(len * hd);

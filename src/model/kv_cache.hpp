@@ -82,11 +82,6 @@ public:
     void reset() noexcept { len_ = 0; appended_this_pos_ = 0; }
 
 private:
-    struct Entry {
-        std::vector<std::uint8_t> codes;  // head_dim codes
-        quant::KvQuantParams params;
-    };
-
     [[nodiscard]] std::size_t slot(std::size_t layer, std::size_t token,
                                    std::size_t kv_head) const noexcept;
 
@@ -94,8 +89,8 @@ private:
     unsigned kv_bits_ = 8;
     std::size_t len_ = 0;
     std::size_t appended_this_pos_ = 0;
-    std::vector<Entry> k_;  // layer-major [layer][token][head]
-    std::vector<Entry> v_;
+    std::vector<quant::KvQuantized> k_;  // layer-major [layer][token][head]
+    std::vector<quant::KvQuantized> v_;
 };
 
 }  // namespace efld::model

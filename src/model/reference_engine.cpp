@@ -69,11 +69,6 @@ void validate(const EngineOptions& opts) {
             "EngineOptions: kv_pool_pages needs kv_page_tokens > 0 (a pool of "
             "pages is meaningless for contiguous caches)");
     }
-    if (opts.prefix_sharing && opts.kv_page_tokens == 0) {
-        throw std::invalid_argument(
-            "EngineOptions: prefix_sharing needs kv_page_tokens > 0 (sharing "
-            "is page-granular)");
-    }
     if (opts.threads > 1) {
         // Determinism is thread-count independent, so modest oversubscription
         // (thread-schedule determinism tests) is fine — but a private pool
@@ -100,21 +95,19 @@ void ReferenceEngine::init_scratch() {
     // KV reservation per slot is exactly the kind of dead capacity the
     // batch dimension would multiply.
     const std::size_t mb = opts_.max_batch;
-    if (paged()) {
-        kvpool::KvPoolConfig pc;
-        pc.page_tokens = opts_.kv_page_tokens;
-        pc.n_pages = opts_.kv_pool_pages > 0
-                         ? opts_.kv_pool_pages
-                         : mb * ((cfg_.max_seq_len + pc.page_tokens - 1) /
-                                 pc.page_tokens);
+    if (opts_.kv_page_tokens > 0) {
+        const kvpool::KvPoolConfig pc = kvpool::pool_config(
+            cfg_, mb, opts_.kv_page_tokens, opts_.kv_pool_pages);
         if (opts_.use_kv8) {
             paged_quant_ =
                 std::make_unique<kvpool::PagedQuantizedKvArena>(cfg_, pc, opts_.kv_bits);
-            for (std::size_t s = 0; s < mb; ++s) (void)paged_quant_->create_sequence();
+            paged_ = paged_quant_.get();
         } else {
             paged_float_ = std::make_unique<kvpool::PagedKvArena>(cfg_, pc);
-            for (std::size_t s = 0; s < mb; ++s) (void)paged_float_->create_sequence();
+            paged_ = paged_float_.get();
         }
+        for (std::size_t s = 0; s < mb; ++s) (void)paged_->create_sequence();
+        prefix_.emplace(paged_->pool());
     } else if (opts_.use_kv8) {
         kv_quant_.reserve(mb);
         for (std::size_t s = 0; s < mb; ++s) kv_quant_.emplace_back(cfg_, opts_.kv_bits);
@@ -171,10 +164,8 @@ void ReferenceEngine::reset() {
 
 void ReferenceEngine::reset_session(std::size_t slot) {
     check(slot < opts_.max_batch, "reset_session: slot out of range");
-    if (paged_quant_ != nullptr) {
-        paged_quant_->reset_sequence(slot);  // pages back to the pool
-    } else if (paged_float_ != nullptr) {
-        paged_float_->reset_sequence(slot);
+    if (paged()) {
+        paged_->reset_sequence(slot);  // pages back to the pool
     } else if (opts_.use_kv8) {
         kv_quant_[slot].reset();
     } else {
@@ -437,85 +428,34 @@ std::span<const float> ReferenceEngine::decode_batch(
 
 std::size_t ReferenceEngine::probe_prefix(std::span<const std::int32_t> prompt,
                                           std::size_t max_cover) const {
-    if (!opts_.prefix_sharing) return 0;
-    const std::vector<std::uint64_t> hashes =
-        prefix::prefix_chain_hashes(prompt, opts_.kv_page_tokens);
-    const std::lock_guard<std::mutex> lock(prefix_mu_);
-    const std::size_t matched = prefix_index_.match(hashes).size();
-    return std::min(matched * opts_.kv_page_tokens, max_cover);
+    return prefix_ ? prefix_->match(prompt, max_cover).covered : 0;
 }
 
 std::size_t ReferenceEngine::adopt_prefix(std::size_t slot,
                                           std::span<const std::int32_t> prompt,
                                           std::size_t max_cover) {
-    if (!opts_.prefix_sharing) return 0;
-    check(slot < opts_.max_batch, "adopt_prefix: slot out of range");
-    check(pos_[slot] == 0, "adopt_prefix: slot already holds history");
-    const std::size_t pt = opts_.kv_page_tokens;
-    const std::vector<std::uint64_t> hashes = prefix::prefix_chain_hashes(prompt, pt);
-    const std::lock_guard<std::mutex> lock(prefix_mu_);
-    const std::vector<std::size_t> pages = prefix_index_.match(hashes);
-    const std::size_t covered = std::min(pages.size() * pt, max_cover);
-    if (covered == 0) return 0;
-    // Adopt only the pages the covered tokens reach: the cap may stop
-    // mid-page (the last prompt token is always re-fed so the session gets
-    // its logits), in which case the first write CoWs that page.
-    const std::size_t n_pages = (covered + pt - 1) / pt;
-    const std::span<const std::size_t> chain(pages.data(), n_pages);
-    if (paged_quant_ != nullptr) {
-        paged_quant_->adopt_prefix(slot, chain, covered);
-    } else {
-        paged_float_->adopt_prefix(slot, chain, covered);
-    }
-    pos_[slot] = covered;
-    prefix_hits_.fetch_add(1, std::memory_order_relaxed);
-    prefix_covered_.fetch_add(covered, std::memory_order_relaxed);
-    return covered;
+    if (!prefix_) return 0;
+    const prefix::PrefixStore::Match m = prefix_->match(prompt, max_cover);
+    if (m.covered == 0) return 0;
+    paged_->adopt_prefix(slot, m.pages, m.covered);
+    pos_[slot] = m.covered;
+    return m.covered;
 }
 
 std::size_t ReferenceEngine::register_prefix(std::size_t slot,
                                              std::span<const std::int32_t> prompt,
                                              std::size_t max_new_pages) {
-    if (!opts_.prefix_sharing || max_new_pages == 0) return 0;
-    check(slot < opts_.max_batch, "register_prefix: slot out of range");
-    const std::size_t pt = opts_.kv_page_tokens;
-    const std::vector<std::uint64_t> hashes = prefix::prefix_chain_hashes(prompt, pt);
-    kvpool::KvBlockPool& pool = pool_ref();
-    // Every full prompt page must already be resident in the slot (its
-    // prefill just completed).
-    if (pool.seq_tokens(slot) < hashes.size() * pt) return 0;
-    const std::vector<std::size_t>& table = pool.block_table(slot);
-    const std::lock_guard<std::mutex> lock(prefix_mu_);
-    std::size_t pinned = 0;
-    for (std::size_t k = 0; k < hashes.size() && pinned < max_new_pages; ++k) {
-        const std::uint64_t parent = k == 0 ? 0 : hashes[k - 1];
-        if (!prefix_index_.insert(hashes[k], table[k], parent, k)) continue;
-        pool.retain_page(table[k]);  // the index's own reference
-        ++pinned;
-    }
-    return pinned;
+    return prefix_ ? prefix_->register_prefix(slot, prompt, max_new_pages) : 0;
 }
 
 std::size_t ReferenceEngine::drop_prefix_cache() {
-    if (!opts_.prefix_sharing) return 0;
-    const std::lock_guard<std::mutex> lock(prefix_mu_);
-    const std::vector<std::size_t> pages = prefix_index_.clear();
-    kvpool::KvBlockPool& pool = pool_ref();
-    for (const std::size_t p : pages) pool.release_page(p);
-    return pages.size();
+    return prefix_ ? prefix_->drop() : 0;
 }
 
 engine::PrefixSharingStats ReferenceEngine::prefix_stats() const {
-    if (!opts_.prefix_sharing) return {};
-    engine::PrefixSharingStats s;
-    s.hits = prefix_hits_.load(std::memory_order_relaxed);
-    s.covered_tokens = prefix_covered_.load(std::memory_order_relaxed);
-    {
-        const std::lock_guard<std::mutex> lock(prefix_mu_);
-        s.pages_shared = prefix_index_.pages_held();
-    }
-    s.cow_copies = static_cast<std::size_t>(pool_ref().cow_copies());
-    return s;
+    if (!prefix_) return {};
+    return {.pages_shared = prefix_->pages_held(),
+            .cow_copies = static_cast<std::size_t>(paged_->pool().cow_copies())};
 }
 
 std::size_t ReferenceEngine::reserve_slot() { return slots_.acquire(); }

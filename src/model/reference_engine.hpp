@@ -34,13 +34,13 @@
 // aggregate KV capacity follows the pool budget (the paper's capacity axis)
 // rather than max_batch x context window. Histories are gathered per page
 // into scratch before attention; logits stay bit-for-bit identical to the
-// contiguous path on every option combination.
+// contiguous path on every option combination. A paged engine shares prompt
+// prefixes through a prefix::PrefixStore over the arena's pool.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -84,13 +84,6 @@ struct EngineOptions {
     // sessions — paging layout without capacity pressure); an admission layer
     // (serve::ServeEngine's CapacityGovernor) sizes this from the DDR budget.
     std::size_t kv_pool_pages = 0;
-    // Prefix sharing over the paged pool (requires kv_page_tokens > 0): the
-    // engine keeps a PrefixIndex of chained full-page prompt hashes; sessions
-    // whose prompts start with an indexed prefix adopt those pages read-only
-    // (refcounted, copy-on-write on divergence) instead of re-prefilling.
-    // Off by default — sharing changes admission capacity, so the serving
-    // layer opts in explicitly.
-    bool prefix_sharing = false;
 };
 
 // Throws std::invalid_argument on option combinations that would silently
@@ -157,10 +150,9 @@ public:
     }
     void set_profiler(obs::Profiler* profiler) override { profiler_ = profiler; }
 
-    // Prefix sharing (active when opts_.prefix_sharing): see decode_backend.hpp
-    // for the contract. probe is safe from any thread (the router's affinity
-    // snapshot); adopt/register/drop run on the driver thread that owns the
-    // pool, with the index itself guarded by prefix_mu_.
+    // Prefix sharing (paged only; 0 otherwise): see decode_backend.hpp for the
+    // contract and prefix::PrefixStore for the store, its adoption rule and
+    // its threading.
     [[nodiscard]] std::size_t probe_prefix(std::span<const std::int32_t> prompt,
                                            std::size_t max_cover) const override;
     std::size_t adopt_prefix(std::size_t slot, std::span<const std::int32_t> prompt,
@@ -200,7 +192,7 @@ private:
     const ModelWeights* fw_ = nullptr;
     const QuantizedModelWeights* qw_ = nullptr;
 
-    [[nodiscard]] bool paged() const noexcept { return opts_.kv_page_tokens > 0; }
+    [[nodiscard]] bool paged() const noexcept { return paged_ != nullptr; }
 
     // Per-session-slot state (size max_batch). Only the cache variant the
     // options select is constructed; the other vectors stay empty. With
@@ -209,27 +201,13 @@ private:
     std::vector<QuantizedKvCache> kv_quant_;
     std::unique_ptr<kvpool::PagedKvArena> paged_float_;
     std::unique_ptr<kvpool::PagedQuantizedKvArena> paged_quant_;
+    kvpool::PagedArena* paged_ = nullptr;  // whichever of the two exists
     std::vector<std::size_t> pos_;
     engine::SlotLedger slots_;  // DecodeBackend reservations
     engine::StepCost last_cost_{};
     obs::Profiler* profiler_ = nullptr;  // serving-layer owned; may be null
 
-    // The live paged pool behind whichever arena the options selected (only
-    // valid when paged()).
-    [[nodiscard]] kvpool::KvBlockPool& pool_ref() noexcept {
-        return paged_quant_ != nullptr ? paged_quant_->pool() : paged_float_->pool();
-    }
-    [[nodiscard]] const kvpool::KvBlockPool& pool_ref() const noexcept {
-        return paged_quant_ != nullptr ? paged_quant_->pool() : paged_float_->pool();
-    }
-
-    // Prefix index + its lock (probe reads cross-thread while the driver
-    // adopts/registers). Hit counters are relaxed atomics so prefix_stats
-    // stays callable from the stats path without ordering games.
-    mutable std::mutex prefix_mu_;
-    prefix::PrefixIndex prefix_index_;
-    std::atomic<std::size_t> prefix_hits_{0};
-    std::atomic<std::size_t> prefix_covered_{0};
+    std::optional<prefix::PrefixStore> prefix_;  // over paged_'s pool; paged only
 
     std::unique_ptr<ThreadPool> pool_;  // only when opts_.threads > 1
     RopeTable rope_;                    // per-position sin/cos, built once

@@ -1,5 +1,7 @@
 #include "prefix/prefix_index.hpp"
 
+#include <algorithm>
+
 namespace efld::prefix {
 
 namespace {
@@ -40,27 +42,73 @@ std::vector<std::size_t> PrefixIndex::match(
     std::span<const std::uint64_t> hashes) const {
     std::vector<std::size_t> pages;
     for (const std::uint64_t h : hashes) {
-        const auto it = entries_.find(h);
-        if (it == entries_.end()) break;
-        pages.push_back(it->second.page);
+        const auto it = pages_.find(h);
+        if (it == pages_.end()) break;
+        pages.push_back(it->second);
     }
     return pages;
 }
 
-bool PrefixIndex::insert(std::uint64_t hash, std::size_t page, std::uint64_t parent,
-                         std::size_t depth) {
-    if (entries_.find(hash) != entries_.end()) return false;
-    if (depth > 0 && entries_.find(parent) == entries_.end()) return false;
-    entries_.emplace(hash, Entry{page, parent, depth});
+bool PrefixIndex::insert(std::uint64_t hash, std::size_t page, std::uint64_t parent) {
+    if (contains(hash)) return false;
+    if (parent != 0 && !contains(parent)) return false;
+    pages_.emplace(hash, page);
     return true;
 }
 
 std::vector<std::size_t> PrefixIndex::clear() {
     std::vector<std::size_t> pages;
-    pages.reserve(entries_.size());
-    for (const auto& [h, e] : entries_) pages.push_back(e.page);
-    entries_.clear();
+    pages.reserve(pages_.size());
+    for (const auto& [h, page] : pages_) pages.push_back(page);
+    pages_.clear();
     return pages;
+}
+
+PrefixStore::Match PrefixStore::match(std::span<const std::int32_t> prompt,
+                                      std::size_t max_cover) const {
+    const std::size_t pt = pool_->page_tokens();
+    const std::vector<std::uint64_t> hashes = prefix_chain_hashes(prompt, pt);
+    Match m;
+    {
+        const std::lock_guard<std::mutex> lock(mu_);
+        m.pages = index_.match(hashes);
+    }
+    m.covered = std::min(m.pages.size() * pt, max_cover);
+    m.pages.resize((m.covered + pt - 1) / pt);
+    return m;
+}
+
+std::size_t PrefixStore::register_prefix(std::size_t seq,
+                                         std::span<const std::int32_t> prompt,
+                                         std::size_t max_new_pages) {
+    const std::size_t pt = pool_->page_tokens();
+    const std::vector<std::uint64_t> hashes = prefix_chain_hashes(prompt, pt);
+    if (pool_->seq_tokens(seq) < hashes.size() * pt) return 0;  // prefill incomplete
+    const std::vector<std::size_t>& table = pool_->block_table(seq);
+    const std::lock_guard<std::mutex> lock(mu_);
+    std::size_t pinned = 0;
+    for (std::size_t k = 0; k < hashes.size() && pinned < max_new_pages; ++k) {
+        const std::uint64_t parent = k == 0 ? 0 : hashes[k - 1];
+        if (!index_.insert(hashes[k], table[k], parent)) continue;
+        pool_->retain_page(table[k]);  // the index's own reference
+        ++pinned;
+    }
+    return pinned;
+}
+
+std::size_t PrefixStore::drop() {
+    std::vector<std::size_t> pages;
+    {
+        const std::lock_guard<std::mutex> lock(mu_);
+        pages = index_.clear();
+    }
+    for (const std::size_t p : pages) pool_->release_page(p);
+    return pages.size();
+}
+
+std::size_t PrefixStore::pages_held() const {
+    const std::lock_guard<std::mutex> lock(mu_);
+    return index_.pages_held();
 }
 
 }  // namespace efld::prefix

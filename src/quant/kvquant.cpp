@@ -10,6 +10,12 @@ namespace efld::quant {
 KvQuantized kv_quantize(std::span<const float> x) { return kv_quantize_bits(x, 8); }
 
 KvQuantized kv_quantize_bits(std::span<const float> x, unsigned bits) {
+    KvQuantized out;
+    kv_quantize_bits_into(x, bits, out);
+    return out;
+}
+
+void kv_quantize_bits_into(std::span<const float> x, unsigned bits, KvQuantized& out) {
     check(!x.empty(), "kv_quantize: empty vector");
     check(bits >= 2 && bits <= 8, "kv_quantize: bits out of range");
     const int qmax = static_cast<int>((1u << bits) - 1u);
@@ -31,14 +37,12 @@ KvQuantized kv_quantize_bits(std::span<const float> x, unsigned bits) {
         std::clamp(static_cast<int>(std::lround(-lo / s)), 0, qmax));
 
     // Pass 2: quantize against the stored fp16 scale.
-    KvQuantized out;
     out.params = {scale_h, z};
     out.codes.resize(x.size());
     for (std::size_t i = 0; i < x.size(); ++i) {
         const int q = static_cast<int>(std::lround(x[i] / s)) + z;
         out.codes[i] = static_cast<std::uint8_t>(std::clamp(q, 0, qmax));
     }
-    return out;
 }
 
 std::vector<float> kv_dequantize(std::span<const std::uint8_t> codes, KvQuantParams params) {

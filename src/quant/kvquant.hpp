@@ -32,6 +32,10 @@ struct KvQuantized {
 // still occupy one byte of storage each; `bits` selects the grid (2..8).
 [[nodiscard]] KvQuantized kv_quantize_bits(std::span<const float> x, unsigned bits);
 
+// In-place variant: overwrites `out`, reusing its code buffer (no allocation
+// once the buffer has held x.size() codes).
+void kv_quantize_bits_into(std::span<const float> x, unsigned bits, KvQuantized& out);
+
 // Dequantizes codes back to float.
 [[nodiscard]] std::vector<float> kv_dequantize(std::span<const std::uint8_t> codes,
                                                KvQuantParams params);

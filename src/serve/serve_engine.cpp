@@ -88,12 +88,10 @@ ServeEngine::ServeEngine(const model::QuantizedModelWeights& weights, ServeOptio
     accel_opts.collect_timing = opts_.collect_timing;
     model::EngineOptions eo = engine_options(opts_);
     if (governor_ != nullptr) {
-        // The host backend's paged arena and the governor's ledger budget the
-        // same pool; the accel backend prices the page layout in its cycle
-        // model (its functional KV storage is host-side scaffolding).
+        // Either backend's paged arena and the governor's ledger budget the
+        // same pool.
         eo.kv_page_tokens = opts_.kv_page_tokens;
         eo.kv_pool_pages = governor_->total_pages();
-        eo.prefix_sharing = opts_.prefix_sharing;
     }
     bundle_ = engine::make_backend(opts_.backend, weights, eo, accel_opts,
                                    opts_.fault_spec);
@@ -1014,9 +1012,9 @@ obs::MetricsSnapshot ServeEngine::metrics_snapshot() const {
         s.set_gauge("serve_total_pages", static_cast<double>(l.total_pages));
     }
     if (opts_.prefix_sharing) {
-        s.set_counter("serve_prefix_hits_total", l.prefix.hits);
+        s.set_counter("serve_prefix_hits_total", l.stats.prefix_hits);
         s.set_counter("serve_prefix_covered_tokens_total",
-                      l.prefix.covered_tokens);
+                      l.stats.prefix_hit_tokens);
         s.set_counter("serve_prefix_cow_copies_total", l.prefix.cow_copies);
         s.set_counter("serve_prefix_cache_drops_total",
                       l.stats.prefix_cache_drops);

@@ -91,8 +91,11 @@ struct ServeOptions {
     std::size_t kv_page_tokens = 16;  // page size (16 = pack-word aligned)
     std::size_t kv_pool_pages = 0;    // explicit pool size in pages
     std::uint64_t kv_pool_bytes = 0;  // explicit DDR budget for the pool
-    // Prefix sharing over the paged pool (requires paging). The backend keeps
-    // an index of computed prompt pages: admission probes it to discount a
+    // Prefix sharing over the paged pool (requires paging; the one switch for
+    // it — every paged backend keeps a prefix::PrefixStore, and only this
+    // option makes the engine call it). Both backends share one page store
+    // and one adoption rule, so host and accel report the same numbers. The
+    // store indexes computed prompt pages: admission probes it to discount a
     // request's page demand by its covered FULL pages (shared pages are
     // charged once, to the governor's shared ledger), adoption skips prefill
     // for the covered span, and completed prefills register their pages under

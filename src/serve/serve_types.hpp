@@ -211,7 +211,8 @@ struct ServeStats {
     std::size_t replayed_tokens = 0;     // resumed tokens re-fed as prefill
     // Prefix-sharing counters (zero unless ServeOptions::prefix_sharing).
     // prefix_hits counts admissions that adopted a shared prefix;
-    // prefix_hit_tokens is the prefill work those adoptions skipped;
+    // prefix_hit_tokens is the prefill work those adoptions skipped (the one
+    // source of serve_prefix_hits_total / serve_prefix_covered_tokens_total);
     // prefix_cache_drops counts capacity-pressure index flushes.
     std::size_t prefix_hits = 0;
     std::size_t prefix_hit_tokens = 0;

@@ -143,6 +143,61 @@ TEST_P(DecodeBackendContract, ResetClearsStateKeepsReservations) {
     EXPECT_EQ(be.reserve_slot(), DecodeBackend::kNoSlot);
 }
 
+TEST_P(DecodeBackendContract, AdoptedPrefixCopiesOnWriteWithSoloLogits) {
+    // One prefix store and one adoption rule on both backends: slot A
+    // prefills and registers a 4-page prompt, slot B adopts all but its last
+    // token (mid-page), and re-feeding that token copies the shared page
+    // before writing — B's logits stay bit-for-bit a fresh solo run's.
+    BackendBundle b = make(2);
+    DecodeBackend& be = *b.backend;
+    const std::size_t pt = std::get<1>(GetParam());
+    const std::size_t n = 4 * (pt > 0 ? pt : 8);
+    std::vector<std::int32_t> prompt(n);
+    for (std::size_t i = 0; i < n; ++i) prompt[i] = static_cast<std::int32_t>(3 + i % 50);
+
+    const std::size_t vocab = be.config().vocab_size;
+    std::vector<float> logits(vocab);
+    const std::size_t a = be.reserve_slot();
+    for (const std::int32_t tok : prompt) {
+        be.decode_batch(std::span<const std::int32_t>(&tok, 1),
+                        std::span<const std::size_t>(&a, 1), logits);
+    }
+    const std::size_t registered = be.register_prefix(a, prompt, 16);
+    const std::size_t bslot = be.reserve_slot();
+    if (pt == 0) {
+        // Not paged: nothing to share, and every prefix call says so.
+        EXPECT_EQ(registered, 0u);
+        EXPECT_EQ(be.probe_prefix(prompt, n - 1), 0u);
+        EXPECT_EQ(be.adopt_prefix(bslot, prompt, n - 1), 0u);
+        EXPECT_EQ(be.drop_prefix_cache(), 0u);
+        return;
+    }
+    EXPECT_EQ(registered, 4u);
+    EXPECT_EQ(be.probe_prefix(prompt, n - 1), n - 1);
+    ASSERT_EQ(be.adopt_prefix(bslot, prompt, n - 1), n - 1);
+    EXPECT_EQ(be.position(bslot), n - 1);
+    be.decode_batch(std::span<const std::int32_t>(&prompt[n - 1], 1),
+                    std::span<const std::size_t>(&bslot, 1), logits);
+    EXPECT_EQ(be.prefix_stats().cow_copies, 1u);
+
+    BackendBundle solo = make_solo_contiguous();
+    DecodeBackend& sb = *solo.backend;
+    const std::size_t s0 = sb.reserve_slot();
+    std::vector<float> solo_logits(vocab);
+    for (const std::int32_t tok : prompt) {
+        sb.decode_batch(std::span<const std::int32_t>(&tok, 1),
+                        std::span<const std::size_t>(&s0, 1), solo_logits);
+    }
+    for (std::size_t i = 0; i < vocab; ++i) {
+        ASSERT_EQ(logits[i], solo_logits[i]) << "logit " << i;
+    }
+
+    be.release_slot(a);
+    be.release_slot(bslot);
+    EXPECT_EQ(be.drop_prefix_cache(), 4u);
+    EXPECT_EQ(be.prefix_stats().pages_shared, 0u);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     BothBackendsBothLayouts, DecodeBackendContract,
     ::testing::Values(ContractParam{BackendKind::kHost, 0},

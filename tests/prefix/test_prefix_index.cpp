@@ -74,9 +74,9 @@ TEST(PrefixIndex, InsertsRootFirstAndMatchesFrontToBack) {
     PrefixIndex idx;
     const auto h = prefix_chain_hashes(iota_tokens(12), 4);
     ASSERT_EQ(h.size(), 3u);
-    EXPECT_TRUE(idx.insert(h[0], 10, 0, 0));
-    EXPECT_TRUE(idx.insert(h[1], 11, h[0], 1));
-    EXPECT_TRUE(idx.insert(h[2], 12, h[1], 2));
+    EXPECT_TRUE(idx.insert(h[0], 10, 0));
+    EXPECT_TRUE(idx.insert(h[1], 11, h[0]));
+    EXPECT_TRUE(idx.insert(h[2], 12, h[1]));
     EXPECT_EQ(idx.pages_held(), 3u);
 
     const std::vector<std::size_t> pages = idx.match(h);
@@ -97,11 +97,11 @@ TEST(PrefixIndex, InsertsRootFirstAndMatchesFrontToBack) {
 TEST(PrefixIndex, RefusesGapsAndDuplicates) {
     PrefixIndex idx;
     const auto h = prefix_chain_hashes(iota_tokens(12), 4);
-    // Depth 1 before its parent: rejected, or match() could walk a gap.
-    EXPECT_FALSE(idx.insert(h[1], 11, h[0], 1));
-    EXPECT_TRUE(idx.insert(h[0], 10, 0, 0));
-    EXPECT_FALSE(idx.insert(h[0], 99, 0, 0));  // duplicate keeps first page
-    EXPECT_TRUE(idx.insert(h[1], 11, h[0], 1));
+    // A link before its parent: rejected, or match() could walk a gap.
+    EXPECT_FALSE(idx.insert(h[1], 11, h[0]));
+    EXPECT_TRUE(idx.insert(h[0], 10, 0));
+    EXPECT_FALSE(idx.insert(h[0], 99, 0));  // duplicate keeps first page
+    EXPECT_TRUE(idx.insert(h[1], 11, h[0]));
     EXPECT_EQ(idx.pages_held(), 2u);
     EXPECT_EQ(idx.match(h)[0], 10u);
 }
@@ -109,8 +109,8 @@ TEST(PrefixIndex, RefusesGapsAndDuplicates) {
 TEST(PrefixIndex, ClearReturnsEveryPinnedPage) {
     PrefixIndex idx;
     const auto h = prefix_chain_hashes(iota_tokens(12), 4);
-    ASSERT_TRUE(idx.insert(h[0], 10, 0, 0));
-    ASSERT_TRUE(idx.insert(h[1], 11, h[0], 1));
+    ASSERT_TRUE(idx.insert(h[0], 10, 0));
+    ASSERT_TRUE(idx.insert(h[1], 11, h[0]));
     std::vector<std::size_t> pages = idx.clear();
     std::sort(pages.begin(), pages.end());
     EXPECT_EQ(pages, (std::vector<std::size_t>{10, 11}));
