@@ -36,6 +36,6 @@ int main() {
     std::printf("simulated decode rate on KV260: %.1f token/s\n",
                 out.simulated_tokens_per_s());
     std::printf("(LLaMA2-7B at the same settings decodes at ~5 token/s; see\n"
-                " bench_headline_decode for the full-scale run)\n");
+                " bench_paper for the full-scale run)\n");
     return 0;
 }

@@ -1,6 +1,19 @@
 #include "analytic/platformdb.hpp"
 
+#include "model/config.hpp"
+
 namespace efld::analytic {
+
+namespace {
+
+// Layer + lm_head parameters of LLaMA2-7B: the same utilization basis as
+// DecodeCycleModel::bandwidth_utilization.
+double llama2_7b_params() {
+    const auto cfg = model::ModelConfig::llama2_7b();
+    return static_cast<double>(cfg.layer_params() + cfg.lm_head_params());
+}
+
+}  // namespace
 
 std::vector<ComparisonRow> table2_fpga_rows() {
     std::vector<ComparisonRow> rows;
@@ -91,7 +104,7 @@ std::vector<ComparisonRow> table3_edge_rows() {
         r.cls = cls;
         r.framework = framework;
         r.task = "LLaMA2-7B";
-        r.model_params = 6.62e9;  // projection + head params, the util basis
+        r.model_params = llama2_7b_params();
         r.weight_bits = 4;
         r.bandwidth_gb_s = bw;
         r.reported_token_s = token_s;
@@ -112,7 +125,7 @@ ComparisonRow ours_row_template() {
     r.cls = PlatformClass::kEdgeDdrFpga;
     r.framework = "Ours";
     r.task = "LLaMA2-7B";
-    r.model_params = 6.62e9;  // layer + lm_head parameters of LLaMA2-7B
+    r.model_params = llama2_7b_params();
     r.weight_bits = 4;
     r.bandwidth_gb_s = 19.2;
     r.lut = 78e3; r.ff = 105e3; r.bram = 36.5; r.dsp = 291;

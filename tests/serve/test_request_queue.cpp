@@ -87,7 +87,10 @@ TEST(RequestQueue, ConcurrentSubmittersKeepPerThreadFifoOrder) {
             if (p.has_value()) {
                 drained.push_back(p->id);
             } else if (done_submitting.load(std::memory_order_acquire)) {
-                if (!q.try_pop().has_value()) break;
+                // Every push happened before the flag: keep the tail and
+                // stop once the queue is empty.
+                while ((p = q.try_pop()).has_value()) drained.push_back(p->id);
+                break;
             }
         }
     });
