@@ -204,7 +204,9 @@ double run_fault_free(const model::QuantizedModelWeights& qw,
 int main(int argc, char** argv) {
     std::size_t requests = 32;
     std::size_t max_new = 16;
-    std::size_t kill_step = 30;
+    // Mid-decode of shard 0's first wave: its four sessions finish their
+    // prompt tiles within the first few steps and decode until ~step 20.
+    std::size_t kill_step = 15;
     bool smoke = false;
     bool emit_json = false;
     std::string json_path = "BENCH_faults.json";

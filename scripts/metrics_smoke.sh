@@ -151,12 +151,12 @@ kill "$server_pid" 2>/dev/null || true
 wait "$server_pid" 2>/dev/null || true
 
 # ---- trace phase: the kTraceDump frame after a scripted shard kill ----
-# Shard 0 dies at its 20th decode step; its in-flight requests fail over to
-# shard 1. The live trace dump must parse as JSON and carry the failover as
+# Shard 0 dies at its 8th decode step (its prompts take one tile step, so
+# this is mid-decode); its in-flight requests fail over to shard 1. The live trace dump must parse as JSON and carry the failover as
 # a flow-event pair — "s" (harvest) on the dying shard and "f" (resubmit) on
 # the survivor, joined by the request id — plus exactly one first_token
 # instant per request (exactly-once streaming across the failover).
-boot_server server_trace --shards 2 --fault-shard0 step:20 \
+boot_server server_trace --shards 2 --fault-shard0 step:8 \
     --trace-out "$workdir/unused_trace.json"
 echo "metrics_smoke: trace server up on port $port"
 

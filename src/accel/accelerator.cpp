@@ -269,11 +269,16 @@ StepResult Accelerator::step(std::int32_t token) {
 
 void Accelerator::decode_batch(std::span<const std::int32_t> tokens,
                                std::span<const std::size_t> slots,
+                               std::span<const std::size_t> rows,
                                std::span<float> logits_out) {
     const std::size_t nb = tokens.size();
     const std::size_t vocab = model_->config.vocab_size;
     check(nb >= 1, "decode_batch: empty batch");
     check(nb == slots.size(), "decode_batch: tokens/slots size mismatch");
+    check(rows.empty() || (rows.size() == nb &&
+                           std::all_of(rows.begin(), rows.end(),
+                                       [](std::size_t r) { return r == 1; })),
+          "decode_batch: the accel twin takes one token per slot per step");
     check(nb <= opts_.max_batch, "decode_batch: batch exceeds max_batch");
     check(logits_out.size() >= nb * vocab, "decode_batch: logits_out too small");
     for (std::size_t b = 0; b < nb; ++b) {

@@ -115,8 +115,13 @@ public:
     [[nodiscard]] std::size_t position(std::size_t slot) const override;
     [[nodiscard]] std::size_t reserve_slot() override;
     void release_slot(std::size_t slot) override;
+    // One token per slot per step (max_feed_tokens() stays 1): a span longer
+    // than one row is rejected. Pricing prompt tiles through the cycle
+    // model's prefill tile walk is not modeled here yet.
+    using DecodeBackend::decode_batch;
     void decode_batch(std::span<const std::int32_t> tokens,
                       std::span<const std::size_t> slots,
+                      std::span<const std::size_t> rows,
                       std::span<float> logits_out) override;
     void reset() override;  // all slots (reservations survive)
     [[nodiscard]] engine::StepCost last_step_cost() const noexcept override {

@@ -10,14 +10,23 @@
 //     history + position. Slots are *reserved* before use and *released*
 //     (which clears their KV state) when the request retires; reservation is
 //     how the serving layer and the backend agree on who owns which cache.
-//   - `decode_batch(tokens, slots, logits_out)` advances token i through
-//     reserved slot slots[i] for every lane in ONE engine step. Decode is
-//     weight-bound, so a backend is expected to pay its weight traffic once
-//     per step regardless of lane count — that amortization is the entire
-//     point of the seam (see StepCost::weight_walks).
-//   - Results must be deterministic and independent of batching: a lane's
-//     logits are bit-for-bit what a solo run of the same token stream through
-//     the same backend would produce.
+//   - `decode_batch(tokens, slots, rows, logits_out)` advances a token span
+//     through each reserved slot in ONE engine step: rows[i] consecutive
+//     tokens belong to slots[i], and the slot's position advances by rows[i].
+//     Only the LAST row of each span writes logits (row i of logits_out), so
+//     a prompt tile costs one logits row. Decode is weight-bound, so a
+//     backend is expected to pay its weight traffic once per step (or once
+//     per register tile of rows) regardless of lane count — that
+//     amortization is the entire point of the seam (see
+//     StepCost::weight_walks).
+//   - `max_feed_tokens()` is the longest span one slot may take in one step:
+//     1 (the default) means one token per slot per step; the host engine
+//     takes prompt tiles of up to 16 rows. The serving layer sizes each
+//     step's feed from it.
+//   - Results must be deterministic and independent of batching and tiling:
+//     a span's last-row logits are bit-for-bit what a solo run feeding the
+//     same token stream one token per step through the same backend would
+//     produce.
 //
 // After each decode_batch, `last_step_cost()` reports what the step cost:
 // host wall time, simulated device time (for backends with a cycle model;
@@ -43,7 +52,8 @@ namespace efld::engine {
 // What one decode_batch step cost, in the three currencies this repo cares
 // about. weight_walks is fractional by design: a backend that streams only
 // part of the weights in a step (e.g. a future layer-pipelined engine) may
-// report < 1.
+// report < 1, and one that re-reads them per register tile of rows (the host
+// skinny GEMM) reports one walk per tile.
 struct StepCost {
     double wall_ns = 0.0;       // host wall-clock inside decode_batch
     double simulated_ns = 0.0;  // modeled device time; 0 when not modeled
@@ -87,13 +97,26 @@ public:
     // Tokens already decoded into the slot's KV history.
     [[nodiscard]] virtual std::size_t position(std::size_t slot) const = 0;
 
-    // Advances tokens[i] through slot slots[i] for every lane in one step,
-    // writing logits row i (vocab floats, lane-major) into logits_out. Slots
-    // must be distinct, reserved, and below max_batch(); logits_out must hold
-    // at least tokens.size() * vocab floats.
+    // Advances a token span through each slot in one step: rows[i]
+    // consecutive tokens of `tokens` belong to slots[i] (rows must sum to
+    // tokens.size(); an empty `rows` means one token per slot). Slots must
+    // be distinct, reserved, and below max_batch(); every span holds 1 ..
+    // max_feed_tokens() tokens and fits the context window. The last row of
+    // span i writes logits row i (vocab floats, span-major) into
+    // logits_out, which must hold at least slots.size() * vocab floats.
     virtual void decode_batch(std::span<const std::int32_t> tokens,
                               std::span<const std::size_t> slots,
+                              std::span<const std::size_t> rows,
                               std::span<float> logits_out) = 0;
+    // One token per slot: tokens[i] through slots[i], logits row i.
+    void decode_batch(std::span<const std::int32_t> tokens,
+                      std::span<const std::size_t> slots,
+                      std::span<float> logits_out) {
+        decode_batch(tokens, slots, {}, logits_out);
+    }
+
+    // The most tokens one slot may take in one decode_batch step.
+    [[nodiscard]] virtual std::size_t max_feed_tokens() const noexcept { return 1; }
 
     // Clears every slot's KV history and position. Reservations survive: this
     // is a state reset (new conversation), not a lifecycle operation.

@@ -129,6 +129,7 @@ void FaultInjectingBackend::release_slot(std::size_t slot) {
 
 void FaultInjectingBackend::decode_batch(std::span<const std::int32_t> tokens,
                                          std::span<const std::size_t> slots,
+                                         std::span<const std::size_t> rows,
                                          std::span<float> logits_out) {
     if (dead_) die("device already dead");
     ++steps_;
@@ -142,7 +143,7 @@ void FaultInjectingBackend::decode_batch(std::span<const std::int32_t> tokens,
     if (plan_.flaky_p > 0.0 && rng_.uniform() < plan_.flaky_p) {
         die("flaky decode step " + std::to_string(steps_));
     }
-    inner_->decode_batch(tokens, slots, logits_out);
+    inner_->decode_batch(tokens, slots, rows, logits_out);
 }
 
 }  // namespace efld::engine

@@ -102,9 +102,14 @@ public:
         return inner_->position(slot);
     }
 
+    using DecodeBackend::decode_batch;
     void decode_batch(std::span<const std::int32_t> tokens,
                       std::span<const std::size_t> slots,
+                      std::span<const std::size_t> rows,
                       std::span<float> logits_out) override;
+    [[nodiscard]] std::size_t max_feed_tokens() const noexcept override {
+        return inner_->max_feed_tokens();
+    }
 
     void reset() override { inner_->reset(); }
 

@@ -22,44 +22,52 @@ PagedArena::PagedArena(const model::ModelConfig& cfg, KvPoolConfig pool_cfg)
 
 void PagedArena::free_sequence(std::size_t seq) {
     pool_.free_sequence(seq);
-    if (seq < appended_this_pos_.size()) appended_this_pos_[seq] = 0;
+    if (seq < cadence_.size()) cadence_[seq] = {};
 }
 
 void PagedArena::reset_sequence(std::size_t seq) {
     pool_.reset_sequence(seq);
-    if (seq < appended_this_pos_.size()) appended_this_pos_[seq] = 0;
+    if (seq < cadence_.size()) cadence_[seq] = {};
 }
 
 void PagedArena::adopt_prefix(std::size_t seq, std::span<const std::size_t> pages,
                               std::size_t tokens) {
     pool_.adopt_pages(seq, pages, tokens);
-    if (seq >= appended_this_pos_.size()) appended_this_pos_.resize(seq + 1, 0);
-    appended_this_pos_[seq] = 0;  // adoption lands on a position boundary
+    if (seq >= cadence_.size()) cadence_.resize(seq + 1);
+    cadence_[seq] = {};  // adoption lands on a span boundary
 }
 
-PagedArena::WriteSlot PagedArena::open_write(std::size_t seq, std::size_t layer) {
+PagedArena::WriteSpan PagedArena::open_write(std::size_t seq, std::size_t layer,
+                                             std::size_t n) {
     check(layer < cfg_.n_layers, "PagedArena: layer out of range");
-    if (seq >= appended_this_pos_.size()) appended_this_pos_.resize(seq + 1, 0);
-    WriteSlot w;
-    std::size_t token = pool_.seq_tokens(seq);
-    if (appended_this_pos_[seq] == 0) {
-        if (pool_.write_needs_cow(seq)) {
-            const KvBlockPool::CowResult cow = pool_.cow_page(seq);
-            check(cow.ok,
-                  "PagedArena: no free page for a copy-on-write divergence "
-                  "(admission should have reserved it)");
-            w.cow_source = cow.old_page;
-        }
-        check(pool_.append_token(seq),
+    if (seq >= cadence_.size()) cadence_.resize(seq + 1);
+    model::SpanCadence& cad = cadence_[seq];
+    WriteSpan w;
+    w.first = pool_.seq_tokens(seq);
+    if (cad.opens(n)) {
+        // Check the whole span fits before taking anything, so a refusal
+        // leaves the sequence and its cadence exactly as they were.
+        const bool cow = pool_.write_needs_cow(seq);
+        const std::size_t held = pool_.block_table(seq).size();
+        const std::size_t need = pool_.pages_for_tokens(w.first + n);
+        const std::size_t fresh = need > held ? need - held : 0;
+        check(pool_.pages_free() >= fresh + (cow ? 1 : 0),
               "PagedArena: KV pool exhausted (admission should have deferred "
               "this sequence)");
+        if (cow) {
+            const KvBlockPool::CowResult c = pool_.cow_page(seq);
+            check(c.ok,
+                  "PagedArena: no free page for a copy-on-write divergence "
+                  "(admission should have reserved it)");
+            w.cow_source = c.old_page;
+        }
+        for (std::size_t t = 0; t < n; ++t) {
+            check(pool_.append_token(seq), "PagedArena: KV pool exhausted");
+        }
     } else {
-        --token;  // later layers write the position the first layer opened
+        w.first -= n;  // later layers write the span the first layer opened
     }
-    // Advanced only AFTER the pool granted the token, so a refused append
-    // leaves the cadence where it was.
-    if (++appended_this_pos_[seq] == cfg_.n_layers) appended_this_pos_[seq] = 0;
-    w.at = pool_.locate(seq, token);
+    (void)cad.advance(n, cfg_.n_layers);
     return w;
 }
 
@@ -73,20 +81,27 @@ PagedKvArena::PagedKvArena(const model::ModelConfig& cfg, KvPoolConfig pool_cfg)
 
 void PagedKvArena::append(std::size_t seq, std::size_t layer, std::span<const float> k,
                           std::span<const float> v) {
-    check(k.size() == cfg_.kv_dim() && v.size() == cfg_.kv_dim(),
-          "PagedKvArena: bad vector size");
-    const WriteSlot w = open_write(seq, layer);
-    float* kp = k_.data() + w.at.page * page_floats_;
-    float* vp = v_.data() + w.at.page * page_floats_;
+    const std::size_t kvd = cfg_.kv_dim();
+    check(k.size() % kvd == 0 && v.size() == k.size(), "PagedKvArena: bad vector size");
+    const std::size_t n = k.size() / kvd;
+    const WriteSpan w = open_write(seq, layer, n);
     if (w.cow_source != KvBlockPool::kNoPage) {
-        std::copy_n(k_.data() + w.cow_source * page_floats_, page_floats_, kp);
-        std::copy_n(v_.data() + w.cow_source * page_floats_, page_floats_, vp);
+        const std::size_t page = pool_.locate(seq, w.first).page;
+        std::copy_n(k_.data() + w.cow_source * page_floats_, page_floats_,
+                    k_.data() + page * page_floats_);
+        std::copy_n(v_.data() + w.cow_source * page_floats_, page_floats_,
+                    v_.data() + page * page_floats_);
     }
     const std::size_t hd = cfg_.head_dim();
-    for (std::size_t h = 0; h < cfg_.n_kv_heads; ++h) {
-        const std::size_t off = page_off(layer, h, w.at.offset);
-        std::copy_n(k.data() + h * hd, hd, kp + off);
-        std::copy_n(v.data() + h * hd, hd, vp + off);
+    for (std::size_t t = 0; t < n; ++t) {
+        const KvBlockPool::PageSlot at = pool_.locate(seq, w.first + t);
+        float* kp = k_.data() + at.page * page_floats_;
+        float* vp = v_.data() + at.page * page_floats_;
+        for (std::size_t h = 0; h < cfg_.n_kv_heads; ++h) {
+            const std::size_t off = page_off(layer, h, at.offset);
+            std::copy_n(k.data() + t * kvd + h * hd, hd, kp + off);
+            std::copy_n(v.data() + t * kvd + h * hd, hd, vp + off);
+        }
     }
 }
 
@@ -133,18 +148,35 @@ PagedQuantizedKvArena::PagedQuantizedKvArena(const model::ModelConfig& cfg,
     v_.resize(pool_.pages_total() * entries_per_page);
 }
 
+void PagedQuantizedKvArena::copy_on_write(std::size_t seq, const WriteSpan& w) {
+    if (w.cow_source == KvBlockPool::kNoPage) return;
+    // Deep entry copies: the sharers keep their codes untouched.
+    const std::size_t page = pool_.locate(seq, w.first).page;
+    const std::size_t epp = cfg_.n_layers * cfg_.n_kv_heads * pool_.page_tokens();
+    for (std::size_t i = 0; i < epp; ++i) {
+        k_[page * epp + i] = k_[w.cow_source * epp + i];
+        v_[page * epp + i] = v_[w.cow_source * epp + i];
+    }
+}
+
 void PagedQuantizedKvArena::append(std::size_t seq, std::size_t layer,
                                    std::span<const float> k, std::span<const float> v) {
-    check(k.size() == cfg_.kv_dim() && v.size() == cfg_.kv_dim(),
+    const std::size_t kvd = cfg_.kv_dim();
+    check(k.size() % kvd == 0 && v.size() == k.size(),
           "PagedQuantizedKvArena: bad vector size");
+    const std::size_t n = k.size() / kvd;
+    const WriteSpan w = open_write(seq, layer, n);
+    copy_on_write(seq, w);
     const std::size_t hd = cfg_.head_dim();
-    qk_.resize(cfg_.n_kv_heads);
-    qv_.resize(cfg_.n_kv_heads);
-    for (std::size_t h = 0; h < cfg_.n_kv_heads; ++h) {
-        quant::kv_quantize_bits_into(k.subspan(h * hd, hd), kv_bits_, qk_[h]);
-        quant::kv_quantize_bits_into(v.subspan(h * hd, hd), kv_bits_, qv_[h]);
+    for (std::size_t t = 0; t < n; ++t) {
+        const KvBlockPool::PageSlot at = pool_.locate(seq, w.first + t);
+        for (std::size_t h = 0; h < cfg_.n_kv_heads; ++h) {
+            const std::size_t off = t * kvd + h * hd;
+            const std::size_t e = entry_idx(at.page, layer, h, at.offset);
+            quant::kv_quantize_bits_into(k.subspan(off, hd), kv_bits_, k_[e]);
+            quant::kv_quantize_bits_into(v.subspan(off, hd), kv_bits_, v_[e]);
+        }
     }
-    append_quantized(seq, layer, qk_, qv_);
 }
 
 void PagedQuantizedKvArena::append_quantized(std::size_t seq, std::size_t layer,
@@ -152,18 +184,12 @@ void PagedQuantizedKvArena::append_quantized(std::size_t seq, std::size_t layer,
                                              std::span<quant::KvQuantized> v) {
     check(k.size() == cfg_.n_kv_heads && v.size() == cfg_.n_kv_heads,
           "PagedQuantizedKvArena: need one entry per KV head");
-    const WriteSlot w = open_write(seq, layer);
-    if (w.cow_source != KvBlockPool::kNoPage) {
-        // Deep entry copies: the sharers keep their codes untouched.
-        const std::size_t epp = cfg_.n_layers * cfg_.n_kv_heads * pool_.page_tokens();
-        for (std::size_t i = 0; i < epp; ++i) {
-            k_[w.at.page * epp + i] = k_[w.cow_source * epp + i];
-            v_[w.at.page * epp + i] = v_[w.cow_source * epp + i];
-        }
-    }
+    const WriteSpan w = open_write(seq, layer, 1);
+    copy_on_write(seq, w);
+    const KvBlockPool::PageSlot at = pool_.locate(seq, w.first);
     for (std::size_t h = 0; h < cfg_.n_kv_heads; ++h) {
-        std::swap(k_[entry_idx(w.at.page, layer, h, w.at.offset)], k[h]);
-        std::swap(v_[entry_idx(w.at.page, layer, h, w.at.offset)], v[h]);
+        std::swap(k_[entry_idx(at.page, layer, h, at.offset)], k[h]);
+        std::swap(v_[entry_idx(at.page, layer, h, at.offset)], v[h]);
     }
 }
 

@@ -24,6 +24,7 @@
 
 #include "kvpool/kv_block_pool.hpp"
 #include "model/config.hpp"
+#include "model/kv_cache.hpp"
 #include "quant/kvquant.hpp"
 
 namespace efld::kvpool {
@@ -36,7 +37,8 @@ namespace efld::kvpool {
                                        std::size_t n_pages);
 
 // What both arenas share: the pool, its block tables, and the append cadence
-// (same as KvCache::append: all layers at a position, then the next token).
+// (model::SpanCadence, as in KvCache::append: all layers append the same
+// span of tokens, then the next span opens).
 class PagedArena {
 public:
     [[nodiscard]] std::size_t create_sequence() { return pool_.create_sequence(); }
@@ -60,26 +62,27 @@ public:
 protected:
     PagedArena(const model::ModelConfig& cfg, KvPoolConfig pool_cfg);
 
-    // Where one layer's append for `seq` writes. The first layer of a
-    // position takes the token from the pool (a fresh page at a page
-    // boundary); throws efld::Error when the pool is exhausted — the
-    // admission governor exists to make that unreachable for admitted
-    // sequences. When the write lands in a page another holder still maps,
+    // Where one layer's n-token span append for `seq` writes: tokens
+    // first .. first + n - 1. The first layer of a span takes its n tokens
+    // from the pool (fresh pages at page boundaries); throws efld::Error,
+    // with the sequence unchanged, when the pool cannot hold the whole span
+    // — the admission governor exists to make that unreachable for admitted
+    // sequences. When the span starts in a page another holder still maps,
     // `seq` first gets a private page: cow_source is then the shared
-    // original, whose contents the caller copies into at.page before
-    // writing. A refused append leaves the sequence consistent and
-    // retryable.
-    struct WriteSlot {
-        KvBlockPool::PageSlot at;
+    // original, whose contents the caller copies into the span's first page
+    // before writing (only that page can be shared; later pages are fresh).
+    struct WriteSpan {
+        std::size_t first = 0;
         std::size_t cow_source = KvBlockPool::kNoPage;
     };
-    [[nodiscard]] WriteSlot open_write(std::size_t seq, std::size_t layer);
+    [[nodiscard]] WriteSpan open_write(std::size_t seq, std::size_t layer,
+                                       std::size_t n);
 
     model::ModelConfig cfg_;
     KvBlockPool pool_;
 
 private:
-    std::vector<std::size_t> appended_this_pos_;  // per sequence (layer cadence)
+    std::vector<model::SpanCadence> cadence_;  // per sequence
 };
 
 // Float paged KV arena (reference path).
@@ -87,7 +90,8 @@ class PagedKvArena : public PagedArena {
 public:
     PagedKvArena(const model::ModelConfig& cfg, KvPoolConfig pool_cfg);
 
-    // Appends one token's K and V for `layer` (see PagedArena::open_write).
+    // Appends a span of n >= 1 tokens' K and V for `layer` (k and v hold n
+    // rows of kv_dim; see PagedArena::open_write).
     void append(std::size_t seq, std::size_t layer, std::span<const float> k,
                 std::span<const float> v);
 
@@ -125,14 +129,15 @@ public:
     PagedQuantizedKvArena(const model::ModelConfig& cfg, KvPoolConfig pool_cfg,
                           unsigned kv_bits = 8);
 
-    // Quantizes each head of one token's K and V (per-head params, like
-    // QuantizedKvCache) and stores them through append_quantized, reusing
-    // the replaced entries' code buffers (no allocation in steady state).
+    // Quantizes each head of a span of n >= 1 tokens' K and V (per-head
+    // params, like QuantizedKvCache; k and v hold n rows of kv_dim) and
+    // stores them in place, reusing the replaced entries' code buffers (no
+    // allocation in steady state).
     void append(std::size_t seq, std::size_t layer, std::span<const float> k,
                 std::span<const float> v);
 
-    // The one write path: stores one token's already-quantized K and V heads
-    // (n_kv_heads entries each) for `layer`. Entries are swapped in: k and v
+    // Stores one token's already-quantized K and V heads (n_kv_heads entries
+    // each) for `layer` — a one-token span. Entries are swapped in: k and v
     // come back holding the entries they replaced, so a caller can reuse
     // their code buffers.
     void append_quantized(std::size_t seq, std::size_t layer,
@@ -173,10 +178,13 @@ private:
                                    std::size_t kv_head, std::size_t len,
                                    std::span<float> out) const;
 
+    // Copies the shared page a span append diverged from into the span's
+    // first page (no-op when the write needed no copy-on-write).
+    void copy_on_write(std::size_t seq, const WriteSpan& w);
+
     unsigned kv_bits_ = 8;
     std::vector<quant::KvQuantized> k_;  // [page][layer][kv_head][tok_in_page]
     std::vector<quant::KvQuantized> v_;
-    std::vector<quant::KvQuantized> qk_, qv_;  // append's per-head scratch
 };
 
 }  // namespace efld::kvpool

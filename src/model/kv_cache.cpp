@@ -1,5 +1,7 @@
 #include "model/kv_cache.hpp"
 
+#include <algorithm>
+
 #include "common/check.hpp"
 
 namespace efld::model {
@@ -11,27 +13,31 @@ KvCache::KvCache(const ModelConfig& cfg) : cfg_(cfg), k_(cfg.n_layers), v_(cfg.n
     }
 }
 
+bool SpanCadence::opens(std::size_t n) const {
+    check(n >= 1, "KV append: empty span");
+    check(layers_done == 0 || n == tokens,
+          "KV append: a layer appended a different span than the first layer");
+    return layers_done == 0;
+}
+
 void KvCache::append(std::size_t layer, std::span<const float> k, std::span<const float> v) {
     check(layer < cfg_.n_layers, "KvCache: layer out of range");
-    check(k.size() == cfg_.kv_dim() && v.size() == cfg_.kv_dim(), "KvCache: bad vector size");
-    check(len_ < cfg_.max_seq_len, "KvCache: capacity exceeded");
+    const std::size_t kvd = cfg_.kv_dim();
+    check(k.size() % kvd == 0 && v.size() == k.size(), "KvCache: bad vector size");
+    const std::size_t n = k.size() / kvd;
+    (void)cadence_.opens(n);
+    check(len_ + n <= cfg_.max_seq_len, "KvCache: capacity exceeded");
     const std::size_t hd = cfg_.head_dim();
-    // Scatter the packed [head][head_dim] token vector into the per-head
+    // Scatter the packed [head][head_dim] token vectors into the per-head
     // slabs; the write is strided so every read can be contiguous.
-    for (std::size_t h = 0; h < cfg_.n_kv_heads; ++h) {
-        const std::size_t off = head_slab(h) + len_ * hd;
-        std::copy(k.begin() + static_cast<std::ptrdiff_t>(h * hd),
-                  k.begin() + static_cast<std::ptrdiff_t>((h + 1) * hd),
-                  k_[layer].begin() + static_cast<std::ptrdiff_t>(off));
-        std::copy(v.begin() + static_cast<std::ptrdiff_t>(h * hd),
-                  v.begin() + static_cast<std::ptrdiff_t>((h + 1) * hd),
-                  v_[layer].begin() + static_cast<std::ptrdiff_t>(off));
+    for (std::size_t t = 0; t < n; ++t) {
+        for (std::size_t h = 0; h < cfg_.n_kv_heads; ++h) {
+            const std::size_t off = head_slab(h) + (len_ + t) * hd;
+            std::copy_n(k.data() + t * kvd + h * hd, hd, k_[layer].data() + off);
+            std::copy_n(v.data() + t * kvd + h * hd, hd, v_[layer].data() + off);
+        }
     }
-    // All layers append at the same position; advance after the last layer.
-    if (++appended_this_pos_ == cfg_.n_layers) {
-        appended_this_pos_ = 0;
-        ++len_;
-    }
+    if (cadence_.advance(n, cfg_.n_layers)) len_ += n;
 }
 
 std::span<const float> KvCache::keys_span(std::size_t layer, std::size_t kv_head,
@@ -76,22 +82,24 @@ std::size_t QuantizedKvCache::slot(std::size_t layer, std::size_t token,
 void QuantizedKvCache::append(std::size_t layer, std::span<const float> k,
                               std::span<const float> v) {
     check(layer < cfg_.n_layers, "QuantizedKvCache: layer out of range");
-    check(k.size() == cfg_.kv_dim() && v.size() == cfg_.kv_dim(),
+    const std::size_t kvd = cfg_.kv_dim();
+    check(k.size() % kvd == 0 && v.size() == k.size(),
           "QuantizedKvCache: bad vector size");
-    check(len_ < cfg_.max_seq_len, "QuantizedKvCache: capacity exceeded");
+    const std::size_t n = k.size() / kvd;
+    (void)cadence_.opens(n);
+    check(len_ + n <= cfg_.max_seq_len, "QuantizedKvCache: capacity exceeded");
     const std::size_t hd = cfg_.head_dim();
-    for (std::size_t h = 0; h < cfg_.n_kv_heads; ++h) {
-        // Per-head quantization: one scale-zero pack per head per token, the
-        // granularity the SPU quantizer and the Fig. 4B FIFO operate at.
-        quant::KvQuantized qk = quant::kv_quantize_bits(k.subspan(h * hd, hd), kv_bits_);
-        quant::KvQuantized qv = quant::kv_quantize_bits(v.subspan(h * hd, hd), kv_bits_);
-        k_[slot(layer, len_, h)] = std::move(qk);
-        v_[slot(layer, len_, h)] = std::move(qv);
+    for (std::size_t t = 0; t < n; ++t) {
+        for (std::size_t h = 0; h < cfg_.n_kv_heads; ++h) {
+            // Per-head quantization: one scale-zero pack per head per token,
+            // the granularity the SPU quantizer and the Fig. 4B FIFO operate
+            // at.
+            const std::size_t off = t * kvd + h * hd;
+            k_[slot(layer, len_ + t, h)] = quant::kv_quantize_bits(k.subspan(off, hd), kv_bits_);
+            v_[slot(layer, len_ + t, h)] = quant::kv_quantize_bits(v.subspan(off, hd), kv_bits_);
+        }
     }
-    if (++appended_this_pos_ == cfg_.n_layers) {
-        appended_this_pos_ = 0;
-        ++len_;
-    }
+    if (cadence_.advance(n, cfg_.n_layers)) len_ += n;
 }
 
 std::span<const float> QuantizedKvCache::dequant_keys_into(std::size_t layer,

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
 #include "common/check.hpp"
 #include "model/tensor.hpp"
@@ -117,19 +118,19 @@ void ReferenceEngine::init_scratch() {
     }
     pos_.assign(mb, 0);
     slots_ = engine::SlotLedger(mb);
+    spans_.reserve(mb);
 
-    x_.resize(mb * cfg_.dim);
-    xb_.resize(mb * cfg_.dim);
-    q_.resize(mb * cfg_.dim);
-    k_.resize(mb * cfg_.kv_dim());
-    v_.resize(mb * cfg_.kv_dim());
-    att_out_.resize(mb * cfg_.dim);
-    gate_.resize(mb * cfg_.hidden_dim);
-    up_.resize(mb * cfg_.hidden_dim);
-    hidden_.resize(mb * cfg_.hidden_dim);
-    down_.resize(mb * cfg_.dim);
+    row_cap_ = std::max(mb, max_feed_tokens());
+    x_.resize(row_cap_ * cfg_.dim);
+    xb_.resize(row_cap_ * cfg_.dim);
+    q_.resize(row_cap_ * cfg_.dim);
+    k_.resize(row_cap_ * cfg_.kv_dim());
+    v_.resize(row_cap_ * cfg_.kv_dim());
+    att_out_.resize(row_cap_ * cfg_.dim);
+    gate_.resize(row_cap_ * cfg_.hidden_dim);
+    up_.resize(row_cap_ * cfg_.hidden_dim);
     logits_.resize(mb * cfg_.vocab_size);
-    scores_.resize(mb * cfg_.n_heads * cfg_.max_seq_len);
+    scores_.resize(mb * cfg_.n_kv_heads * cfg_.max_seq_len);
     if (opts_.use_kv8 || paged()) {
         // Dequant scratch (KV8) or page-gather scratch (paged float): either
         // way the attention kernel consumes one contiguous history per task.
@@ -227,67 +228,96 @@ std::span<const float> ReferenceEngine::mlp_norm(std::size_t layer) const {
                           : std::span<const float>(qw_->layers[layer].mlp_norm);
 }
 
-void ReferenceEngine::attention_block(std::size_t layer, std::size_t nb,
-                                      std::span<const std::size_t> slots) {
+std::size_t ReferenceEngine::attention_block(std::size_t layer, std::size_t nr) {
     const obs::ScopedPhase phase(profiler_, obs::Phase::kAttention);
     const std::size_t dim = cfg_.dim;
     const std::size_t kvd = cfg_.kv_dim();
-    for (std::size_t b = 0; b < nb; ++b) {
-        rmsnorm(std::span<const float>(x_).subspan(b * dim, dim), attn_norm(layer),
-                cfg_.rms_eps, std::span<float>(xb_).subspan(b * dim, dim));
+    const std::size_t hd = cfg_.head_dim();
+    for (std::size_t r = 0; r < nr; ++r) {
+        rmsnorm(std::span<const float>(x_).subspan(r * dim, dim), attn_norm(layer),
+                cfg_.rms_eps, std::span<float>(xb_).subspan(r * dim, dim));
     }
 
-    proj(layer, kWq, nb, std::span<const float>(xb_).first(nb * dim),
-         std::span<float>(q_).first(nb * dim));
-    proj(layer, kWk, nb, std::span<const float>(xb_).first(nb * dim),
-         std::span<float>(k_).first(nb * kvd));
-    proj(layer, kWv, nb, std::span<const float>(xb_).first(nb * dim),
-         std::span<float>(v_).first(nb * kvd));
-
-    // RoPE on every query head and key head at each lane's own position, from
-    // the table built at construction (no pow/sin/cos on the decode path).
-    // The seed baseline recomputes the trigonometry per head per token.
-    const std::size_t hd = cfg_.head_dim();
-    for (std::size_t b = 0; b < nb; ++b) {
-        const std::size_t pos = pos_[slots[b]];
-        const std::span<float> qb = std::span<float>(q_).subspan(b * dim, dim);
-        const std::span<float> kb = std::span<float>(k_).subspan(b * kvd, kvd);
+    // RoPE at a row's own position, from the table built at construction (no
+    // pow/sin/cos on the decode path). The seed baseline recomputes the
+    // trigonometry per head per token.
+    auto rope = [&](std::span<float> v, std::size_t heads, std::size_t pos) {
         if (opts_.seed_baseline) {
-            for (std::size_t h = 0; h < cfg_.n_heads; ++h) {
-                rope_rotate(qb.subspan(h * hd, hd), pos, cfg_.rope_theta);
+            for (std::size_t h = 0; h < heads; ++h) {
+                rope_rotate(v.subspan(h * hd, hd), pos, cfg_.rope_theta);
             }
-            for (std::size_t h = 0; h < cfg_.n_kv_heads; ++h) {
-                rope_rotate(kb.subspan(h * hd, hd), pos, cfg_.rope_theta);
-            }
-        } else {
-            const std::span<const float> cos_row = rope_.cos_row(pos);
-            const std::span<const float> sin_row = rope_.sin_row(pos);
-            for (std::size_t h = 0; h < cfg_.n_heads; ++h) {
-                rope_rotate_cached(qb.subspan(h * hd, hd), cos_row, sin_row);
-            }
-            for (std::size_t h = 0; h < cfg_.n_kv_heads; ++h) {
-                rope_rotate_cached(kb.subspan(h * hd, hd), cos_row, sin_row);
-            }
+            return;
         }
-        const std::span<const float> vb = std::span<const float>(v_).subspan(b * kvd, kvd);
+        const std::span<const float> cos_row = rope_.cos_row(pos);
+        const std::span<const float> sin_row = rope_.sin_row(pos);
+        for (std::size_t h = 0; h < heads; ++h) {
+            rope_rotate_cached(v.subspan(h * hd, hd), cos_row, sin_row);
+        }
+    };
+
+    // Every row's K and V land in its slot's cache before any row attends,
+    // so a row reads the rows before it in its own tile.
+    proj(layer, kWk, nr, std::span<const float>(xb_).first(nr * dim),
+         std::span<float>(k_).first(nr * kvd));
+    proj(layer, kWv, nr, std::span<const float>(xb_).first(nr * dim),
+         std::span<float>(v_).first(nr * kvd));
+    for (const Span& sp : spans_) {
+        for (std::size_t j = 0; j < sp.n; ++j) {
+            rope(std::span<float>(k_).subspan((sp.first + j) * kvd, kvd), cfg_.n_kv_heads,
+                 pos_[sp.slot] + j);
+        }
+        const std::span<const float> ks =
+            std::span<const float>(k_).subspan(sp.first * kvd, sp.n * kvd);
+        const std::span<const float> vs =
+            std::span<const float>(v_).subspan(sp.first * kvd, sp.n * kvd);
         if (paged_quant_ != nullptr) {
-            paged_quant_->append(slots[b], layer, kb, vb);
+            paged_quant_->append(sp.slot, layer, ks, vs);
         } else if (paged_float_ != nullptr) {
-            paged_float_->append(slots[b], layer, kb, vb);
+            paged_float_->append(sp.slot, layer, ks, vs);
         } else if (opts_.use_kv8) {
-            kv_quant_[slots[b]].append(layer, kb, vb);
+            kv_quant_[sp.slot].append(layer, ks, vs);
         } else {
-            kv_float_[slots[b]].append(layer, kb, vb);
+            kv_float_[sp.slot].append(layer, ks, vs);
+        }
+    }
+
+    // In the final layer a prompt row inside a tile has done its job once
+    // its KV is stored: only each span's last row goes on to attention, the
+    // MLP and the LM head. Those rows move to the front (row b = span b's
+    // last row; a move never overwrites a row still to be read), and the
+    // rest of the pass runs on them alone.
+    const bool final_layer = layer + 1 == cfg_.n_layers;
+    const std::size_t nq = final_layer ? spans_.size() : nr;
+    if (final_layer) {
+        for (std::size_t b = 0; b < spans_.size(); ++b) {
+            const std::size_t last = spans_[b].first + spans_[b].n - 1;
+            if (last == b) continue;
+            std::copy_n(x_.begin() + last * dim, dim, x_.begin() + b * dim);
+            std::copy_n(xb_.begin() + last * dim, dim, xb_.begin() + b * dim);
+        }
+    }
+    // Query row j of span b: its row, position and the history it attends.
+    auto query = [&](std::size_t b, std::size_t j) {
+        const Span& sp = spans_[b];
+        const std::size_t pos = pos_[sp.slot] + (final_layer ? sp.n - 1 : j);
+        return std::pair{final_layer ? b : sp.first + j, pos};
+    };
+    proj(layer, kWq, nq, std::span<const float>(xb_).first(nq * dim),
+         std::span<float>(q_).first(nq * dim));
+    for (std::size_t b = 0; b < spans_.size(); ++b) {
+        for (std::size_t j = 0; j < (final_layer ? 1 : spans_[b].n); ++j) {
+            const auto [row, pos] = query(b, j);
+            rope(std::span<float>(q_).subspan(row * dim, dim), cfg_.n_heads, pos);
         }
     }
 
     const std::size_t heads_per_kv = cfg_.n_heads / cfg_.n_kv_heads;
 
     if (opts_.seed_baseline) {
-        // Seed loop (single-session only): gather an owning per-query-head KV
-        // copy and allocate scores inside attention_head, exactly like the
-        // pre-fast-path code.
-        const std::size_t slot = slots[0];
+        // Seed loop (single-session, single-token only): gather an owning
+        // per-query-head KV copy and allocate scores inside attention_head,
+        // exactly like the pre-fast-path code.
+        const std::size_t slot = spans_[0].slot;
         const std::size_t ctx = pos_[slot] + 1;
         for (std::size_t h = 0; h < cfg_.n_heads; ++h) {
             const std::size_t kvh = h / heads_per_kv;
@@ -300,22 +330,25 @@ void ReferenceEngine::attention_block(std::size_t layer, std::size_t nb,
             attention_head(std::span<const float>(q_).subspan(h * hd, hd), keys, vals,
                            ctx, hd, std::span<float>(att_out_).subspan(h * hd, hd));
         }
-        proj(layer, kWo, nb, std::span<const float>(att_out_).first(dim),
+        proj(layer, kWo, nq, std::span<const float>(att_out_).first(dim),
              std::span<float>(xb_).first(dim));
         for (std::size_t i = 0; i < dim; ++i) x_[i] += xb_[i];
-        return;
+        return nq;
     }
 
-    // One task per (lane, KV head): a lane's query-head cluster shares the
-    // same history, so a quantized cache is dequantized once per cluster (not
-    // once per query head), and parallel tasks touch disjoint scratch slices.
+    // One task per (span, KV head): a span's query-head cluster shares one
+    // history, so a quantized cache is dequantized (a paged one gathered)
+    // once per cluster up to the span's end — not once per query head or per
+    // row — and every query row then attends causally over its own prefix of
+    // it. Parallel tasks touch disjoint scratch slices.
     const std::size_t slab = cfg_.max_seq_len * hd;
-    auto lane_kv_task = [&](std::size_t task) {
+    auto span_kv_task = [&](std::size_t task) {
         const std::size_t b = task / cfg_.n_kv_heads;
         const std::size_t kvh = task % cfg_.n_kv_heads;
-        const std::size_t slot = slots[b];
-        const std::size_t ctx = pos_[slot] + 1;
-        const std::size_t deq = (b * cfg_.n_kv_heads + kvh) * slab;
+        const Span& sp = spans_[b];
+        const std::size_t slot = sp.slot;
+        const std::size_t ctx = pos_[slot] + sp.n;
+        const std::size_t deq = task * slab;
         std::span<const float> keys, vals;
         if (paged_quant_ != nullptr) {
             keys = paged_quant_->dequant_keys_into(
@@ -338,92 +371,137 @@ void ReferenceEngine::attention_block(std::size_t layer, std::size_t nb,
             keys = kv_float_[slot].keys_span(layer, kvh, ctx);
             vals = kv_float_[slot].values_span(layer, kvh, ctx);
         }
-        for (std::size_t h = kvh * heads_per_kv; h < (kvh + 1) * heads_per_kv; ++h) {
-            attention_head(
-                std::span<const float>(q_).subspan(b * dim + h * hd, hd), keys, vals,
-                ctx, hd, std::span<float>(att_out_).subspan(b * dim + h * hd, hd),
-                std::span<float>(scores_).subspan(
-                    (b * cfg_.n_heads + h) * cfg_.max_seq_len, cfg_.max_seq_len));
+        const std::span<float> scores =
+            std::span<float>(scores_).subspan(task * cfg_.max_seq_len, cfg_.max_seq_len);
+        for (std::size_t j = 0; j < (final_layer ? 1 : sp.n); ++j) {
+            const auto [r, pos] = query(b, j);
+            const std::size_t row = r * dim;
+            for (std::size_t h = kvh * heads_per_kv; h < (kvh + 1) * heads_per_kv; ++h) {
+                attention_head(std::span<const float>(q_).subspan(row + h * hd, hd), keys,
+                               vals, pos + 1, hd,
+                               std::span<float>(att_out_).subspan(row + h * hd, hd),
+                               scores);
+            }
         }
     };
-    const std::size_t n_tasks = nb * cfg_.n_kv_heads;
+    const std::size_t n_tasks = spans_.size() * cfg_.n_kv_heads;
     if (ThreadPool* p = pool(); p != nullptr) {
         p->parallel_for(n_tasks, [&](std::size_t b, std::size_t e) {
-            for (std::size_t t = b; t < e; ++t) lane_kv_task(t);
+            for (std::size_t t = b; t < e; ++t) span_kv_task(t);
         });
     } else {
-        for (std::size_t t = 0; t < n_tasks; ++t) lane_kv_task(t);
+        for (std::size_t t = 0; t < n_tasks; ++t) span_kv_task(t);
     }
 
     // Output projection + residual.
-    proj(layer, kWo, nb, std::span<const float>(att_out_).first(nb * dim),
-         std::span<float>(xb_).first(nb * dim));
-    for (std::size_t i = 0; i < nb * dim; ++i) x_[i] += xb_[i];
+    proj(layer, kWo, nq, std::span<const float>(att_out_).first(nq * dim),
+         std::span<float>(xb_).first(nq * dim));
+    for (std::size_t i = 0; i < nq * dim; ++i) x_[i] += xb_[i];
+    return nq;
 }
 
-void ReferenceEngine::mlp_block(std::size_t layer, std::size_t nb) {
+void ReferenceEngine::mlp_block(std::size_t layer, std::size_t nr) {
     const std::size_t dim = cfg_.dim;
     const std::size_t hdim = cfg_.hidden_dim;
-    for (std::size_t b = 0; b < nb; ++b) {
-        rmsnorm(std::span<const float>(x_).subspan(b * dim, dim), mlp_norm(layer),
-                cfg_.rms_eps, std::span<float>(xb_).subspan(b * dim, dim));
+    for (std::size_t r = 0; r < nr; ++r) {
+        rmsnorm(std::span<const float>(x_).subspan(r * dim, dim), mlp_norm(layer),
+                cfg_.rms_eps, std::span<float>(xb_).subspan(r * dim, dim));
     }
-    proj(layer, kWGate, nb, std::span<const float>(xb_).first(nb * dim),
-         std::span<float>(gate_).first(nb * hdim));
-    proj(layer, kWUp, nb, std::span<const float>(xb_).first(nb * dim),
-         std::span<float>(up_).first(nb * hdim));
-    for (std::size_t b = 0; b < nb; ++b) {
-        silu_gate(std::span<const float>(gate_).subspan(b * hdim, hdim),
-                  std::span<const float>(up_).subspan(b * hdim, hdim),
-                  std::span<float>(hidden_).subspan(b * hdim, hdim));
+    proj(layer, kWGate, nr, std::span<const float>(xb_).first(nr * dim),
+         std::span<float>(gate_).first(nr * hdim));
+    proj(layer, kWUp, nr, std::span<const float>(xb_).first(nr * dim),
+         std::span<float>(up_).first(nr * hdim));
+    // The gated hidden state overwrites gate_ (elementwise), and the down
+    // projection lands in xb_ (its input to gate/up is consumed by then).
+    for (std::size_t r = 0; r < nr; ++r) {
+        silu_gate(std::span<const float>(gate_).subspan(r * hdim, hdim),
+                  std::span<const float>(up_).subspan(r * hdim, hdim),
+                  std::span<float>(gate_).subspan(r * hdim, hdim));
     }
-    proj(layer, kWDown, nb, std::span<const float>(hidden_).first(nb * hdim),
-         std::span<float>(down_).first(nb * dim));
-    for (std::size_t i = 0; i < nb * dim; ++i) x_[i] += down_[i];
+    proj(layer, kWDown, nr, std::span<const float>(gate_).first(nr * hdim),
+         std::span<float>(xb_).first(nr * dim));
+    for (std::size_t i = 0; i < nr * dim; ++i) x_[i] += xb_[i];
 }
 
-std::span<const float> ReferenceEngine::decode_batch(
-    std::span<const std::int32_t> tokens, std::span<const std::size_t> slots) {
-    const std::size_t nb = tokens.size();
-    check(nb >= 1, "decode_batch: empty batch");
-    check(nb == slots.size(), "decode_batch: tokens/slots size mismatch");
-    check(nb <= opts_.max_batch, "decode_batch: batch exceeds max_batch");
-    check(!opts_.seed_baseline || nb == 1,
-          "decode_batch: seed_baseline supports batch 1 only");
-    for (std::size_t b = 0; b < nb; ++b) {
+std::span<const float> ReferenceEngine::step(std::span<const std::int32_t> tokens,
+                                             std::span<const std::size_t> slots,
+                                             std::span<const std::size_t> rows) {
+    const std::size_t ns = slots.size();
+    check(ns >= 1, "decode_batch: empty batch");
+    check(ns <= opts_.max_batch, "decode_batch: batch exceeds max_batch");
+    check(rows.empty() || rows.size() == ns, "decode_batch: rows/slots size mismatch");
+    std::size_t total = 0;
+    for (std::size_t b = 0; b < ns; ++b) {
+        const std::size_t n = rows.empty() ? 1 : rows[b];
         check(slots[b] < opts_.max_batch, "decode_batch: slot out of range");
-        for (std::size_t c = b + 1; c < nb; ++c) {
+        for (std::size_t c = b + 1; c < ns; ++c) {
             check(slots[b] != slots[c], "decode_batch: duplicate slot");
         }
-        check(tokens[b] >= 0 && static_cast<std::uint64_t>(tokens[b]) < cfg_.vocab_size,
-              "decode_batch: token out of range");
-        check(pos_[slots[b]] < cfg_.max_seq_len,
+        check(n >= 1 && n <= max_feed_tokens(), "decode_batch: span length out of range");
+        check(pos_[slots[b]] + n <= cfg_.max_seq_len,
               "decode_batch: context window exhausted");
+        total += n;
+    }
+    check(total == tokens.size(), "decode_batch: rows do not sum to the token count");
+    for (const std::int32_t t : tokens) {
+        check(t >= 0 && static_cast<std::uint64_t>(t) < cfg_.vocab_size,
+              "decode_batch: token out of range");
     }
 
-    // Token embedding lookup, one row per lane.
+    // Spans run in chunks of at most row_cap_ rows (whole spans, so every
+    // chunk is an independent forward pass over distinct slots); one chunk
+    // unless the step holds more rows than a serving step's budget.
+    step_walks_ = 0;
+    std::size_t b = 0;
+    std::size_t fed = 0;
+    while (b < ns) {
+        const std::size_t chunk_begin = b;
+        spans_.clear();
+        std::size_t nr = 0;
+        for (; b < ns; ++b) {
+            const std::size_t n = rows.empty() ? 1 : rows[b];
+            if (nr + n > row_cap_) break;
+            spans_.push_back({.slot = slots[b], .first = nr, .n = n});
+            nr += n;
+        }
+        forward_rows(tokens.subspan(fed, nr), chunk_begin);
+        fed += nr;
+        step_walks_ += (nr + quant::kGemmBatchTile - 1) / quant::kGemmBatchTile;
+    }
+    return std::span<const float>(logits_).first(ns * cfg_.vocab_size);
+}
+
+void ReferenceEngine::forward_rows(std::span<const std::int32_t> tokens,
+                                   std::size_t logits_row) {
+    const std::size_t nr = tokens.size();
+    // Token embedding lookup, one row per fed token.
     const Matrix& emb = fw_ != nullptr ? fw_->embedding : qw_->embedding;
-    for (std::size_t b = 0; b < nb; ++b) {
-        const auto row = emb.row(static_cast<std::size_t>(tokens[b]));
-        std::copy(row.begin(), row.end(), x_.begin() + b * cfg_.dim);
+    for (std::size_t r = 0; r < nr; ++r) {
+        const auto row = emb.row(static_cast<std::size_t>(tokens[r]));
+        std::copy(row.begin(), row.end(), x_.begin() + r * cfg_.dim);
     }
 
+    // The final layer leaves one row per span: row b, span b's last row.
+    std::size_t rows = nr;
     for (std::size_t layer = 0; layer < cfg_.n_layers; ++layer) {
-        attention_block(layer, nb, slots);
-        mlp_block(layer, nb);
+        rows = attention_block(layer, rows);
+        mlp_block(layer, rows);
     }
-    for (std::size_t b = 0; b < nb; ++b) ++pos_[slots[b]];
+    for (const Span& sp : spans_) pos_[sp.slot] += sp.n;
 
+    // Final norm + LM head for each span's last row only: a prompt row inside
+    // a tile feeds the next rows' attention, never the sampler.
     const std::span<const float> fnorm =
         fw_ != nullptr ? std::span<const float>(fw_->final_norm)
                        : std::span<const float>(qw_->final_norm);
-    for (std::size_t b = 0; b < nb; ++b) {
+    const std::size_t ns = spans_.size();
+    for (std::size_t b = 0; b < ns; ++b) {
         rmsnorm(std::span<const float>(x_).subspan(b * cfg_.dim, cfg_.dim), fnorm,
                 cfg_.rms_eps, std::span<float>(xb_).subspan(b * cfg_.dim, cfg_.dim));
     }
-    proj(0, kLmHead, nb, std::span<const float>(xb_).first(nb * cfg_.dim),
-         std::span<float>(logits_).first(nb * cfg_.vocab_size));
-    return std::span<const float>(logits_).first(nb * cfg_.vocab_size);
+    proj(0, kLmHead, ns, std::span<const float>(xb_).first(ns * cfg_.dim),
+         std::span<float>(logits_).subspan(logits_row * cfg_.vocab_size,
+                                           ns * cfg_.vocab_size));
 }
 
 std::size_t ReferenceEngine::probe_prefix(std::span<const std::int32_t> prompt,
@@ -467,22 +545,24 @@ void ReferenceEngine::release_slot(std::size_t slot) {
 
 void ReferenceEngine::decode_batch(std::span<const std::int32_t> tokens,
                                    std::span<const std::size_t> slots,
+                                   std::span<const std::size_t> rows,
                                    std::span<float> logits_out) {
-    check(logits_out.size() >= tokens.size() * cfg_.vocab_size,
+    check(logits_out.size() >= slots.size() * cfg_.vocab_size,
           "decode_batch: logits_out too small");
     const auto t0 = std::chrono::steady_clock::now();
-    const std::span<const float> logits = decode_batch(tokens, slots);
+    const std::span<const float> logits = step(tokens, slots, rows);
     const auto t1 = std::chrono::steady_clock::now();
     std::copy(logits.begin(), logits.end(), logits_out.begin());
     last_cost_.wall_ns = std::chrono::duration<double, std::nano>(t1 - t0).count();
     last_cost_.simulated_ns = 0.0;  // the host IS the wall clock
-    last_cost_.weight_walks = 1.0;  // one skinny-GEMM pass per step
+    // The skinny GEMM decodes the weight codes once per kGemmBatchTile rows.
+    last_cost_.weight_walks = static_cast<double>(step_walks_);
 }
 
 std::span<const float> ReferenceEngine::decode(std::int32_t token) {
     const std::size_t slot0 = 0;
-    return decode_batch(std::span<const std::int32_t>(&token, 1),
-                        std::span<const std::size_t>(&slot0, 1));
+    return step(std::span<const std::int32_t>(&token, 1),
+                std::span<const std::size_t>(&slot0, 1), {});
 }
 
 std::vector<float> ReferenceEngine::forward(std::int32_t token) {
@@ -492,8 +572,14 @@ std::vector<float> ReferenceEngine::forward(std::int32_t token) {
 
 std::vector<float> ReferenceEngine::prefill(std::span<const std::int32_t> tokens) {
     check(!tokens.empty(), "ReferenceEngine: empty prompt");
-    for (std::size_t i = 0; i + 1 < tokens.size(); ++i) (void)decode(tokens[i]);
-    return forward(tokens.back());
+    const std::size_t slot0 = 0;
+    std::span<const float> logits;
+    for (std::size_t i = 0; i < tokens.size(); i += max_feed_tokens()) {
+        const std::size_t n = std::min(max_feed_tokens(), tokens.size() - i);
+        logits = step(tokens.subspan(i, n), std::span<const std::size_t>(&slot0, 1),
+                      std::span<const std::size_t>(&n, 1));
+    }
+    return std::vector<float>(logits.begin(), logits.end());
 }
 
 }  // namespace efld::model

@@ -8,9 +8,15 @@
 //   W4A16 weights + float KV   -> weight-quantization effect only
 //   W4A16 weights + KV8 cache  -> software twin of the accelerator
 //
-// The engine is single-token autoregressive (the decode phase the paper
-// optimizes); prefill is a loop over prompt tokens, exactly like the
-// bare-metal host does on the KV260.
+// Decode advances one token per session per step (the phase the paper
+// optimizes); a prompt instead advances in tiles of up to max_feed_tokens()
+// rows per step, the host mirror of the vector engine's on-chip prefill
+// tiles (Fig. 2A): every row rides the same skinny-GEMM weight walk, RoPE
+// and the KV append run at each row's own position, attention is causal
+// inside the tile, and in the final layer only a span's last row goes on
+// past its KV append (attention, MLP, LM head) — the other rows' outputs
+// feed nothing. Tiled logits are bit-for-bit what token-by-token feeding
+// produces.
 //
 // The decode loop is allocation-free: projections run through the fused
 // quantized GEMV/GEMM fast path (or preallocated buffers on the float path),
@@ -24,10 +30,11 @@
 // Multi-session decode: with `max_batch > 1` the engine owns that many
 // session slots, each with its own KV cache and position. `decode_batch`
 // advances any subset of them in lockstep, walking the quantized weights
-// ONCE per step via the skinny-GEMM fast path — decoding is weight-bound, so
-// amortizing the walk across sessions is the host-side mirror of the paper's
-// bandwidth argument. Every slot's logits are bit-for-bit identical to what
-// a dedicated single-session engine fed the same tokens would produce.
+// once per kGemmBatchTile rows via the skinny-GEMM fast path — decoding is
+// weight-bound, so amortizing the walk across sessions and prompt rows is
+// the host-side mirror of the paper's bandwidth argument. Every slot's
+// logits are bit-for-bit identical to what a dedicated single-session engine
+// fed the same tokens one at a time would produce.
 //
 // Paged KV (EngineOptions::kv_page_tokens > 0): slots draw fixed-size token
 // pages from a shared kvpool arena instead of reserving max_seq_len each, so
@@ -51,6 +58,7 @@
 #include "model/kv_cache.hpp"
 #include "model/weights.hpp"
 #include "prefix/prefix_index.hpp"
+#include "quant/groupquant.hpp"
 
 namespace efld::model {
 
@@ -113,17 +121,24 @@ public:
     std::span<const float> decode(std::int32_t token);
 
     // Advances tokens[i] through session slot slots[i] for every i, in one
-    // weight walk. Slots must be distinct and < max_batch; each slot keeps
-    // its own KV history and position, so sessions at different context
-    // lengths batch together freely (continuous batching joins at token
+    // step. Slots must be distinct and < max_batch; each slot keeps its own
+    // KV history and position, so sessions at different context lengths
+    // batch together freely (continuous batching joins at token
     // boundaries). Returns logits [tokens.size()][vocab], row i = slots[i],
     // aliasing internal scratch like decode().
     std::span<const float> decode_batch(std::span<const std::int32_t> tokens,
-                                        std::span<const std::size_t> slots);
+                                        std::span<const std::size_t> slots) {
+        return step(tokens, slots, {});
+    }
 
-    // Feeds a prompt token by token (slot 0); returns the logits after the
-    // last one.
+    // Feeds a prompt (slot 0) in tiles of max_feed_tokens() rows; returns
+    // the logits after the last token.
     std::vector<float> prefill(std::span<const std::int32_t> tokens);
+
+    // Rows one step may take per slot: 2 x kGemmBatchTile (two register
+    // tiles, so a full tile step walks the weights twice); 1 for the seed
+    // baseline, which predates tiling.
+    static constexpr std::size_t kMaxFeedTokens = 2 * quant::kGemmBatchTile;
 
     [[nodiscard]] std::size_t position() const noexcept { return pos_[0]; }
     [[nodiscard]] const EngineOptions& options() const noexcept { return opts_; }
@@ -141,9 +156,14 @@ public:
     }
     [[nodiscard]] std::size_t reserve_slot() override;
     void release_slot(std::size_t slot) override;
+    using DecodeBackend::decode_batch;
     void decode_batch(std::span<const std::int32_t> tokens,
                       std::span<const std::size_t> slots,
+                      std::span<const std::size_t> rows,
                       std::span<float> logits_out) override;
+    [[nodiscard]] std::size_t max_feed_tokens() const noexcept override {
+        return opts_.seed_baseline ? 1 : kMaxFeedTokens;
+    }
     void reset() override;  // all slots (reservations survive)
     [[nodiscard]] engine::StepCost last_step_cost() const noexcept override {
         return last_cost_;
@@ -164,10 +184,27 @@ public:
     [[nodiscard]] engine::PrefixSharingStats prefix_stats() const override;
 
 private:
+    // One slot's token span within a step: rows first .. first + n - 1.
+    struct Span {
+        std::size_t slot = 0;
+        std::size_t first = 0;
+        std::size_t n = 0;
+    };
+
     void init_scratch();
-    void attention_block(std::size_t layer, std::size_t nb,
-                         std::span<const std::size_t> slots);
-    void mlp_block(std::size_t layer, std::size_t nb);
+    // The step every entry point runs: spans as in DecodeBackend::
+    // decode_batch (empty rows = one token per slot). Returns the last-row
+    // logits [slots.size()][vocab], aliasing internal scratch.
+    std::span<const float> step(std::span<const std::int32_t> tokens,
+                                std::span<const std::size_t> slots,
+                                std::span<const std::size_t> rows);
+    // One forward pass over spans_ (at most row_cap_ rows): last-row logits
+    // land in logits_ from row `logits_row` on.
+    void forward_rows(std::span<const std::int32_t> tokens, std::size_t logits_row);
+    // Runs a layer's attention over nr rows; returns the rows the layer goes
+    // on with (nr, or one per span in the final layer).
+    std::size_t attention_block(std::size_t layer, std::size_t nr);
+    void mlp_block(std::size_t layer, std::size_t nr);
 
     // Batched weight accessor bridging the float / quantized storage:
     // x is [nb][in], y is [nb][out], lanes contiguous.
@@ -204,6 +241,8 @@ private:
     kvpool::PagedArena* paged_ = nullptr;  // whichever of the two exists
     std::vector<std::size_t> pos_;
     engine::SlotLedger slots_;  // DecodeBackend reservations
+    std::vector<Span> spans_;   // the current pass's spans (max_batch reserved)
+    std::size_t step_walks_ = 0;  // weight-code walks of the last step
     engine::StepCost last_cost_{};
     obs::Profiler* profiler_ = nullptr;  // serving-layer owned; may be null
 
@@ -218,11 +257,15 @@ private:
     [[nodiscard]] const std::vector<Word512>& packed_stream(std::size_t layer,
                                                             int which) const;
 
-    // Scratch buffers reused across tokens, one lane per batch position (no
-    // per-token allocation). Lane b of a [nb][dim] block starts at b * dim.
-    std::vector<float> x_, xb_, q_, k_, v_, att_out_, gate_, up_, hidden_, down_,
-        logits_;
-    std::vector<float> scores_;   // [batch][n_heads][max_seq_len] attention scores
+    // Scratch buffers reused across steps, one row per fed token (no per-step
+    // allocation): row_cap_ = max(max_batch, max_feed_tokens()) rows, the
+    // most a serving step feeds (its row budget). A step with more rows runs
+    // as several passes. Row r of a [rows][dim] block starts at r * dim.
+    std::size_t row_cap_ = 0;
+    std::vector<float> x_, xb_, q_, k_, v_, att_out_, gate_, up_;
+    std::vector<float> logits_;   // [batch][vocab]: one row per span
+    // [batch][n_kv_heads][max_seq_len] attention scores, one slice per task.
+    std::vector<float> scores_;
     // [batch][n_kv_heads][max_seq_len*head_dim] history scratch: dequant
     // target for the KV8 cache, gather target for paged float pages.
     std::vector<float> kv_deq_k_;

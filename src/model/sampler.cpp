@@ -20,6 +20,10 @@ std::int32_t Sampler::argmax(std::span<const float> logits) {
     return static_cast<std::int32_t>(best);
 }
 
+void Sampler::discard() {
+    if (cfg_.temperature > 0.0f) (void)rng_.uniform();
+}
+
 std::int32_t Sampler::sample(std::span<const float> logits) {
     check(!logits.empty(), "Sampler: empty logits");
     if (cfg_.temperature <= 0.0f) return argmax(logits);

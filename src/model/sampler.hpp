@@ -22,6 +22,11 @@ public:
     // Picks the next token id from raw logits.
     [[nodiscard]] std::int32_t sample(std::span<const float> logits);
 
+    // Consumes exactly the random draw a stochastic sample() makes, without
+    // logits (no-op when greedy): keeps a replayed stream on the RNG
+    // sequence of the run that sampled it.
+    void discard();
+
     [[nodiscard]] static std::int32_t argmax(std::span<const float> logits);
 
 private:

@@ -90,19 +90,19 @@ void Profiler::add_wall(Phase p, std::uint64_t wall_ns) noexcept {
 }
 
 void Profiler::attribute_step(std::uint64_t wall_ns, double sim_ns,
-                              double weight_walks, std::size_t prefill_lanes,
-                              std::size_t lanes) noexcept {
-    if (!enabled() || lanes == 0) return;
-    if (prefill_lanes > lanes) prefill_lanes = lanes;
+                              double weight_walks, std::size_t prefill_rows,
+                              std::size_t rows) noexcept {
+    if (!enabled() || rows == 0) return;
+    if (prefill_rows > rows) prefill_rows = rows;
     const double share =
-        static_cast<double>(prefill_lanes) / static_cast<double>(lanes);
-    // Prefill takes its lane share (rounded for the integer wall total);
+        static_cast<double>(prefill_rows) / static_cast<double>(rows);
+    // Prefill takes its row share (rounded for the integer wall total);
     // decode takes the remainder by subtraction so sums stay exact.
     const std::uint64_t prefill_wall = static_cast<std::uint64_t>(
         std::llround(static_cast<double>(wall_ns) * share));
     const double prefill_sim = sim_ns * share;
     const double prefill_walks = weight_walks * share;
-    if (prefill_lanes > 0) {
+    if (prefill_rows > 0) {
         bump(Phase::kPrefill, prefill_wall, prefill_sim, prefill_walks, 1);
         if (LatencyHistogram* h =
                 hists_[static_cast<std::size_t>(Phase::kPrefill)]) {

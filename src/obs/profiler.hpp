@@ -5,7 +5,7 @@
 // prefill, decode_batch, attention, sampling, retire) accumulates wall
 // nanoseconds, and the decode step additionally attributes the backend's
 // StepCost — simulated ns and weight walks — split between the prefill and
-// decode lanes that shared the step's weight walk. Totals are relaxed
+// decode rows that shared the step's weight walk. Totals are relaxed
 // atomics (a handful of RMWs per span, cheap enough for per-token scopes);
 // recent spans are kept in a bounded overwrite-oldest ring so the Perfetto
 // exporter can draw a timeline of the last few thousand scopes without
@@ -34,8 +34,8 @@ enum class Phase : std::uint8_t {
     kAdmission = 1,    // slot binding + session construction for one admit
     kPrefixProbe = 2,  // prefix-index probe inside the admission predicate
     kPrefixAdopt = 3,  // adopting a covered prefix chain into a fresh slot
-    kPrefill = 4,      // prompt lanes' share of a decode step (attributed)
-    kDecodeBatch = 5,  // decode lanes' share of a decode step (attributed)
+    kPrefill = 4,      // prompt rows' share of a decode step (attributed)
+    kDecodeBatch = 5,  // decode rows' share of a decode step (attributed)
     kAttention = 6,    // backend attention blocks (per layer, inside decode)
     kSampling = 7,     // logits -> token for one lane
     kRetire = 8,       // slot teardown + completion callbacks
@@ -98,12 +98,13 @@ public:
     void add_wall(Phase p, std::uint64_t wall_ns) noexcept;
 
     // Attributes one decode step's StepCost between kPrefill and
-    // kDecodeBatch by lane share. The split is by subtraction so the two
-    // phases' sim_ns sum EXACTLY to the step's simulated_ns (the bench gate
-    // depends on it).
+    // kDecodeBatch by row share: prefill_rows of the step's rows fed prompt
+    // (or replayed) ids whose logits lead to no sample. The split is by
+    // subtraction so the two phases' sim_ns sum EXACTLY to the step's
+    // simulated_ns (the bench gate depends on it).
     void attribute_step(std::uint64_t wall_ns, double sim_ns,
-                        double weight_walks, std::size_t prefill_lanes,
-                        std::size_t lanes) noexcept;
+                        double weight_walks, std::size_t prefill_rows,
+                        std::size_t rows) noexcept;
 
     [[nodiscard]] PhaseTotals totals(Phase p) const noexcept;
     // Retained spans, oldest first.

@@ -172,8 +172,11 @@ void ServeEngine::init() {
     }
     scheduler_ = make_scheduler(opts_.scheduler);
     slots_.resize(backend_->max_batch());
-    feed_tokens_.reserve(slots_.size());
+    feed_tokens_.reserve(std::max(slots_.size(), backend_->max_feed_tokens()));
     feed_slots_.reserve(slots_.size());
+    feed_rows_.reserve(slots_.size());
+    feed_extra_.reserve(slots_.size());
+    prefill_order_.reserve(slots_.size());
     logits_.resize(slots_.size() * backend_->config().vocab_size);
 }
 
@@ -351,6 +354,7 @@ void ServeEngine::admit() {
         slots_[slot].emplace(std::move(*out.req), opts_.sampler, slot);
         SessionState& s = *slots_[slot];
         s.committed_pages = committed;
+        s.admit_seq = admissions_++;
         s.admitted_ns = clock_->now_ns();
         if (s.admitted_ns > s.submitted_ns) {
             hist_queue_wait_->record(s.admitted_ns - s.submitted_ns);
@@ -409,17 +413,15 @@ void ServeEngine::retire(SessionState& s, Retire why) {
     }
     trace(s.id, obs::TraceEvent::kRetired,
           static_cast<std::uint64_t>(finish_reason_of(why)));
-    s.promise.set_value(std::move(r));
     const std::size_t slot = s.slot;
     try {
         backend_->release_slot(slot);  // clears the slot's KV for the next tenant
     } catch (...) {
-        // Device fault on teardown of a FINISHED request: its result already
-        // resolved, so finish this retirement's bookkeeping and stage the
-        // fault for step_locked() to consume between phases.
+        // Device fault on teardown of a FINISHED request: its result still
+        // resolves below, so finish this retirement's bookkeeping and stage
+        // the fault for step_locked() to consume between phases.
         if (!backend_error_) backend_error_ = std::current_exception();
     }
-    slots_[slot].reset();
     if (governor_ != nullptr) {
         // Whole worst-case commitment back to the budget — an early
         // retirement (EOS, cancel, deadline) frees pages it never touched,
@@ -429,10 +431,17 @@ void ServeEngine::retire(SessionState& s, Retire why) {
                                      std::memory_order_release);
     }
     n_active_.fetch_sub(1, std::memory_order_release);
-    const std::lock_guard<std::mutex> g(stats_mu_);
-    ++stats_.requests_completed;
-    if (why == Retire::kCancelled) ++stats_.requests_cancelled;
-    if (why == Retire::kDeadline) ++stats_.requests_expired;
+    {
+        // Count the completion BEFORE resolving the promise: a waiter
+        // unblocked by get() must see its request in stats_snapshot().
+        const std::lock_guard<std::mutex> g(stats_mu_);
+        ++stats_.requests_completed;
+        if (why == Retire::kCancelled) ++stats_.requests_cancelled;
+        if (why == Retire::kDeadline) ++stats_.requests_expired;
+    }
+    std::promise<ServeResult> promise = std::move(s.promise);
+    slots_[slot].reset();
+    promise.set_value(std::move(r));
 }
 
 bool ServeEngine::step() {
@@ -596,6 +605,33 @@ bool ServeEngine::resubmit(PendingRequest& req) {
 
 bool ServeEngine::step_locked() {
     if (failed()) return false;  // a dead engine steps no more
+    control_plane();
+    // Fault checkpoints: a backend exception staged by retire()/admit() is
+    // consumed here, between phases, so no retirement or admission is ever
+    // torn mid-flight by failure handling.
+    if (backend_error_) {
+        fail_backend();
+        return false;
+    }
+    admit();
+    if (backend_error_) {
+        fail_backend();
+        return false;
+    }
+    if (n_active_.load(std::memory_order_relaxed) == 0) {
+        // Nothing admitted: the queue is empty — or its head is a deferred
+        // request, which with zero active sessions cannot happen (an empty
+        // pool admits anything submit accepted).
+        return false;
+    }
+    build_feed();
+    if (!run_feed()) return false;
+    sample_and_book();
+    return !failed() &&
+           (n_active_.load(std::memory_order_relaxed) > 0 || !queue_.empty());
+}
+
+void ServeEngine::control_plane() {
     const auto now = std::chrono::steady_clock::now();
 
     // Token boundary, part 1: control-plane retirements (cancel, deadline)
@@ -613,7 +649,7 @@ bool ServeEngine::step_locked() {
 
     // Sweep the whole queue for dead requests, not just the scheduler's next
     // pick — SJF could pass over a cancelled/expired request forever, leaving
-    // its future unresolved.
+    // its future unresolved. Each is counted before its future resolves.
     for (PendingRequest& dead : queue_.remove_if([now](const PendingRequest& r) {
              return (r.control != nullptr &&
                      r.control->cancel.load(std::memory_order_relaxed)) ||
@@ -622,15 +658,17 @@ bool ServeEngine::step_locked() {
         const bool was_cancelled =
             dead.control != nullptr &&
             dead.control->cancel.load(std::memory_order_relaxed);
+        {
+            const std::lock_guard<std::mutex> g(stats_mu_);
+            ++stats_.requests_completed;
+            if (was_cancelled) {
+                ++stats_.requests_cancelled;
+            } else {
+                ++stats_.requests_expired;
+            }
+        }
         resolve_unstarted(std::move(dead),
                           was_cancelled ? Retire::kCancelled : Retire::kDeadline);
-        const std::lock_guard<std::mutex> g(stats_mu_);
-        ++stats_.requests_completed;
-        if (was_cancelled) {
-            ++stats_.requests_cancelled;
-        } else {
-            ++stats_.requests_expired;
-        }
     }
 
     // Overload shedding: while an SLO alert has the governor engaged, shed
@@ -640,68 +678,80 @@ bool ServeEngine::step_locked() {
     // to requests that can still land inside their SLO. Resolved with
     // kShedOverload (not kDeadline: the deadline has NOT passed yet; the
     // caller learns it was load-shed, the HTTP-503 of admission).
-    if (opts_.overload != nullptr && opts_.overload->shed_hopeless()) {
-        const std::uint64_t ttft_ns = opts_.overload->ttft_estimate_ns();
-        if (ttft_ns > 0) {
-            const double est_ns = static_cast<double>(ttft_ns) *
-                                  opts_.overload->options().hopeless_margin;
-            const auto est = std::chrono::nanoseconds(
-                static_cast<std::int64_t>(est_ns));
-            for (PendingRequest& doomed :
-                 queue_.remove_if([now, est](const PendingRequest& r) {
-                     return r.deadline.has_value() && now + est >= *r.deadline;
-                 })) {
-                const auto left = std::chrono::duration_cast<
-                    std::chrono::nanoseconds>(*doomed.deadline - now);
-                trace(doomed.id, obs::TraceEvent::kShed,
-                      left.count() > 0 ? static_cast<std::uint64_t>(left.count())
-                                       : 0);
-                resolve_unstarted(std::move(doomed), Retire::kShed);
-                opts_.overload->count_shed();
-                const std::lock_guard<std::mutex> g(stats_mu_);
-                ++stats_.requests_completed;
-                ++stats_.requests_shed;
+    if (opts_.overload == nullptr || !opts_.overload->shed_hopeless()) return;
+    const std::uint64_t ttft_ns = opts_.overload->ttft_estimate_ns();
+    if (ttft_ns == 0) return;
+    const double est_ns =
+        static_cast<double>(ttft_ns) * opts_.overload->options().hopeless_margin;
+    const auto est = std::chrono::nanoseconds(static_cast<std::int64_t>(est_ns));
+    for (PendingRequest& doomed :
+         queue_.remove_if([now, est](const PendingRequest& r) {
+             return r.deadline.has_value() && now + est >= *r.deadline;
+         })) {
+        const auto left =
+            std::chrono::duration_cast<std::chrono::nanoseconds>(*doomed.deadline - now);
+        trace(doomed.id, obs::TraceEvent::kShed,
+              left.count() > 0 ? static_cast<std::uint64_t>(left.count()) : 0);
+        opts_.overload->count_shed();
+        {
+            const std::lock_guard<std::mutex> g(stats_mu_);
+            ++stats_.requests_completed;
+            ++stats_.requests_shed;
+        }
+        resolve_unstarted(std::move(doomed), Retire::kShed);
+    }
+}
+
+void ServeEngine::build_feed() {
+    // The step's row budget (Sarathi-style chunked prefill): every active
+    // lane gets one row, and the rows left up to max_feed_tokens() go to
+    // lanes still in prefill, oldest admission first, as a span of their
+    // remaining prefix. Tied to the backend's tile, not a tunable: a step
+    // walks the weights at most twice, so decoding lanes' inter-token gap
+    // stays bounded while prompts advance a tile at a time.
+    const std::size_t active = n_active_.load(std::memory_order_relaxed);
+    std::size_t spare = std::max(active, backend_->max_feed_tokens()) - active;
+    feed_extra_.assign(slots_.size(), 0);
+    if (spare > 0) {
+        prefill_order_.clear();
+        for (std::size_t slot = 0; slot < slots_.size(); ++slot) {
+            if (slots_[slot].has_value() && slots_[slot]->prefill_left() > 1) {
+                prefill_order_.push_back(slot);
             }
         }
-    }
-
-    // Fault checkpoints: a backend exception staged by retire()/admit() is
-    // consumed here, between phases, so no retirement or admission is ever
-    // torn mid-flight by failure handling.
-    if (backend_error_) {
-        fail_backend();
-        return false;
-    }
-
-    // Part 2: queued requests join whatever slots are free.
-    admit();
-    if (backend_error_) {
-        fail_backend();
-        return false;
-    }
-    if (n_active_.load(std::memory_order_relaxed) == 0) {
-        // Nothing admitted: the queue is empty — or its head is a deferred
-        // request, which with zero active sessions cannot happen (an empty
-        // pool admits anything submit accepted).
-        return false;
+        std::sort(prefill_order_.begin(), prefill_order_.end(),
+                  [this](std::size_t a, std::size_t b) {
+                      return slots_[a]->admit_seq < slots_[b]->admit_seq;
+                  });
+        for (const std::size_t slot : prefill_order_) {
+            if (spare == 0) break;
+            const std::size_t extra = std::min(spare, slots_[slot]->prefill_left() - 1);
+            feed_extra_[slot] = extra;
+            spare -= extra;
+        }
     }
 
     feed_tokens_.clear();
     feed_slots_.clear();
-    std::size_t prefill_lanes = 0;
+    feed_rows_.clear();
+    feed_prefill_rows_ = 0;
     for (std::size_t slot = 0; slot < slots_.size(); ++slot) {
         if (!slots_[slot].has_value()) continue;
-        feed_tokens_.push_back(slots_[slot]->next_feed());
+        const SessionState& s = *slots_[slot];
+        const std::size_t n = 1 + feed_extra_[slot];
+        for (std::size_t j = 0; j < n; ++j) feed_tokens_.push_back(s.feed_at(j));
         feed_slots_.push_back(slot);
-        // A lane whose feed does NOT lead to sampling is mid-prefill; the
-        // profiler attributes its share of the step to the prefill phase.
-        if (!slots_[slot]->sampling_after_feed()) ++prefill_lanes;
+        feed_rows_.push_back(n);
+        // Rows whose logits do NOT lead to sampling are prefill; the
+        // profiler attributes their share of the step to the prefill phase.
+        feed_prefill_rows_ += s.sampling_after_feed(n) ? n - 1 : n;
     }
+}
 
-    // ONE weight walk advances every active session by one token.
+bool ServeEngine::run_feed() {
     const std::size_t vocab = backend_->config().vocab_size;
     try {
-        backend_->decode_batch(feed_tokens_, feed_slots_,
+        backend_->decode_batch(feed_tokens_, feed_slots_, feed_rows_,
                                std::span<float>(logits_.data(),
                                                 feed_slots_.size() * vocab));
     } catch (...) {
@@ -716,38 +766,53 @@ bool ServeEngine::step_locked() {
     if (prof_.enabled()) {
         prof_.attribute_step(static_cast<std::uint64_t>(cost.wall_ns),
                              cost.simulated_ns, cost.weight_walks,
-                             prefill_lanes, feed_slots_.size());
+                             feed_prefill_rows_, feed_tokens_.size());
     }
-    {
-        const std::lock_guard<std::mutex> g(stats_mu_);
-        ++stats_.steps;
-        stats_.weight_walks += cost.weight_walks;
-        stats_.lane_steps += feed_slots_.size();
-        stats_.peak_batch = std::max(stats_.peak_batch, feed_slots_.size());
-        stats_.wall_ns += cost.wall_ns;
-        stats_.simulated_ns += cost.simulated_ns;
-        stats_.sim_mem_bound_ns += cost.sim_mem_bound_ns;
-        stats_.sim_compute_ns += cost.sim_compute_ns;
-        stats_.sim_overhead_ns += cost.sim_overhead_ns;
-    }
+    const std::lock_guard<std::mutex> g(stats_mu_);
+    ++stats_.steps;
+    stats_.weight_walks += cost.weight_walks;
+    stats_.lane_steps += feed_tokens_.size();
+    stats_.peak_batch = std::max(stats_.peak_batch, feed_slots_.size());
+    stats_.wall_ns += cost.wall_ns;
+    stats_.simulated_ns += cost.simulated_ns;
+    stats_.sim_mem_bound_ns += cost.sim_mem_bound_ns;
+    stats_.sim_compute_ns += cost.sim_compute_ns;
+    stats_.sim_overhead_ns += cost.sim_overhead_ns;
+    return true;
+}
+
+void ServeEngine::sample_and_book() {
     // One timestamp per step boundary: every latency observed this step
     // (TTFT, inter-token gap) shares it, so gaps measure the step cadence
     // without a clock call per lane.
     const std::uint64_t step_ns = clock_->now_ns();
+    const std::size_t vocab = backend_->config().vocab_size;
 
     // A throwing on_token callback must not corrupt the batch: every lane's
     // bookkeeping still completes, and the first exception is rethrown only
     // after the token boundary is consistent. Token counters accumulate in
-    // locals and flush under ONE stats lock per step — per-lane lock churn
-    // would contend with the router's load() snapshots for nothing.
+    // locals and are booked under one stats lock — at the end of the step,
+    // and before any retirement resolves a future, so a caller returning
+    // from get() always sees its own request's tokens counted.
     std::exception_ptr callback_error;
     std::size_t step_prompt_tokens = 0;
     std::size_t step_replayed_tokens = 0;
     std::size_t step_generated_tokens = 0;
+    auto book = [&] {
+        const std::lock_guard<std::mutex> g(stats_mu_);
+        stats_.prompt_tokens += std::exchange(step_prompt_tokens, 0);
+        stats_.replayed_tokens += std::exchange(step_replayed_tokens, 0);
+        stats_.generated_tokens += std::exchange(step_generated_tokens, 0);
+    };
+    auto book_and_retire = [&](SessionState& s, Retire why) {
+        book();
+        retire(s, why);
+    };
     for (std::size_t b = 0; b < feed_slots_.size(); ++b) {
         SessionState& s = *slots_[feed_slots_[b]];
         const std::span<const float> row(logits_.data() + b * vocab, vocab);
-        const bool samplable = s.sampling_after_feed();
+        const std::size_t n = feed_rows_[b];
+        const bool samplable = s.sampling_after_feed(n);
         if (s.cow_pending) {
             // The feed that just ran was this session's first append after a
             // mid-page adoption: the arena took its private copy of the
@@ -755,15 +820,25 @@ bool ServeEngine::step_locked() {
             s.cow_pending = false;
             trace(s.id, obs::TraceEvent::kCowCopy, 1);
         }
-        if (s.prefix_fed < s.prefix_len()) {
-            const bool replay = s.prefix_fed >= s.prompt.size();
-            ++s.prefix_fed;
-            if (replay) {
-                ++step_replayed_tokens;
-            } else {
-                ++step_prompt_tokens;
+        if (s.prefill_left() > 0) {
+            const std::size_t begin = s.prefix_fed;
+            const std::size_t end = begin + n;
+            const std::size_t prompt_rows =
+                begin < s.prompt.size() ? std::min(end, s.prompt.size()) - begin : 0;
+            step_prompt_tokens += prompt_rows;
+            step_replayed_tokens += n - prompt_rows;
+            // A prefix row predicting a RESUMED token consumed one sampler
+            // draw on the dead shard; the row has no logits here (inside a
+            // tile) or they are unused, so discard the draw to keep a
+            // stochastic continuation on the fault-free run's RNG stream.
+            // The replayed token itself comes from the resume record.
+            for (std::size_t p = begin; p < end; ++p) {
+                if (p + 1 >= s.prompt.size() && p + 1 < s.prefix_len()) {
+                    s.sampler.discard();
+                }
             }
-            if (s.prefix_fed == s.prefix_len()) {
+            s.prefix_fed = end;
+            if (s.prefill_left() == 0) {
                 trace(s.id, obs::TraceEvent::kPrefillDone, s.prefix_len());
                 if (opts_.prefix_sharing && governor_ != nullptr) {
                     // Its prompt pages are all resident now: index them under
@@ -780,18 +855,7 @@ bool ServeEngine::step_locked() {
                 }
             }
         }
-        if (!samplable) {
-            // Mid-prefill: the logits row is unused — except that a row
-            // predicting a RESUMED token consumed one sampler draw on the
-            // dead shard, so draw-and-discard here too. The replayed token
-            // itself comes from the resume record (robust even if sampling
-            // were to diverge); this keeps a stochastic continuation on the
-            // same RNG stream as the fault-free run.
-            if (s.prefix_fed >= s.prompt.size() && s.resumed_count > 0) {
-                (void)s.sampler.sample(row);
-            }
-            continue;
-        }
+        if (!samplable) continue;  // mid-prefill: the span ends inside the prompt
 
         std::int32_t next;
         {
@@ -826,30 +890,22 @@ bool ServeEngine::step_locked() {
         }
 
         if (next == model::ByteTokenizer::kEos) {
-            retire(s, Retire::kEos);
+            book_and_retire(s, Retire::kEos);
         } else if (s.generated.size() >= s.max_new_tokens) {
-            retire(s, Retire::kBudget);
+            book_and_retire(s, Retire::kBudget);
         } else if (backend_->position(s.slot) >= backend_->config().max_seq_len) {
-            retire(s, Retire::kContext);
+            book_and_retire(s, Retire::kContext);
         } else {
             s.pending_token = next;
         }
     }
-    {
-        const std::lock_guard<std::mutex> g(stats_mu_);
-        stats_.prompt_tokens += step_prompt_tokens;
-        stats_.replayed_tokens += step_replayed_tokens;
-        stats_.generated_tokens += step_generated_tokens;
-    }
+    book();
     if (backend_error_) {
         // A release_slot fault during an in-loop retirement: every lane's
         // token boundary completed first, now the engine fails.
         fail_backend();
-        if (callback_error) std::rethrow_exception(callback_error);
-        return false;
     }
     if (callback_error) std::rethrow_exception(callback_error);
-    return n_active_.load(std::memory_order_relaxed) > 0 || !queue_.empty();
 }
 
 void ServeEngine::run_until_idle() {

@@ -1,12 +1,14 @@
 // Continuous-batching serve engine: N concurrent decode sessions behind a
-// bounded request queue, one weight walk per step, on ANY DecodeBackend.
+// bounded request queue, one batched backend step at a time, on ANY
+// DecodeBackend.
 //
 // The paper's whole bandwidth argument is that decode is weight-bound — every
 // token pays one full streaming pass over the quantized weights. A single
 // stream therefore caps out at bandwidth / weight-bytes. The only way past
 // that roofline is to amortize one walk across more work, and this engine is
-// the serving layer that does it: each step advances every active session by
-// one token through ONE weight walk of whatever backend it owns.
+// the serving layer that does it: each step advances every active session
+// through ONE backend step — a decoding session by one token, a session in
+// prefill by a prompt tile of up to the backend's max_feed_tokens() rows.
 //
 // Backends (ServeOptions::backend, or bring your own DecodeBackend):
 //   host  — model::ReferenceEngine skinny-GEMM fast path. Wall-clock serving
@@ -19,7 +21,14 @@
 // Continuous batching: sessions join and retire at token boundaries only.
 // A joining request's prompt tokens ride the same batched walks as other
 // sessions' decode tokens (mixed prefill/decode batches), so admission never
-// stalls the running sessions. Admission order is a pluggable Scheduler
+// stalls the running sessions. Each step is built within a row budget of
+// max(active sessions, backend max_feed_tokens()) rows (Sarathi-Serve's
+// chunked prefill, arXiv:2403.02310): every active session gets one row, and
+// the rows left over go to sessions still in prefill, oldest admission first,
+// as a span of their remaining prompt (failover replay and the un-adopted
+// tail after a prefix hit included). On the host backend a step therefore
+// walks the weights at most twice; on the accel twin (max_feed_tokens 1)
+// every session takes exactly one row. Admission order is a pluggable Scheduler
 // (FCFS default, shortest-job-first optional). Requests can stream tokens
 // (Request::on_token), be cancelled cooperatively (RequestHandle::cancel),
 // or carry deadlines — all observed at token boundaries, so the batch never
@@ -175,10 +184,11 @@ public:
     // Throws when the queue is full or the prompt exceeds the context window.
     RequestHandle submit(Request req);
 
-    // One batched token step: retire cancelled/expired sessions, admit queued
+    // One batched step: retire cancelled/expired sessions, admit queued
     // requests into free slots (Scheduler order, gated by the capacity
-    // governor when paging), advance every active session by one token
-    // through a single weight walk, retire finished sessions. Returns true
+    // governor when paging), advance every active session by one token (or
+    // a prompt tile) through a single backend step, retire finished
+    // sessions. Returns true
     // while work remains (active or queued). Throws when the background
     // driver owns the step loop.
     bool step();
@@ -304,9 +314,23 @@ private:
     // dead shard already generated.
     void resolve_unstarted(PendingRequest&& req, Retire why);
     static FinishReason finish_reason_of(Retire why) noexcept;
+    // step() body; the driver calls it directly. A step runs its phases in
+    // order: control_plane, admit, build_feed, run_feed, sample_and_book.
+    bool step_locked();
+    // Control plane: retires cancelled/expired sessions, resolves dead queued
+    // requests, and sheds deadline-hopeless ones under overload.
+    void control_plane();
     void admit();
+    // Fills the feed scratch: one row per active lane plus prefill spans up
+    // to the step's row budget.
+    void build_feed();
+    // Runs the feed through the backend and books the step's cost; false
+    // (engine failed) when the backend threw.
+    bool run_feed();
+    // Advances prefill, samples every samplable lane, streams, retires, and
+    // books token counters before any future resolves.
+    void sample_and_book();
     void retire(SessionState& s, Retire why);
-    bool step_locked();   // step() body; the driver calls it directly
     void driver_loop();
     // Consumes backend_error_: marks the engine failed, releases the
     // governor's pages, fires the failure callback, then resolves anything
@@ -374,10 +398,17 @@ private:
     std::condition_variable idle_cv_;
     bool driver_busy_ = false;  // guarded by idle_mu_: a step is in flight
 
-    // Step scratch (reused, no per-step allocation).
+    // Step scratch (reused, no per-step allocation). Span i feeds
+    // feed_rows_[i] consecutive tokens of feed_tokens_ to slot feed_slots_[i]
+    // and gets logits row i.
     std::vector<std::int32_t> feed_tokens_;
     std::vector<std::size_t> feed_slots_;
+    std::vector<std::size_t> feed_rows_;
+    std::size_t feed_prefill_rows_ = 0;       // rows that lead to no sample
+    std::vector<std::size_t> feed_extra_;     // per slot: span rows beyond 1
+    std::vector<std::size_t> prefill_order_;  // prefill slots, oldest first
     std::vector<float> logits_;  // [max_batch][vocab]
+    std::uint64_t admissions_ = 0;  // admit_seq source (driver thread only)
 };
 
 }  // namespace efld::serve

@@ -181,18 +181,24 @@ struct PendingRequest {
     std::promise<ServeResult> promise;
 };
 
-// Aggregate engine counters since construction. `steps` counts batched
-// decode_batch calls; `weight_walks` accumulates the backend's StepCost
-// reports (1.0 per step for today's backends, fractional for a future
-// partial-stream engine). The two time totals come from the
+// Aggregate engine counters since construction. `steps` counts backend
+// decode_batch calls; `lane_steps` counts the token rows they fed (a decoding
+// lane's one row, or a prefill lane's whole prompt-tile span), so
+// lane_steps == prompt_tokens + replayed_tokens + generated_tokens -
+// requests_completed for sessions that ran to completion (every fed row is a
+// prefix id or a sampled token fed back; a request's last sample is never
+// fed, and adopted prefix tokens are never fed). `weight_walks` accumulates
+// the backend's StepCost reports (1.0 per step for the accel twin, one per
+// 8-row register tile on the host, fractional for a future partial-stream
+// engine). The two time totals come from the
 // backend's StepCost reports: wall_ns is host time inside decode, and
 // simulated_ns is modeled device time (nonzero for the accel backend), so
 // the same counters answer "how fast is this process" and "how fast would
 // the KV260 serve this load".
 struct ServeStats {
-    std::size_t steps = 0;               // batched decode_batch calls
+    std::size_t steps = 0;               // backend decode_batch calls
     double weight_walks = 0.0;           // backend-reported streaming passes
-    std::size_t lane_steps = 0;          // sum of batch sizes over steps
+    std::size_t lane_steps = 0;          // token rows fed, summed over steps
     std::size_t prompt_tokens = 0;       // prefill tokens fed
     std::size_t generated_tokens = 0;    // sampled tokens
     std::size_t requests_completed = 0;  // every retirement, any reason
@@ -201,7 +207,7 @@ struct ServeStats {
     std::size_t requests_shed = 0;       // overload-governor queue sheds
     std::size_t capacity_deferrals = 0;  // admissions refused by the governor
     std::size_t queue_promotions = 0;    // anti-starvation picks (max_deferrals)
-    std::size_t peak_batch = 0;          // peak concurrent sessions in a step
+    std::size_t peak_batch = 0;          // peak sessions (slots) fed in a step
     // Fault-tolerance counters. replayed_tokens is failover replay work: a
     // resumed request's already-delivered tokens re-fed as prefill to rebuild
     // its KV history (they ride weight walks but are never re-streamed).

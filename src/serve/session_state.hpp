@@ -1,11 +1,15 @@
 // Per-session bookkeeping for one in-flight request.
 //
-// A session occupies one ReferenceEngine slot from admission to retirement.
-// Its token feed is a single logical stream: first the prompt ids (prefill,
-// riding the same batched weight walks as everyone else's decode), then the
-// tokens its own sampler picked. The session is therefore indistinguishable
-// — token for token — from a solo run of the same prompt, which is what the
-// continuous-batching parity tests assert.
+// A session occupies one backend slot from admission to retirement. Its
+// token feed is a single logical stream: first the prefill prefix (prompt
+// ids), then the tokens its own sampler picked. Each step feeds a session
+// one row, or — while it is in prefill and the step has rows to spare — a
+// span of its next prefix ids (a prompt tile, up to the backend's
+// max_feed_tokens()); either way it rides the same batched weight walks as
+// everyone else's decode, and only a span's last row yields logits. Because
+// tiled logits are bit-for-bit token-by-token logits, the session is
+// indistinguishable — token for token — from a solo run of the same prompt,
+// which is what the continuous-batching parity tests assert.
 //
 // Failover resume: a request displaced by a shard failure arrives with the
 // tokens the dead shard already generated and streamed (PendingRequest::
@@ -14,7 +18,9 @@
 // built it, and they seed `generated` so budget math and the final result
 // are unchanged. Because sampling only begins once the WHOLE prefix has been
 // fed, on_token fires only for tokens generated here: a position streamed by
-// the dead shard is never delivered again.
+// the dead shard is never delivered again. Each replayed position's sampler
+// draw is discarded (model::Sampler::discard), so a stochastic continuation
+// stays on the dead shard's RNG stream.
 #pragma once
 
 #include <chrono>
@@ -71,6 +77,7 @@ struct SessionState {
     std::uint64_t submitted_ns = 0;
     std::uint64_t admitted_ns = 0;
     std::uint64_t last_token_ns = 0;
+    std::uint64_t admit_seq = 0;         // admission order on this engine
     std::vector<std::int32_t> generated; // seeded with the resumed tokens
     model::Sampler sampler;              // fresh per request (seeded by config)
     std::promise<ServeResult> promise;
@@ -92,16 +99,20 @@ struct SessionState {
     [[nodiscard]] std::int32_t prefix_at(std::size_t i) const noexcept {
         return i < prompt.size() ? prompt[i] : generated[i - prompt.size()];
     }
-    // Next token to feed this step: remaining prefix first, then the token
-    // sampled last step.
-    [[nodiscard]] std::int32_t next_feed() const noexcept {
-        return prefix_fed < prefix_len() ? prefix_at(prefix_fed) : pending_token;
+    // Prefix ids still to feed (0 once decoding).
+    [[nodiscard]] std::size_t prefill_left() const noexcept {
+        return prefix_len() - prefix_fed;
     }
-    // Whether this step's logits row is samplable (true once the whole prefix
-    // has been fed — i.e. the fed token was the last prefix id or a freshly
+    // Row j of this step's feed: remaining prefix first, then the token
+    // sampled last step.
+    [[nodiscard]] std::int32_t feed_at(std::size_t j) const noexcept {
+        return prefix_fed + j < prefix_len() ? prefix_at(prefix_fed + j) : pending_token;
+    }
+    // Whether the last row of an n-row feed is samplable (true once the whole
+    // prefix has been fed — i.e. that row was the last prefix id or a freshly
     // generated one).
-    [[nodiscard]] bool sampling_after_feed() const noexcept {
-        return prefix_fed + 1 >= prefix_len();
+    [[nodiscard]] bool sampling_after_feed(std::size_t n) const noexcept {
+        return prefix_fed + n >= prefix_len();
     }
 };
 

@@ -139,10 +139,11 @@ TEST(ClusterPrefix, FailoverRebuildsSharedPrefixThroughSurvivorIndex) {
     auto trace = std::make_shared<obs::TraceRecorder>(2048);
     ClusterOptions opts = cluster_opts(PlacementPolicy::kPrefixAffinity);
     opts.shard.trace = trace;
-    // The two warm runs below consume ~39 driver steps on each shard; the
-    // victim then samples from roughly step 40 on shard 0, so step 45 kills
-    // it mid-stream with a handful of tokens already delivered.
-    opts.shard_fault_specs = {"step:45"};
+    // The two warm runs below consume 9 driver steps on each shard (two
+    // 16-row prompt tiles, then 7 decode steps); the victim then samples
+    // from step 10 on shard 0, so step 15 kills it mid-stream with a
+    // handful of tokens already delivered.
+    opts.shard_fault_specs = {"step:15"};
     runtime::ClusterDeployment d = runtime::synthetic_cluster(
         model::ModelConfig::micro_256(), 42, opts);
 

@@ -192,7 +192,8 @@ TEST(ClusterSlo, GovernorTtftEstimateIsTheTsdbWindowMean) {
 
 TEST(ClusterSlo, ShardFailureTriggersFlightBundleWithFailoverEvidence) {
     ClusterOptions opts;
-    opts.shard_fault_specs = {"step:8"};  // shard 0 dies mid-workload
+    // Shard 0 dies mid-workload: one prompt-tile step, then mid-decode.
+    opts.shard_fault_specs = {"step:4"};
     SloCluster c = deploy(2, opts);
 
     const std::string dir = tmp_dir("failure");

@@ -63,9 +63,10 @@ struct StreamLog {
 TEST(Failover, MidStreamKillLosesNoRequestAndDuplicatesNoToken) {
     ClusterOptions opts;
     opts.shards = 2;
-    // Shard 0 dies on its 8th decode_batch call — past prefill for these
-    // short prompts, so its requests are genuinely mid-stream when killed.
-    opts.shard_fault_specs = {"step:8"};
+    // Shard 0 dies on its 4th decode_batch call — past prefill (one prompt
+    // tile) for these short prompts, so its requests are genuinely
+    // mid-stream when killed.
+    opts.shard_fault_specs = {"step:4"};
     runtime::ClusterDeployment d = deploy(opts);
 
     const std::size_t kMaxNew = 6;
@@ -113,6 +114,58 @@ TEST(Failover, MidStreamKillLosesNoRequestAndDuplicatesNoToken) {
 
     // A backend fault is handled, not parked: stop() must not rethrow it.
     EXPECT_NO_THROW(d.router->stop());
+}
+
+TEST(Failover, StochasticSamplingResumesOnTheFaultFreeStream) {
+    // Temperature > 0: the survivor replays the dead shard's prompt and
+    // streamed tokens as prompt tiles and discards one sampler draw per
+    // replayed position, so the continuation stays on the fault-free RNG
+    // stream and the tokens match a fault-free run exactly.
+    model::SamplerConfig sampler;
+    sampler.temperature = 0.9f;
+    sampler.seed = 1234;
+    ClusterOptions opts;
+    opts.shards = 2;
+    opts.shard.sampler = sampler;
+    // Two longer-than-a-tile prompts per shard: prefill takes shard 0 four
+    // steps, so its 6th step lands mid-decode.
+    opts.shard_fault_specs = {"step:6"};
+    runtime::ClusterDeployment d = runtime::synthetic_cluster(
+        model::ModelConfig::micro_256(), 42, opts);
+
+    const std::size_t kMaxNew = 10;
+    std::vector<std::string> prompts;
+    for (int r = 0; r < 4; ++r) {
+        prompts.push_back("stochastic failover prompt number " + std::to_string(r));
+    }
+    StreamLog log;
+    std::vector<runtime::RequestHandle> handles;
+    for (std::size_t r = 0; r < prompts.size(); ++r) {
+        handles.push_back(d.router->submit(log.tap(prompts[r], kMaxNew, r)));
+    }
+    d.router->start();
+
+    runtime::ServeOptions so;
+    so.sampler = sampler;
+    runtime::ServeDeployment single =
+        runtime::synthetic_serve(model::ModelConfig::micro_256(), 42, so);
+    std::size_t displaced = 0;
+    for (std::size_t r = 0; r < handles.size(); ++r) {
+        runtime::RequestHandle want = single.engine->submit(
+            runtime::ServeRequest{.prompt = prompts[r], .max_new_tokens = kMaxNew});
+        single.engine->run_until_idle();
+        const runtime::ServeResult& res = handles[r].get();
+        EXPECT_EQ(res.tokens, want.get().tokens) << "request " << r;
+        const std::lock_guard<std::mutex> lock(log.mu);
+        EXPECT_EQ(log.streamed[r], res.tokens) << "request " << r;
+        displaced += res.failovers > 0 ? 1 : 0;
+    }
+    EXPECT_GE(displaced, 1u);
+    const runtime::ClusterStats cs = d.router->stats();
+    EXPECT_EQ(cs.shard_failures, 1u);
+    EXPECT_EQ(cs.requests_lost, 0u);
+    EXPECT_GT(cs.replayed_tokens(), 0u);  // killed mid-decode: tokens replayed
+    d.router->stop();
 }
 
 TEST(Failover, AdmissionFaultFailsOverQueuedRequests) {

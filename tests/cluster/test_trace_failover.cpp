@@ -27,9 +27,10 @@ TEST(TraceFailover, ScriptedKillYieldsHarvestResubmitAndOneFirstToken) {
     auto trace = std::make_shared<obs::TraceRecorder>(1024);
     ClusterOptions opts;
     opts.shards = 2;
-    // Shard 0 dies on its 8th decode_batch call — mid-stream for these
-    // prompts, so its requests carry partial token histories when harvested.
-    opts.shard_fault_specs = {"step:8"};
+    // Shard 0 dies on its 4th decode_batch call — mid-stream for these
+    // prompts (one prompt-tile step, then decode), so its requests carry
+    // partial token histories when harvested.
+    opts.shard_fault_specs = {"step:4"};
     opts.shard.sampler.temperature = 0.0f;
     opts.shard.trace = trace;
     runtime::ClusterDeployment d =

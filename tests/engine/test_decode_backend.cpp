@@ -6,6 +6,7 @@
 // run, so paged-vs-contiguous bit-exactness is part of the contract).
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <span>
 #include <string>
 #include <tuple>
@@ -91,9 +92,16 @@ TEST_P(DecodeBackendContract, StepCostReported) {
     EXPECT_DOUBLE_EQ(c.weight_walks, 1.0);
     if (kind() == BackendKind::kAccel) {
         EXPECT_GT(c.simulated_ns, 0.0);  // cycle-priced
-    } else {
-        EXPECT_EQ(c.simulated_ns, 0.0);  // the host IS the wall clock
+        return;
     }
+    EXPECT_EQ(c.simulated_ns, 0.0);  // the host IS the wall clock
+    // A 16-row prompt tile: the skinny GEMM decodes the weight codes once
+    // per kGemmBatchTile (8) rows, so the step walks them twice.
+    const std::vector<std::int32_t> tile(16, 9);
+    const std::size_t rows = tile.size();
+    be.decode_batch(tile, std::span<const std::size_t>(&slot, 1),
+                    std::span<const std::size_t>(&rows, 1), logits);
+    EXPECT_DOUBLE_EQ(be.last_step_cost().weight_walks, 2.0);
 }
 
 TEST_P(DecodeBackendContract, BatchNeverChangesLogits) {
@@ -196,6 +204,121 @@ TEST_P(DecodeBackendContract, AdoptedPrefixCopiesOnWriteWithSoloLogits) {
     be.release_slot(bslot);
     EXPECT_EQ(be.drop_prefix_cache(), 4u);
     EXPECT_EQ(be.prefix_stats().pages_shared, 0u);
+}
+
+// Token-by-token oracle: a contiguous solo backend of the same kind fed one
+// token per step.
+struct TokenByToken {
+    BackendBundle bundle;
+    std::size_t slot = 0;
+    std::vector<float> logits;
+
+    explicit TokenByToken(BackendBundle b) : bundle(std::move(b)) {
+        slot = bundle.backend->reserve_slot();
+        logits.resize(bundle.backend->config().vocab_size);
+    }
+    // Feeds `tokens` one per step; returns the logits after the last.
+    const std::vector<float>& feed(std::span<const std::int32_t> tokens) {
+        for (const std::int32_t t : tokens) {
+            bundle.backend->decode_batch(std::span<const std::int32_t>(&t, 1),
+                                         std::span<const std::size_t>(&slot, 1),
+                                         logits);
+        }
+        return logits;
+    }
+};
+
+bool same_bits(std::span<const float> got, const std::vector<float>& want) {
+    return got.size() == want.size() &&
+           std::memcmp(got.data(), want.data(), want.size() * sizeof(float)) == 0;
+}
+
+TEST_P(DecodeBackendContract, TileFeedMatchesTokenByToken) {
+    BackendBundle b = make(4);
+    DecodeBackend& be = *b.backend;
+    const std::size_t vocab = be.config().vocab_size;
+    if (kind() == BackendKind::kAccel) {
+        // The twin feeds one token per slot per step and says so.
+        EXPECT_EQ(be.max_feed_tokens(), 1u);
+        const std::size_t slot = be.reserve_slot();
+        const std::int32_t toks[] = {3, 4};
+        const std::size_t rows[] = {2};
+        std::vector<float> logits(vocab);
+        EXPECT_THROW(be.decode_batch(toks, std::span<const std::size_t>(&slot, 1), rows,
+                                     logits),
+                     efld::Error);
+        EXPECT_EQ(be.position(slot), 0u);
+        return;
+    }
+    ASSERT_EQ(be.max_feed_tokens(), 16u);
+    const std::size_t pt = std::get<1>(GetParam());
+
+    std::vector<std::int32_t> stream(48);
+    for (std::size_t i = 0; i < stream.size(); ++i) {
+        stream[i] = static_cast<std::int32_t>(3 + (i * 7) % 50);
+    }
+    const std::span<const std::int32_t> s(stream);
+    std::vector<float> logits(4 * vocab);
+    auto row = [&](std::size_t i) {
+        return std::span<const float>(logits).subspan(i * vocab, vocab);
+    };
+
+    // Slot A: a 5-row span, then a 16-row span over positions 5..20 — across
+    // the page boundaries at 8 and 16 on the paged layout.
+    TokenByToken oracle_a(make_solo_contiguous());
+    const std::size_t a = be.reserve_slot();
+    const std::size_t five = 5;
+    be.decode_batch(s.first(5), std::span<const std::size_t>(&a, 1),
+                    std::span<const std::size_t>(&five, 1), logits);
+    EXPECT_EQ(be.position(a), 5u);
+    EXPECT_TRUE(same_bits(row(0), oracle_a.feed(s.first(5))));
+    const std::size_t sixteen = 16;
+    be.decode_batch(s.subspan(5, 16), std::span<const std::size_t>(&a, 1),
+                    std::span<const std::size_t>(&sixteen, 1), logits);
+    EXPECT_EQ(be.position(a), 21u);
+    EXPECT_TRUE(same_bits(row(0), oracle_a.feed(s.subspan(5, 16))));
+
+    // One step mixing A's next 16-row span with two single-token lanes.
+    TokenByToken oracle_b(make_solo_contiguous());
+    TokenByToken oracle_c(make_solo_contiguous());
+    const std::size_t bs = be.reserve_slot();
+    const std::size_t cs = be.reserve_slot();
+    {
+        const std::size_t slots[] = {bs, cs};
+        for (std::size_t i = 0; i < 3; ++i) {
+            const std::int32_t toks[] = {stream[40 + i], stream[44 + i]};
+            be.decode_batch(toks, slots, logits);
+            oracle_b.feed(s.subspan(40 + i, 1));
+            oracle_c.feed(s.subspan(44 + i, 1));
+        }
+    }
+    std::vector<std::int32_t> mixed(s.begin() + 21, s.begin() + 37);
+    mixed.push_back(stream[1]);
+    mixed.push_back(stream[2]);
+    const std::size_t slots[] = {a, bs, cs};
+    const std::size_t rows[] = {16, 1, 1};
+    be.decode_batch(mixed, slots, rows, logits);
+    EXPECT_EQ(be.position(a), 37u);
+    EXPECT_EQ(be.position(bs), 4u);
+    EXPECT_EQ(be.position(cs), 4u);
+    EXPECT_TRUE(same_bits(row(0), oracle_a.feed(s.subspan(21, 16))));
+    EXPECT_TRUE(same_bits(row(1), oracle_b.feed(s.subspan(1, 1))));
+    EXPECT_TRUE(same_bits(row(2), oracle_c.feed(s.subspan(2, 1))));
+    if (pt == 0) return;  // adoption needs the paged layout
+
+    // A span right after a mid-page adoption: slot D maps A's registered
+    // pages up to position 29 (mid-page), and its 16-row span first copies
+    // the shared page, then writes — logits still token-by-token's.
+    ASSERT_GT(be.register_prefix(a, s.first(37), 16), 0u);
+    const std::size_t d = be.reserve_slot();
+    ASSERT_EQ(be.adopt_prefix(d, s, 29), 29u);
+    ASSERT_NE(29 % pt, 0u);
+    be.decode_batch(s.subspan(29, 16), std::span<const std::size_t>(&d, 1),
+                    std::span<const std::size_t>(&sixteen, 1), logits);
+    EXPECT_EQ(be.position(d), 45u);
+    EXPECT_EQ(be.prefix_stats().cow_copies, 1u);
+    TokenByToken oracle_d(make_solo_contiguous());
+    EXPECT_TRUE(same_bits(row(0), oracle_d.feed(s.first(45))));
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -206,6 +206,103 @@ TEST(EngineBatch, FloatWeightBatchMatchesSolo) {
     }
 }
 
+TEST(EngineBatch, TileSpansMatchSoloAcrossThreadCounts) {
+    // Prompt tiles beside decoding lanes: session 0 advances in spans of up
+    // to 16 rows while sessions 1 and 2 take one row (and once a span) per
+    // step. Every span's last-row logits are bit-for-bit a single-threaded
+    // solo engine's fed the same stream token by token — for both weight
+    // storages and on a worker pool, whose per-(span, KV head) attention
+    // tasks then run in parallel.
+    const std::vector<std::vector<std::size_t>> plan = {
+        {14, 1, 1}, {16, 7, 1}, {3, 1, 1}, {1, 1, 16}, {16, 16, 1}};
+    constexpr std::size_t kSessions = 3;
+    std::vector<std::vector<std::vector<float>>> want(kSessions);  // [s][step]
+    for (std::size_t s = 0; s < kSessions; ++s) {
+        ReferenceEngine solo(weights_w4(), EngineOptions{.use_kv8 = true});
+        std::size_t fed = 0;
+        for (const std::vector<std::size_t>& rows : plan) {
+            std::vector<float> last;
+            for (std::size_t j = 0; j < rows[s]; ++j) last = solo.forward(stream_token(s, fed++));
+            want[s].push_back(std::move(last));
+        }
+    }
+    const std::size_t vocab = gqa_cfg().vocab_size;
+    for (const bool packed : {false, true}) {
+        for (const std::size_t threads : {1u, 4u}) {
+            ReferenceEngine eng(weights_w4(),
+                                EngineOptions{.use_kv8 = true,
+                                              .threads = threads,
+                                              .max_batch = kSessions,
+                                              .packed_weights = packed});
+            std::vector<std::size_t> fed(kSessions, 0);
+            const std::vector<std::size_t> slots{0, 1, 2};
+            std::vector<float> logits(kSessions * vocab);
+            for (std::size_t i = 0; i < plan.size(); ++i) {
+                std::vector<std::int32_t> tokens;
+                for (std::size_t s = 0; s < kSessions; ++s) {
+                    for (std::size_t j = 0; j < plan[i][s]; ++j) {
+                        tokens.push_back(stream_token(s, fed[s]++));
+                    }
+                }
+                eng.decode_batch(tokens, slots, plan[i], logits);
+                for (std::size_t s = 0; s < kSessions; ++s) {
+                    const std::vector<float> got(logits.begin() + s * vocab,
+                                                 logits.begin() + (s + 1) * vocab);
+                    ASSERT_EQ(got, want[s][i]) << "session " << s << " step " << i
+                                               << " threads " << threads;
+                    ASSERT_EQ(eng.position(s), fed[s]);
+                }
+            }
+            // The last step held 33 rows, more than one pass's 16: three
+            // passes of 16, 16 and 1 rows, walking the weight codes 2 + 2 + 1
+            // times.
+            EXPECT_DOUBLE_EQ(eng.last_step_cost().weight_walks, 5.0);
+        }
+    }
+}
+
+TEST(EngineBatch, PrefillTilesMatchTokenByToken) {
+    std::vector<std::int32_t> prompt(37);
+    for (std::size_t i = 0; i < prompt.size(); ++i) prompt[i] = stream_token(1, i);
+    ReferenceEngine tiled(weights_w4(), EngineOptions{.use_kv8 = true});
+    ReferenceEngine solo(weights_w4(), EngineOptions{.use_kv8 = true});
+    std::vector<float> want;
+    for (const std::int32_t t : prompt) want = solo.forward(t);
+    EXPECT_EQ(tiled.prefill(prompt), want);
+    EXPECT_EQ(tiled.position(), prompt.size());
+}
+
+TEST(EngineBatch, RejectsBadSpans) {
+    ReferenceEngine eng(weights_w4(), EngineOptions{.max_batch = 2});
+    const std::vector<std::size_t> slots{0, 1};
+    std::vector<float> logits(2 * gqa_cfg().vocab_size);
+    const std::vector<std::int32_t> t3{1, 2, 3};
+    // Rows must sum to the token count, and every span holds 1..16 tokens.
+    EXPECT_THROW(eng.decode_batch(t3, slots, std::vector<std::size_t>{1, 1}, logits),
+                 efld::Error);
+    EXPECT_THROW(eng.decode_batch(t3, slots, std::vector<std::size_t>{3, 0}, logits),
+                 efld::Error);
+    const std::vector<std::int32_t> t18(18, 1);
+    EXPECT_THROW(eng.decode_batch(t18, slots, std::vector<std::size_t>{17, 1}, logits),
+                 efld::Error);
+    EXPECT_EQ(eng.position(0), 0u);
+    EXPECT_EQ(eng.position(1), 0u);
+
+    // A span may not run past the context window.
+    ModelConfig small = gqa_cfg();
+    small.max_seq_len = 8;
+    static const QuantizedModelWeights qw = QuantizedModelWeights::quantize(
+        ModelWeights::synthetic(small, 3), quant::GroupQuantConfig{});
+    ReferenceEngine tiny(qw, EngineOptions{});
+    const std::size_t slot0 = 0;
+    const std::size_t nine = 9;
+    const std::vector<std::int32_t> t9(9, 1);
+    EXPECT_THROW(tiny.decode_batch(t9, std::span<const std::size_t>(&slot0, 1),
+                                   std::span<const std::size_t>(&nine, 1), logits),
+                 efld::Error);
+    EXPECT_EQ(tiny.position(), 0u);
+}
+
 TEST(EngineBatch, RejectsBadBatches) {
     ReferenceEngine eng(weights_w4(), EngineOptions{.max_batch = 2});
     const std::vector<std::int32_t> t2{1, 2};

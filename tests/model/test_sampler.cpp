@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <vector>
 
 #include "model/sampler.hpp"
 
@@ -80,6 +81,35 @@ TEST(Sampler, LowTemperatureSharpens) {
         if (sc.sample(logits) == 1) ++cold1;
     }
     EXPECT_GT(cold1, hot1);
+}
+
+TEST(Sampler, DiscardConsumesExactlyOneStochasticDraw) {
+    // discard() stands in for a sample() whose token is already known (a
+    // replayed position): afterwards the stream continues exactly as if
+    // sample() had run.
+    SamplerConfig cfg;
+    cfg.temperature = 0.8f;
+    cfg.top_k = 8;
+    cfg.seed = 99;
+    std::vector<float> logits(32);
+    for (std::size_t i = 0; i < logits.size(); ++i) {
+        logits[i] = static_cast<float>((i * 13) % 7) * 0.3f;
+    }
+    Sampler sampled(cfg), discarded(cfg);
+    for (int i = 0; i < 3; ++i) {
+        (void)sampled.sample(logits);
+        discarded.discard();
+    }
+    for (int i = 0; i < 50; ++i) {
+        ASSERT_EQ(sampled.sample(logits), discarded.sample(logits)) << "draw " << i;
+    }
+
+    // Greedy draws nothing, so discard is a no-op there.
+    SamplerConfig greedy;
+    greedy.temperature = 0.0f;
+    Sampler g(greedy);
+    g.discard();
+    EXPECT_EQ(g.sample(logits), Sampler::argmax(logits));
 }
 
 }  // namespace

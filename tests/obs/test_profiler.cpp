@@ -52,10 +52,10 @@ TEST(Profiler, AttributeStepSplitsSimExactlyBySubtraction) {
     ManualClock clock;
     Profiler prof;
     prof.enable(&clock, 0);
-    // 3 lanes, 1 prefilling: prefill gets 1/3 of everything (rounded), decode
+    // 3 rows, 1 prefilling: prefill gets 1/3 of everything (rounded), decode
     // the exact remainder — the two sim_ns MUST re-sum to the input.
     prof.attribute_step(/*wall_ns=*/900, /*sim_ns=*/1000.0,
-                        /*weight_walks=*/1.0, /*prefill_lanes=*/1, /*lanes=*/3);
+                        /*weight_walks=*/1.0, /*prefill_rows=*/1, /*rows=*/3);
     const PhaseTotals pre = prof.totals(Phase::kPrefill);
     const PhaseTotals dec = prof.totals(Phase::kDecodeBatch);
     EXPECT_EQ(pre.count, 1u);

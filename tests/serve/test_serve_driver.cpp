@@ -14,6 +14,7 @@
 
 #include "common/check.hpp"
 #include "engine/fault_injection.hpp"
+#include "model/tokenizer.hpp"
 #include "runtime/serve.hpp"
 
 namespace efld::serve {
@@ -43,6 +44,30 @@ TEST(ServeDriver, ServesSubmittedWorkWithoutManualStepping) {
     EXPECT_FALSE(d.engine->running());
     EXPECT_EQ(d.engine->stats().requests_completed, 6u);
     EXPECT_EQ(d.engine->active_sessions(), 0u);
+}
+
+TEST(ServeDriver, StatsIncludeARequestOnceItsFutureResolves) {
+    // The engine books a step's token counters and the completion BEFORE it
+    // resolves the future: a caller returning from get() on a driver-run
+    // engine reads stats that already count its own request.
+    runtime::ServeDeployment d = deploy();
+    d.engine->run();
+    model::ByteTokenizer tok;
+    std::size_t prompt = 0;
+    std::size_t generated = 0;
+    for (std::size_t r = 0; r < 12; ++r) {
+        const std::string text = "booked " + std::to_string(r);
+        runtime::RequestHandle h = d.engine->submit(
+            runtime::ServeRequest{.prompt = text, .max_new_tokens = 3});
+        const std::size_t got = h.get().tokens.size();
+        const ServeStats st = d.engine->stats_snapshot();
+        prompt += tok.encode(text).size();
+        generated += got;
+        EXPECT_EQ(st.requests_completed, r + 1) << "request " << r;
+        EXPECT_EQ(st.prompt_tokens, prompt) << "request " << r;
+        EXPECT_EQ(st.generated_tokens, generated) << "request " << r;
+    }
+    d.engine->stop();
 }
 
 TEST(ServeDriver, WakesFromIdleOnLateSubmit) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <future>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -130,10 +131,90 @@ TEST(ServeEngine, PackedWeightServingMatchesByteCodes) {
     EXPECT_EQ(fp.get().tokens, fb.get().tokens);
 }
 
+// The host engine fed one token per slot per step: the feed the serve
+// engine used before prompt tiles, kept here as the step-count baseline.
+class OneTokenFeed final : public model::ReferenceEngine {
+public:
+    using ReferenceEngine::ReferenceEngine;
+    [[nodiscard]] std::size_t max_feed_tokens() const noexcept override { return 1; }
+};
+
+TEST(ServeEngine, PrefillTilesMatchTokenByTokenSoloRuns) {
+    // Prompts longer than one 16-row tile, four lanes: prompts advance in
+    // tiles beside decoding lanes, yet every request's tokens are exactly a
+    // solo token-by-token run's — with paging and prefix sharing off, paging
+    // on, and sharing on (the un-adopted tail after a mid-page adoption then
+    // rides the tiles too).
+    const std::string sys = "You are a terse assistant. Answer briefly: ";
+    const std::vector<Submission> subs{
+        {sys + "what is a page?", 6},     {sys + "why tile prompts?", 4},
+        {sys + "name a color", 7},        {sys + "count to three", 5},
+        {sys + "one more question", 3},   {sys + "and the last one", 6},
+    };
+    struct Variant {
+        bool paging;
+        bool sharing;
+    };
+    const runtime::ServeDeployment base = runtime::synthetic_serve(test_cfg(), 42, {});
+    const model::QuantizedModelWeights& qw = *base.weights;
+    std::vector<std::vector<std::int32_t>> want;
+    for (const Submission& sub : subs) {
+        want.push_back(solo_generate(qw, {}, sub.prompt, sub.max_new));
+    }
+    for (const Variant v : {Variant{false, false}, Variant{true, false},
+                            Variant{true, true}}) {
+        ServeOptions opts;
+        opts.max_batch = 4;
+        opts.paging = v.paging;
+        if (v.paging) opts.kv_pool_pages = 64;
+        opts.prefix_sharing = v.sharing;
+        ServeEngine eng(qw, opts);
+        if (v.sharing) {
+            // Index the system prompt's pages so later requests adopt them.
+            RequestHandle warm =
+                eng.submit(Request{.prompt = sys + "warm", .max_new_tokens = 1});
+            eng.run_until_idle();
+            (void)warm.get();
+        }
+        std::vector<RequestHandle> futs;
+        for (const Submission& sub : subs) {
+            futs.push_back(
+                eng.submit(Request{.prompt = sub.prompt, .max_new_tokens = sub.max_new}));
+        }
+        eng.run_until_idle();
+        for (std::size_t i = 0; i < futs.size(); ++i) {
+            EXPECT_EQ(futs[i].get().tokens, want[i])
+                << "request " << i << " paging " << v.paging << " sharing " << v.sharing;
+        }
+        const ServeStats& st = eng.stats();
+        if (v.sharing) EXPECT_GT(st.prefix_hits, 0u);
+        EXPECT_EQ(st.lane_steps, st.prompt_tokens + st.generated_tokens -
+                                     st.requests_completed);
+        if (v.paging) continue;
+
+        // The same load fed one token per slot per step takes more steps.
+        model::EngineOptions eo;
+        eo.use_kv8 = opts.use_kv8;
+        eo.max_batch = opts.max_batch;
+        ServeEngine one(std::make_unique<OneTokenFeed>(qw, eo), opts);
+        std::vector<RequestHandle> one_futs;
+        for (const Submission& sub : subs) {
+            one_futs.push_back(one.submit(
+                Request{.prompt = sub.prompt, .max_new_tokens = sub.max_new}));
+        }
+        one.run_until_idle();
+        for (std::size_t i = 0; i < futs.size(); ++i) {
+            EXPECT_EQ(one_futs[i].get().tokens, futs[i].get().tokens) << "request " << i;
+        }
+        EXPECT_EQ(one.stats().lane_steps, st.lane_steps);
+        EXPECT_LT(st.steps, one.stats().steps);
+    }
+}
+
 TEST(ServeEngine, StatsExposeWeightWalkAmortization) {
-    // Four identical fully-overlapped sessions: the weight stream is walked
-    // (prompt + max_new - 1) times but 4 * max_new tokens come out, so walks
-    // per token drops well below the single-stream 1.0.
+    // Four identical fully-overlapped sessions: prompts advance in tiles and
+    // every decode step feeds all four lanes through one walk, so walks per
+    // token drops well below the single-stream 1.0.
     ServeOptions opts;
     opts.max_batch = 4;
     runtime::ServeDeployment d = runtime::synthetic_serve(test_cfg(), 11, opts);
