@@ -1,6 +1,6 @@
 // Host decode throughput: the software twin's fused fast path vs. the seed
-// gemv_reference route, single- and multi-threaded, against the simulated
-// KV260 decode rate from the cycle model.
+// gemv_reference route, single- and multi-threaded, against the host's own
+// read bandwidth and the simulated KV260 decode rate from the cycle model.
 //
 // The paper's thesis is that decode = memory streaming; the host engine only
 // serves as a credible baseline for the cycle model if its own hot path is
@@ -9,12 +9,20 @@
 //   legacy  : seed path (allocating gemv_reference per projection, 1 thread)
 //   fused 1t: fused dequantize×dot fast path, allocation-free decode loop
 //   fused Nt: same with GEMV rows / attention heads across a worker pool
+//   packed  : fused 4 threads over the 4-bit bus-word streams
+//
+// Each fused row also reports its weight walk rate — weight bytes per token
+// (1 B per code, the fp16 scale and the zero per group) × token/s — and
+// host_bw_util, that rate over a STREAM-style read peak measured at the same
+// thread count over a buffer the size of those weight bytes. The walk rate
+// counts every decode op's time against the weights alone, so it is a floor
+// on what the GEMV kernel itself streams.
 //
 // `--json [path]` additionally emits a BENCH_host_decode.json perf record so
 // the throughput trajectory is trackable across PRs.
 #include <algorithm>
+#include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -23,6 +31,7 @@
 #include <vector>
 
 #include "accel/cycle_model.hpp"
+#include "common/threadpool.hpp"
 #include "model/reference_engine.hpp"
 #include "model/weights.hpp"
 
@@ -58,6 +67,46 @@ RunResult run_decode(const model::QuantizedModelWeights& qw, model::EngineOption
     const auto t1 = std::chrono::steady_clock::now();
     const double s = std::chrono::duration<double>(t1 - t0).count();
     return RunResult{static_cast<double>(decode_tokens) / s, checksum};
+}
+
+// Bytes of stored weights one decode token walks: every projection and the
+// LM head, at 1 B per code plus the fp16 scale and the zero per group.
+std::uint64_t walk_bytes(const model::QuantizedModelWeights& qw) {
+    const auto bytes = [](const quant::QuantizedLinear& m) {
+        return static_cast<std::uint64_t>(m.codes().size() + m.scales().size() * sizeof(Fp16) +
+                                          m.zeros().size());
+    };
+    std::uint64_t total = bytes(qw.lm_head);
+    for (const auto& l : qw.layers) {
+        for (const auto* w : {&l.wq, &l.wk, &l.wv, &l.wo, &l.w_gate, &l.w_up, &l.w_down}) {
+            total += bytes(*w);
+        }
+    }
+    return total;
+}
+
+// STREAM-style read peak: `threads` workers sum a `bytes`-sized buffer (each
+// timed pass sweeps it often enough to read >= 64 MiB); median of 15 passes.
+double read_peak_gbps(std::uint64_t bytes, std::size_t threads) {
+    std::vector<std::uint64_t> buf(std::max<std::uint64_t>(bytes / 8, 1), 1);
+    const std::size_t sweeps = std::max<std::uint64_t>(1, (64ull << 20) / (buf.size() * 8));
+    ThreadPool pool(threads);
+    std::atomic<std::uint64_t> sink{0};
+    std::vector<double> secs;
+    for (int rep = 0; rep < 15; ++rep) {
+        const auto t0 = std::chrono::steady_clock::now();
+        for (std::size_t k = 0; k < sweeps; ++k) {
+            pool.parallel_for(buf.size(), [&](std::size_t b, std::size_t e) {
+                std::uint64_t sum = 0;
+                for (std::size_t i = b; i < e; ++i) sum += buf[i];
+                sink.fetch_add(sum, std::memory_order_relaxed);
+            });
+        }
+        secs.push_back(
+            std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count());
+    }
+    std::nth_element(secs.begin(), secs.begin() + secs.size() / 2, secs.end());
+    return static_cast<double>(buf.size() * 8 * sweeps) / secs[secs.size() / 2] / 1e9;
 }
 
 }  // namespace
@@ -110,36 +159,61 @@ int main(int argc, char** argv) {
     const model::EngineOptions legacy{.use_kv8 = true, .seed_baseline = true, .threads = 1};
     const model::EngineOptions fused1{.use_kv8 = true, .seed_baseline = false, .threads = 1};
 
-    std::printf("%-22s | %10s | %8s\n", "configuration", "token/s", "speedup");
-    std::printf("---------------------------------------------\n");
-    const RunResult base = run_decode(qw, legacy, prefill_tokens, decode_tokens);
-    std::printf("%-22s | %10.2f | %7.2fx\n", "legacy (seed path)", base.tokens_per_s, 1.0);
-    const RunResult f1 = run_decode(qw, fused1, prefill_tokens, decode_tokens);
-    std::printf("%-22s | %10.2f | %7.2fx\n", "fused, 1 thread", f1.tokens_per_s,
-                f1.tokens_per_s / base.tokens_per_s);
+    const std::uint64_t weight_bytes = walk_bytes(qw);
+    std::vector<std::pair<std::size_t, double>> peaks;  // (threads, GB/s)
+    for (const std::size_t t : {1u, 2u, 4u}) peaks.emplace_back(t, read_peak_gbps(weight_bytes, t));
+    std::printf("weight walk: %.2f MB/token; host read peak over that many bytes:",
+                static_cast<double>(weight_bytes) / 1e6);
+    for (const auto& [t, gbps] : peaks) std::printf(" %zut %.2f GB/s", t, gbps);
+    std::printf("\n\n");
 
-    std::vector<std::pair<std::size_t, double>> threaded;
+    struct Row {
+        std::string label, key;
+        RunResult r;
+        double walk_gbps, util;
+    };
+    std::vector<Row> rows;
+    const auto run_row = [&](std::string label, std::string key, model::EngineOptions o) {
+        const RunResult r = run_decode(qw, o, prefill_tokens, decode_tokens);
+        const double walk = static_cast<double>(weight_bytes) * r.tokens_per_s / 1e9;
+        double peak = 0.0;
+        for (const auto& [t, gbps] : peaks) peak = t == o.threads ? gbps : peak;
+        rows.push_back({std::move(label), std::move(key), r, walk, walk / peak});
+    };
+
+    const RunResult base = run_decode(qw, legacy, prefill_tokens, decode_tokens);
+    run_row("fused, 1 thread", "fused_1t", fused1);
     for (const std::size_t t : {2u, 4u}) {
         model::EngineOptions o = fused1;
         o.threads = t;
-        const RunResult r = run_decode(qw, o, prefill_tokens, decode_tokens);
-        threaded.emplace_back(t, r.tokens_per_s);
-        char label[32];
-        std::snprintf(label, sizeof label, "fused, %zu threads", t);
-        std::printf("%-22s | %10.2f | %7.2fx\n", label, r.tokens_per_s,
-                    r.tokens_per_s / base.tokens_per_s);
-        if (std::abs(r.logit_checksum - f1.logit_checksum) > 0.0) {
-            std::printf("  WARNING: threaded checksum diverged from 1-thread!\n");
+        run_row("fused, " + std::to_string(t) + " threads", "fused_" + std::to_string(t) + "t", o);
+    }
+    model::EngineOptions packed = fused1;
+    packed.threads = 4;
+    packed.packed_weights = true;
+    run_row("fused, packed, 4 threads", "fused_packed_4t", packed);
+
+    std::printf("%-26s | %10s | %8s | %9s | %12s\n", "configuration", "token/s", "speedup",
+                "walk GB/s", "host_bw_util");
+    std::printf("--------------------------------------------------------------------------\n");
+    std::printf("%-26s | %10.2f | %7.2fx | %9s | %12s\n", "legacy (seed path)",
+                base.tokens_per_s, 1.0, "-", "-");
+    for (const Row& row : rows) {
+        std::printf("%-26s | %10.2f | %7.2fx | %9.2f | %12.3f\n", row.label.c_str(),
+                    row.r.tokens_per_s, row.r.tokens_per_s / base.tokens_per_s, row.walk_gbps,
+                    row.util);
+        if (row.r.logit_checksum != rows[0].r.logit_checksum) {
+            std::printf("  WARNING: checksum diverged from 1-thread!\n");
         }
     }
+    std::printf("(walk GB/s counts 1 B per code; the packed row reads half the code bytes)\n");
 
     // The simulated KV260 rate the host baseline is measured against.
     accel::DecodeCycleModel sim(cfg, model::QuantScheme::w4a16_kv8(), accel::AccelConfig{});
     const double sim_tok_s =
         sim.token_timing(prefill_tokens + decode_tokens / 2).tokens_per_s();
-    const double best_host =
-        std::max(f1.tokens_per_s,
-                 std::max(threaded[0].second, threaded[1].second));
+    double best_host = 0.0;
+    for (const Row& row : rows) best_host = std::max(best_host, row.r.tokens_per_s);
     std::printf("\nsimulated KV260 decode rate : %10.2f token/s\n", sim_tok_s);
     std::printf("host-vs-simulated gap       : %10.2fx (host %s)\n",
                 best_host > sim_tok_s ? best_host / sim_tok_s : sim_tok_s / best_host,
@@ -152,10 +226,16 @@ int main(int argc, char** argv) {
             << "  \"model\": \"" << cfg.name << "\",\n"
             << "  \"decode_tokens\": " << decode_tokens << ",\n"
             << "  \"legacy_tok_s\": " << base.tokens_per_s << ",\n"
-            << "  \"fused_1t_tok_s\": " << f1.tokens_per_s << ",\n"
-            << "  \"fused_2t_tok_s\": " << threaded[0].second << ",\n"
-            << "  \"fused_4t_tok_s\": " << threaded[1].second << ",\n"
-            << "  \"speedup_1t\": " << f1.tokens_per_s / base.tokens_per_s << ",\n"
+            << "  \"weight_bytes_per_token\": " << weight_bytes << ",\n";
+        for (const auto& [t, gbps] : peaks) {
+            out << "  \"read_peak_" << t << "t_gbps\": " << gbps << ",\n";
+        }
+        for (const Row& row : rows) {
+            out << "  \"" << row.key << "_tok_s\": " << row.r.tokens_per_s << ",\n"
+                << "  \"" << row.key << "_walk_gbps\": " << row.walk_gbps << ",\n"
+                << "  \"" << row.key << "_host_bw_util\": " << row.util << ",\n";
+        }
+        out << "  \"speedup_1t\": " << rows[0].r.tokens_per_s / base.tokens_per_s << ",\n"
             << "  \"simulated_tok_s\": " << sim_tok_s << "\n"
             << "}\n";
         std::printf("\nwrote %s\n", json_path.c_str());

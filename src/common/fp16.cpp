@@ -68,37 +68,7 @@ std::uint16_t float_to_half_bits(float f) noexcept {
     return static_cast<std::uint16_t>(sign | half);
 }
 
-float half_bits_to_float(std::uint16_t h) noexcept {
-    const std::uint32_t sign = static_cast<std::uint32_t>(h & 0x8000u) << 16;
-    const std::uint32_t exp = (h >> 10) & 0x1Fu;
-    const std::uint32_t mant = h & 0x03FFu;
-
-    std::uint32_t out;
-    if (exp == 0) {
-        if (mant == 0) {
-            out = sign;  // signed zero
-        } else {
-            // Subnormal: normalize into a float32 normal.
-            int e = -1;
-            std::uint32_t m = mant;
-            do {
-                ++e;
-                m <<= 1;
-            } while ((m & 0x0400u) == 0);
-            out = sign | (static_cast<std::uint32_t>(127 - 15 - e) << 23) |
-                  ((m & 0x03FFu) << 13);
-        }
-    } else if (exp == 0x1Fu) {
-        out = sign | 0x7F80'0000u | (mant << 13);
-    } else {
-        out = sign | ((exp + 127 - 15) << 23) | (mant << 13);
-    }
-    return std::bit_cast<float>(out);
-}
-
 Fp16 Fp16::from_float(float f) noexcept { return from_bits(float_to_half_bits(f)); }
-
-float Fp16::to_float() const noexcept { return half_bits_to_float(bits_); }
 
 Fp16 operator+(Fp16 a, Fp16 b) noexcept {
     return Fp16::from_float(a.to_float() + b.to_float());

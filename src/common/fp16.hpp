@@ -25,7 +25,7 @@ public:
         return h;
     }
 
-    [[nodiscard]] float to_float() const noexcept;
+    [[nodiscard]] float to_float() const noexcept;  // exact; defined below
     [[nodiscard]] constexpr std::uint16_t bits() const noexcept { return bits_; }
 
     [[nodiscard]] constexpr bool is_nan() const noexcept {
@@ -65,7 +65,28 @@ private:
 
 // Scalar conversion primitives (exposed for tests and packing code).
 [[nodiscard]] std::uint16_t float_to_half_bits(float f) noexcept;
-[[nodiscard]] float half_bits_to_float(std::uint16_t h) noexcept;
+
+// Exact decode (float32 holds every half value); a NaN keeps its payload in
+// the top mantissa bits. Inline and branch-light because the W4 kernels decode
+// one fp16 scale per weight group on their hot path.
+[[nodiscard]] inline float half_bits_to_float(std::uint16_t h) noexcept {
+    const std::uint32_t sign = static_cast<std::uint32_t>(h & 0x8000u) << 16;
+    const std::uint32_t em = static_cast<std::uint32_t>(h & 0x7FFFu) << 13;
+    const std::uint32_t exp = em & 0x0F80'0000u;
+    std::uint32_t out = em + ((127u - 15u) << 23);  // normal: rebias the exponent
+    if (exp == 0x0F80'0000u) {
+        out = em | 0x7F80'0000u;  // inf / NaN
+    } else if (exp == 0) {
+        // Zero or subnormal, mant * 2^-24: build 2^-14 * (1 + mant/1024) and
+        // subtract 2^-14; the difference is exact.
+        constexpr float kMinNormal = 0x1p-14f;
+        out = std::bit_cast<std::uint32_t>(
+            std::bit_cast<float>(em + std::bit_cast<std::uint32_t>(kMinNormal)) - kMinNormal);
+    }
+    return std::bit_cast<float>(sign | out);
+}
+
+inline float Fp16::to_float() const noexcept { return half_bits_to_float(bits_); }
 
 // Rounds `v` to the nearest binary16 value (ties to even) and returns it as a
 // float: bit-identical to half_bits_to_float(float_to_half_bits(v)) for every

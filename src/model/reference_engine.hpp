@@ -19,7 +19,9 @@
 // produces.
 //
 // The decode loop is allocation-free: projections run through the fused
-// quantized GEMV/GEMM fast path (or preallocated buffers on the float path),
+// quantized GEMM fast path at every batch — one register-tiled W4 kernel
+// whose batch-1 tile overlaps four rows' lane chains, so single-stream decode
+// pays no skinny-GEMM tax (or preallocated buffers on the float path),
 // RoPE trigonometry is precomputed per position at construction, attention
 // reuses per-head scores scratch, and the KV history is read as zero-copy
 // spans (float cache) or dequantized into persistent per-head scratch

@@ -13,24 +13,199 @@ namespace {
 
 // Fixed combine order of the partial lanes (the adder-tree reduction of the
 // GEMV accumulation contract). Every GEMV variant must use exactly this.
-inline float lane_tree_sum(const float p[kGemvLanes]) noexcept {
+template <class Lanes8>
+inline float lane_tree_sum(const Lanes8& p) noexcept {
     return ((p[0] + p[1]) + (p[2] + p[3])) + ((p[4] + p[5]) + (p[6] + p[7]));
 }
 
-// The fast paths keep the kGemvLanes partial sums in one 8-float vector where
-// the compiler supports it: each SIMD lane IS a contract lane, every lane
-// performs the same correctly-rounded convert/mul/add sequence as the scalar
-// code, so results stay bit-for-bit identical to the oracle (FMA contraction
-// is disabled project-wide).
+// The kGemvLanes partial sums of one (row, column) live in one 8-float vector
+// where the compiler supports it: each SIMD lane IS a contract lane, and every
+// lane performs the same correctly-rounded convert/mul/add sequence as the
+// scalar code, so results stay bit-for-bit identical to the oracle (FMA
+// contraction is disabled project-wide). Elsewhere Lanes is a plain struct
+// doing the same per-lane operations one lane at a time.
 #if defined(__GNUC__) || defined(__clang__)
 #define EFLD_GEMV_VECTOR 1
-typedef float GemvVf __attribute__((vector_size(kGemvLanes * sizeof(float))));
-typedef int GemvVi __attribute__((vector_size(kGemvLanes * sizeof(int))));
-
-inline float lane_tree_sum(const GemvVf& p) noexcept {
-    return ((p[0] + p[1]) + (p[2] + p[3])) + ((p[4] + p[5]) + (p[6] + p[7]));
-}
+typedef float Lanes __attribute__((vector_size(kGemvLanes * sizeof(float))));
+typedef std::int32_t LanesI __attribute__((vector_size(kGemvLanes * sizeof(std::int32_t))));
+typedef std::uint32_t LanesU __attribute__((vector_size(kGemvLanes * sizeof(std::uint32_t))));
+#else
+struct Lanes {
+    float v[kGemvLanes] = {};
+    float& operator[](std::size_t l) noexcept { return v[l]; }
+    float operator[](std::size_t l) const noexcept { return v[l]; }
+    Lanes& operator+=(const Lanes& o) noexcept {
+        for (std::size_t l = 0; l < kGemvLanes; ++l) v[l] += o.v[l];
+        return *this;
+    }
+    friend Lanes operator*(const Lanes& a, const Lanes& b) noexcept {
+        Lanes r;
+        for (std::size_t l = 0; l < kGemvLanes; ++l) r.v[l] = a.v[l] * b.v[l];
+        return r;
+    }
+};
 #endif
+
+inline Lanes load_lanes(const float* p) noexcept {
+    Lanes v;
+    std::memcpy(&v, p, sizeof v);
+    return v;
+}
+
+// Code loaders. load() yields the centered codes float(code - z) of kStep
+// consecutive weights of row r from column c on, as kStep / kGemvLanes lane
+// vectors in element order; code() is one raw code, for group tails.
+
+// One byte per code (QuantizedLinear::codes()).
+struct ByteCodes {
+    static constexpr std::size_t kStep = kGemvLanes;
+    const std::uint8_t* codes;
+    std::size_t cols;
+
+    [[nodiscard]] int code(std::size_t r, std::size_t c) const noexcept {
+        return codes[r * cols + c];
+    }
+    void load(std::size_t r, std::size_t c, int z, Lanes* d) const noexcept {
+#if EFLD_GEMV_VECTOR
+        const std::uint8_t* b = codes + r * cols + c;
+        const LanesI ci = {b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]};
+        d[0] = __builtin_convertvector(ci - z, Lanes);
+#else
+        for (std::size_t l = 0; l < kGemvLanes; ++l) {
+            d[0][l] = static_cast<float>(code(r, c + l) - z);
+        }
+#endif
+    }
+};
+
+// The packed nibble stream (pack_codes()): 16 codes per 64-bit word lane,
+// element e at bits 4e. Row and group starts are lane aligned (cols is a
+// multiple of group_size, group_size a multiple of 16).
+struct NibbleCodes {
+    static constexpr std::size_t kStep = 16;
+    const Word512* words;
+    std::size_t cols;
+
+    [[nodiscard]] int code(std::size_t r, std::size_t c) const noexcept {
+        const std::size_t nib = r * cols + c;
+        return words[nib / kNibblesPerWord].nibble(nib % kNibblesPerWord);
+    }
+    void load(std::size_t r, std::size_t c, int z, Lanes* d) const noexcept {
+        const std::size_t nib = r * cols + c;
+        const std::uint64_t lane = words[nib / kNibblesPerWord].lanes[(nib / 16) % 8];
+#if EFLD_GEMV_VECTOR
+        // Broadcast each 32-bit half and shift every lane by its own amount.
+        const LanesU shift = {0, 4, 8, 12, 16, 20, 24, 28};
+        const LanesU lo = (LanesU{} + static_cast<std::uint32_t>(lane)) >> shift;
+        const LanesU hi = (LanesU{} + static_cast<std::uint32_t>(lane >> 32)) >> shift;
+        d[0] = __builtin_convertvector(__builtin_convertvector(lo & 0xFu, LanesI) - z, Lanes);
+        d[1] = __builtin_convertvector(__builtin_convertvector(hi & 0xFu, LanesI) - z, Lanes);
+#else
+        for (std::size_t e = 0; e < kStep; ++e) {
+            d[e / kGemvLanes][e % kGemvLanes] =
+                static_cast<float>(static_cast<int>((lane >> (4 * e)) & 0xFu) - z);
+        }
+#endif
+    }
+};
+
+// One gemm call as the tile sees it: weights, shapes, and the current column
+// tile (column b of x at x + b * cols, its outputs at y + b * rows).
+struct TileArgs {
+    const Fp16* scales;
+    const std::uint8_t* zeros;
+    std::size_t rows, cols, gs;
+    const float* x;
+    float* y;
+};
+
+// The R x NB register tile: rows [r0, r0 + R) against NB activation columns.
+// One code decode feeds all NB columns, and the R * NB partial-lane vectors
+// are independent add chains, so their latencies overlap. Every (row,
+// column) still runs the contract recipe on its own accumulators.
+template <std::size_t R, std::size_t NB, class Codes>
+void tile(const Codes& w, const TileArgs& t, std::size_t r0) {
+    constexpr std::size_t kVecs = Codes::kStep / kGemvLanes;
+    const std::size_t gpr = t.cols / t.gs;
+    float acc[R][NB] = {};
+    for (std::size_t g = 0; g < gpr; ++g) {
+        const std::size_t c0 = g * t.gs;
+        int z[R] = {};
+        for (std::size_t r = 0; r < R; ++r) z[r] = t.zeros[(r0 + r) * gpr + g];
+        Lanes p[R][NB] = {};
+        std::size_t i = 0;
+        for (; i + Codes::kStep <= t.gs; i += Codes::kStep) {
+            Lanes xv[NB][kVecs];
+            for (std::size_t b = 0; b < NB; ++b) {
+                for (std::size_t k = 0; k < kVecs; ++k) {
+                    xv[b][k] = load_lanes(t.x + b * t.cols + c0 + i + k * kGemvLanes);
+                }
+            }
+            for (std::size_t r = 0; r < R; ++r) {
+                Lanes d[kVecs];
+                w.load(r0 + r, c0 + i, z[r], d);
+                for (std::size_t b = 0; b < NB; ++b) {
+                    for (std::size_t k = 0; k < kVecs; ++k) p[r][b] += d[k] * xv[b][k];
+                }
+            }
+        }
+        // Group tail (byte codes, group_size % kGemvLanes != 0): the vector
+        // loop stopped on a lane boundary, so element i + l lands on lane l.
+        for (std::size_t l = 0; l < kGemvLanes && i + l < t.gs; ++l) {
+            for (std::size_t r = 0; r < R; ++r) {
+                const float d = static_cast<float>(w.code(r0 + r, c0 + i + l) - z[r]);
+                for (std::size_t b = 0; b < NB; ++b) {
+                    p[r][b][l] += d * t.x[b * t.cols + c0 + i + l];
+                }
+            }
+        }
+        for (std::size_t r = 0; r < R; ++r) {
+            const float s = t.scales[(r0 + r) * gpr + g].to_float();
+            for (std::size_t b = 0; b < NB; ++b) acc[r][b] += s * lane_tree_sum(p[r][b]);
+        }
+    }
+    for (std::size_t r = 0; r < R; ++r) {
+        for (std::size_t b = 0; b < NB; ++b) t.y[b * t.rows + r0 + r] = acc[r][b];
+    }
+}
+
+// Rows [row_begin, row_end) at NB columns: R-row blocks, then single rows.
+// Fewer columns leave registers for more rows.
+template <std::size_t NB, class Codes>
+void tile_rows(const Codes& w, const TileArgs& t, std::size_t row_begin, std::size_t row_end) {
+    constexpr std::size_t R = NB == 1 ? 4 : NB == 2 ? 2 : 1;
+    std::size_t r = row_begin;
+    for (; r + R <= row_end; r += R) tile<R, NB>(w, t, r);
+    for (; r < row_end; ++r) tile<1, NB>(w, t, r);
+}
+
+// Every gemm: batch columns in tiles of kGemmBatchTile, rows partitioned
+// across `pool` when one is given.
+template <class Codes>
+void gemm_tiles(const QuantizedLinear& q, const Codes& w, const float* x, std::size_t batch,
+                float* y, ThreadPool* pool) {
+    const auto walk = [&](std::size_t row_begin, std::size_t row_end) {
+        for (std::size_t bt = 0; bt < batch; bt += kGemmBatchTile) {
+            const TileArgs t{q.scales().data(), q.zeros().data(), q.rows(), q.cols(),
+                             q.config().group_size, x + bt * q.cols(), y + bt * q.rows()};
+            switch (std::min(kGemmBatchTile, batch - bt)) {
+                case 1: tile_rows<1>(w, t, row_begin, row_end); break;
+                case 2: tile_rows<2>(w, t, row_begin, row_end); break;
+                case 3: tile_rows<3>(w, t, row_begin, row_end); break;
+                case 4: tile_rows<4>(w, t, row_begin, row_end); break;
+                case 5: tile_rows<5>(w, t, row_begin, row_end); break;
+                case 6: tile_rows<6>(w, t, row_begin, row_end); break;
+                case 7: tile_rows<7>(w, t, row_begin, row_end); break;
+                default: tile_rows<8>(w, t, row_begin, row_end); break;
+            }
+        }
+    };
+    if (pool != nullptr && pool->size() > 1 && q.rows() > 1) {
+        pool->parallel_for(q.rows(), walk);
+    } else {
+        walk(0, q.rows());
+    }
+}
 
 }  // namespace
 
@@ -154,72 +329,9 @@ std::vector<float> QuantizedLinear::gemv_seed_baseline(std::span<const float> x)
     return y;
 }
 
-void QuantizedLinear::gemv_rows(const float* x, float* y, std::size_t row_begin,
-                                std::size_t row_end) const {
-    const std::size_t gs = cfg_.group_size;
-    const std::size_t gpr = groups_per_row();
-    for (std::size_t r = row_begin; r < row_end; ++r) {
-        const std::uint8_t* code = codes_.data() + r * cols_;
-        const Fp16* srow = scales_.data() + r * gpr;
-        const std::uint8_t* zrow = zeros_.data() + r * gpr;
-        const float* xg = x;
-        float acc = 0.0f;
-        for (std::size_t g = 0; g < gpr; ++g) {
-            const float s = srow[g].to_float();
-            const int z = zrow[g];
-#if EFLD_GEMV_VECTOR
-            GemvVf p = {};
-            const GemvVi zv = {z, z, z, z, z, z, z, z};
-            std::size_t i = 0;
-            for (; i + kGemvLanes <= gs; i += kGemvLanes) {
-                const GemvVi ci = {code[i + 0], code[i + 1], code[i + 2], code[i + 3],
-                                   code[i + 4], code[i + 5], code[i + 6], code[i + 7]};
-                const GemvVf d = __builtin_convertvector(ci - zv, GemvVf);
-                GemvVf xv;
-                std::memcpy(&xv, xg + i, sizeof xv);
-                p += d * xv;
-            }
-            for (; i < gs; ++i) {
-                p[i % kGemvLanes] +=
-                    static_cast<float>(static_cast<int>(code[i]) - z) * xg[i];
-            }
-#else
-            float p[kGemvLanes] = {};
-            std::size_t i = 0;
-            for (; i + kGemvLanes <= gs; i += kGemvLanes) {
-                p[0] += static_cast<float>(static_cast<int>(code[i + 0]) - z) * xg[i + 0];
-                p[1] += static_cast<float>(static_cast<int>(code[i + 1]) - z) * xg[i + 1];
-                p[2] += static_cast<float>(static_cast<int>(code[i + 2]) - z) * xg[i + 2];
-                p[3] += static_cast<float>(static_cast<int>(code[i + 3]) - z) * xg[i + 3];
-                p[4] += static_cast<float>(static_cast<int>(code[i + 4]) - z) * xg[i + 4];
-                p[5] += static_cast<float>(static_cast<int>(code[i + 5]) - z) * xg[i + 5];
-                p[6] += static_cast<float>(static_cast<int>(code[i + 6]) - z) * xg[i + 6];
-                p[7] += static_cast<float>(static_cast<int>(code[i + 7]) - z) * xg[i + 7];
-            }
-            for (; i < gs; ++i) {
-                p[i % kGemvLanes] +=
-                    static_cast<float>(static_cast<int>(code[i]) - z) * xg[i];
-            }
-#endif
-            acc += s * lane_tree_sum(p);
-            code += gs;
-            xg += gs;
-        }
-        y[r] = acc;
-    }
-}
-
 void QuantizedLinear::gemv(std::span<const float> x, std::span<float> y,
                            ThreadPool* pool) const {
-    check(x.size() == cols_, "gemv: input size mismatch");
-    check(y.size() == rows_, "gemv: output size mismatch");
-    if (pool != nullptr && pool->size() > 1 && rows_ > 1) {
-        pool->parallel_for(rows_, [&](std::size_t b, std::size_t e) {
-            gemv_rows(x.data(), y.data(), b, e);
-        });
-    } else {
-        gemv_rows(x.data(), y.data(), 0, rows_);
-    }
+    gemm(x, 1, y, pool);
 }
 
 void QuantizedLinear::gemm_reference(std::span<const float> x, std::size_t batch,
@@ -232,76 +344,12 @@ void QuantizedLinear::gemm_reference(std::span<const float> x, std::size_t batch
     }
 }
 
-void QuantizedLinear::gemm_rows(const float* x, std::size_t batch, float* y,
-                                std::size_t row_begin, std::size_t row_end) const {
-    const std::size_t gs = cfg_.group_size;
-    const std::size_t gpr = groups_per_row();
-    // Batch columns run in register tiles: one decoded group feeds every
-    // column of the tile before the next group is touched, so the code bytes
-    // are read rows*cols times total regardless of batch — the weight walk is
-    // amortized across the tile.
-    for (std::size_t bt = 0; bt < batch; bt += kGemmBatchTile) {
-        const std::size_t nb = std::min(kGemmBatchTile, batch - bt);
-        for (std::size_t r = row_begin; r < row_end; ++r) {
-            const std::uint8_t* code = codes_.data() + r * cols_;
-            const Fp16* srow = scales_.data() + r * gpr;
-            const std::uint8_t* zrow = zeros_.data() + r * gpr;
-            float acc[kGemmBatchTile] = {};
-            for (std::size_t g = 0; g < gpr; ++g) {
-                const float s = srow[g].to_float();
-                const int z = zrow[g];
-                const std::size_t xoff = g * gs;
-#if EFLD_GEMV_VECTOR
-                GemvVf p[kGemmBatchTile] = {};
-                const GemvVi zv = {z, z, z, z, z, z, z, z};
-                std::size_t i = 0;
-                for (; i + kGemvLanes <= gs; i += kGemvLanes) {
-                    const GemvVi ci = {code[i + 0], code[i + 1], code[i + 2], code[i + 3],
-                                       code[i + 4], code[i + 5], code[i + 6], code[i + 7]};
-                    const GemvVf d = __builtin_convertvector(ci - zv, GemvVf);
-                    for (std::size_t b = 0; b < nb; ++b) {
-                        GemvVf xv;
-                        std::memcpy(&xv, x + (bt + b) * cols_ + xoff + i, sizeof xv);
-                        p[b] += d * xv;
-                    }
-                }
-                for (; i < gs; ++i) {
-                    const float d = static_cast<float>(static_cast<int>(code[i]) - z);
-                    for (std::size_t b = 0; b < nb; ++b) {
-                        p[b][i % kGemvLanes] += d * x[(bt + b) * cols_ + xoff + i];
-                    }
-                }
-                for (std::size_t b = 0; b < nb; ++b) acc[b] += s * lane_tree_sum(p[b]);
-#else
-                float p[kGemmBatchTile][kGemvLanes] = {};
-                std::size_t i = 0;
-                for (; i < gs; ++i) {
-                    const float d = static_cast<float>(static_cast<int>(code[i]) - z);
-                    for (std::size_t b = 0; b < nb; ++b) {
-                        p[b][i % kGemvLanes] += d * x[(bt + b) * cols_ + xoff + i];
-                    }
-                }
-                for (std::size_t b = 0; b < nb; ++b) acc[b] += s * lane_tree_sum(p[b]);
-#endif
-                code += gs;
-            }
-            for (std::size_t b = 0; b < nb; ++b) y[(bt + b) * rows_ + r] = acc[b];
-        }
-    }
-}
-
 void QuantizedLinear::gemm(std::span<const float> x, std::size_t batch,
                            std::span<float> y, ThreadPool* pool) const {
     check(batch > 0, "gemm: empty batch");
     check(x.size() == batch * cols_, "gemm: input size mismatch");
     check(y.size() == batch * rows_, "gemm: output size mismatch");
-    if (pool != nullptr && pool->size() > 1 && rows_ > 1) {
-        pool->parallel_for(rows_, [&](std::size_t b, std::size_t e) {
-            gemm_rows(x.data(), batch, y.data(), b, e);
-        });
-    } else {
-        gemm_rows(x.data(), batch, y.data(), 0, rows_);
-    }
+    gemm_tiles(*this, ByteCodes{codes_.data(), cols_}, x.data(), batch, y.data(), pool);
 }
 
 std::vector<Word512> QuantizedLinear::pack_codes() const {
@@ -309,157 +357,10 @@ std::vector<Word512> QuantizedLinear::pack_codes() const {
     return pack_nibbles(codes_);
 }
 
-void QuantizedLinear::gemv_packed_rows(const Word512* words, const float* x, float* y,
-                                       std::size_t row_begin, std::size_t row_end) const {
-    const std::size_t gs = cfg_.group_size;
-    const std::size_t gpr = groups_per_row();
-    for (std::size_t r = row_begin; r < row_end; ++r) {
-        // Row starts are 16-nibble aligned (cols is a multiple of group_size,
-        // group_size a multiple of 16), so groups walk whole 64-bit lanes.
-        std::size_t nib = r * cols_;
-        const Fp16* srow = scales_.data() + r * gpr;
-        const std::uint8_t* zrow = zeros_.data() + r * gpr;
-        float acc = 0.0f;
-        for (std::size_t g = 0; g < gpr; ++g) {
-            const float s = srow[g].to_float();
-            const int z = zrow[g];
-            const float* xg = x + g * gs;
-#if EFLD_GEMV_VECTOR
-            GemvVf p = {};
-            const GemvVi zv = {z, z, z, z, z, z, z, z};
-            for (std::size_t i = 0; i < gs; i += 16, nib += 16) {
-                const std::uint64_t lane = words[nib >> 7].lanes[(nib >> 4) & 7];
-                const float* xl = xg + i;
-                // Elements i..i+7 land on contract lanes 0..7, then i+8..i+15
-                // on the same lanes again — two sequential vector steps keep
-                // each lane's accumulation order identical to the oracle's.
-                const GemvVi c0 = {
-                    static_cast<int>((lane >> 0) & 0xF),  static_cast<int>((lane >> 4) & 0xF),
-                    static_cast<int>((lane >> 8) & 0xF),  static_cast<int>((lane >> 12) & 0xF),
-                    static_cast<int>((lane >> 16) & 0xF), static_cast<int>((lane >> 20) & 0xF),
-                    static_cast<int>((lane >> 24) & 0xF), static_cast<int>((lane >> 28) & 0xF)};
-                const GemvVi c1 = {
-                    static_cast<int>((lane >> 32) & 0xF), static_cast<int>((lane >> 36) & 0xF),
-                    static_cast<int>((lane >> 40) & 0xF), static_cast<int>((lane >> 44) & 0xF),
-                    static_cast<int>((lane >> 48) & 0xF), static_cast<int>((lane >> 52) & 0xF),
-                    static_cast<int>((lane >> 56) & 0xF), static_cast<int>((lane >> 60) & 0xF)};
-                GemvVf x0, x1;
-                std::memcpy(&x0, xl, sizeof x0);
-                std::memcpy(&x1, xl + kGemvLanes, sizeof x1);
-                p += __builtin_convertvector(c0 - zv, GemvVf) * x0;
-                p += __builtin_convertvector(c1 - zv, GemvVf) * x1;
-            }
-            acc += s * lane_tree_sum(p);
-#else
-            float p[kGemvLanes] = {};
-            for (std::size_t i = 0; i < gs; i += 16, nib += 16) {
-                const std::uint64_t lane = words[nib >> 7].lanes[(nib >> 4) & 7];
-                const float* xl = xg + i;
-                p[0] += static_cast<float>(static_cast<int>((lane >> 0) & 0xF) - z) * xl[0];
-                p[1] += static_cast<float>(static_cast<int>((lane >> 4) & 0xF) - z) * xl[1];
-                p[2] += static_cast<float>(static_cast<int>((lane >> 8) & 0xF) - z) * xl[2];
-                p[3] += static_cast<float>(static_cast<int>((lane >> 12) & 0xF) - z) * xl[3];
-                p[4] += static_cast<float>(static_cast<int>((lane >> 16) & 0xF) - z) * xl[4];
-                p[5] += static_cast<float>(static_cast<int>((lane >> 20) & 0xF) - z) * xl[5];
-                p[6] += static_cast<float>(static_cast<int>((lane >> 24) & 0xF) - z) * xl[6];
-                p[7] += static_cast<float>(static_cast<int>((lane >> 28) & 0xF) - z) * xl[7];
-                p[0] += static_cast<float>(static_cast<int>((lane >> 32) & 0xF) - z) * xl[8];
-                p[1] += static_cast<float>(static_cast<int>((lane >> 36) & 0xF) - z) * xl[9];
-                p[2] += static_cast<float>(static_cast<int>((lane >> 40) & 0xF) - z) * xl[10];
-                p[3] += static_cast<float>(static_cast<int>((lane >> 44) & 0xF) - z) * xl[11];
-                p[4] += static_cast<float>(static_cast<int>((lane >> 48) & 0xF) - z) * xl[12];
-                p[5] += static_cast<float>(static_cast<int>((lane >> 52) & 0xF) - z) * xl[13];
-                p[6] += static_cast<float>(static_cast<int>((lane >> 56) & 0xF) - z) * xl[14];
-                p[7] += static_cast<float>(static_cast<int>((lane >> 60) & 0xF) - z) * xl[15];
-            }
-            acc += s * lane_tree_sum(p);
-#endif
-        }
-        y[r] = acc;
-    }
-}
-
 void QuantizedLinear::gemv_packed(std::span<const Word512> packed,
                                   std::span<const float> x, std::span<float> y,
                                   ThreadPool* pool) const {
-    check(cfg_.bits == 4, "gemv_packed: codes wider than a nibble");
-    check(cfg_.group_size % 16 == 0, "gemv_packed: group_size must align to word lanes");
-    check(x.size() == cols_, "gemv_packed: input size mismatch");
-    check(y.size() == rows_, "gemv_packed: output size mismatch");
-    check(packed.size() == div_ceil(rows_ * cols_, kNibblesPerWord),
-          "gemv_packed: packed stream size mismatch");
-    if (pool != nullptr && pool->size() > 1 && rows_ > 1) {
-        pool->parallel_for(rows_, [&](std::size_t b, std::size_t e) {
-            gemv_packed_rows(packed.data(), x.data(), y.data(), b, e);
-        });
-    } else {
-        gemv_packed_rows(packed.data(), x.data(), y.data(), 0, rows_);
-    }
-}
-
-void QuantizedLinear::gemm_packed_rows(const Word512* words, const float* x,
-                                       std::size_t batch, float* y,
-                                       std::size_t row_begin, std::size_t row_end) const {
-    const std::size_t gs = cfg_.group_size;
-    const std::size_t gpr = groups_per_row();
-    for (std::size_t bt = 0; bt < batch; bt += kGemmBatchTile) {
-        const std::size_t nb = std::min(kGemmBatchTile, batch - bt);
-        for (std::size_t r = row_begin; r < row_end; ++r) {
-            std::size_t nib = r * cols_;
-            const Fp16* srow = scales_.data() + r * gpr;
-            const std::uint8_t* zrow = zeros_.data() + r * gpr;
-            float acc[kGemmBatchTile] = {};
-            for (std::size_t g = 0; g < gpr; ++g) {
-                const float s = srow[g].to_float();
-                const int z = zrow[g];
-                const std::size_t xoff = g * gs;
-#if EFLD_GEMV_VECTOR
-                GemvVf p[kGemmBatchTile] = {};
-                const GemvVi zv = {z, z, z, z, z, z, z, z};
-                for (std::size_t i = 0; i < gs; i += 16, nib += 16) {
-                    const std::uint64_t lane = words[nib >> 7].lanes[(nib >> 4) & 7];
-                    const GemvVi c0 = {
-                        static_cast<int>((lane >> 0) & 0xF),  static_cast<int>((lane >> 4) & 0xF),
-                        static_cast<int>((lane >> 8) & 0xF),  static_cast<int>((lane >> 12) & 0xF),
-                        static_cast<int>((lane >> 16) & 0xF), static_cast<int>((lane >> 20) & 0xF),
-                        static_cast<int>((lane >> 24) & 0xF), static_cast<int>((lane >> 28) & 0xF)};
-                    const GemvVi c1 = {
-                        static_cast<int>((lane >> 32) & 0xF), static_cast<int>((lane >> 36) & 0xF),
-                        static_cast<int>((lane >> 40) & 0xF), static_cast<int>((lane >> 44) & 0xF),
-                        static_cast<int>((lane >> 48) & 0xF), static_cast<int>((lane >> 52) & 0xF),
-                        static_cast<int>((lane >> 56) & 0xF), static_cast<int>((lane >> 60) & 0xF)};
-                    const GemvVf d0 = __builtin_convertvector(c0 - zv, GemvVf);
-                    const GemvVf d1 = __builtin_convertvector(c1 - zv, GemvVf);
-                    for (std::size_t b = 0; b < nb; ++b) {
-                        const float* xl = x + (bt + b) * cols_ + xoff + i;
-                        GemvVf x0, x1;
-                        std::memcpy(&x0, xl, sizeof x0);
-                        std::memcpy(&x1, xl + kGemvLanes, sizeof x1);
-                        p[b] += d0 * x0;
-                        p[b] += d1 * x1;
-                    }
-                }
-                for (std::size_t b = 0; b < nb; ++b) acc[b] += s * lane_tree_sum(p[b]);
-#else
-                float p[kGemmBatchTile][kGemvLanes] = {};
-                for (std::size_t i = 0; i < gs; i += 16, nib += 16) {
-                    const std::uint64_t lane = words[nib >> 7].lanes[(nib >> 4) & 7];
-                    for (std::size_t b = 0; b < nb; ++b) {
-                        const float* xl = x + (bt + b) * cols_ + xoff + i;
-                        for (std::size_t e = 0; e < 16; ++e) {
-                            p[b][e % kGemvLanes] +=
-                                static_cast<float>(
-                                    static_cast<int>((lane >> (4 * e)) & 0xF) - z) *
-                                xl[e];
-                        }
-                    }
-                }
-                for (std::size_t b = 0; b < nb; ++b) acc[b] += s * lane_tree_sum(p[b]);
-#endif
-            }
-            for (std::size_t b = 0; b < nb; ++b) y[(bt + b) * rows_ + r] = acc[b];
-        }
-    }
+    gemm_packed(packed, x, 1, y, pool);
 }
 
 void QuantizedLinear::gemm_packed(std::span<const Word512> packed,
@@ -472,13 +373,7 @@ void QuantizedLinear::gemm_packed(std::span<const Word512> packed,
     check(y.size() == batch * rows_, "gemm_packed: output size mismatch");
     check(packed.size() == div_ceil(rows_ * cols_, kNibblesPerWord),
           "gemm_packed: packed stream size mismatch");
-    if (pool != nullptr && pool->size() > 1 && rows_ > 1) {
-        pool->parallel_for(rows_, [&](std::size_t b, std::size_t e) {
-            gemm_packed_rows(packed.data(), x.data(), batch, y.data(), b, e);
-        });
-    } else {
-        gemm_packed_rows(packed.data(), x.data(), batch, y.data(), 0, rows_);
-    }
+    gemm_tiles(*this, NibbleCodes{packed.data(), cols_}, x.data(), batch, y.data(), pool);
 }
 
 std::uint64_t QuantizedLinear::packed_bytes() const noexcept {

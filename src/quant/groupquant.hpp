@@ -30,11 +30,13 @@ struct GroupQuantConfig {
 
 // GEMV accumulation contract ------------------------------------------------
 //
-// Every GEMV in QuantizedLinear — the readable oracle and all fast-path
-// variants (scalar, thread-pool, packed-4bit) — performs the exact same float
-// operations in the same order, so their outputs are bit-for-bit identical:
+// Every GEMV/GEMM in QuantizedLinear — the readable oracle and every fast path
+// (byte codes or packed nibbles, any batch, any thread pool) — performs the
+// exact same float operations in the same order, so their outputs are
+// bit-for-bit identical:
 //
-//   per row r (rows are independent; threading partitions rows):
+//   per row r and activation column b (each pair is independent; threading
+//   partitions rows):
 //     acc = 0
 //     per group g in row order:
 //       kGemvLanes partial sums; element i of the group contributes
@@ -50,16 +52,17 @@ struct GroupQuantConfig {
 // is throughput-bound, not add-latency-bound.
 inline constexpr std::size_t kGemvLanes = 8;
 
-// Skinny-GEMM extension of the same contract: `gemm` multiplies one weight
-// matrix against a block of `batch` activation vectors, decoding each weight
-// group ONCE and accumulating it into every batch column — the host-side
-// mirror of the paper's bandwidth argument (decode is weight-bound, so the
-// only way past the single-stream roofline is to amortize one weight walk
-// across more activations). Each (row, column) pair performs exactly the
-// per-row GEMV recipe above, so the result is bit-for-bit identical to
-// `batch` independent gemv calls; columns are processed in register tiles of
-// kGemmBatchTile, which bounds how many activation vectors one code decode
-// feeds before the walk restarts.
+// One kernel runs every fast path: an R x NB register tile of R rows against
+// NB activation columns (NB = 1..kGemmBatchTile; R = 4 at NB = 1, 2 at NB = 2,
+// 1 above). Each group's codes are decoded once per row and feed all NB
+// columns, so a batch walks the weights once per kGemmBatchTile columns — the
+// host-side mirror of the paper's bandwidth argument (decode is weight-bound,
+// so the only way past the single-stream roofline is to amortize one weight
+// walk across more activations). At batch 1 the R rows' partial-lane chains
+// are independent and overlap, which is what keeps a single-stream walk off
+// the float-add latency. gemv is gemm at batch 1. Two code loaders feed the
+// tile: byte codes, and the packed nibble stream, unpacked 8 lanes at a time
+// by a vector shift-and-mask. Each group's fp16 scale is decoded inline.
 inline constexpr std::size_t kGemmBatchTile = 8;
 
 // A quantized linear layer y = W x, W of shape [rows, cols] (out, in).
@@ -87,8 +90,9 @@ public:
     void gemv_reference(std::span<const float> x, std::span<float> y) const;
 
     // Fused fast path: dequantize×dot directly over the stored codes, no
-    // scratch vectors, no allocation. Rows are partitioned across `pool`
-    // when one is given (results are identical for any pool size).
+    // scratch vectors, no allocation — gemm at batch 1. Rows are partitioned
+    // across `pool` when one is given (results are identical for any pool
+    // size).
     void gemv(std::span<const float> x, std::span<float> y,
               ThreadPool* pool = nullptr) const;
 
@@ -105,16 +109,17 @@ public:
 
     // Fast path walking the packed nibble stream the way the hardware streams
     // it (requires bits == 4 and group_size % 16 == 0 so groups align to the
-    // 64-bit word lanes). `packed` must come from pack_codes().
+    // 64-bit word lanes); gemm_packed at batch 1. `packed` must come from
+    // pack_codes().
     void gemv_packed(std::span<const Word512> packed, std::span<const float> x,
                      std::span<float> y, ThreadPool* pool = nullptr) const;
 
     // Skinny GEMM: Y = W X for a block of `batch` activation vectors.
     // X is [batch][cols] row-major (each session's activation contiguous),
     // Y is [batch][rows] row-major. Bit-for-bit identical to `batch`
-    // independent gemv calls — batch == 1 degenerates to gemv exactly — but
-    // the weight stream is decoded once per kGemmBatchTile columns instead of
-    // once per column. Rows are partitioned across `pool` when one is given.
+    // independent gemv calls, but the weight stream is decoded once per
+    // kGemmBatchTile columns instead of once per column. Rows are
+    // partitioned across `pool` when one is given.
     void gemm(std::span<const float> x, std::size_t batch, std::span<float> y,
               ThreadPool* pool = nullptr) const;
 
@@ -153,15 +158,6 @@ public:
                                                     const GroupQuantConfig& cfg);
 
 private:
-    void gemv_rows(const float* x, float* y, std::size_t row_begin,
-                   std::size_t row_end) const;
-    void gemv_packed_rows(const Word512* words, const float* x, float* y,
-                          std::size_t row_begin, std::size_t row_end) const;
-    void gemm_rows(const float* x, std::size_t batch, float* y,
-                   std::size_t row_begin, std::size_t row_end) const;
-    void gemm_packed_rows(const Word512* words, const float* x, std::size_t batch,
-                          float* y, std::size_t row_begin, std::size_t row_end) const;
-
     GroupQuantConfig cfg_;
     std::size_t rows_ = 0;
     std::size_t cols_ = 0;

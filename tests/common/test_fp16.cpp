@@ -88,6 +88,29 @@ TEST(Fp16, RoundTripAllFiniteBitPatterns) {
     }
 }
 
+TEST(Fp16, DecodeIsExactOnEveryBitPattern) {
+    // Finite halves decode to (-1)^s * m * 2^e exactly; inf and NaN keep the
+    // sign and carry the 10-bit payload into the top of the float mantissa.
+    for (std::uint32_t b = 0; b <= 0xFFFF; ++b) {
+        const auto h = static_cast<std::uint16_t>(b);
+        const std::uint32_t exp = (b >> 10) & 0x1Fu;
+        const std::uint32_t mant = b & 0x3FFu;
+        const float got = Fp16::from_bits(h).to_float();
+        if (exp == 0x1Fu) {
+            EXPECT_EQ(std::bit_cast<std::uint32_t>(got),
+                      ((b & 0x8000u) << 16) | 0x7F80'0000u | (mant << 13))
+                << "bits=0x" << std::hex << b;
+            continue;
+        }
+        const float mag = exp == 0 ? std::ldexp(static_cast<float>(mant), -24)
+                                   : std::ldexp(static_cast<float>(mant | 0x400u),
+                                                static_cast<int>(exp) - 25);
+        const float want = (b & 0x8000u) != 0 ? -mag : mag;
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(got), std::bit_cast<std::uint32_t>(want))
+            << "bits=0x" << std::hex << b;
+    }
+}
+
 TEST(Fp16, ConversionMatchesRoundTripProperty) {
     // For random floats within half range the stored value is within half an
     // ULP of the original (correct rounding).

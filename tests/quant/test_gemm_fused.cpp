@@ -3,6 +3,11 @@
 // GEMV calls — the accumulation contract extends per (row, batch column).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "common/check.hpp"
@@ -120,6 +125,153 @@ TEST(GemmFused, PackedBatch1IsIdenticalToGemvPacked) {
     q.gemv_packed(packed, x, via_gemv);
     q.gemm_packed(packed, x, 1, via_gemm);
     EXPECT_EQ(via_gemm, via_gemv);
+}
+
+TEST(GemmFused, EveryTileShapeMatchesReference) {
+    // Batch 1..17 reaches every column-tile width (1..kGemmBatchTile) and
+    // the wrap into a second tile; the row counts leave every row-block
+    // remainder; pools of 3 and 4 split rows at block-unaligned points.
+    std::vector<std::unique_ptr<ThreadPool>> pools;
+    pools.push_back(nullptr);
+    pools.push_back(std::make_unique<ThreadPool>(3));
+    pools.push_back(std::make_unique<ThreadPool>(4));
+    constexpr std::size_t cols = 256;
+    std::uint64_t seed = 300;
+    for (const unsigned bits : {2u, 4u, 8u}) {
+        for (const std::size_t gs : {32u, 128u}) {
+            for (const std::size_t rows : {1u, 2u, 3u, 5u, 33u}) {
+                const QuantizedLinear q = make_layer(rows, cols, bits, gs, seed++);
+                const std::vector<Word512> packed =
+                    bits == 4 ? q.pack_codes() : std::vector<Word512>{};
+                for (std::size_t batch = 1; batch <= 17; ++batch) {
+                    const auto x = random_floats(batch * cols, seed++, 1.0);
+                    std::vector<float> want(batch * rows);
+                    q.gemm_reference(x, batch, want);
+                    for (const auto& pool : pools) {
+                        const std::string where =
+                            "bits=" + std::to_string(bits) + " gs=" + std::to_string(gs) +
+                            " rows=" + std::to_string(rows) +
+                            " batch=" + std::to_string(batch) +
+                            " pool=" + std::to_string(pool ? pool->size() : 0);
+                        std::vector<float> got(batch * rows, -1.0f);
+                        q.gemm(x, batch, got, pool.get());
+                        EXPECT_EQ(got, want) << where;
+                        if (bits != 4) continue;
+                        std::vector<float> got_packed(batch * rows, -1.0f);
+                        q.gemm_packed(packed, x, batch, got_packed, pool.get());
+                        EXPECT_EQ(got_packed, want) << "packed " << where;
+                    }
+                }
+            }
+        }
+    }
+}
+
+// A 4-bit layer whose groups take their fp16 scales from `patterns` in a
+// scrambled cycle (a multi-group row mixes several), with random codes and
+// zero points.
+QuantizedLinear layer_with_scales(std::size_t rows, std::size_t cols, std::size_t gs,
+                                  const std::vector<std::uint16_t>& patterns,
+                                  std::uint64_t seed) {
+    GroupQuantConfig cfg;
+    cfg.bits = 4;
+    cfg.group_size = gs;
+    efld::Xoshiro256 rng(seed);
+    std::vector<std::uint8_t> codes(rows * cols);
+    for (auto& c : codes) c = static_cast<std::uint8_t>(rng.next() % 16);
+    const std::size_t groups = rows * (cols / gs);
+    std::vector<Fp16> scales(groups);
+    std::vector<std::uint8_t> zeros(groups);
+    for (std::size_t g = 0; g < groups; ++g) {
+        scales[g] = Fp16::from_bits(patterns[(g * 7 + g / 3) % patterns.size()]);
+        zeros[g] = static_cast<std::uint8_t>(rng.next() % 16);
+    }
+    return QuantizedLinear::from_parts(std::move(codes), std::move(scales), std::move(zeros),
+                                       rows, cols, cfg);
+}
+
+// Activations with exact zeros sprinkled in, so some group dots are 0 and an
+// infinite scale meets 0 * inf.
+std::vector<float> activations_with_zeros(std::size_t n, std::uint64_t seed) {
+    std::vector<float> x = random_floats(n, seed, 1.0);
+    for (std::size_t i = 0; i < n; i += 5) x[i] = (i % 2 == 0) ? 0.0f : -0.0f;
+    return x;
+}
+
+// Every fast path (gemm and gemm_packed at several batches and with a pool,
+// gemv and gemv_packed) against gemm_reference, through `same`.
+template <class Same>
+void check_every_path(const QuantizedLinear& q, std::uint64_t seed, Same same) {
+    const std::size_t rows = q.rows(), cols = q.cols();
+    const auto packed = q.pack_codes();
+    ThreadPool pool(3);
+    for (const std::size_t batch : {1u, 2u, 5u, 8u, 11u}) {
+        const auto x = activations_with_zeros(batch * cols, seed + batch);
+        std::vector<float> want(batch * rows);
+        q.gemm_reference(x, batch, want);
+        for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+            std::vector<float> got(batch * rows), got_packed(batch * rows);
+            q.gemm(x, batch, got, p);
+            q.gemm_packed(packed, x, batch, got_packed, p);
+            same(got, want, "gemm batch " + std::to_string(batch));
+            same(got_packed, want, "gemm_packed batch " + std::to_string(batch));
+        }
+        if (batch != 1) continue;
+        std::vector<float> got(rows), got_packed(rows);
+        q.gemv(x, got);
+        q.gemv_packed(packed, x, got_packed);
+        same(got, want, "gemv");
+        same(got_packed, want, "gemv_packed");
+    }
+}
+
+TEST(GemmFused, EveryScalePatternMatchesReference) {
+    // +-0, subnormals (smallest, largest, negative), the largest normal and
+    // lowest value, +-inf, and ordinary scales in between.
+    const std::vector<std::uint16_t> patterns = {0x0000, 0x8000, 0x0001, 0x03FF, 0x8200,
+                                                 0x7BFF, 0xFBFF, 0x7C00, 0xFC00, 0x3C00,
+                                                 0x2E66, 0xB400};
+    std::size_t nonfinite = 0, zeros = 0;
+    const auto same = [&](const std::vector<float>& got, const std::vector<float>& want,
+                          const std::string& where) {
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t i = 0; i < got.size(); ++i) {
+            nonfinite += std::isfinite(want[i]) ? 0 : 1;
+            zeros += want[i] == 0.0f ? 1 : 0;
+            EXPECT_EQ(std::bit_cast<std::uint32_t>(got[i]), std::bit_cast<std::uint32_t>(want[i]))
+                << where << " output " << i << ": " << got[i] << " vs " << want[i];
+        }
+    };
+    // Several patterns per row, and one group per row (where a single +-0 or
+    // +-inf scale decides the output, signed zeros included).
+    check_every_path(layer_with_scales(9, 256, 32, patterns, 61), 62, same);
+    check_every_path(layer_with_scales(24, 32, 32, patterns, 63), 64, same);
+    EXPECT_GT(nonfinite, 0u) << "the infinite scales never reached an output";
+    EXPECT_GT(zeros, 0u) << "the zero scales never reached an output";
+}
+
+TEST(GemmFused, NanScalesStayNan) {
+    // Quiet and signalling NaN scales among ordinary ones: NaN-ness must
+    // reach the same outputs; every other output stays bit-identical.
+    const std::vector<std::uint16_t> patterns = {0x3C00, 0x7E00, 0x2E66, 0xB400,
+                                                 0xFD01, 0x0001, 0x3555};
+    const QuantizedLinear q = layer_with_scales(7, 256, 32, patterns, 71);
+    std::size_t nans = 0;
+    check_every_path(q, 72, [&](const std::vector<float>& got, const std::vector<float>& want,
+                                const std::string& where) {
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t i = 0; i < got.size(); ++i) {
+            if (std::isnan(want[i])) {
+                ++nans;
+                EXPECT_TRUE(std::isnan(got[i])) << where << " output " << i;
+            } else {
+                EXPECT_EQ(std::bit_cast<std::uint32_t>(got[i]),
+                          std::bit_cast<std::uint32_t>(want[i]))
+                    << where << " output " << i;
+            }
+        }
+    });
+    EXPECT_GT(nans, 0u);
 }
 
 TEST(GemmFused, RejectsBadShapes) {
