@@ -250,17 +250,33 @@ done
 for pid in $burst_pids; do
     wait "$pid" || true
 done
-sleep 0.2  # two clear samples: resolve hysteresis for a for=0 rule is zero
+
+slo_metric() {
+    awk -v name="$1" '$1 == name { print $2 }' "$workdir/$2"
+}
+
+# The rule reads the series' latest point, which is the mean of the current
+# 1 s time-series bucket, so the deep-queue samples of the burst keep the
+# alert firing until a bucket of clear samples opens: up to ~1 s after the
+# queue drains. Poll the scrape every 0.1 s until the alert has resolved,
+# with a 2 s deadline (one bucket plus margin); the checks below judge the
+# final scrape.
+polls=20
+while :; do
+    "$client" --port "$port" --metrics >"$workdir/slo_poll.prom"
+    resolved=$(slo_metric serve_alerts_resolved_total slo_poll.prom)
+    firing_now=$(slo_metric serve_alerts_firing slo_poll.prom)
+    [ "$firing_now" = "0" ] && [ "${resolved:-0}" -ge 1 ] && break
+    polls=$((polls - 1))
+    [ "$polls" -le 0 ] && break
+    sleep 0.1
+done
 
 "$client" --port "$port" --alerts >"$workdir/alerts.json"
 "$client" --port "$port" --query serve_queued --window 60 >"$workdir/query.json"
 "$client" --port "$port" --metrics >"$workdir/slo_end.prom"
 kill "$server_pid" 2>/dev/null || true
 wait "$server_pid" 2>/dev/null || true
-
-slo_metric() {
-    awk -v name="$1" '$1 == name { print $2 }' "$workdir/$2"
-}
 fired=$(slo_metric serve_alerts_fired_total slo_end.prom)
 if [ -z "$fired" ] || [ "$fired" -lt 1 ]; then
     echo "metrics_smoke: alert never fired (serve_alerts_fired_total=$fired)" >&2

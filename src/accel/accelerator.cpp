@@ -24,6 +24,14 @@ const AcceleratorOptions& validated(const AcceleratorOptions& opts) {
     return opts;
 }
 
+// Lane b's row of an [lane][n] scratch vector, and lanes [0, nb) of it.
+std::span<Fp16> lane(std::vector<Fp16>& v, std::size_t b, std::size_t n) {
+    return std::span<Fp16>(v).subspan(b * n, n);
+}
+std::span<Fp16> lanes(std::vector<Fp16>& v, std::size_t nb, std::size_t n) {
+    return std::span<Fp16>(v).first(nb * n);
+}
+
 }  // namespace
 
 Accelerator::Accelerator(const PackedModel& m, AcceleratorOptions opts)
@@ -50,13 +58,13 @@ Accelerator::Accelerator(const PackedModel& m, AcceleratorOptions opts)
     ctx_scratch_.reserve(mb);
 
     const model::ModelConfig& c = m.config;
-    for (auto* v : {&x_, &xn_, &q_, &att_out_, &proj_}) v->resize(c.dim);
-    k_.resize(c.kv_dim());
-    v_.resize(c.kv_dim());
-    for (auto* v : {&gate_, &up_, &hidden_}) v->resize(c.hidden_dim);
+    for (auto* v : {&x_, &xn_, &q_, &att_out_, &proj_}) v->resize(mb * c.dim);
+    k_.resize(mb * c.kv_dim());
+    v_.resize(mb * c.kv_dim());
+    for (auto* v : {&gate_, &up_, &hidden_}) v->resize(mb * c.hidden_dim);
+    logits_h_.resize(mb * c.vocab_size);
     scores_.resize(c.max_seq_len);
     probs_.resize(c.max_seq_len);
-    logits_h_.resize(c.vocab_size);
     for (auto* v : {&q_head_, &kv_head_, &out_head_}) v->resize(c.head_dim());
     kq_.resize(c.n_kv_heads);
     vq_.resize(c.n_kv_heads);
@@ -130,35 +138,57 @@ engine::PrefixSharingStats Accelerator::prefix_stats() const {
             .cow_copies = static_cast<std::size_t>(kv_.pool().cow_copies())};
 }
 
-void Accelerator::attention(std::size_t layer, std::size_t slot) {
+void Accelerator::norm(std::span<const Fp16> weight, std::size_t nb) {
+    const model::ModelConfig& cfg = model_->config;
+    for (std::size_t b = 0; b < nb; ++b) {
+        // Square sum computed by the DOT engine side-path.
+        const std::span<const Fp16> x = lane(x_, b, cfg.dim);
+        rms_.run(x, weight, cfg.rms_eps, lane(xn_, b, cfg.dim), SpuRmsNorm::square_sum(x));
+    }
+}
+
+void Accelerator::attention(std::size_t layer, std::span<const std::size_t> slots) {
     const obs::ScopedPhase phase(profiler_, obs::Phase::kAttention);
     const model::ModelConfig& cfg = model_->config;
     const PackedLayer& lw = model_->layers[layer];
+    const std::size_t nb = slots.size();
+    const std::size_t dim = cfg.dim;
+    const std::size_t kvd = cfg.kv_dim();
+
+    norm(lw.attn_norm, nb);  // layer-entry RMSNorm
+
+    // Projections from the interleaved weight streams, one walk each.
+    const std::span<const Fp16> xn = lanes(xn_, nb, dim);
+    vpu_.gemm(lw.wq.stream, dim, dim, nb, xn, lanes(q_, nb, dim));
+    vpu_.gemm(lw.wk.stream, kvd, dim, nb, xn, lanes(k_, nb, kvd));
+    vpu_.gemm(lw.wv.stream, kvd, dim, nb, xn, lanes(v_, nb, kvd));
+
+    for (std::size_t b = 0; b < nb; ++b) attend(layer, b, slots[b]);
+
+    // Output projection + residual add (fused with the square-sum pass).
+    vpu_.gemm(lw.wo.stream, dim, dim, nb, lanes(att_out_, nb, dim), lanes(proj_, nb, dim));
+    for (std::size_t i = 0; i < nb * dim; ++i) x_[i] = x_[i] + proj_[i];
+}
+
+void Accelerator::attend(std::size_t layer, std::size_t lane_idx, std::size_t slot) {
+    const model::ModelConfig& cfg = model_->config;
     const std::size_t hd = cfg.head_dim();
     const std::size_t heads_per_kv = cfg.n_heads / cfg.n_kv_heads;
     const std::size_t pos = pos_[slot];
-
-    // Layer-entry RMSNorm (square sum computed by the DOT engine side-path).
-    rms_.run(x_, lw.attn_norm, cfg.rms_eps, xn_, SpuRmsNorm::square_sum(x_));
-
-    // Projections from the interleaved weight streams.
-    vpu_.gemv(lw.wq.stream, cfg.dim, cfg.dim, xn_, q_);
-    vpu_.gemv(lw.wk.stream, cfg.kv_dim(), cfg.dim, xn_, k_);
-    vpu_.gemv(lw.wv.stream, cfg.kv_dim(), cfg.dim, xn_, v_);
+    const std::span<Fp16> q = lane(q_, lane_idx, cfg.dim);
+    const std::span<Fp16> k = lane(k_, lane_idx, cfg.kv_dim());
+    const std::span<const Fp16> v = lane(v_, lane_idx, cfg.kv_dim());
+    const std::span<Fp16> att_out = lane(att_out_, lane_idx, cfg.dim);
 
     // On-the-fly RoPE.
-    for (std::size_t h = 0; h < cfg.n_heads; ++h) {
-        rope_.run(std::span<Fp16>(q_).subspan(h * hd, hd), pos);
-    }
-    for (std::size_t h = 0; h < cfg.n_kv_heads; ++h) {
-        rope_.run(std::span<Fp16>(k_).subspan(h * hd, hd), pos);
-    }
+    for (std::size_t h = 0; h < cfg.n_heads; ++h) rope_.run(q.subspan(h * hd, hd), pos);
+    for (std::size_t h = 0; h < cfg.n_kv_heads; ++h) rope_.run(k.subspan(h * hd, hd), pos);
 
     // Online KV8 quantization; packs go through the Fig. 4B FIFO, codes
     // through the serial-to-parallel unit (to DDR on the real device).
     for (std::size_t h = 0; h < cfg.n_kv_heads; ++h) {
-        SpuQuant::Result qk = kv_quant_.run(std::span<const Fp16>(k_).subspan(h * hd, hd));
-        SpuQuant::Result qv = kv_quant_.run(std::span<const Fp16>(v_).subspan(h * hd, hd));
+        SpuQuant::Result qk = kv_quant_.run(k.subspan(h * hd, hd));
+        SpuQuant::Result qv = kv_quant_.run(v.subspan(h * hd, hd));
         for (const std::uint8_t c : qk.codes) (void)s2p_.push_byte(c);
         for (const std::uint8_t c : qv.codes) (void)s2p_.push_byte(c);
         (void)sz_fifo_[slot].append(layer, h, false, pos, qk.params);
@@ -177,14 +207,14 @@ void Accelerator::attention(std::size_t layer, std::size_t slot) {
     const std::span<Fp16> probs(probs_.data(), pos + 1);
     for (std::size_t h = 0; h < cfg.n_heads; ++h) {
         const std::size_t kvh = h / heads_per_kv;
-        for (std::size_t i = 0; i < hd; ++i) q_head_[i] = q_[h * hd + i].to_float();
+        for (std::size_t i = 0; i < hd; ++i) q_head_[i] = q[h * hd + i].to_float();
 
         for (std::size_t t = 0; t < pos; ++t) {
             const quant::KvQuantized& e = kv_.key(slot, layer, kvh, t);
             DequantUnit::run_kv(e.codes, e.params, kv_head_);
             scores_[t] = Fp16::from_float(DotEngine::dot(q_head_, kv_head_)) * inv_sqrt_d;
         }
-        for (std::size_t i = 0; i < hd; ++i) kv_head_[i] = k_[kvh * hd + i].to_float();
+        for (std::size_t i = 0; i < hd; ++i) kv_head_[i] = k[kvh * hd + i].to_float();
         scores_[pos] = Fp16::from_float(DotEngine::dot(q_head_, kv_head_)) * inv_sqrt_d;
 
         softmax_.run(scores, probs);
@@ -203,64 +233,66 @@ void Accelerator::attention(std::size_t layer, std::size_t slot) {
             DequantUnit::run_kv(e.codes, e.params, kv_head_);
             accumulate(probs[t]);
         }
-        for (std::size_t i = 0; i < hd; ++i) kv_head_[i] = v_[kvh * hd + i].to_float();
+        for (std::size_t i = 0; i < hd; ++i) kv_head_[i] = v[kvh * hd + i].to_float();
         accumulate(probs[pos]);
-        for (std::size_t i = 0; i < hd; ++i) {
-            att_out_[h * hd + i] = Fp16::from_float(out_head_[i]);
-        }
+        for (std::size_t i = 0; i < hd; ++i) att_out[h * hd + i] = Fp16::from_float(out_head_[i]);
     }
-
-    // Output projection + residual add (fused with the square-sum pass).
-    vpu_.gemv(lw.wo.stream, cfg.dim, cfg.dim, att_out_, proj_);
-    for (std::size_t i = 0; i < cfg.dim; ++i) x_[i] = x_[i] + proj_[i];
 }
 
-void Accelerator::mlp(std::size_t layer) {
+void Accelerator::mlp(std::size_t layer, std::size_t nb) {
     const model::ModelConfig& cfg = model_->config;
     const PackedLayer& lw = model_->layers[layer];
+    const std::size_t dim = cfg.dim;
+    const std::size_t hid = cfg.hidden_dim;
 
-    rms_.run(x_, lw.mlp_norm, cfg.rms_eps, xn_, SpuRmsNorm::square_sum(x_));
+    norm(lw.mlp_norm, nb);
 
-    vpu_.gemv(lw.w_gate.stream, cfg.hidden_dim, cfg.dim, xn_, gate_);
-    vpu_.gemv(lw.w_up.stream, cfg.hidden_dim, cfg.dim, xn_, up_);
-    silu_.run(gate_, up_, hidden_);
+    const std::span<const Fp16> xn = lanes(xn_, nb, dim);
+    vpu_.gemm(lw.w_gate.stream, hid, dim, nb, xn, lanes(gate_, nb, hid));
+    vpu_.gemm(lw.w_up.stream, hid, dim, nb, xn, lanes(up_, nb, hid));
+    // SiLU gating is elementwise: one pass covers every lane.
+    silu_.run(lanes(gate_, nb, hid), lanes(up_, nb, hid), lanes(hidden_, nb, hid));
 
-    vpu_.gemv(lw.w_down.stream, cfg.dim, cfg.hidden_dim, hidden_, proj_);
-    for (std::size_t i = 0; i < cfg.dim; ++i) x_[i] = x_[i] + proj_[i];
+    vpu_.gemm(lw.w_down.stream, dim, hid, nb, lanes(hidden_, nb, hid), lanes(proj_, nb, dim));
+    for (std::size_t i = 0; i < nb * dim; ++i) x_[i] = x_[i] + proj_[i];
 }
 
-void Accelerator::forward_slot(std::int32_t token, std::size_t slot,
-                               std::span<float> logits_out) {
+void Accelerator::forward(std::span<const std::int32_t> tokens,
+                          std::span<const std::size_t> slots, std::span<float> logits_out) {
     const model::ModelConfig& cfg = model_->config;
-    check(token >= 0 && static_cast<std::uint64_t>(token) < cfg.vocab_size,
-          "Accelerator: token out of range");
-    check(slot < opts_.max_batch, "Accelerator: slot out of range");
-    check(pos_[slot] < cfg.max_seq_len, "Accelerator: KV reservation exhausted");
-    check(logits_out.size() >= cfg.vocab_size, "Accelerator: logits_out too small");
-
-    // Embedding row (fp16 in DDR).
-    const std::size_t base = static_cast<std::size_t>(token) * cfg.dim;
-    std::copy_n(model_->embedding.begin() + static_cast<std::ptrdiff_t>(base), cfg.dim,
-                x_.begin());
+    const std::size_t nb = tokens.size();
+    const std::size_t dim = cfg.dim;
+    const std::size_t vocab = cfg.vocab_size;
+    check(logits_out.size() >= nb * vocab, "Accelerator: logits_out too small");
+    for (std::size_t b = 0; b < nb; ++b) {
+        const std::int32_t token = tokens[b];
+        check(token >= 0 && static_cast<std::uint64_t>(token) < vocab,
+              "Accelerator: token out of range");
+        check(pos_[slots[b]] < cfg.max_seq_len, "Accelerator: KV reservation exhausted");
+        // Embedding row (fp16 in DDR).
+        std::copy_n(model_->embedding.begin() +
+                        static_cast<std::ptrdiff_t>(static_cast<std::size_t>(token) * dim),
+                    dim, lane(x_, b, dim).begin());
+    }
 
     for (std::size_t layer = 0; layer < cfg.n_layers; ++layer) {
-        attention(layer, slot);
-        mlp(layer);
+        attention(layer, slots);
+        mlp(layer, nb);
     }
 
-    rms_.run(x_, model_->final_norm, cfg.rms_eps, xn_, SpuRmsNorm::square_sum(x_));
-    vpu_.gemv(model_->lm_head.stream, cfg.vocab_size, cfg.dim, xn_, logits_h_);
-    for (std::size_t i = 0; i < cfg.vocab_size; ++i) {
-        logits_out[i] = logits_h_[i].to_float();
-    }
-    ++pos_[slot];
+    norm(model_->final_norm, nb);
+    vpu_.gemm(model_->lm_head.stream, vocab, dim, nb, lanes(xn_, nb, dim),
+              lanes(logits_h_, nb, vocab));
+    for (std::size_t i = 0; i < nb * vocab; ++i) logits_out[i] = logits_h_[i].to_float();
+    for (const std::size_t slot : slots) ++pos_[slot];
 }
 
 StepResult Accelerator::step(std::int32_t token) {
     StepResult r;
     r.logits.resize(model_->config.vocab_size);
     const std::size_t ctx = pos_[0];
-    forward_slot(token, 0, r.logits);
+    const std::size_t slot = 0;
+    forward({&token, 1}, {&slot, 1}, r.logits);
     if (opts_.collect_timing) {
         r.timing = timing_.token_timing(ctx);
     }
@@ -292,11 +324,7 @@ void Accelerator::decode_batch(std::span<const std::int32_t> tokens,
     ctx_scratch_.clear();
     for (std::size_t b = 0; b < nb; ++b) ctx_scratch_.push_back(pos_[slots[b]]);
 
-    // Functional math is per-session (each lane bit-identical to a solo run);
-    // the device prices the step batched — weights once, KV per session.
-    for (std::size_t b = 0; b < nb; ++b) {
-        forward_slot(tokens[b], slots[b], logits_out.subspan(b * vocab, vocab));
-    }
+    forward(tokens, slots, logits_out);
     const auto t1 = std::chrono::steady_clock::now();
 
     last_cost_.wall_ns = std::chrono::duration<double, std::nano>(t1 - t0).count();

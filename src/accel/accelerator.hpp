@@ -12,11 +12,13 @@
 // The accelerator is also a DecodeBackend: with max_batch > 1 it owns that
 // many independent KV session slots (per-slot arena sequence, position, and
 // scale-zero FIFO) and decode_batch advances any subset of them in one simulated step.
-// The functional math stays per-session (each lane is bit-identical to a solo
-// run), but the step is PRICED as the device would execute it — weights
-// streamed once for the whole batch, KV streams and SPU work per session
-// (DecodeCycleModel::batch_timing) — so the serving layer can report
-// simulated KV260 serving throughput, not just single-stream decode.
+// The step runs as the device executes it and as it is priced
+// (DecodeCycleModel::batch_timing): layer by layer across the lanes, each
+// weight stream walked and dequantized once for the whole batch
+// (DotEngine::gemm), KV streams and SPU work per session. Every lane performs
+// the same fp16 operations in the same order as a solo run, so its logits are
+// bit-identical to one; the serving layer reports simulated KV260 serving
+// throughput, not just single-stream decode.
 //
 // KV storage: the slots' KV8 entries live in a kvpool::PagedQuantizedKvArena
 // (one sequence per slot), the same page store the host engine uses, so
@@ -146,13 +148,23 @@ public:
 private:
     void reset_session(std::size_t slot);
 
-    // One functional forward pass of `token` through session `slot`, writing
-    // float logits and advancing the slot's position. No timing.
-    void forward_slot(std::int32_t token, std::size_t slot, std::span<float> logits_out);
+    // One functional forward pass of tokens[b] through session slots[b] for
+    // every lane b, layer by layer across the lanes: each weight stream is
+    // walked once (DotEngine::gemm) and feeds all lanes. Writes float logits
+    // ([nb][vocab]) and advances each slot's position. No timing.
+    void forward(std::span<const std::int32_t> tokens, std::span<const std::size_t> slots,
+                 std::span<float> logits_out);
 
-    // One layer's halves of the forward pass, reading and updating x_.
-    void attention(std::size_t layer, std::size_t slot);
-    void mlp(std::size_t layer);
+    // xn_ = RMSNorm(x_) with `weight`, for lanes [0, nb).
+    void norm(std::span<const Fp16> weight, std::size_t nb);
+
+    // One layer's halves of the forward pass over lanes [0, slots.size()),
+    // reading and updating x_.
+    void attention(std::size_t layer, std::span<const std::size_t> slots);
+    void mlp(std::size_t layer, std::size_t nb);
+    // Lane `lane`'s per-session part of attention(): RoPE, KV8 quantize and
+    // store into session `slot`, and head-wise attention into att_out_.
+    void attend(std::size_t layer, std::size_t lane, std::size_t slot);
 
     const PackedModel* model_;
     AcceleratorOptions opts_;
@@ -171,10 +183,12 @@ private:
     // Forward-pass scratch, sized once at construction so a step allocates
     // only the KV entries it stores. fp16 vectors feed the SPUs and GEMVs;
     // the float ones hold exact fp16 lanes for the attention dot products.
-    std::vector<Fp16> x_, xn_, q_, k_, v_, att_out_, proj_;  // dim / kv_dim
-    std::vector<Fp16> gate_, up_, hidden_;                   // hidden_dim
+    // Per-lane vectors are [max_batch][n]; attention scratch is single, since
+    // lanes attend one after another.
+    std::vector<Fp16> x_, xn_, q_, k_, v_, att_out_, proj_;  // [lane][dim / kv_dim]
+    std::vector<Fp16> gate_, up_, hidden_;                   // [lane][hidden_dim]
+    std::vector<Fp16> logits_h_;                             // [lane][vocab_size]
     std::vector<Fp16> scores_, probs_;                       // max_seq_len
-    std::vector<Fp16> logits_h_;                             // vocab_size
     std::vector<float> q_head_, kv_head_, out_head_;         // head_dim
     std::vector<quant::KvQuantized> kq_, vq_;                // n_kv_heads
 

@@ -90,37 +90,45 @@ float DotEngine::dot(std::span<const float> a, std::span<const float> b) {
     return acc;
 }
 
-void DotEngine::gemv(std::span<const Word512> stream, std::size_t rows, std::size_t cols,
-                     std::span<const Fp16> x, std::span<Fp16> y) {
-    check(cols % kVpuLanes == 0, "DotEngine::gemv: cols must be a multiple of 128");
-    check(x.size() == cols, "DotEngine::gemv: x size mismatch");
-    check(y.size() == rows, "DotEngine::gemv: y size mismatch");
+void DotEngine::gemm(std::span<const Word512> stream, std::size_t rows, std::size_t cols,
+                     std::size_t nb, std::span<const Fp16> x, std::span<Fp16> y) {
+    check(cols % kVpuLanes == 0, "DotEngine::gemm: cols must be a multiple of 128");
+    check(nb >= 1, "DotEngine::gemm: no lanes");
+    check(x.size() == nb * cols, "DotEngine::gemm: x size mismatch");
+    check(y.size() == nb * rows, "DotEngine::gemm: y size mismatch");
 
-    if (x_.size() < cols) x_.resize(cols);
-    for (std::size_t i = 0; i < cols; ++i) x_[i] = x[i].to_float();
+    if (x_.size() < nb * cols) x_.resize(nb * cols);
+    for (std::size_t i = 0; i < nb * cols; ++i) x_[i] = x[i].to_float();
+    acc_.assign(std::max(acc_.size(), nb), 0.0f);
 
     const std::size_t groups_per_row = cols / kVpuLanes;
     quant::WeightStreamDecoder dec(rows * groups_per_row);
 
     std::size_t group_index = 0;
-    float acc = 0.0f;
     Lanes prod;
     for (const Word512& word : stream) {
         const auto decoded = dec.consume(word);
         if (!decoded) continue;
         const Lanes w = DequantUnit::run(decoded->codes, decoded->scale, decoded->zero);
 
+        // The decoded word feeds every lane: its own multipliers, adder tree
+        // and accumulator, in the single-lane order.
         const float* xg = x_.data() + (group_index % groups_per_row) * kVpuLanes;
-        for (std::size_t i = 0; i < kVpuLanes; ++i) prod[i] = round_to_fp16(w[i] * xg[i]);
-        acc = round_to_fp16(acc + reduce_tree(prod.data(), kVpuLanes));
+        for (std::size_t b = 0; b < nb; ++b, xg += cols) {
+            for (std::size_t i = 0; i < kVpuLanes; ++i) prod[i] = round_to_fp16(w[i] * xg[i]);
+            acc_[b] = round_to_fp16(acc_[b] + reduce_tree(prod.data(), kVpuLanes));
+        }
 
         if ((group_index + 1) % groups_per_row == 0) {
-            y[group_index / groups_per_row] = Fp16::from_float(acc);
-            acc = 0.0f;
+            const std::size_t row = group_index / groups_per_row;
+            for (std::size_t b = 0; b < nb; ++b) {
+                y[b * rows + row] = Fp16::from_float(acc_[b]);
+                acc_[b] = 0.0f;
+            }
         }
         ++group_index;
     }
-    check(group_index == rows * groups_per_row, "DotEngine::gemv: stream too short");
+    check(group_index == rows * groups_per_row, "DotEngine::gemm: stream too short");
 }
 
 std::vector<Fp16> to_fp16(std::span<const float> x) {

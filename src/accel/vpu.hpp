@@ -64,12 +64,20 @@ public:
     // waves exactly as the hardware would.
     [[nodiscard]] static float dot(std::span<const float> a, std::span<const float> b);
 
-    // Full GEMV over a packed weight stream: y[rows] = W x.
-    // Loads x into the activation buffer, walks the Fig. 4A stream through a
-    // WeightStreamDecoder, dequantizes group by group and accumulates per
-    // output row in fp16.
+    // Batched GEMV over a packed weight stream: y[b][rows] = W x[b] for nb
+    // lanes (x is [nb][cols], y is [nb][rows]). Loads x into the activation
+    // buffer and walks the Fig. 4A stream once through a WeightStreamDecoder:
+    // each weight word is dequantized once, as it streams past, and feeds
+    // every lane's multipliers, adder tree and fp16 row accumulator. Each
+    // lane's result is bit-identical to a gemv of that lane alone.
+    void gemm(std::span<const Word512> stream, std::size_t rows, std::size_t cols,
+              std::size_t nb, std::span<const Fp16> x, std::span<Fp16> y);
+
+    // Full GEMV: y[rows] = W x, the one-lane gemm.
     void gemv(std::span<const Word512> stream, std::size_t rows, std::size_t cols,
-              std::span<const Fp16> x, std::span<Fp16> y);
+              std::span<const Fp16> x, std::span<Fp16> y) {
+        gemm(stream, rows, cols, 1, x, y);
+    }
 
     // Cycle cost of that GEMV: one group per clock, fully pipelined.
     [[nodiscard]] static std::uint64_t gemv_cycles(std::size_t rows, std::size_t cols) noexcept {
@@ -77,7 +85,9 @@ public:
     }
 
 private:
-    std::vector<float> x_;  // on-chip activation buffer; grows, never shrinks
+    // On-chip activation buffer ([nb][cols]) and per-lane row accumulators;
+    // both grow, never shrink.
+    std::vector<float> x_, acc_;
 };
 
 // Helpers bridging float vectors and fp16 lanes.

@@ -15,6 +15,12 @@ public:
     explicit Error(const std::string& what) : std::runtime_error(what) {}
 };
 
+// Literal messages take this overload, so a passing check never builds a
+// std::string (hot paths such as KV appends stay allocation-free).
+inline void check(bool cond, const char* msg) {
+    if (!cond) throw Error(msg);
+}
+
 inline void check(bool cond, const std::string& msg) {
     if (!cond) throw Error(msg);
 }

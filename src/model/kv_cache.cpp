@@ -93,10 +93,11 @@ void QuantizedKvCache::append(std::size_t layer, std::span<const float> k,
         for (std::size_t h = 0; h < cfg_.n_kv_heads; ++h) {
             // Per-head quantization: one scale-zero pack per head per token,
             // the granularity the SPU quantizer and the Fig. 4B FIFO operate
-            // at.
+            // at. Quantized in place, reusing the entry's code buffer.
             const std::size_t off = t * kvd + h * hd;
-            k_[slot(layer, len_ + t, h)] = quant::kv_quantize_bits(k.subspan(off, hd), kv_bits_);
-            v_[slot(layer, len_ + t, h)] = quant::kv_quantize_bits(v.subspan(off, hd), kv_bits_);
+            const std::size_t e = slot(layer, len_ + t, h);
+            quant::kv_quantize_bits_into(k.subspan(off, hd), kv_bits_, k_[e]);
+            quant::kv_quantize_bits_into(v.subspan(off, hd), kv_bits_, v_[e]);
         }
     }
     if (cadence_.advance(n, cfg_.n_layers)) len_ += n;

@@ -36,7 +36,14 @@ enum class Phase : std::uint8_t {
     kPrefixAdopt = 3,  // adopting a covered prefix chain into a fresh slot
     kPrefill = 4,      // prompt rows' share of a decode step (attributed)
     kDecodeBatch = 5,  // decode rows' share of a decode step (attributed)
-    kAttention = 6,    // backend attention blocks (per layer, inside decode)
+    // Backend attention blocks, one scope per layer per step inside decode.
+    // A block is the whole attention half of the layer for every lane: the
+    // RMSNorm, the Q/K/V/O projections, RoPE, the KV append and the
+    // attention itself, so its share is not the cost of re-reading KV
+    // history. That part grows with context: on a 4-core host bench-m b1 at
+    // 4 threads goes from ~4.5 to ~6.2 ms per step between ctx 64 and 512,
+    // and the micro-256 twin at b4 adds ~3.5 us per context token.
+    kAttention = 6,
     kSampling = 7,     // logits -> token for one lane
     kRetire = 8,       // slot teardown + completion callbacks
     kCount = 9,

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cstring>
+#include <memory>
 
 #include "accel/accelerator.hpp"
 #include "common/check.hpp"
@@ -196,6 +198,52 @@ TEST(Accelerator, GoldenBatchedLogitsHash) {
         }
     }
     EXPECT_EQ(hash, 0x226a43a4271ae325ull) << std::hex << hash;
+}
+
+TEST(Accelerator, BatchedLanesMatchSoloRuns) {
+    // A batched step walks each weight stream once for all lanes; no lane may
+    // see another's activations or KV. 4 slots at staggered positions step
+    // together in a shuffled order (every fourth step feeds a 2-slot subset),
+    // and each lane's logits must equal that slot stepped alone, bit for bit,
+    // with contiguous and with 16-token paged KV.
+    const PackedModel& packed = micro_fixture().packed;
+    const std::size_t vocab = packed.config.vocab_size;
+    for (const std::size_t page_tokens : {std::size_t{0}, std::size_t{16}}) {
+        SCOPED_TRACE(page_tokens);
+        AcceleratorOptions opts;
+        opts.collect_timing = false;
+        opts.accel.kv_page_tokens = page_tokens;
+        std::vector<std::unique_ptr<Accelerator>> solo;
+        for (int s = 0; s < 4; ++s) solo.push_back(std::make_unique<Accelerator>(packed, opts));
+        opts.max_batch = 4;
+        Accelerator batched(packed, opts);
+
+        std::vector<std::int32_t> next{5, 17, 29, 41};  // per slot
+        std::vector<float> logits(4 * vocab), solo_logits(vocab);
+        const std::size_t solo_slot = 0;
+        const auto step = [&](std::span<const std::size_t> slots) {
+            std::vector<std::int32_t> tokens;
+            for (const std::size_t s : slots) tokens.push_back(next[s]);
+            batched.decode_batch(tokens, slots, logits);
+            for (std::size_t b = 0; b < slots.size(); ++b) {
+                const std::size_t s = slots[b];
+                solo[s]->decode_batch(std::span(tokens).subspan(b, 1),
+                                      std::span(&solo_slot, 1), solo_logits);
+                const std::span<const float> lane =
+                    std::span<const float>(logits).subspan(b * vocab, vocab);
+                EXPECT_EQ(std::memcmp(lane.data(), solo_logits.data(), vocab * sizeof(float)), 0)
+                    << "slot " << s << " at position " << batched.position(s);
+                next[s] = model::Sampler::argmax(lane);
+            }
+        };
+        for (std::size_t s = 1; s < 4; ++s) {
+            for (std::size_t t = 0; t < 3 * s; ++t) step(std::span(&s, 1));
+        }
+        const std::vector<std::size_t> all{2, 0, 3, 1}, pair{3, 1};
+        for (int i = 0; i < 24; ++i) step(i % 4 == 3 ? pair : all);
+        EXPECT_EQ(batched.position(0), 18u);
+        EXPECT_EQ(batched.position(3), 33u);
+    }
 }
 
 }  // namespace

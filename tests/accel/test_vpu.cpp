@@ -172,22 +172,23 @@ TEST(DotEngine, GemvMatchesQuantizedReference) {
     }
 }
 
+// Random streams plus the edge cases the float-domain datapath must get
+// right: zero scales, scales whose dequantized weights overflow to inf
+// (inf * 0 and inf - inf give NaN rows), and activations small enough that
+// lane products are fp16 subnormals or round to zero.
+constexpr RandomLayer kOracleSpecs[] = {
+    {16, 512, 0.02, 1.0, 0.0},     // typical weights and activations
+    {7, 384, 0.5, 4.0, 0.25},      // a quarter of the scales are zero
+    {5, 256, 65504.0, 1.0, 0.0},   // dequantized weights overflow to inf
+    {9, 640, 0.01, 2e-4, 0.0},     // subnormal lane products
+    {3, 1280, 3.0, 30.0, 0.0},     // long rows, accumulators saturate
+};
+
 TEST(DotEngine, GemvBitIdenticalToFp16OperatorOracle) {
-    // Random streams plus the edge cases the float-domain datapath must get
-    // right: zero scales, scales whose dequantized weights overflow to inf
-    // (inf * 0 and inf - inf give NaN rows), and activations small enough
-    // that lane products are fp16 subnormals or round to zero.
-    const RandomLayer specs[] = {
-        {16, 512, 0.02, 1.0, 0.0},     // typical weights and activations
-        {7, 384, 0.5, 4.0, 0.25},      // a quarter of the scales are zero
-        {5, 256, 65504.0, 1.0, 0.0},   // dequantized weights overflow to inf
-        {9, 640, 0.01, 2e-4, 0.0},     // subnormal lane products
-        {3, 1280, 3.0, 30.0, 0.0},     // long rows, accumulators saturate
-    };
     Xoshiro256 rng(11);
     DotEngine vpu;
     std::size_t nonfinite_rows = 0;
-    for (const RandomLayer& spec : specs) {
+    for (const RandomLayer& spec : kOracleSpecs) {
         const auto q = random_layer(spec, rng);
         std::vector<Fp16> x(spec.cols);
         for (auto& v : x) {
@@ -202,6 +203,42 @@ TEST(DotEngine, GemvBitIdenticalToFp16OperatorOracle) {
         }
     }
     EXPECT_GT(nonfinite_rows, 0u);  // the overflow case really overflowed
+}
+
+TEST(DotEngine, GemmMatchesPerLaneGemv) {
+    // One stream walk feeding nb lanes must give each lane exactly what a
+    // gemv of that lane alone gives, edge cases included.
+    Xoshiro256 rng(12);
+    DotEngine batched, solo;
+    std::size_t nonfinite_rows = 0;
+    for (const RandomLayer& spec : kOracleSpecs) {
+        const auto q = random_layer(spec, rng);
+        const auto stream = quant::pack_weight_stream(q);
+        for (std::size_t nb = 1; nb <= 5; ++nb) {
+            std::vector<Fp16> x(nb * spec.cols);
+            for (auto& v : x) {
+                v = Fp16::from_float(static_cast<float>(rng.gaussian(0.0, spec.x_mag)));
+            }
+            std::vector<Fp16> y(nb * spec.rows);
+            batched.gemm(stream, spec.rows, spec.cols, nb, x, y);
+            for (std::size_t b = 0; b < nb; ++b) {
+                const std::span<const Fp16> xb =
+                    std::span<const Fp16>(x).subspan(b * spec.cols, spec.cols);
+                std::vector<Fp16> want(spec.rows);
+                solo.gemv(stream, spec.rows, spec.cols, xb, want);
+                const std::vector<Fp16> oracle = oracle_gemv(q, xb);
+                for (std::size_t r = 0; r < spec.rows; ++r) {
+                    const Fp16 got = y[b * spec.rows + r];
+                    EXPECT_EQ(got.bits(), want[r].bits())
+                        << "cols=" << spec.cols << " nb=" << nb << " lane " << b << " row " << r;
+                    EXPECT_EQ(got.bits(), oracle[r].bits())
+                        << "cols=" << spec.cols << " nb=" << nb << " lane " << b << " row " << r;
+                    nonfinite_rows += got.is_nan() || got.is_inf();
+                }
+            }
+        }
+    }
+    EXPECT_GT(nonfinite_rows, 0u);
 }
 
 TEST(DotEngine, GemvCycles) {

@@ -1,9 +1,33 @@
 // Float and KV8 caches: layout, GQA head views, quantization transparency.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
 #include "common/check.hpp"
 #include "common/rng.hpp"
+#include "kvpool/paged_kv_cache.hpp"
 #include "model/kv_cache.hpp"
+
+namespace {
+
+// Global allocation counter for the allocation-free append test: counts
+// operator new calls only while armed.
+std::atomic<bool> g_count_allocs{false};
+std::atomic<std::size_t> g_allocs{0};
+
+}  // namespace
+
+void* operator new(std::size_t n) {
+    if (g_count_allocs.load(std::memory_order_relaxed)) {
+        g_allocs.fetch_add(1, std::memory_order_relaxed);
+    }
+    if (void* p = std::malloc(n > 0 ? n : 1)) return p;
+    throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace efld::model {
 namespace {
@@ -119,6 +143,78 @@ TEST(QuantizedKvCache, ValuesRoundTripToo) {
     const std::size_t hd = cfg.head_dim();
     for (std::size_t i = 0; i < hd; ++i) {
         EXPECT_NEAR(qv[i], v[hd + i], 0.05f);
+    }
+}
+
+TEST(QuantizedKvCache, RefillAfterResetAllocatesNothing) {
+    // Decode must not allocate once the KV stores are warm: after reset(), a
+    // re-fill reuses every entry's code buffer, in the contiguous cache and
+    // in a paged arena sequence, and stores exactly what a fresh cache
+    // stores for the same data.
+    const ModelConfig cfg = micro();
+    const std::size_t tokens = 20, span = 4, kvd = cfg.kv_dim(), hd = cfg.head_dim();
+    const auto history = [&](std::uint64_t seed) {
+        return std::pair{random_vec(cfg.n_layers * tokens * kvd, seed),
+                         random_vec(cfg.n_layers * tokens * kvd, seed + 1)};
+    };
+    const auto [ka, va] = history(100);
+    const auto [kb, vb] = history(200);
+    // Spans of `span` tokens, every layer per span (the append cadence).
+    const auto fill = [&](const std::vector<float>& k, const std::vector<float>& v,
+                          auto&& append) {
+        for (std::size_t t = 0; t < tokens; t += span) {
+            for (std::size_t l = 0; l < cfg.n_layers; ++l) {
+                const std::size_t off = (l * tokens + t) * kvd;
+                append(l, std::span(k).subspan(off, span * kvd),
+                       std::span(v).subspan(off, span * kvd));
+            }
+        }
+    };
+
+    QuantizedKvCache cache(cfg), fresh(cfg);
+    // Two 16-token pages: the re-fill can only land on pages whose entries
+    // the first fill gave code buffers.
+    kvpool::PagedQuantizedKvArena arena(cfg, kvpool::pool_config(cfg, 1, 16, 2));
+    const std::size_t seq = arena.create_sequence();
+    const auto cache_append = [&](QuantizedKvCache& c) {
+        return [&c](std::size_t l, std::span<const float> k, std::span<const float> v) {
+            c.append(l, k, v);
+        };
+    };
+    const auto arena_append = [&](std::size_t l, std::span<const float> k,
+                                  std::span<const float> v) { arena.append(seq, l, k, v); };
+    fill(ka, va, cache_append(cache));
+    fill(ka, va, arena_append);
+    fill(kb, vb, cache_append(fresh));
+    cache.reset();
+    arena.reset_sequence(seq);
+
+    g_allocs = 0;
+    g_count_allocs = true;
+    fill(kb, vb, cache_append(cache));
+    const std::size_t cache_allocs = g_allocs.exchange(0);
+    fill(kb, vb, arena_append);
+    const std::size_t arena_allocs = g_allocs.load();
+    g_count_allocs = false;
+    EXPECT_EQ(cache_allocs, 0u);
+    EXPECT_EQ(arena_allocs, 0u);
+
+    ASSERT_EQ(cache.length(), tokens);
+    ASSERT_EQ(arena.length(seq), tokens);
+    std::vector<float> want(tokens * hd), got(tokens * hd);
+    for (std::size_t l = 0; l < cfg.n_layers; ++l) {
+        for (std::size_t h = 0; h < cfg.n_kv_heads; ++h) {
+            fresh.dequant_keys_into(l, h, tokens, want);
+            cache.dequant_keys_into(l, h, tokens, got);
+            EXPECT_EQ(got, want) << "keys, layer " << l << " head " << h;
+            arena.dequant_keys_into(seq, l, h, tokens, got);
+            EXPECT_EQ(got, want) << "arena keys, layer " << l << " head " << h;
+            fresh.dequant_values_into(l, h, tokens, want);
+            cache.dequant_values_into(l, h, tokens, got);
+            EXPECT_EQ(got, want) << "values, layer " << l << " head " << h;
+            arena.dequant_values_into(seq, l, h, tokens, got);
+            EXPECT_EQ(got, want) << "arena values, layer " << l << " head " << h;
+        }
     }
 }
 
