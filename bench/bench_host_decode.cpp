@@ -1,15 +1,18 @@
-// Host decode throughput: the software twin's fused fast path vs. the seed
-// gemv_reference route, single- and multi-threaded, against the host's own
-// read bandwidth and the simulated KV260 decode rate from the cycle model.
+// Host decode throughput: the software twin's fused fast path, single- and
+// multi-threaded, against the host's own read bandwidth and the simulated
+// KV260 decode rate from the cycle model.
 //
 // The paper's thesis is that decode = memory streaming; the host engine only
 // serves as a credible baseline for the cycle model if its own hot path is
 // not dominated by allocation and recomputation. This bench quantifies that:
 //
-//   legacy  : seed path (allocating gemv_reference per projection, 1 thread)
 //   fused 1t: fused dequantize×dot fast path, allocation-free decode loop
 //   fused Nt: same with GEMV rows / attention heads across a worker pool
 //   packed  : fused 4 threads over the 4-bit bus-word streams
+//
+// It is also a parity gate: the thread and packed-walk contracts make every
+// row's logits bit-identical, so a row whose hash over every logit's bits
+// differs from the 1-thread row's fails the run (exit 1).
 //
 // Each fused row also reports its weight walk rate — weight bytes per token
 // (1 B per code, the fp16 scale and the zero per group) × token/s — and
@@ -22,6 +25,7 @@
 // the throughput trajectory is trackable across PRs.
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -41,32 +45,38 @@ namespace {
 
 struct RunResult {
     double tokens_per_s = 0.0;
-    double logit_checksum = 0.0;  // parity fingerprint across variants
+    std::uint64_t logit_hash = 0;  // FNV-1a over every decode step's logit bits
 };
 
 RunResult run_decode(const model::QuantizedModelWeights& qw, model::EngineOptions opts,
                      std::size_t prefill_tokens, std::size_t decode_tokens) {
     model::ReferenceEngine eng(qw, opts);
-    const auto vocab = static_cast<std::int32_t>(qw.config.vocab_size);
+    const std::size_t slot = eng.reserve_slot();
     std::int32_t token = 1;
+    const auto decode = [&] {
+        return eng.decode_batch(std::span(&token, 1), std::span(&slot, 1));
+    };
+    const auto vocab = static_cast<std::int32_t>(qw.config.vocab_size);
     for (std::size_t i = 0; i < prefill_tokens; ++i) {
-        (void)eng.decode(token);
+        (void)decode();
         token = static_cast<std::int32_t>((token * 5 + 3) % vocab);
     }
 
-    double checksum = 0.0;
+    std::uint64_t hash = 0xcbf29ce484222325ull;  // FNV-1a offset basis
     const auto t0 = std::chrono::steady_clock::now();
     for (std::size_t i = 0; i < decode_tokens; ++i) {
-        const std::span<const float> logits = eng.decode(token);
+        const std::span<const float> logits = decode();
         // Greedy next token keeps the run deterministic while exercising the
         // real logits the way a sampler would.
         token = static_cast<std::int32_t>(
             std::max_element(logits.begin(), logits.end()) - logits.begin());
-        checksum += static_cast<double>(logits[0]);
+        for (const float v : logits) {
+            hash = (hash ^ std::bit_cast<std::uint32_t>(v)) * 0x100000001b3ull;
+        }
     }
     const auto t1 = std::chrono::steady_clock::now();
     const double s = std::chrono::duration<double>(t1 - t0).count();
-    return RunResult{static_cast<double>(decode_tokens) / s, checksum};
+    return RunResult{static_cast<double>(decode_tokens) / s, hash};
 }
 
 // Bytes of stored weights one decode token walks: every projection and the
@@ -156,8 +166,7 @@ int main(int argc, char** argv) {
     const model::QuantizedModelWeights qw =
         model::QuantizedModelWeights::quantize(fw, quant::GroupQuantConfig{});
 
-    const model::EngineOptions legacy{.use_kv8 = true, .seed_baseline = true, .threads = 1};
-    const model::EngineOptions fused1{.use_kv8 = true, .seed_baseline = false, .threads = 1};
+    const model::EngineOptions fused1{.use_kv8 = true, .threads = 1};
 
     const std::uint64_t weight_bytes = walk_bytes(qw);
     std::vector<std::pair<std::size_t, double>> peaks;  // (threads, GB/s)
@@ -181,7 +190,6 @@ int main(int argc, char** argv) {
         rows.push_back({std::move(label), std::move(key), r, walk, walk / peak});
     };
 
-    const RunResult base = run_decode(qw, legacy, prefill_tokens, decode_tokens);
     run_row("fused, 1 thread", "fused_1t", fused1);
     for (const std::size_t t : {2u, 4u}) {
         model::EngineOptions o = fused1;
@@ -193,17 +201,16 @@ int main(int argc, char** argv) {
     packed.packed_weights = true;
     run_row("fused, packed, 4 threads", "fused_packed_4t", packed);
 
-    std::printf("%-26s | %10s | %8s | %9s | %12s\n", "configuration", "token/s", "speedup",
-                "walk GB/s", "host_bw_util");
-    std::printf("--------------------------------------------------------------------------\n");
-    std::printf("%-26s | %10.2f | %7.2fx | %9s | %12s\n", "legacy (seed path)",
-                base.tokens_per_s, 1.0, "-", "-");
+    std::printf("%-26s | %10s | %9s | %12s\n", "configuration", "token/s", "walk GB/s",
+                "host_bw_util");
+    std::printf("---------------------------------------------------------------\n");
+    bool parity = true;
     for (const Row& row : rows) {
-        std::printf("%-26s | %10.2f | %7.2fx | %9.2f | %12.3f\n", row.label.c_str(),
-                    row.r.tokens_per_s, row.r.tokens_per_s / base.tokens_per_s, row.walk_gbps,
-                    row.util);
-        if (row.r.logit_checksum != rows[0].r.logit_checksum) {
-            std::printf("  WARNING: checksum diverged from 1-thread!\n");
+        std::printf("%-26s | %10.2f | %9.2f | %12.3f\n", row.label.c_str(),
+                    row.r.tokens_per_s, row.walk_gbps, row.util);
+        if (row.r.logit_hash != rows[0].r.logit_hash) {
+            std::printf("  FAIL: logits diverged from the 1-thread row's\n");
+            parity = false;
         }
     }
     std::printf("(walk GB/s counts 1 B per code; the packed row reads half the code bytes)\n");
@@ -225,7 +232,6 @@ int main(int argc, char** argv) {
             << "  \"bench\": \"host_decode\",\n"
             << "  \"model\": \"" << cfg.name << "\",\n"
             << "  \"decode_tokens\": " << decode_tokens << ",\n"
-            << "  \"legacy_tok_s\": " << base.tokens_per_s << ",\n"
             << "  \"weight_bytes_per_token\": " << weight_bytes << ",\n";
         for (const auto& [t, gbps] : peaks) {
             out << "  \"read_peak_" << t << "t_gbps\": " << gbps << ",\n";
@@ -235,10 +241,9 @@ int main(int argc, char** argv) {
                 << "  \"" << row.key << "_walk_gbps\": " << row.walk_gbps << ",\n"
                 << "  \"" << row.key << "_host_bw_util\": " << row.util << ",\n";
         }
-        out << "  \"speedup_1t\": " << rows[0].r.tokens_per_s / base.tokens_per_s << ",\n"
-            << "  \"simulated_tok_s\": " << sim_tok_s << "\n"
+        out << "  \"simulated_tok_s\": " << sim_tok_s << "\n"
             << "}\n";
         std::printf("\nwrote %s\n", json_path.c_str());
     }
-    return 0;
+    return parity ? 0 : 1;
 }

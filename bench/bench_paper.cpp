@@ -300,14 +300,17 @@ void kv_precision(std::vector<Claim>& out) {
                    "KV8 >= 1024, > KV16", c8 >= 1024 && c8 > c16});
 }
 
-// Cosine of the last logits of a 12-step teacher-forced greedy rollout.
-double rollout_cosine(model::ReferenceEngine& golden, model::ReferenceEngine&& test) {
+// Cosine of the last logits of a 12-step teacher-forced greedy rollout;
+// `golden_slot` is a slot reserved on `golden` (reset() keeps reservations).
+double rollout_cosine(model::ReferenceEngine& golden, std::size_t golden_slot,
+                      model::ReferenceEngine&& test) {
     golden.reset();
-    std::vector<float> lg, lt;
+    const std::size_t test_slot = test.reserve_slot();
+    std::span<const float> lg, lt;
     std::int32_t tok = 1;
     for (int i = 0; i < 12; ++i) {
-        lg = golden.forward(tok);
-        lt = test.forward(tok);
+        lg = golden.decode_batch(std::span(&tok, 1), std::span(&golden_slot, 1));
+        lt = test.decode_batch(std::span(&tok, 1), std::span(&test_slot, 1));
         tok = model::Sampler::argmax(lg);
     }
     return cosine_similarity(lg, lt);
@@ -338,11 +341,14 @@ void quantization(std::vector<Claim>& out) {
     const auto w4 = model::QuantizedModelWeights::quantize(fw, quant::GroupQuantConfig{});
     const auto w8 = model::QuantizedModelWeights::quantize(fw, g8);
     model::ReferenceEngine golden(fw);
-    const double c_w8 = rollout_cosine(golden, model::ReferenceEngine(w8));
-    const double c_w4 = rollout_cosine(golden, model::ReferenceEngine(w4));
-    const double c_kv8 = rollout_cosine(golden, model::ReferenceEngine(w4, true, 8));
-    const double c_kv4 = rollout_cosine(golden, model::ReferenceEngine(w4, true, 4));
-    const double c_kv2 = rollout_cosine(golden, model::ReferenceEngine(w4, true, 2));
+    const std::size_t gs = golden.reserve_slot();
+    const double c_w8 = rollout_cosine(golden, gs, model::ReferenceEngine(w8));
+    const double c_w4 = rollout_cosine(golden, gs, model::ReferenceEngine(w4));
+    const auto kv = [&](unsigned bits) {
+        return rollout_cosine(golden, gs,
+                              model::ReferenceEngine(w4, {.use_kv8 = true, .kv_bits = bits}));
+    };
+    const double c_kv8 = kv(8), c_kv4 = kv(4), c_kv2 = kv(2);
     out.push_back({"Sec. IV.A", "logit cosine: W8 > W4 (float KV)",
                    fmt("%.4f > %.4f", c_w8, c_w4), "W8 > W4", c_w8 > c_w4});
     out.push_back({"Sec. IV.B", "logit cosine: KV8 > KV4 > KV2 (W4)",

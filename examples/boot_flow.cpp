@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <string>
 
+#include "model/sampler.hpp"
 #include "runtime/host.hpp"
 #include "runtime/loader.hpp"
 
@@ -44,10 +45,10 @@ int main(int argc, char** argv) {
     std::printf("serving token commands:\n");
     double total_ns = 0;
     for (const std::int32_t tok : {1, 42, 7, 99}) {
-        const accel::StepResult res = host.execute({tok, false});
-        total_ns += res.timing.total_ns;
-        std::printf("  token %3d -> argmax %3d  (%.3f ms simulated)\n", tok,
-                    model::Sampler::argmax(res.logits), res.timing.total_ns / 1e6);
+        const std::int32_t next = model::Sampler::argmax(host.execute({tok, false}));
+        const double ns = host.accelerator().last_step_cost().simulated_ns;
+        total_ns += ns;
+        std::printf("  token %3d -> argmax %3d  (%.3f ms simulated)\n", tok, next, ns / 1e6);
     }
     std::printf("decode rate: %.1f token/s simulated on the KV260 memory system\n",
                 4.0 * 1e9 / total_ns);

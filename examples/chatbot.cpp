@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
         const runtime::GenerationOutput out = session.generate(prompt, 32);
         std::printf("      [%zu tokens, %.1f token/s simulated on KV260]\n\n",
                     out.tokens.size(), out.simulated_tokens_per_s());
-        if (session.accelerator().position() + 48 >= session.config().max_seq_len) {
+        if (session.position() + 48 >= session.config().max_seq_len) {
             std::printf("-- context window (%llu) nearly full; clearing KV cache --\n",
                         static_cast<unsigned long long>(session.config().max_seq_len));
             session.reset();

@@ -87,6 +87,11 @@ std::size_t Accelerator::position(std::size_t slot) const {
     return pos_[slot];
 }
 
+const quant::ScaleZeroFifo& Accelerator::scale_zero_fifo(std::size_t slot) const {
+    check(slot < opts_.max_batch, "Accelerator: slot out of range");
+    return sz_fifo_[slot];
+}
+
 std::size_t Accelerator::reserve_slot() { return slots_.acquire(); }
 
 void Accelerator::release_slot(std::size_t slot) {
@@ -287,18 +292,6 @@ void Accelerator::forward(std::span<const std::int32_t> tokens,
     for (const std::size_t slot : slots) ++pos_[slot];
 }
 
-StepResult Accelerator::step(std::int32_t token) {
-    StepResult r;
-    r.logits.resize(model_->config.vocab_size);
-    const std::size_t ctx = pos_[0];
-    const std::size_t slot = 0;
-    forward({&token, 1}, {&slot, 1}, r.logits);
-    if (opts_.collect_timing) {
-        r.timing = timing_.token_timing(ctx);
-    }
-    return r;
-}
-
 void Accelerator::decode_batch(std::span<const std::int32_t> tokens,
                                std::span<const std::size_t> slots,
                                std::span<const std::size_t> rows,
@@ -341,28 +334,6 @@ void Accelerator::decode_batch(std::span<const std::int32_t> tokens,
         last_cost_.sim_overhead_ns = 0.0;
     }
     last_cost_.weight_walks = 1.0;  // one streaming pass over the weights per step
-}
-
-GenerationResult Accelerator::generate(std::span<const std::int32_t> prompt,
-                                       std::size_t max_new, model::Sampler& sampler,
-                                       std::int32_t eos) {
-    check(!prompt.empty(), "Accelerator: empty prompt");
-    GenerationResult g;
-
-    StepResult last;
-    for (const std::int32_t t : prompt) last = step(t);
-
-    // Same attribution rule as InferenceSession::generate: a token is billed
-    // the decode step that consumes it, so total_ns covers exactly the decode
-    // steps executed here (prefill is TTFT, not decode time).
-    for (std::size_t i = 0; i < max_new && pos_[0] < model_->config.max_seq_len; ++i) {
-        const std::int32_t next = sampler.sample(last.logits);
-        g.tokens.push_back(next);
-        if (next == eos) break;
-        last = step(next);
-        g.total_ns += last.timing.total_ns;
-    }
-    return g;
 }
 
 }  // namespace efld::accel

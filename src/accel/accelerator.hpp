@@ -1,17 +1,17 @@
 // Top-level accelerator simulator: the full functional datapath (fp16 VPU,
 // SPU submodules, KV8 cache, Fig. 4 formats) plus the cycle model.
 //
-// step() executes one decode step exactly as the hardware would — weights
-// dequantized from the interleaved bus stream, activations in fp16, RoPE from
-// the quarter-wave ROM, three-pass softmax, online KV quantization with the
-// scale-zero FIFO — and simultaneously reports the token's simulated latency
-// on the KV260 memory system. Functional results are therefore validated
-// against the float reference while timing reproduces the paper's
-// decode-speed numbers.
+// It is a DecodeBackend: decode_batch executes one decode step exactly as the
+// hardware would — weights dequantized from the interleaved bus stream,
+// activations in fp16, RoPE from the quarter-wave ROM, three-pass softmax,
+// online KV quantization with the scale-zero FIFO — and last_step_cost()
+// reports the step's simulated latency on the KV260 memory system.
+// Functional results are therefore validated against the float reference
+// while timing reproduces the paper's decode-speed numbers.
 //
-// The accelerator is also a DecodeBackend: with max_batch > 1 it owns that
-// many independent KV session slots (per-slot arena sequence, position, and
-// scale-zero FIFO) and decode_batch advances any subset of them in one simulated step.
+// With max_batch > 1 it owns that many independent KV session slots (per-slot
+// arena sequence, position, and scale-zero FIFO) and decode_batch advances
+// any subset of them in one simulated step.
 // The step runs as the device executes it and as it is priced
 // (DecodeCycleModel::batch_timing): layer by layer across the lanes, each
 // weight stream walked and dequantized once for the whole batch
@@ -51,7 +51,6 @@
 #include "accel/vpu.hpp"
 #include "engine/decode_backend.hpp"
 #include "kvpool/paged_kv_cache.hpp"
-#include "model/sampler.hpp"
 #include "prefix/prefix_index.hpp"
 #include "quant/scale_zero_pack.hpp"
 
@@ -70,40 +69,13 @@ struct AcceleratorOptions {
     std::size_t kv_pool_pages = 0;
 };
 
-struct StepResult {
-    std::vector<float> logits;
-    TokenTiming timing;  // zeroed when collect_timing is off
-};
-
-struct GenerationResult {
-    std::vector<std::int32_t> tokens;
-    double total_ns = 0.0;
-
-    [[nodiscard]] double tokens_per_s() const noexcept {
-        return total_ns > 0.0
-                   ? static_cast<double>(tokens.size()) * 1e9 / total_ns
-                   : 0.0;
-    }
-};
-
 class Accelerator : public engine::DecodeBackend {
 public:
     // Non-owning: `m` must outlive the accelerator.
     explicit Accelerator(const PackedModel& m, AcceleratorOptions opts = {});
 
-    // One decode step on slot 0 (the historical single-session API).
-    StepResult step(std::int32_t token);
-
-    // Prefills `prompt`, then decodes up to `max_new` tokens (stops at EOS id
-    // if `eos` >= 0) on slot 0. Returns generated tokens and simulated decode
-    // time.
-    GenerationResult generate(std::span<const std::int32_t> prompt, std::size_t max_new,
-                              model::Sampler& sampler, std::int32_t eos = -1);
-
-    [[nodiscard]] std::size_t position() const noexcept { return pos_[0]; }
-    [[nodiscard]] const quant::ScaleZeroFifo& scale_zero_fifo() const noexcept {
-        return sz_fifo_[0];
-    }
+    // The slot's scale-zero FIFO (Fig. 4B).
+    [[nodiscard]] const quant::ScaleZeroFifo& scale_zero_fifo(std::size_t slot) const;
     [[nodiscard]] DecodeCycleModel& cycle_model() noexcept { return timing_; }
 
     // --- engine::DecodeBackend ---

@@ -56,18 +56,6 @@ std::span<const float> KvCache::values_span(std::size_t layer, std::size_t kv_he
                                                      len * cfg_.head_dim());
 }
 
-std::vector<float> KvCache::keys_for_head(std::size_t layer, std::size_t kv_head,
-                                          std::size_t len) const {
-    const std::span<const float> s = keys_span(layer, kv_head, len);
-    return std::vector<float>(s.begin(), s.end());
-}
-
-std::vector<float> KvCache::values_for_head(std::size_t layer, std::size_t kv_head,
-                                            std::size_t len) const {
-    const std::span<const float> s = values_span(layer, kv_head, len);
-    return std::vector<float>(s.begin(), s.end());
-}
-
 QuantizedKvCache::QuantizedKvCache(const ModelConfig& cfg, unsigned kv_bits)
     : cfg_(cfg),
       kv_bits_(kv_bits),
@@ -127,20 +115,6 @@ std::span<const float> QuantizedKvCache::dequant_values_into(std::size_t layer,
         quant::kv_dequantize_into(e.codes, e.params, out.subspan(t * hd, hd));
     }
     return out.first(len * hd);
-}
-
-std::vector<float> QuantizedKvCache::keys_for_head(std::size_t layer, std::size_t kv_head,
-                                                   std::size_t len) const {
-    std::vector<float> out(len * cfg_.head_dim());
-    dequant_keys_into(layer, kv_head, len, out);
-    return out;
-}
-
-std::vector<float> QuantizedKvCache::values_for_head(std::size_t layer, std::size_t kv_head,
-                                                     std::size_t len) const {
-    std::vector<float> out(len * cfg_.head_dim());
-    dequant_values_into(layer, kv_head, len, out);
-    return out;
 }
 
 quant::KvQuantParams QuantizedKvCache::key_params(std::size_t layer, std::size_t token,

@@ -49,12 +49,6 @@ public:
     [[nodiscard]] std::span<const float> values_span(std::size_t layer, std::size_t kv_head,
                                                      std::size_t len) const;
 
-    // Copying accessors kept for tests/tools that want owning history.
-    [[nodiscard]] std::vector<float> keys_for_head(std::size_t layer, std::size_t kv_head,
-                                                   std::size_t len) const;
-    [[nodiscard]] std::vector<float> values_for_head(std::size_t layer, std::size_t kv_head,
-                                                     std::size_t len) const;
-
     [[nodiscard]] std::size_t length() const noexcept { return len_; }
     [[nodiscard]] std::size_t capacity() const noexcept { return cfg_.max_seq_len; }
     void reset() noexcept { len_ = 0; cadence_ = {}; }
@@ -84,14 +78,9 @@ public:
     // (per-head params per token), with KvCache::append's span cadence.
     void append(std::size_t layer, std::span<const float> k, std::span<const float> v);
 
-    // Dequantized history for one head (matches KvCache accessors).
-    [[nodiscard]] std::vector<float> keys_for_head(std::size_t layer, std::size_t kv_head,
-                                                   std::size_t len) const;
-    [[nodiscard]] std::vector<float> values_for_head(std::size_t layer, std::size_t kv_head,
-                                                     std::size_t len) const;
-
-    // Allocation-free variants: dequantize `len` rows into caller scratch of
-    // at least len * head_dim floats. Returns the filled prefix.
+    // Dequantized history for one head (the counterpart of KvCache::keys_span):
+    // `len` rows into caller scratch of at least len * head_dim floats.
+    // Returns the filled prefix.
     std::span<const float> dequant_keys_into(std::size_t layer, std::size_t kv_head,
                                              std::size_t len, std::span<float> out) const;
     std::span<const float> dequant_values_into(std::size_t layer, std::size_t kv_head,

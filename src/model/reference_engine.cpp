@@ -42,28 +42,9 @@ ReferenceEngine::ReferenceEngine(const QuantizedModelWeights& weights, EngineOpt
     init_scratch();
 }
 
-ReferenceEngine::ReferenceEngine(const ModelWeights& weights, bool use_kv8,
-                                 unsigned kv_bits)
-    : ReferenceEngine(weights,
-                      EngineOptions{.use_kv8 = use_kv8, .kv_bits = kv_bits}) {}
-
-ReferenceEngine::ReferenceEngine(const QuantizedModelWeights& weights, bool use_kv8,
-                                 unsigned kv_bits)
-    : ReferenceEngine(weights,
-                      EngineOptions{.use_kv8 = use_kv8, .kv_bits = kv_bits}) {}
-
 void validate(const EngineOptions& opts) {
     if (opts.max_batch == 0) {
         throw std::invalid_argument("EngineOptions: max_batch must be >= 1");
-    }
-    if (opts.seed_baseline &&
-        (opts.threads != 1 || opts.max_batch != 1 || opts.kv_page_tokens != 0)) {
-        // The seed baseline reproduces the strictly sequential pre-fast-path
-        // loop; a worker pool, batch slots, or a paged cache would silently
-        // measure something that never existed.
-        throw std::invalid_argument(
-            "EngineOptions: seed_baseline requires threads == 1, max_batch == 1, "
-            "and a contiguous KV cache");
     }
     if (opts.kv_pool_pages > 0 && opts.kv_page_tokens == 0) {
         throw std::invalid_argument(
@@ -163,6 +144,11 @@ void ReferenceEngine::reset() {
     for (std::size_t s = 0; s < opts_.max_batch; ++s) reset_session(s);
 }
 
+std::size_t ReferenceEngine::position(std::size_t slot) const {
+    check(slot < opts_.max_batch, "position: slot out of range");
+    return pos_[slot];
+}
+
 void ReferenceEngine::reset_session(std::size_t slot) {
     check(slot < opts_.max_batch, "reset_session: slot out of range");
     if (paged()) {
@@ -207,10 +193,7 @@ void ReferenceEngine::proj(std::size_t layer, int which, std::size_t nb,
         }
     } else {
         const quant::QuantizedLinear& m = quant_proj(*qw_, layer, which);
-        if (opts_.seed_baseline) {
-            const std::vector<float> out = m.gemv_seed_baseline(x);
-            std::copy(out.begin(), out.end(), y.begin());
-        } else if (opts_.packed_weights) {
+        if (opts_.packed_weights) {
             m.gemm_packed(packed_stream(layer, which), x, nb, y, pool());
         } else {
             m.gemm(x, nb, y, pool());
@@ -239,15 +222,8 @@ std::size_t ReferenceEngine::attention_block(std::size_t layer, std::size_t nr) 
     }
 
     // RoPE at a row's own position, from the table built at construction (no
-    // pow/sin/cos on the decode path). The seed baseline recomputes the
-    // trigonometry per head per token.
+    // pow/sin/cos on the decode path).
     auto rope = [&](std::span<float> v, std::size_t heads, std::size_t pos) {
-        if (opts_.seed_baseline) {
-            for (std::size_t h = 0; h < heads; ++h) {
-                rope_rotate(v.subspan(h * hd, hd), pos, cfg_.rope_theta);
-            }
-            return;
-        }
         const std::span<const float> cos_row = rope_.cos_row(pos);
         const std::span<const float> sin_row = rope_.sin_row(pos);
         for (std::size_t h = 0; h < heads; ++h) {
@@ -312,29 +288,6 @@ std::size_t ReferenceEngine::attention_block(std::size_t layer, std::size_t nr) 
     }
 
     const std::size_t heads_per_kv = cfg_.n_heads / cfg_.n_kv_heads;
-
-    if (opts_.seed_baseline) {
-        // Seed loop (single-session, single-token only): gather an owning
-        // per-query-head KV copy and allocate scores inside attention_head,
-        // exactly like the pre-fast-path code.
-        const std::size_t slot = spans_[0].slot;
-        const std::size_t ctx = pos_[slot] + 1;
-        for (std::size_t h = 0; h < cfg_.n_heads; ++h) {
-            const std::size_t kvh = h / heads_per_kv;
-            const std::vector<float> keys =
-                opts_.use_kv8 ? kv_quant_[slot].keys_for_head(layer, kvh, ctx)
-                              : kv_float_[slot].keys_for_head(layer, kvh, ctx);
-            const std::vector<float> vals =
-                opts_.use_kv8 ? kv_quant_[slot].values_for_head(layer, kvh, ctx)
-                              : kv_float_[slot].values_for_head(layer, kvh, ctx);
-            attention_head(std::span<const float>(q_).subspan(h * hd, hd), keys, vals,
-                           ctx, hd, std::span<float>(att_out_).subspan(h * hd, hd));
-        }
-        proj(layer, kWo, nq, std::span<const float>(att_out_).first(dim),
-             std::span<float>(xb_).first(dim));
-        for (std::size_t i = 0; i < dim; ++i) x_[i] += xb_[i];
-        return nq;
-    }
 
     // One task per (span, KV head): a span's query-head cluster shares one
     // history, so a quantized cache is dequantized (a paged one gathered)
@@ -557,29 +510,6 @@ void ReferenceEngine::decode_batch(std::span<const std::int32_t> tokens,
     last_cost_.simulated_ns = 0.0;  // the host IS the wall clock
     // The skinny GEMM decodes the weight codes once per kGemmBatchTile rows.
     last_cost_.weight_walks = static_cast<double>(step_walks_);
-}
-
-std::span<const float> ReferenceEngine::decode(std::int32_t token) {
-    const std::size_t slot0 = 0;
-    return step(std::span<const std::int32_t>(&token, 1),
-                std::span<const std::size_t>(&slot0, 1), {});
-}
-
-std::vector<float> ReferenceEngine::forward(std::int32_t token) {
-    const std::span<const float> logits = decode(token);
-    return std::vector<float>(logits.begin(), logits.end());
-}
-
-std::vector<float> ReferenceEngine::prefill(std::span<const std::int32_t> tokens) {
-    check(!tokens.empty(), "ReferenceEngine: empty prompt");
-    const std::size_t slot0 = 0;
-    std::span<const float> logits;
-    for (std::size_t i = 0; i < tokens.size(); i += max_feed_tokens()) {
-        const std::size_t n = std::min(max_feed_tokens(), tokens.size() - i);
-        logits = step(tokens.subspan(i, n), std::span<const std::size_t>(&slot0, 1),
-                      std::span<const std::size_t>(&n, 1));
-    }
-    return std::vector<float>(logits.begin(), logits.end());
 }
 
 }  // namespace efld::model

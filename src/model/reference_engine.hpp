@@ -67,13 +67,9 @@ namespace efld::model {
 struct EngineOptions {
     bool use_kv8 = false;  // quantized KV cache instead of float
     unsigned kv_bits = 8;  // cache grid when use_kv8 (8 = KV8, 4 = KV4)
-    // Reproduces the pre-fast-path decode loop — allocating GEMV with a
-    // sequential accumulator, per-element RoPE trigonometry, per-query-head
-    // KV copies, allocating attention scores — as the benchmark "before".
-    bool seed_baseline = false;
     // 1 = fully single-threaded; N > 1 = private worker pool of N; 0 = borrow
     // the process-wide ThreadPool::global() (sized by
-    // runtime::SessionOptions::host_threads or ThreadPool::set_global_threads).
+    // ThreadPool::set_global_threads).
     // A private pool wider than the machine is rejected at construction —
     // oversubscription only adds context switches; borrow the global pool for
     // process-wide sizing instead.
@@ -105,57 +101,32 @@ void validate(const EngineOptions& opts);
 class ReferenceEngine : public engine::DecodeBackend {
 public:
     // Non-owning: `weights` must outlive the engine.
-    ReferenceEngine(const ModelWeights& weights, EngineOptions opts);
-    ReferenceEngine(const QuantizedModelWeights& weights, EngineOptions opts);
-
-    // Historical constructors, kept for existing call sites.
-    explicit ReferenceEngine(const ModelWeights& weights, bool use_kv8 = false,
-                             unsigned kv_bits = 8);
-    explicit ReferenceEngine(const QuantizedModelWeights& weights, bool use_kv8 = false,
-                             unsigned kv_bits = 8);
-
-    // Runs one token at the next position (session slot 0); returns logits
-    // [vocab].
-    std::vector<float> forward(std::int32_t token);
-
-    // Allocation-free forward on slot 0: the returned span aliases internal
-    // scratch and is valid until the next decode/forward/reset call.
-    std::span<const float> decode(std::int32_t token);
+    explicit ReferenceEngine(const ModelWeights& weights, EngineOptions opts = {});
+    explicit ReferenceEngine(const QuantizedModelWeights& weights, EngineOptions opts = {});
 
     // Advances tokens[i] through session slot slots[i] for every i, in one
     // step. Slots must be distinct and < max_batch; each slot keeps its own
     // KV history and position, so sessions at different context lengths
     // batch together freely (continuous batching joins at token
     // boundaries). Returns logits [tokens.size()][vocab], row i = slots[i],
-    // aliasing internal scratch like decode().
+    // aliasing internal scratch until the next step or reset.
     std::span<const float> decode_batch(std::span<const std::int32_t> tokens,
                                         std::span<const std::size_t> slots) {
         return step(tokens, slots, {});
     }
 
-    // Feeds a prompt (slot 0) in tiles of max_feed_tokens() rows; returns
-    // the logits after the last token.
-    std::vector<float> prefill(std::span<const std::int32_t> tokens);
-
     // Rows one step may take per slot: 2 x kGemmBatchTile (two register
-    // tiles, so a full tile step walks the weights twice); 1 for the seed
-    // baseline, which predates tiling.
+    // tiles, so a full tile step walks the weights twice).
     static constexpr std::size_t kMaxFeedTokens = 2 * quant::kGemmBatchTile;
 
-    [[nodiscard]] std::size_t position() const noexcept { return pos_[0]; }
     [[nodiscard]] const EngineOptions& options() const noexcept { return opts_; }
     void reset_session(std::size_t slot);  // one slot's KV history + position
 
     // --- engine::DecodeBackend ---
-    // The historical single-stream entry points above (decode/forward/prefill)
-    // operate on slot 0 without reserving it; callers mixing them with slot
-    // reservation should reserve slot 0 first (InferenceSession does).
     [[nodiscard]] const ModelConfig& config() const noexcept override { return cfg_; }
     [[nodiscard]] std::size_t max_batch() const noexcept override { return opts_.max_batch; }
     [[nodiscard]] std::string_view name() const noexcept override { return "host"; }
-    [[nodiscard]] std::size_t position(std::size_t slot) const override {
-        return pos_.at(slot);
-    }
+    [[nodiscard]] std::size_t position(std::size_t slot) const override;
     [[nodiscard]] std::size_t reserve_slot() override;
     void release_slot(std::size_t slot) override;
     using DecodeBackend::decode_batch;
@@ -164,7 +135,7 @@ public:
                       std::span<const std::size_t> rows,
                       std::span<float> logits_out) override;
     [[nodiscard]] std::size_t max_feed_tokens() const noexcept override {
-        return opts_.seed_baseline ? 1 : kMaxFeedTokens;
+        return kMaxFeedTokens;
     }
     void reset() override;  // all slots (reservations survive)
     [[nodiscard]] engine::StepCost last_step_cost() const noexcept override {
@@ -194,7 +165,7 @@ private:
     };
 
     void init_scratch();
-    // The step every entry point runs: spans as in DecodeBackend::
+    // The step both decode_batch overloads run: spans as in DecodeBackend::
     // decode_batch (empty rows = one token per slot). Returns the last-row
     // logits [slots.size()][vocab], aliasing internal scratch.
     std::span<const float> step(std::span<const std::int32_t> tokens,

@@ -310,25 +310,6 @@ std::vector<float> QuantizedLinear::gemv_reference(std::span<const float> x) con
     return y;
 }
 
-std::vector<float> QuantizedLinear::gemv_seed_baseline(std::span<const float> x) const {
-    check(x.size() == cols_, "gemv_seed_baseline: input size mismatch");
-    std::vector<float> y(rows_, 0.0f);
-    std::vector<float> group(cfg_.group_size);
-    const std::size_t gpr = groups_per_row();
-    for (std::size_t r = 0; r < rows_; ++r) {
-        float acc = 0.0f;
-        for (std::size_t g = 0; g < gpr; ++g) {
-            dequantize_group(r * gpr + g, group);
-            const std::size_t xbase = g * cfg_.group_size;
-            for (std::size_t i = 0; i < cfg_.group_size; ++i) {
-                acc += group[i] * x[xbase + i];
-            }
-        }
-        y[r] = acc;
-    }
-    return y;
-}
-
 void QuantizedLinear::gemv(std::span<const float> x, std::span<float> y,
                            ThreadPool* pool) const {
     gemm(x, 1, y, pool);

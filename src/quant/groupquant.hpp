@@ -96,13 +96,6 @@ public:
     void gemv(std::span<const float> x, std::span<float> y,
               ThreadPool* pool = nullptr) const;
 
-    // The seed-era GEMV, kept verbatim as the benchmark "before": dequantize
-    // each group into a scratch vector, accumulate through one sequential
-    // float chain, return a freshly allocated result. Numerics differ from
-    // the contract above (strict element order, per-element scale), so it is
-    // compared with tolerance, not bit-for-bit.
-    [[nodiscard]] std::vector<float> gemv_seed_baseline(std::span<const float> x) const;
-
     // Bus-word form of the codes (bits must be 4): one Word512 per 128 codes,
     // row-major, as pack_nibbles lays them out.
     [[nodiscard]] std::vector<Word512> pack_codes() const;

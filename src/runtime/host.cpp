@@ -11,7 +11,9 @@ BareMetalHost::BareMetalHost(std::unique_ptr<accel::PackedModel> m, BootReport r
                              accel::AcceleratorOptions opts)
     : model_(std::move(m)),
       report_(report),
-      accel_(std::make_unique<accel::Accelerator>(*model_, opts)) {}
+      accel_(std::make_unique<accel::Accelerator>(*model_, opts)),
+      slot_(accel_->reserve_slot()),
+      logits_(model_->config.vocab_size) {}
 
 BareMetalHost BareMetalHost::boot(const std::vector<std::uint8_t>& image,
                                   SdCardConfig sd, accel::AcceleratorOptions opts) {
@@ -36,8 +38,10 @@ BareMetalHost BareMetalHost::boot(const std::vector<std::uint8_t>& image,
     return BareMetalHost(std::move(m), report, opts);
 }
 
-accel::StepResult BareMetalHost::execute(const accel::TokenCommand& cmd) {
-    return accel_->step(cmd.token_index);
+std::span<const float> BareMetalHost::execute(const accel::TokenCommand& cmd) {
+    accel_->decode_batch(std::span<const std::int32_t>(&cmd.token_index, 1),
+                         std::span<const std::size_t>(&slot_, 1), logits_);
+    return logits_;
 }
 
 }  // namespace efld::runtime

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "accel/accelerator.hpp"
@@ -34,17 +35,21 @@ struct BootReport {
 class BareMetalHost {
 public:
     // Parses + verifies `image` (throws efld::Error on corruption), plans the
-    // address map, and brings up the accelerator.
+    // address map, brings up the accelerator and reserves the session slot
+    // the command loop decodes into.
     static BareMetalHost boot(const std::vector<std::uint8_t>& image,
                               SdCardConfig sd = {},
                               accel::AcceleratorOptions opts = {});
 
-    // Executes one AXI-Lite token command; prefill commands run the model but
-    // a caller typically ignores their logits.
-    accel::StepResult execute(const accel::TokenCommand& cmd);
+    // Executes one AXI-Lite token command as one decode_batch step and
+    // returns its logits (valid until the next command); prefill commands run
+    // the model but a caller typically ignores their logits. The step's
+    // simulated time is accelerator().last_step_cost().simulated_ns.
+    std::span<const float> execute(const accel::TokenCommand& cmd);
 
     [[nodiscard]] const BootReport& report() const noexcept { return report_; }
     [[nodiscard]] accel::Accelerator& accelerator() noexcept { return *accel_; }
+    [[nodiscard]] std::size_t slot() const noexcept { return slot_; }
     [[nodiscard]] const model::ModelConfig& config() const noexcept {
         return model_->config;
     }
@@ -62,6 +67,8 @@ private:
     std::unique_ptr<accel::PackedModel> model_;
     BootReport report_;
     std::unique_ptr<accel::Accelerator> accel_;
+    std::size_t slot_ = 0;        // the command loop's session slot
+    std::vector<float> logits_;   // the last command's logits
 };
 
 }  // namespace efld::runtime

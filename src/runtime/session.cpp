@@ -1,29 +1,24 @@
 #include "runtime/session.hpp"
 
 #include <iostream>
-#include <span>
 
 #include "common/check.hpp"
-#include "common/threadpool.hpp"
-#include "engine/decode_backend.hpp"
+#include "engine/generate.hpp"
 
 namespace efld::runtime {
 
 InferenceSession::InferenceSession(accel::PackedModel model, SessionOptions opts)
     : model_(std::make_unique<accel::PackedModel>(std::move(model))),
-      opts_(opts),
       accel_(std::make_unique<accel::Accelerator>(*model_, opts.accel)),
       sampler_(opts.sampler),
       console_(opts.echo_to_stdout ? &std::cout : nullptr) {
     check(static_cast<std::uint64_t>(tokenizer_.vocab_size()) <= model_->config.vocab_size,
           "InferenceSession: model vocab too small for the byte tokenizer");
-    if (opts_.host_threads > 0) ThreadPool::set_global_threads(opts_.host_threads);
     // The session holds one backend slot for its whole life (its KV history
     // persists across generate() calls until reset()).
     slot_ = accel_->reserve_slot();
     check(slot_ != engine::DecodeBackend::kNoSlot,
           "InferenceSession: accelerator has no free session slot");
-    logits_.resize(model_->config.vocab_size);
 }
 
 InferenceSession InferenceSession::synthetic(const model::ModelConfig& cfg,
@@ -36,44 +31,16 @@ InferenceSession InferenceSession::synthetic(const model::ModelConfig& cfg,
 
 GenerationOutput InferenceSession::generate(const std::string& prompt,
                                             std::size_t max_new_tokens) {
-    const std::vector<std::int32_t> prompt_ids = tokenizer_.encode(prompt);
-    check(!prompt_ids.empty(), "InferenceSession: empty prompt after tokenization");
-
-    // Drive the accelerator through the DecodeBackend seam — the same
-    // interface the serving layer batches over, here with a single lane.
-    engine::DecodeBackend& backend = *accel_;
-    auto step_through = [&](std::int32_t id) {
-        backend.decode_batch(std::span<const std::int32_t>(&id, 1),
-                             std::span<const std::size_t>(&slot_, 1), logits_);
-        return backend.last_step_cost().simulated_ns;
-    };
-
-    GenerationOutput out;
-    for (const std::int32_t id : prompt_ids) (void)step_through(id);
-
-    // Per-token timing attribution: each generated token is billed the decode
-    // step that consumes it — NOT the step that produced its logits (the
-    // first token's logits fall out of the last *prefill* step, which is
-    // TTFT, not decode time). simulated_ns is therefore exactly the sum of
-    // the decode steps executed in this loop; the prefill walk is never
-    // charged and the final executed step is no longer dropped. An EOS token
-    // is sampled but never fed, so it costs no step.
-    double sim_ns = 0.0;
-    for (std::size_t i = 0;
-         i < max_new_tokens && backend.position(slot_) < model_->config.max_seq_len;
-         ++i) {
-        const std::int32_t next = sampler_.sample(logits_);
-        out.tokens.push_back(next);
-        if (next == model::ByteTokenizer::kEos) {
-            console_.emit(tokenizer_.decode_token(next), sim_ns);
-            break;
-        }
-        sim_ns += step_through(next);
-        console_.emit(tokenizer_.decode_token(next), sim_ns);
-    }
+    engine::Generation g = engine::generate(
+        *accel_, slot_, tokenizer_.encode(prompt), max_new_tokens, sampler_, model::ByteTokenizer::kEos,
+        [this](std::int32_t id, double sim_ns) {
+            console_.emit(tokenizer_.decode_token(id), sim_ns);
+        });
     console_.newline();
-    out.text = tokenizer_.decode(out.tokens);
-    out.simulated_ns = sim_ns;
+    GenerationOutput out;
+    out.text = tokenizer_.decode(g.tokens);
+    out.tokens = std::move(g.tokens);
+    out.simulated_ns = g.simulated_ns;
     return out;
 }
 

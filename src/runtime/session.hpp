@@ -6,10 +6,10 @@
 // simulator, and a sampler, and reports both generated text and the
 // simulated KV260 decode rate.
 //
-// The generation loop drives the accelerator through the engine::DecodeBackend
-// seam (reserve a slot once, decode_batch per token, StepCost for timing) —
-// the same interface the serving layer batches over — so the single-stream
-// and serving paths exercise one engine contract.
+// Generation runs engine::generate over the accelerator's DecodeBackend seam
+// (one slot reserved for the session's life, StepCost for timing) — the same
+// interface the serving layer batches over — so the single-stream and
+// serving paths exercise one engine contract.
 #pragma once
 
 #include <cstdint>
@@ -28,11 +28,6 @@ struct SessionOptions {
     model::SamplerConfig sampler{};
     accel::AcceleratorOptions accel{};
     bool echo_to_stdout = false;
-    // Host-side worker threads for the fused decode fast path: sizes the
-    // process-wide ThreadPool::global() that model::ReferenceEngine instances
-    // constructed with EngineOptions::threads == 0 borrow (golden-model
-    // verification, bench harnesses). 0 leaves the pool as-is.
-    std::size_t host_threads = 0;
 };
 
 struct GenerationOutput {
@@ -62,6 +57,8 @@ public:
 
     void reset();
 
+    // Tokens in the session's KV history (prompts and fed tokens so far).
+    [[nodiscard]] std::size_t position() const { return accel_->position(slot_); }
     [[nodiscard]] const model::ModelConfig& config() const noexcept {
         return model_->config;
     }
@@ -73,13 +70,11 @@ public:
 
 private:
     std::unique_ptr<accel::PackedModel> model_;
-    SessionOptions opts_;
     model::ByteTokenizer tokenizer_;
     std::unique_ptr<accel::Accelerator> accel_;
     model::Sampler sampler_;
     SerialConsole console_;
-    std::size_t slot_ = 0;        // DecodeBackend slot held for the session's life
-    std::vector<float> logits_;   // last decode step's logits (reused)
+    std::size_t slot_ = 0;  // DecodeBackend slot held for the session's life
 };
 
 }  // namespace efld::runtime

@@ -1,9 +1,10 @@
 // The DecodeBackend seam: both implementations (host ReferenceEngine, accel
 // Accelerator) must honor the same slot-lifecycle and decode contract, report
-// honest StepCosts, and stay bit-identical to their own native entry points —
-// with contiguous per-slot KV reservations AND with the paged kvpool layout
-// (every parity assertion compares a paged batch against a contiguous solo
-// run, so paged-vs-contiguous bit-exactness is part of the contract).
+// honest StepCosts, and stay bit-identical to a token-by-token solo run — with
+// contiguous per-slot KV reservations AND with the paged kvpool layout (every
+// parity assertion compares a paged batch against a contiguous solo run, so
+// paged-vs-contiguous bit-exactness is part of the contract). engine::generate,
+// the single-stream driver over the seam, is held to a hand-fed decode loop.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -17,7 +18,10 @@
 #include "common/check.hpp"
 #include "engine/backend_factory.hpp"
 #include "engine/decode_backend.hpp"
+#include "engine/generate.hpp"
 #include "model/reference_engine.hpp"
+#include "model/sampler.hpp"
+#include "support/solo_stream.hpp"
 
 namespace efld::engine {
 namespace {
@@ -77,6 +81,7 @@ TEST_P(DecodeBackendContract, SlotLifecycle) {
     EXPECT_EQ(s2, s1);
     EXPECT_EQ(be.position(s2), 0u);
     EXPECT_THROW(be.release_slot(99), efld::Error);
+    EXPECT_THROW((void)be.position(be.max_batch()), efld::Error);
 }
 
 TEST_P(DecodeBackendContract, StepCostReported) {
@@ -210,22 +215,9 @@ TEST_P(DecodeBackendContract, AdoptedPrefixCopiesOnWriteWithSoloLogits) {
 // token per step.
 struct TokenByToken {
     BackendBundle bundle;
-    std::size_t slot = 0;
-    std::vector<float> logits;
+    tests::SoloStream stream;
 
-    explicit TokenByToken(BackendBundle b) : bundle(std::move(b)) {
-        slot = bundle.backend->reserve_slot();
-        logits.resize(bundle.backend->config().vocab_size);
-    }
-    // Feeds `tokens` one per step; returns the logits after the last.
-    const std::vector<float>& feed(std::span<const std::int32_t> tokens) {
-        for (const std::int32_t t : tokens) {
-            bundle.backend->decode_batch(std::span<const std::int32_t>(&t, 1),
-                                         std::span<const std::size_t>(&slot, 1),
-                                         logits);
-        }
-        return logits;
-    }
+    explicit TokenByToken(BackendBundle b) : bundle(std::move(b)), stream(*bundle.backend) {}
 };
 
 bool same_bits(std::span<const float> got, const std::vector<float>& want) {
@@ -271,12 +263,12 @@ TEST_P(DecodeBackendContract, TileFeedMatchesTokenByToken) {
     be.decode_batch(s.first(5), std::span<const std::size_t>(&a, 1),
                     std::span<const std::size_t>(&five, 1), logits);
     EXPECT_EQ(be.position(a), 5u);
-    EXPECT_TRUE(same_bits(row(0), oracle_a.feed(s.first(5))));
+    EXPECT_TRUE(same_bits(row(0), oracle_a.stream.feed(s.first(5))));
     const std::size_t sixteen = 16;
     be.decode_batch(s.subspan(5, 16), std::span<const std::size_t>(&a, 1),
                     std::span<const std::size_t>(&sixteen, 1), logits);
     EXPECT_EQ(be.position(a), 21u);
-    EXPECT_TRUE(same_bits(row(0), oracle_a.feed(s.subspan(5, 16))));
+    EXPECT_TRUE(same_bits(row(0), oracle_a.stream.feed(s.subspan(5, 16))));
 
     // One step mixing A's next 16-row span with two single-token lanes.
     TokenByToken oracle_b(make_solo_contiguous());
@@ -288,8 +280,8 @@ TEST_P(DecodeBackendContract, TileFeedMatchesTokenByToken) {
         for (std::size_t i = 0; i < 3; ++i) {
             const std::int32_t toks[] = {stream[40 + i], stream[44 + i]};
             be.decode_batch(toks, slots, logits);
-            oracle_b.feed(s.subspan(40 + i, 1));
-            oracle_c.feed(s.subspan(44 + i, 1));
+            oracle_b.stream.feed(s.subspan(40 + i, 1));
+            oracle_c.stream.feed(s.subspan(44 + i, 1));
         }
     }
     std::vector<std::int32_t> mixed(s.begin() + 21, s.begin() + 37);
@@ -301,9 +293,9 @@ TEST_P(DecodeBackendContract, TileFeedMatchesTokenByToken) {
     EXPECT_EQ(be.position(a), 37u);
     EXPECT_EQ(be.position(bs), 4u);
     EXPECT_EQ(be.position(cs), 4u);
-    EXPECT_TRUE(same_bits(row(0), oracle_a.feed(s.subspan(21, 16))));
-    EXPECT_TRUE(same_bits(row(1), oracle_b.feed(s.subspan(1, 1))));
-    EXPECT_TRUE(same_bits(row(2), oracle_c.feed(s.subspan(2, 1))));
+    EXPECT_TRUE(same_bits(row(0), oracle_a.stream.feed(s.subspan(21, 16))));
+    EXPECT_TRUE(same_bits(row(1), oracle_b.stream.feed(s.subspan(1, 1))));
+    EXPECT_TRUE(same_bits(row(2), oracle_c.stream.feed(s.subspan(2, 1))));
     if (pt == 0) return;  // adoption needs the paged layout
 
     // A span right after a mid-page adoption: slot D maps A's registered
@@ -318,7 +310,60 @@ TEST_P(DecodeBackendContract, TileFeedMatchesTokenByToken) {
     EXPECT_EQ(be.position(d), 45u);
     EXPECT_EQ(be.prefix_stats().cow_copies, 1u);
     TokenByToken oracle_d(make_solo_contiguous());
-    EXPECT_TRUE(same_bits(row(0), oracle_d.feed(s.first(45))));
+    EXPECT_TRUE(same_bits(row(0), oracle_d.stream.feed(s.first(45))));
+}
+
+TEST_P(DecodeBackendContract, GenerateMatchesHandFedDecode) {
+    // engine::generate's greedy tokens are a hand-fed token-by-token
+    // decode_batch loop's on a fresh backend, and it bills exactly the decode
+    // steps that loop runs (never the prompt). The 20-token prompt spans two
+    // host prompt tiles (16 + 4 rows); the twin feeds it token by token.
+    const std::size_t max_new = 6;
+    for (const std::size_t prompt_len : {std::size_t{5}, std::size_t{20}}) {
+        SCOPED_TRACE(prompt_len);
+        std::vector<std::int32_t> prompt(prompt_len);
+        for (std::size_t i = 0; i < prompt_len; ++i) {
+            prompt[i] = static_cast<std::int32_t>(3 + (i * 11) % 50);
+        }
+
+        BackendBundle ref = make(2);
+        tests::SoloStream hand(*ref.backend);
+        std::vector<float> logits = hand.feed(prompt);
+        std::vector<std::int32_t> want;
+        double want_ns = 0.0;
+        for (std::size_t i = 0; i < max_new; ++i) {
+            want.push_back(model::Sampler::argmax(logits));
+            logits = hand.step(want.back());
+            want_ns += ref.backend->last_step_cost().simulated_ns;
+        }
+
+        BackendBundle b = make(2);
+        DecodeBackend& be = *b.backend;
+        model::Sampler greedy({.temperature = 0.0f});
+        const std::size_t slot = be.reserve_slot();
+        std::vector<double> emitted_ns;
+        const Generation g = generate(be, slot, prompt, max_new, greedy, -1,
+                                      [&](std::int32_t, double ns) { emitted_ns.push_back(ns); });
+        EXPECT_EQ(g.tokens, want);
+        EXPECT_DOUBLE_EQ(g.simulated_ns, want_ns);
+        if (kind() == BackendKind::kAccel) {
+            EXPECT_GT(g.simulated_ns, 0.0);
+        } else {
+            EXPECT_EQ(g.simulated_ns, 0.0);
+        }
+        ASSERT_EQ(emitted_ns.size(), max_new);
+        EXPECT_DOUBLE_EQ(emitted_ns.back(), g.simulated_ns);
+        EXPECT_EQ(be.position(slot), prompt_len + max_new);  // the last token is fed
+
+        // With the greedy first token as EOS, generation stops right after
+        // emitting it, and the EOS is never fed or billed.
+        be.release_slot(slot);
+        const std::size_t again = be.reserve_slot();
+        const Generation stopped = generate(be, again, prompt, max_new, greedy, want[0]);
+        EXPECT_EQ(stopped.tokens, std::vector<std::int32_t>{want[0]});
+        EXPECT_EQ(stopped.simulated_ns, 0.0);
+        EXPECT_EQ(be.position(again), prompt_len);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -409,39 +454,17 @@ TEST(DecodeBackendFactory, KindRoundTrips) {
     EXPECT_THROW((void)backend_kind_from_string("gpu"), std::invalid_argument);
 }
 
-TEST(DecodeBackendFactory, HostBackendMatchesNativeDecode) {
-    // The seam's logits_out copy is bit-for-bit the native span-returning
-    // decode on an identically configured engine.
-    model::EngineOptions eo;
-    eo.use_kv8 = true;
-    BackendBundle b = make_with(BackendKind::kHost, 1, 0);
-    model::ReferenceEngine native(test_weights(), eo);
-
-    const std::size_t slot = b.backend->reserve_slot();
-    std::vector<float> seam(b.backend->config().vocab_size);
-    for (const std::int32_t tok : {1, 8, 64}) {
-        b.backend->decode_batch(std::span<const std::int32_t>(&tok, 1),
-                                std::span<const std::size_t>(&slot, 1), seam);
-        const std::span<const float> want = native.decode(tok);
-        for (std::size_t i = 0; i < seam.size(); ++i) ASSERT_EQ(seam[i], want[i]);
-    }
-}
-
-TEST(DecodeBackendFactory, AccelBackendMatchesNativeStep) {
-    // Accelerator::decode_batch single lane == Accelerator::step, functional
-    // and priced: simulated_ns of the 1-lane batch equals the step timing.
+TEST(DecodeBackendFactory, AccelOneLaneStepPricedAsTokenTiming) {
+    // A 1-lane decode_batch is priced as the cycle model's single-token step
+    // at the slot's context: batch_timing over one lane is token_timing.
     BackendBundle b = make_with(BackendKind::kAccel, 1, 0);
-    accel::Accelerator native(*b.packed);
-
-    auto& be = *b.backend;
-    const std::size_t slot = be.reserve_slot();
-    std::vector<float> seam(be.config().vocab_size);
+    auto& acc = dynamic_cast<accel::Accelerator&>(*b.backend);
+    tests::SoloStream s(acc);
     for (const std::int32_t tok : {2, 5, 17}) {
-        be.decode_batch(std::span<const std::int32_t>(&tok, 1),
-                        std::span<const std::size_t>(&slot, 1), seam);
-        const accel::StepResult want = native.step(tok);
-        for (std::size_t i = 0; i < seam.size(); ++i) ASSERT_EQ(seam[i], want.logits[i]);
-        EXPECT_DOUBLE_EQ(be.last_step_cost().simulated_ns, want.timing.total_ns);
+        const std::size_t ctx = s.position();
+        (void)s.step(tok);
+        EXPECT_DOUBLE_EQ(acc.last_step_cost().simulated_ns,
+                         acc.cycle_model().token_timing(ctx).total_ns);
     }
 }
 
@@ -450,6 +473,7 @@ TEST(DecodeBackendFactory, AccelSlotsAreIndependentSessions) {
     // logits match a solo accelerator fed only A's stream.
     BackendBundle b = make_with(BackendKind::kAccel, 2, 0);
     accel::Accelerator solo(*b.packed);
+    tests::SoloStream solo_a(solo);
 
     auto& be = *b.backend;
     const std::size_t sa = be.reserve_slot();
@@ -457,13 +481,12 @@ TEST(DecodeBackendFactory, AccelSlotsAreIndependentSessions) {
     const std::size_t vocab = be.config().vocab_size;
     std::vector<float> logits(2 * vocab);
 
-    accel::StepResult want;
     for (const std::int32_t tok : {3, 9, 27}) {
         const std::int32_t toks[] = {tok, static_cast<std::int32_t>(tok + 1)};
         const std::size_t slots[] = {sa, sb};
         be.decode_batch(toks, slots, logits);
-        want = solo.step(tok);
-        for (std::size_t i = 0; i < vocab; ++i) ASSERT_EQ(logits[i], want.logits[i]);
+        const std::vector<float>& want = solo_a.step(tok);
+        for (std::size_t i = 0; i < vocab; ++i) ASSERT_EQ(logits[i], want[i]);
     }
 }
 

@@ -13,6 +13,7 @@
 #include "runtime/loader.hpp"
 #include "runtime/memory_planner.hpp"
 #include "runtime/session.hpp"
+#include "support/solo_stream.hpp"
 
 namespace efld {
 namespace {
@@ -37,20 +38,21 @@ TEST(EndToEnd, OfflineToDecodePipeline) {
     ASSERT_TRUE(host.report().crc_ok);
 
     // Decode against the software twin (same quantized weights, KV8).
-    model::ReferenceEngine twin(qw, /*use_kv8=*/true);
-    std::vector<float> lh, lt;
+    model::ReferenceEngine twin(qw, {.use_kv8 = true});
+    tests::SoloStream ts(twin);
+    std::span<const float> lh;
+    std::vector<float> lt;
     double sim_ns = 0.0;
     for (const std::int32_t t : {1, 9, 4, 7, 2, 8}) {
-        const accel::StepResult r = host.execute({t, false});
-        lh = r.logits;
-        lt = twin.forward(t);
-        sim_ns += r.timing.total_ns;
+        lh = host.execute({t, false});
+        sim_ns += host.accelerator().last_step_cost().simulated_ns;
+        lt = ts.step(t);
     }
     EXPECT_GT(cosine_similarity(lh, lt), 0.995);
     EXPECT_GT(sim_ns, 0.0);
 
     // FIFO discipline: no stream flushed yet (6 < 16 tokens)...
-    const auto& fifo = host.accelerator().scale_zero_fifo();
+    const auto& fifo = host.accelerator().scale_zero_fifo(host.slot());
     EXPECT_EQ(fifo.words_flushed(), 0u);
     // ...and each K/V stream holds exactly 6 packs.
     EXPECT_EQ(fifo.slot_fill(0, 0, false), 6u);
@@ -83,8 +85,7 @@ TEST(EndToEnd, SessionAgainstHostConsistency) {
     std::int32_t next = out.tokens[0];
     // (First token came from the prompt's last logits; verify the chain.)
     for (std::size_t i = 1; i < out.tokens.size(); ++i) {
-        const accel::StepResult r = host.execute({next, false});
-        next = model::Sampler::argmax(r.logits);
+        next = model::Sampler::argmax(host.execute({next, false}));
         EXPECT_EQ(next, out.tokens[i]) << "diverged at step " << i;
     }
 }

@@ -7,7 +7,9 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "engine/generate.hpp"
 #include "model/reference_engine.hpp"
+#include "support/solo_stream.hpp"
 
 namespace efld::model {
 namespace {
@@ -58,8 +60,9 @@ void expect_batch_matches_solo(const QuantizedModelWeights& qw, EngineOptions op
     std::vector<std::vector<std::vector<float>>> want(batch);  // [s][step][vocab]
     for (std::size_t s = 0; s < batch; ++s) {
         ReferenceEngine solo(qw, solo_opts);
+        tests::SoloStream stream(solo);
         for (std::size_t i = 0; i < steps; ++i) {
-            want[s].push_back(solo.forward(stream_token(s, i)));
+            want[s].push_back(stream.step(stream_token(s, i)));
         }
     }
 
@@ -108,8 +111,9 @@ TEST(EngineBatch, PackedWalkIdenticalToByteCodeWalk) {
     ReferenceEngine bytes(weights_w4(), EngineOptions{.use_kv8 = true});
     ReferenceEngine packed(weights_w4(),
                            EngineOptions{.use_kv8 = true, .packed_weights = true});
+    tests::SoloStream sb(bytes), sp(packed);
     for (const std::int32_t t : {1, 7, 30, 2, 99}) {
-        EXPECT_EQ(bytes.forward(t), packed.forward(t)) << "token " << t;
+        EXPECT_EQ(sb.step(t), sp.step(t)) << "token " << t;
     }
 }
 
@@ -120,8 +124,9 @@ TEST(EngineBatch, StaggeredPositionsStayBitExact) {
     EngineOptions opts{.use_kv8 = true, .max_batch = 2};
     ReferenceEngine batched(weights_w4(), opts);
 
-    ReferenceEngine solo_a(weights_w4(), EngineOptions{.use_kv8 = true});
-    ReferenceEngine solo_b(weights_w4(), EngineOptions{.use_kv8 = true});
+    ReferenceEngine solo_a_eng(weights_w4(), EngineOptions{.use_kv8 = true});
+    ReferenceEngine solo_b_eng(weights_w4(), EngineOptions{.use_kv8 = true});
+    tests::SoloStream solo_a(solo_a_eng), solo_b(solo_b_eng);
 
     const std::vector<std::int32_t> warm_a{11, 12, 13, 14, 15};
     const std::vector<std::int32_t> warm_b{21, 22};
@@ -129,13 +134,13 @@ TEST(EngineBatch, StaggeredPositionsStayBitExact) {
         const std::size_t s = 0;
         (void)batched.decode_batch(std::span<const std::int32_t>(&t, 1),
                                    std::span<const std::size_t>(&s, 1));
-        (void)solo_a.decode(t);
+        (void)solo_a.step(t);
     }
     for (const auto t : warm_b) {
         const std::size_t s = 1;
         (void)batched.decode_batch(std::span<const std::int32_t>(&t, 1),
                                    std::span<const std::size_t>(&s, 1));
-        (void)solo_b.decode(t);
+        (void)solo_b.step(t);
     }
     EXPECT_EQ(batched.position(0), 5u);
     EXPECT_EQ(batched.position(1), 2u);
@@ -145,8 +150,8 @@ TEST(EngineBatch, StaggeredPositionsStayBitExact) {
                                                static_cast<std::int32_t>(60 + i)};
         const std::vector<std::size_t> slots{0, 1};
         const std::span<const float> logits = batched.decode_batch(tokens, slots);
-        const std::vector<float> wa = solo_a.forward(tokens[0]);
-        const std::vector<float> wb = solo_b.forward(tokens[1]);
+        const std::vector<float>& wa = solo_a.step(tokens[0]);
+        const std::vector<float>& wb = solo_b.step(tokens[1]);
         const std::size_t vocab = gqa_cfg().vocab_size;
         EXPECT_TRUE(std::equal(wa.begin(), wa.end(), logits.begin())) << "step " << i;
         EXPECT_TRUE(std::equal(wb.begin(), wb.end(), logits.begin() + vocab))
@@ -165,8 +170,8 @@ TEST(EngineBatch, SubsetAndReorderedSlots) {
     const std::vector<std::int32_t> tokens{5, 9};
     const std::vector<std::size_t> slots{2, 0};
     const std::span<const float> logits = eng.decode_batch(tokens, slots);
-    const std::vector<float> w2 = solo2.forward(5);
-    const std::vector<float> w0 = solo0.forward(9);
+    const std::vector<float> w2 = tests::SoloStream(solo2).step(5);
+    const std::vector<float> w0 = tests::SoloStream(solo0).step(9);
     const std::size_t vocab = gqa_cfg().vocab_size;
     EXPECT_TRUE(std::equal(w2.begin(), w2.end(), logits.begin()));
     EXPECT_TRUE(std::equal(w0.begin(), w0.end(), logits.begin() + vocab));
@@ -192,7 +197,7 @@ TEST(EngineBatch, FloatWeightBatchMatchesSolo) {
     std::vector<std::vector<float>> want;
     for (std::size_t s = 0; s < 3; ++s) {
         ReferenceEngine solo(fw, EngineOptions{.threads = 2});
-        want.push_back(solo.forward(stream_token(s, 0)));
+        want.push_back(tests::SoloStream(solo).step(stream_token(s, 0)));
     }
     std::vector<std::int32_t> tokens{stream_token(0, 0), stream_token(1, 0),
                                      stream_token(2, 0)};
@@ -219,10 +224,11 @@ TEST(EngineBatch, TileSpansMatchSoloAcrossThreadCounts) {
     std::vector<std::vector<std::vector<float>>> want(kSessions);  // [s][step]
     for (std::size_t s = 0; s < kSessions; ++s) {
         ReferenceEngine solo(weights_w4(), EngineOptions{.use_kv8 = true});
+        tests::SoloStream stream(solo);
         std::size_t fed = 0;
         for (const std::vector<std::size_t>& rows : plan) {
             std::vector<float> last;
-            for (std::size_t j = 0; j < rows[s]; ++j) last = solo.forward(stream_token(s, fed++));
+            for (std::size_t j = 0; j < rows[s]; ++j) last = stream.step(stream_token(s, fed++));
             want[s].push_back(std::move(last));
         }
     }
@@ -266,10 +272,13 @@ TEST(EngineBatch, PrefillTilesMatchTokenByToken) {
     for (std::size_t i = 0; i < prompt.size(); ++i) prompt[i] = stream_token(1, i);
     ReferenceEngine tiled(weights_w4(), EngineOptions{.use_kv8 = true});
     ReferenceEngine solo(weights_w4(), EngineOptions{.use_kv8 = true});
-    std::vector<float> want;
-    for (const std::int32_t t : prompt) want = solo.forward(t);
-    EXPECT_EQ(tiled.prefill(prompt), want);
-    EXPECT_EQ(tiled.position(), prompt.size());
+    const std::size_t slot = tiled.reserve_slot();
+    std::vector<float> got(gqa_cfg().vocab_size);
+    engine::prefill(tiled, slot, prompt, got);
+    EXPECT_EQ(got, tests::SoloStream(solo).feed(prompt));
+    EXPECT_EQ(tiled.position(slot), prompt.size());
+    // 37 rows in tiles of 16, 16 and 5: the last step fed one register tile.
+    EXPECT_DOUBLE_EQ(tiled.last_step_cost().weight_walks, 1.0);
 }
 
 TEST(EngineBatch, RejectsBadSpans) {
@@ -300,7 +309,7 @@ TEST(EngineBatch, RejectsBadSpans) {
     EXPECT_THROW(tiny.decode_batch(t9, std::span<const std::size_t>(&slot0, 1),
                                    std::span<const std::size_t>(&nine, 1), logits),
                  efld::Error);
-    EXPECT_EQ(tiny.position(), 0u);
+    EXPECT_EQ(tiny.position(slot0), 0u);
 }
 
 TEST(EngineBatch, RejectsBadBatches) {

@@ -1,14 +1,17 @@
 // Fast-path decode parity: the fused/threaded/table-driven engine must be
-// bit-for-bit identical to the seed-style path, and the cached RoPE
-// trigonometry identical to the direct kernel.
+// bit-for-bit independent of its thread count, track the float engine over
+// the same (dequantized) weights, and the cached RoPE trigonometry must be
+// identical to the direct kernel.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/mathutil.hpp"
 #include "common/rng.hpp"
 #include "model/kernels.hpp"
 #include "model/reference_engine.hpp"
+#include "support/solo_stream.hpp"
 
 namespace efld::model {
 namespace {
@@ -30,25 +33,52 @@ const QuantizedModelWeights& quant_weights() {
     return qw;
 }
 
+// The float model whose every matrix is QuantizedLinear::dequantize() of
+// quant_weights() (embedding and norms copied): the weights the fused W4
+// engine walks, multiplied in the float engine's own, independent order.
+const ModelWeights& dequantized_weights() {
+    static const ModelWeights fw = [] {
+        const auto dense = [](const quant::QuantizedLinear& q) {
+            Matrix m(q.rows(), q.cols());
+            const std::vector<float> w = q.dequantize();
+            std::copy(w.begin(), w.end(), m.flat().begin());
+            return m;
+        };
+        const QuantizedModelWeights& qw = quant_weights();
+        ModelWeights w;
+        w.config = qw.config;
+        w.embedding = qw.embedding;
+        for (const QuantizedLayerWeights& l : qw.layers) {
+            w.layers.push_back({dense(l.wq), dense(l.wk), dense(l.wv), dense(l.wo),
+                                dense(l.w_gate), dense(l.w_up), dense(l.w_down),
+                                l.attn_norm, l.mlp_norm});
+        }
+        w.final_norm = qw.final_norm;
+        w.lm_head = dense(qw.lm_head);
+        return w;
+    }();
+    return fw;
+}
+
 std::vector<std::vector<float>> run_tokens(ReferenceEngine& eng) {
+    tests::SoloStream s(eng);
     std::vector<std::vector<float>> logits;
-    for (const std::int32_t t : {1, 7, 30, 2, 99, 5}) logits.push_back(eng.forward(t));
+    for (const std::int32_t t : {1, 7, 30, 2, 99, 5}) logits.push_back(s.step(t));
     return logits;
 }
 
-TEST(EngineFast, FastPathTracksSeedBaseline) {
-    // The fast path regroups the GEMV accumulation (per-group scale factoring,
-    // partial lanes), so it is not bit-identical to the seed loop — but on the
-    // same quantized weights it must stay numerically indistinguishable.
-    ReferenceEngine seed(quant_weights(),
-                         EngineOptions{.use_kv8 = true, .seed_baseline = true});
-    ReferenceEngine fast(quant_weights(),
-                         EngineOptions{.use_kv8 = true, .seed_baseline = false});
-    const auto ls = run_tokens(seed);
-    const auto lf = run_tokens(fast);
-    ASSERT_EQ(ls.size(), lf.size());
-    for (std::size_t i = 0; i < ls.size(); ++i) {
-        EXPECT_GT(efld::cosine_similarity(ls[i], lf[i]), 0.99999) << "token " << i;
+TEST(EngineFast, FastPathTracksFloatOverDequantizedWeights) {
+    // The fused W4 kernel factors each group's scale out of its dot product
+    // and sums in partial lanes, so it is not bit-identical to a float GEMV
+    // over the dequantized weights — but on the same weights and KV8 cache
+    // the whole engine must stay numerically indistinguishable from it.
+    ReferenceEngine dense(dequantized_weights(), EngineOptions{.use_kv8 = true});
+    ReferenceEngine fused(quant_weights(), EngineOptions{.use_kv8 = true});
+    const auto ld = run_tokens(dense);
+    const auto lf = run_tokens(fused);
+    ASSERT_EQ(ld.size(), lf.size());
+    for (std::size_t i = 0; i < ld.size(); ++i) {
+        EXPECT_GT(efld::cosine_similarity(ld[i], lf[i]), 0.99999) << "token " << i;
     }
 }
 
@@ -64,8 +94,7 @@ TEST(EngineFast, ThreadCountNeverChangesLogits) {
 }
 
 TEST(EngineFast, GlobalPoolEngineMatchesPrivateAndSingle) {
-    // threads == 0 borrows ThreadPool::global() (the SessionOptions
-    // host_threads wiring); results must still be exact.
+    // threads == 0 borrows ThreadPool::global(); results must still be exact.
     ReferenceEngine single(quant_weights(),
                            EngineOptions{.use_kv8 = true, .threads = 1});
     const auto want = run_tokens(single);
@@ -83,12 +112,19 @@ TEST(EngineFast, FloatWeightEngineThreadingIsExact) {
     EXPECT_EQ(run_tokens(single), run_tokens(multi));
 }
 
-TEST(EngineFast, DecodeSpanMatchesForward) {
-    ReferenceEngine a(quant_weights(), EngineOptions{}), b(quant_weights(), EngineOptions{});
-    const auto la = a.forward(9);
-    const std::span<const float> lb = b.decode(9);
-    ASSERT_EQ(la.size(), lb.size());
-    EXPECT_TRUE(std::equal(la.begin(), la.end(), lb.begin()));
+TEST(EngineFast, DecodeBatchSpanMatchesSeam) {
+    // The span-returning decode_batch overload is bit-for-bit the seam's
+    // copying one on an identically configured engine.
+    ReferenceEngine a(quant_weights()), b(quant_weights());
+    tests::SoloStream seam(b);
+    const std::size_t slot = a.reserve_slot();
+    for (const std::int32_t t : {9, 1, 64}) {
+        const std::span<const float> la = a.decode_batch(std::span<const std::int32_t>(&t, 1),
+                                                         std::span<const std::size_t>(&slot, 1));
+        const std::vector<float>& lb = seam.step(t);
+        ASSERT_EQ(la.size(), lb.size());
+        EXPECT_TRUE(std::equal(la.begin(), la.end(), lb.begin())) << "token " << t;
+    }
 }
 
 TEST(RopeTable, CachedRotationMatchesDirectKernelBitForBit) {
@@ -129,12 +165,9 @@ TEST(EngineFast, Kv8ScratchPathStaysCloseToGolden) {
     static const ModelWeights fw = ModelWeights::synthetic(gqa_cfg(), 11);
     ReferenceEngine golden(fw, EngineOptions{.threads = 2});
     ReferenceEngine kv8(fw, EngineOptions{.use_kv8 = true, .threads = 2});
-    std::vector<float> lg, lq;
-    for (const std::int32_t t : {1, 2, 3, 4, 5, 6}) {
-        lg = golden.forward(t);
-        lq = kv8.forward(t);
-    }
-    EXPECT_GT(efld::cosine_similarity(lg, lq), 0.999);
+    tests::SoloStream g(golden), q(kv8);
+    const std::vector<std::int32_t> stream{1, 2, 3, 4, 5, 6};
+    EXPECT_GT(efld::cosine_similarity(g.feed(stream), q.feed(stream)), 0.999);
 }
 
 }  // namespace

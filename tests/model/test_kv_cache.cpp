@@ -62,7 +62,7 @@ TEST(KvCache, HeadViewExtractsCorrectSlice) {
     for (std::size_t l = 0; l < cfg.n_layers; ++l) cache.append(l, k, v);
 
     const std::size_t hd = cfg.head_dim();
-    const auto head1 = cache.keys_for_head(0, 1, 1);
+    const std::span<const float> head1 = cache.keys_span(0, 1, 1);
     ASSERT_EQ(head1.size(), hd);
     for (std::size_t i = 0; i < hd; ++i) {
         EXPECT_FLOAT_EQ(head1[i], static_cast<float>(hd + i));
@@ -76,7 +76,7 @@ TEST(KvCache, MultiTokenHistoryOrdered) {
         std::vector<float> k(cfg.kv_dim(), static_cast<float>(t));
         for (std::size_t l = 0; l < cfg.n_layers; ++l) cache.append(l, k, k);
     }
-    const auto hist = cache.keys_for_head(1, 0, 3);
+    const std::span<const float> hist = cache.keys_span(1, 0, 3);
     const std::size_t hd = cfg.head_dim();
     EXPECT_FLOAT_EQ(hist[0], 0.0f);
     EXPECT_FLOAT_EQ(hist[hd], 1.0f);
@@ -112,8 +112,10 @@ TEST(QuantizedKvCache, ReconstructionCloseToFloat) {
         qcache.append(l, k, v);
         fcache.append(l, k, v);
     }
-    const auto qk = qcache.keys_for_head(0, 0, 1);
-    const auto fk = fcache.keys_for_head(0, 0, 1);
+    std::vector<float> scratch(cfg.head_dim());
+    const std::span<const float> qk = qcache.dequant_keys_into(0, 0, 1, scratch);
+    const std::span<const float> fk = fcache.keys_span(0, 0, 1);
+    ASSERT_EQ(qk.size(), fk.size());
     for (std::size_t i = 0; i < qk.size(); ++i) {
         EXPECT_NEAR(qk[i], fk[i], 0.05f) << i;  // 8-bit grid over ~N(0,1)
     }
@@ -139,8 +141,10 @@ TEST(QuantizedKvCache, ValuesRoundTripToo) {
     QuantizedKvCache qcache(cfg);
     const auto k = random_vec(cfg.kv_dim(), 7), v = random_vec(cfg.kv_dim(), 8);
     for (std::size_t l = 0; l < cfg.n_layers; ++l) qcache.append(l, k, v);
-    const auto qv = qcache.values_for_head(1, 1, 1);
     const std::size_t hd = cfg.head_dim();
+    std::vector<float> scratch(hd);
+    const std::span<const float> qv = qcache.dequant_values_into(1, 1, 1, scratch);
+    ASSERT_EQ(qv.size(), hd);
     for (std::size_t i = 0; i < hd; ++i) {
         EXPECT_NEAR(qv[i], v[hd + i], 0.05f);
     }

@@ -84,9 +84,13 @@ TEST(Session, RespectsContextLimit) {
     model::ModelConfig cfg = model::ModelConfig::micro_256();
     cfg.max_seq_len = 8;
     auto s = InferenceSession::synthetic(cfg, 8, greedy_opts());
-    // Prompt of 5 (incl. BOS) leaves 3 steps of headroom.
+    // Prompt of 5 (incl. BOS) leaves 3 steps of headroom. As in the serve
+    // engine, the token sampled once the window is full is emitted but never
+    // fed.
     const GenerationOutput g = s.generate("abcd", 100);
-    EXPECT_LE(g.tokens.size(), 4u);
+    ASSERT_NE(g.tokens.back(), model::ByteTokenizer::kEos);  // seed 8 runs to the limit
+    EXPECT_EQ(g.tokens.size(), 4u);
+    EXPECT_EQ(s.position(), cfg.max_seq_len);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "engine/generate.hpp"
 #include "model/reference_engine.hpp"
 #include "model/sampler.hpp"
 #include "model/tokenizer.hpp"
@@ -324,9 +325,6 @@ TEST(ServeControl, InvalidEngineOptionsRejected) {
     EXPECT_THROW(
         model::ReferenceEngine(qw, model::EngineOptions{.threads = 1u << 20}),
         std::invalid_argument);
-    EXPECT_THROW(model::ReferenceEngine(
-                     qw, model::EngineOptions{.seed_baseline = true, .threads = 2}),
-                 std::invalid_argument);
 }
 
 // ---- the accel backend behind the same serve loop ----
@@ -359,8 +357,8 @@ TEST(ServeControl, AccelBackendServesAndReportsSimulatedTime) {
 
 TEST(ServeControl, AccelServeMatchesSoloAccelGenerate) {
     // Serving on the accel backend never changes a request's tokens: the
-    // batched serve run must equal a dedicated Accelerator::generate of the
-    // same prompt (greedy), token for token.
+    // batched serve run must equal engine::generate of the same prompt
+    // (greedy) on a dedicated Accelerator, token for token.
     ServeOptions opts;
     opts.backend = engine::BackendKind::kAccel;
     opts.max_batch = 2;
@@ -380,8 +378,8 @@ TEST(ServeControl, AccelServeMatchesSoloAccelGenerate) {
     model::Sampler sampler(opts.sampler);
     model::ByteTokenizer tok;
     const std::vector<std::int32_t> ids = tok.encode(prompt);
-    accel::GenerationResult want =
-        solo.generate(ids, max_new, sampler, model::ByteTokenizer::kEos);
+    const engine::Generation want = engine::generate(solo, solo.reserve_slot(), ids, max_new,
+                                                     sampler, model::ByteTokenizer::kEos);
 
     EXPECT_EQ(h.get().tokens, want.tokens);
     (void)other.get();

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "engine/generate.hpp"
 #include "model/reference_engine.hpp"
 #include "model/sampler.hpp"
 #include "model/tokenizer.hpp"
@@ -19,34 +20,31 @@ namespace {
 
 model::ModelConfig test_cfg() { return model::ModelConfig::micro_256(); }
 
-// Replicates one request's generation with a dedicated single-session engine
-// — the ground truth the batched serve loop must match token for token.
+// The host engine fed one token per slot per step: the feed the serve
+// engine used before prompt tiles, kept as the solo oracle's feed and as the
+// step-count baseline.
+class OneTokenFeed final : public model::ReferenceEngine {
+public:
+    using ReferenceEngine::ReferenceEngine;
+    [[nodiscard]] std::size_t max_feed_tokens() const noexcept override { return 1; }
+};
+
+// Replicates one request's generation with engine::generate on a dedicated
+// single-session engine fed one token per step — the token-by-token ground
+// truth the batched serve loop must match token for token.
 std::vector<std::int32_t> solo_generate(const model::QuantizedModelWeights& qw,
                                         const ServeOptions& opts,
                                         const std::string& prompt,
                                         std::size_t max_new) {
     model::ByteTokenizer tok;
-    const std::vector<std::int32_t> ids = tok.encode(prompt);
-    model::EngineOptions eo;
-    eo.use_kv8 = opts.use_kv8;
-    eo.kv_bits = opts.kv_bits;
-    eo.threads = opts.threads;
-    eo.packed_weights = opts.packed_weights;
-    model::ReferenceEngine eng(qw, eo);
+    OneTokenFeed eng(qw, {.use_kv8 = opts.use_kv8,
+                          .kv_bits = opts.kv_bits,
+                          .threads = opts.threads,
+                          .packed_weights = opts.packed_weights});
     model::Sampler sampler(opts.sampler);
-
-    std::span<const float> logits;
-    for (const std::int32_t t : ids) logits = eng.decode(t);
-    std::vector<std::int32_t> gen;
-    while (true) {
-        const std::int32_t next = sampler.sample(logits);
-        gen.push_back(next);
-        if (next == model::ByteTokenizer::kEos) break;
-        if (gen.size() >= max_new) break;
-        if (eng.position() >= qw.config.max_seq_len) break;
-        logits = eng.decode(next);
-    }
-    return gen;
+    return engine::generate(eng, eng.reserve_slot(), tok.encode(prompt), max_new, sampler,
+                            model::ByteTokenizer::kEos)
+        .tokens;
 }
 
 struct Submission {
@@ -130,14 +128,6 @@ TEST(ServeEngine, PackedWeightServingMatchesByteCodes) {
     db.engine->run_until_idle();
     EXPECT_EQ(fp.get().tokens, fb.get().tokens);
 }
-
-// The host engine fed one token per slot per step: the feed the serve
-// engine used before prompt tiles, kept here as the step-count baseline.
-class OneTokenFeed final : public model::ReferenceEngine {
-public:
-    using ReferenceEngine::ReferenceEngine;
-    [[nodiscard]] std::size_t max_feed_tokens() const noexcept override { return 1; }
-};
 
 TEST(ServeEngine, PrefillTilesMatchTokenByTokenSoloRuns) {
     // Prompts longer than one 16-row tile, four lanes: prompts advance in
