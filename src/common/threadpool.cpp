@@ -72,6 +72,7 @@ void ThreadPool::parallel_for(
         body(0, n);
         return;
     }
+    const std::lock_guard<std::mutex> caller(caller_m_);
     {
         std::unique_lock<std::mutex> lk(m_);
         // A worker that never woke for a previous (already exhausted) job may

@@ -36,9 +36,10 @@ public:
     [[nodiscard]] std::size_t size() const noexcept { return n_threads_; }
 
     // Runs `body(begin, end)` over a disjoint chunking of [0, n) and blocks
-    // until every chunk finished. Re-entrant calls from inside a body are not
-    // supported. The first exception thrown by a body is rethrown here after
-    // all chunks complete.
+    // until every chunk finished. Callers on different threads may share a
+    // pool: their jobs run one after another. Re-entrant calls from inside a
+    // body are not supported (they deadlock). The first exception thrown by a
+    // body is rethrown here after all chunks complete.
     void parallel_for(std::size_t n,
                       const std::function<void(std::size_t, std::size_t)>& body);
 
@@ -62,6 +63,9 @@ private:
     std::size_t n_threads_ = 1;
     std::vector<std::thread> workers_;
 
+    // Held by a caller for its whole job, so a second caller cannot repoint
+    // the job state below while the first job's chunks are still running.
+    std::mutex caller_m_;
     std::mutex m_;
     std::condition_variable work_cv_;   // wakes workers on a new generation
     std::condition_variable done_cv_;   // wakes the caller on completion/idle

@@ -379,6 +379,7 @@ void ReferenceEngine::mlp_block(std::size_t layer, std::size_t nr) {
 std::span<const float> ReferenceEngine::step(std::span<const std::int32_t> tokens,
                                              std::span<const std::size_t> slots,
                                              std::span<const std::size_t> rows) {
+    const auto t0 = std::chrono::steady_clock::now();
     const std::size_t ns = slots.size();
     check(ns >= 1, "decode_batch: empty batch");
     check(ns <= opts_.max_batch, "decode_batch: batch exceeds max_batch");
@@ -404,7 +405,7 @@ std::span<const float> ReferenceEngine::step(std::span<const std::int32_t> token
     // Spans run in chunks of at most row_cap_ rows (whole spans, so every
     // chunk is an independent forward pass over distinct slots); one chunk
     // unless the step holds more rows than a serving step's budget.
-    step_walks_ = 0;
+    std::size_t walks = 0;
     std::size_t b = 0;
     std::size_t fed = 0;
     while (b < ns) {
@@ -419,8 +420,14 @@ std::span<const float> ReferenceEngine::step(std::span<const std::int32_t> token
         }
         forward_rows(tokens.subspan(fed, nr), chunk_begin);
         fed += nr;
-        step_walks_ += (nr + quant::kGemmBatchTile - 1) / quant::kGemmBatchTile;
+        // The skinny GEMM decodes the weight codes once per kGemmBatchTile rows.
+        walks += (nr + quant::kGemmBatchTile - 1) / quant::kGemmBatchTile;
     }
+    // Booked here, so both decode_batch overloads report their own step.
+    last_cost_.wall_ns =
+        std::chrono::duration<double, std::nano>(std::chrono::steady_clock::now() - t0).count();
+    last_cost_.simulated_ns = 0.0;  // the host IS the wall clock
+    last_cost_.weight_walks = static_cast<double>(walks);
     return std::span<const float>(logits_).first(ns * cfg_.vocab_size);
 }
 
@@ -502,14 +509,8 @@ void ReferenceEngine::decode_batch(std::span<const std::int32_t> tokens,
                                    std::span<float> logits_out) {
     check(logits_out.size() >= slots.size() * cfg_.vocab_size,
           "decode_batch: logits_out too small");
-    const auto t0 = std::chrono::steady_clock::now();
     const std::span<const float> logits = step(tokens, slots, rows);
-    const auto t1 = std::chrono::steady_clock::now();
     std::copy(logits.begin(), logits.end(), logits_out.begin());
-    last_cost_.wall_ns = std::chrono::duration<double, std::nano>(t1 - t0).count();
-    last_cost_.simulated_ns = 0.0;  // the host IS the wall clock
-    // The skinny GEMM decodes the weight codes once per kGemmBatchTile rows.
-    last_cost_.weight_walks = static_cast<double>(step_walks_);
 }
 
 }  // namespace efld::model

@@ -166,8 +166,9 @@ private:
 
     void init_scratch();
     // The step both decode_batch overloads run: spans as in DecodeBackend::
-    // decode_batch (empty rows = one token per slot). Returns the last-row
-    // logits [slots.size()][vocab], aliasing internal scratch.
+    // decode_batch (empty rows = one token per slot). Books last_cost_ and
+    // returns the last-row logits [slots.size()][vocab], aliasing internal
+    // scratch.
     std::span<const float> step(std::span<const std::int32_t> tokens,
                                 std::span<const std::size_t> slots,
                                 std::span<const std::size_t> rows);
@@ -215,8 +216,7 @@ private:
     std::vector<std::size_t> pos_;
     engine::SlotLedger slots_;  // DecodeBackend reservations
     std::vector<Span> spans_;   // the current pass's spans (max_batch reserved)
-    std::size_t step_walks_ = 0;  // weight-code walks of the last step
-    engine::StepCost last_cost_{};
+    engine::StepCost last_cost_{};  // of the last step, booked by step()
     obs::Profiler* profiler_ = nullptr;  // serving-layer owned; may be null
 
     std::optional<prefix::PrefixStore> prefix_;  // over paged_'s pool; paged only

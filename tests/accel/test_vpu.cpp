@@ -3,6 +3,7 @@
 
 #include <bit>
 #include <cmath>
+#include <limits>
 
 #include "accel/vpu.hpp"
 #include "common/check.hpp"
@@ -89,11 +90,12 @@ TEST(DequantUnit, RunRoundsEachLaneOnce) {
         word.set_nibble(i, static_cast<std::uint8_t>(rng.below(16)));
     }
     const Fp16 s = Fp16::from_float(0.07f);
-    const Lanes lanes = DequantUnit::run(word, s, 3);
-    for (std::size_t i = 0; i < kVpuLanes; ++i) {
+    const Wave wave = DequantUnit::run(word, s, 3);
+    for (std::size_t p = 0; p < kVpuLanes; ++p) {
+        const std::size_t i = wave_lane(p);  // the output is in wave order
         const Fp16 want =
             Fp16::from_float(static_cast<float>(word.nibble(i) - 3) * s.to_float());
-        EXPECT_EQ(std::bit_cast<std::uint32_t>(lanes[i]),
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(wave[p / 16][p % 16]),
                   std::bit_cast<std::uint32_t>(want.to_float()))
             << i;
     }
@@ -170,6 +172,74 @@ TEST(DotEngine, GemvMatchesQuantizedReference) {
     for (std::size_t r = 0; r < rows; ++r) {
         EXPECT_NEAR(y[r].to_float(), y_ref[r], 0.05f + 0.02f * std::abs(y_ref[r])) << r;
     }
+}
+
+// Lane-order vectors -> one wave in wave order.
+Wave to_wave(const std::vector<float>& lanes) {
+    Wave w{};
+    for (std::size_t p = 0; p < kVpuLanes; ++p) w[p / 16][p % 16] = lanes[wave_lane(p)];
+    return w;
+}
+
+TEST(DotEngine, WaveLaneIsTheSevenBitReversal) {
+    EXPECT_EQ(wave_lane(0), 0u);
+    EXPECT_EQ(wave_lane(1), 64u);
+    EXPECT_EQ(wave_lane(64), 1u);
+    EXPECT_EQ(wave_lane(0b0000110), 0b0110000u);
+    EXPECT_EQ(wave_lane(127), 127u);
+    for (std::size_t p = 0; p < kVpuLanes; ++p) EXPECT_EQ(wave_lane(wave_lane(p)), p);
+    // The adder tree's first-stage pair (2i, 2i + 1) sits at positions j and
+    // j + 64: the halves of the wave.
+    for (std::size_t j = 0; j < kVpuLanes / 2; ++j) {
+        EXPECT_EQ(wave_lane(j) % 2, 0u);
+        EXPECT_EQ(wave_lane(j + 64), wave_lane(j) + 1);
+    }
+}
+
+TEST(DotEngine, WaveDotBitIdenticalToScalarTree) {
+    // The vector kernel (wave order, vector rounding) against dot128's scalar
+    // adder tree over the same lanes in lane order, bit for bit, on waves
+    // whose products are typical, fp16 subnormals, overflow to +-inf (inf
+    // - inf in the tree gives NaN), and with inf and NaN operands.
+    Xoshiro256 rng(21);
+    const auto halves = [&](double mag) {
+        std::vector<float> v(kVpuLanes);
+        for (float& x : v) x = round_to_fp16(static_cast<float>(rng.gaussian(0.0, mag)));
+        return v;
+    };
+    struct Case {
+        const char* name;
+        double a_mag, b_mag;
+    };
+    const Case cases[] = {
+        {"typical", 0.05, 1.0},
+        {"subnormal products", 3e-3, 3e-3},
+        {"overflow to +-inf", 400.0, 400.0},
+        {"mixed", 30.0, 2.0},
+    };
+    std::size_t subnormal_products = 0, inf_products = 0, nan_results = 0;
+    for (const Case& c : cases) {
+        for (int rep = 0; rep < 64; ++rep) {
+            std::vector<float> a = halves(c.a_mag), b = halves(c.b_mag);
+            if (rep % 8 == 5) a[rep % kVpuLanes] = std::numeric_limits<float>::infinity();
+            if (rep % 8 == 6) b[(rep * 3) % kVpuLanes] = -std::numeric_limits<float>::infinity();
+            if (rep % 8 == 7) b[rep % kVpuLanes] = std::bit_cast<float>(0xFF81'2000u);  // NaN
+
+            for (std::size_t i = 0; i < kVpuLanes; ++i) {
+                const float p = round_to_fp16(a[i] * b[i]);
+                subnormal_products += p != 0.0f && std::abs(p) < 0x1p-14f;
+                inf_products += std::isinf(p);
+            }
+            const float want = DotEngine::dot128(a, b);
+            const float got = DotEngine::wave_dot(to_wave(a), to_wave(b));
+            EXPECT_EQ(std::bit_cast<std::uint32_t>(got), std::bit_cast<std::uint32_t>(want))
+                << c.name << " rep " << rep;
+            nan_results += std::isnan(want);
+        }
+    }
+    EXPECT_GT(subnormal_products, 1000u);
+    EXPECT_GT(inf_products, 1000u);
+    EXPECT_GT(nan_results, 10u);
 }
 
 // Random streams plus the edge cases the float-domain datapath must get

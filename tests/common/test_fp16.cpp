@@ -8,6 +8,7 @@
 #include <limits>
 #include <vector>
 
+#include "accel/fp16_lanes.hpp"
 #include "common/fp16.hpp"
 #include "common/rng.hpp"
 
@@ -166,21 +167,17 @@ TEST(Fp16, SubnormalArithmetic) {
     EXPECT_EQ((tiny - tiny).bits(), 0x0000);
 }
 
-TEST(Fp16, RoundToFp16MatchesTheConversionPairOnEveryRoundingCase) {
-    // round_to_fp16(v) must be bit-identical to decoding float_to_half_bits(v).
-    // The result depends only on the mantissa bits rounding drops, the lowest
-    // kept bit (ties to even) and whether the kept bits are all ones (carry
-    // into the exponent). So for every exponent and both signs: every dropped
-    // pattern, under kept patterns 0, 1, all-ones - 1 and all-ones. Normal
-    // halves and beyond (overflow, inf, NaN) drop 13 bits; the half-subnormal
-    // range (2^-25 <= |v| < 2^-14) drops 14..23, which makes every mantissa
-    // at 2^-25 .. 2^-22 part of the sweep. Below 2^-25 everything is +-0.
-    std::vector<std::uint32_t> decoded(0x10000);
-    for (std::uint32_t h = 0; h <= 0xFFFF; ++h) {
-        const float f = half_bits_to_float(static_cast<std::uint16_t>(h));
-        decoded[h] = std::bit_cast<std::uint32_t>(f);
-    }
-    std::uint64_t checked = 0, mismatches = 0;
+// Calls f(v) for every rounding case of a float -> fp16 conversion. The
+// result depends only on the mantissa bits rounding drops, the lowest kept
+// bit (ties to even) and whether the kept bits are all ones (carry into the
+// exponent). So for every exponent and both signs: every dropped pattern,
+// under kept patterns 0, 1, all-ones - 1 and all-ones. Normal halves and
+// beyond (overflow, inf, NaN with every 13-bit low payload) drop 13 bits; the
+// half-subnormal range (2^-25 <= |v| < 2^-14) drops 14..23, which makes every
+// mantissa at 2^-25 .. 2^-22 part of the sweep. Below 2^-25 everything is +-0.
+template <class F>
+std::uint64_t for_each_rounding_case(F&& f) {
+    std::uint64_t cases = 0;
     for (std::uint32_t exp = 0; exp <= 0xFF; ++exp) {
         const bool subnormal = exp >= 102 && exp <= 112;
         const std::uint32_t kept_bits = subnormal ? (exp > 103 ? exp - 103 : 0) : 10;
@@ -196,16 +193,85 @@ TEST(Fp16, RoundToFp16MatchesTheConversionPairOnEveryRoundingCase) {
             for (const std::uint32_t k : kept) {
                 const std::uint32_t high = sign | (exp << 23) | (k << dropped_bits);
                 for (std::uint32_t low = 0; low < (1u << dropped_bits); ++low) {
-                    const float v = std::bit_cast<float>(high | low);
-                    mismatches += std::bit_cast<std::uint32_t>(round_to_fp16(v)) !=
-                                  decoded[float_to_half_bits(v)];
-                    ++checked;
+                    f(std::bit_cast<float>(high | low));
+                    ++cases;
                 }
             }
         }
     }
+    return cases;
+}
+
+TEST(Fp16, RoundToFp16MatchesTheConversionPairOnEveryRoundingCase) {
+    // round_to_fp16(v) must be bit-identical to decoding float_to_half_bits(v).
+    std::vector<std::uint32_t> decoded(0x10000);
+    for (std::uint32_t h = 0; h <= 0xFFFF; ++h) {
+        const float f = half_bits_to_float(static_cast<std::uint16_t>(h));
+        decoded[h] = std::bit_cast<std::uint32_t>(f);
+    }
+    std::uint64_t mismatches = 0;
+    const std::uint64_t checked = for_each_rounding_case([&](float v) {
+        mismatches += std::bit_cast<std::uint32_t>(round_to_fp16(v)) !=
+                      decoded[float_to_half_bits(v)];
+    });
     EXPECT_EQ(mismatches, 0u);
     EXPECT_GT(checked, 80'000'000u);
+}
+
+using accel::F32x16;
+using accel::round_to_fp16_lanes;
+
+// Rounds a batch through round_to_fp16_lanes and counts the lanes that differ
+// from the scalar round_to_fp16 in any bit.
+std::uint64_t lane_mismatches(const F32x16& in) {
+    F32x16 out = in;
+    round_to_fp16_lanes(out);
+    std::uint64_t mismatches = 0;
+    for (int i = 0; i < 16; ++i) {
+        mismatches += std::bit_cast<std::uint32_t>(out[i]) !=
+                      std::bit_cast<std::uint32_t>(round_to_fp16(in[i]));
+    }
+    return mismatches;
+}
+
+TEST(Fp16, VectorRoundingMatchesScalarOnEveryRoundingCase) {
+    // The vector primitive (the hardware converter where the target has
+    // F16C) must equal the scalar bit formula lane by lane on the same sweep,
+    // 16 consecutive cases per vector.
+    F32x16 batch{};
+    int fill = 0;
+    std::uint64_t mismatches = 0;
+    const std::uint64_t checked = for_each_rounding_case([&](float v) {
+        batch[fill++] = v;
+        if (fill == 16) {
+            mismatches += lane_mismatches(batch);
+            fill = 0;
+        }
+    });
+    EXPECT_EQ(fill, 0);  // the sweep is a whole number of vectors
+    EXPECT_EQ(mismatches, 0u);
+    EXPECT_GT(checked, 80'000'000u);
+}
+
+TEST(Fp16, VectorRoundingCanonicalizesNanPayloads) {
+    // Quiet and signaling NaNs of both signs with payloads in every part of
+    // the mantissa come out as the scalar's canonical quiet NaN, sign kept;
+    // the F16C converter alone would keep the top payload bits.
+    const std::uint32_t payloads[] = {0x0000'0001u, 0x0000'1FFFu, 0x0000'2000u, 0x0003'0000u,
+                                      0x001F'E000u, 0x003F'FFFFu, 0x0040'0000u, 0x0040'0001u,
+                                      0x0055'5555u, 0x007F'E000u, 0x007F'FFFFu, 0x0020'0000u,
+                                      0x0010'0001u, 0x0000'4000u, 0x0012'3456u, 0x0060'0000u};
+    for (const std::uint32_t sign : {0u, 0x8000'0000u}) {
+        F32x16 v;
+        for (int i = 0; i < 16; ++i) v[i] = std::bit_cast<float>(sign | 0x7F80'0000u | payloads[i]);
+        const F32x16 in = v;
+        round_to_fp16_lanes(v);
+        for (int i = 0; i < 16; ++i) {
+            EXPECT_EQ(std::bit_cast<std::uint32_t>(v[i]), sign | 0x7FC0'0000u)
+                << std::hex << std::bit_cast<std::uint32_t>(in[i]);
+        }
+        EXPECT_EQ(lane_mismatches(in), 0u);
+    }
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "common/check.hpp"
@@ -105,6 +106,37 @@ TEST(ThreadPool, ReusableAcrossManyJobs) {
         });
     }
     EXPECT_EQ(total.load(), 200L * (63L * 64L / 2));
+}
+
+TEST(ThreadPool, ConcurrentCallersEachCoverTheirRangeOnce) {
+    // Two threads share one pool (as two serve shards share the global pool
+    // under ServeOptions::threads = 0). Each call must still run every index
+    // of its own range exactly once: a second caller must not repoint the
+    // job while the first one's chunks are in flight.
+    ThreadPool pool(4);
+    constexpr int kCalls = 20'000;
+    const auto caller = [&](std::size_t salt, int& bad_calls) {
+        std::vector<std::atomic<int>> hits(64);
+        for (int call = 0; call < kCalls; ++call) {
+            const std::size_t n = 16 + (call * 7 + salt) % 48;
+            for (std::size_t i = 0; i < n; ++i) hits[i].store(0);
+            pool.parallel_for(n, [&](std::size_t b, std::size_t e) {
+                for (std::size_t i = b; i < e; ++i) hits[i].fetch_add(1);
+            });
+            for (std::size_t i = 0; i < n; ++i) {
+                if (hits[i].load() != 1) {
+                    ++bad_calls;
+                    break;
+                }
+            }
+        }
+    };
+    int bad_a = 0, bad_b = 0;
+    std::thread other([&] { caller(3, bad_b); });
+    caller(0, bad_a);
+    other.join();
+    EXPECT_EQ(bad_a, 0);
+    EXPECT_EQ(bad_b, 0);
 }
 
 TEST(ThreadPool, GlobalPoolResizable) {

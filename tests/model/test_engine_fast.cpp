@@ -127,6 +127,32 @@ TEST(EngineFast, DecodeBatchSpanMatchesSeam) {
     }
 }
 
+TEST(EngineFast, SpanOverloadReportsItsStepCost) {
+    // last_step_cost() is the most recent decode_batch's, whichever overload
+    // ran it: after a 16-row tile (two walks of the weight codes) through the
+    // seam, a one-token span-overload step must report its own single walk.
+    ReferenceEngine eng(quant_weights());
+    const std::size_t slot = eng.reserve_slot();
+    const std::int32_t one = 9;
+    (void)eng.decode_batch(std::span<const std::int32_t>(&one, 1),
+                           std::span<const std::size_t>(&slot, 1));
+    EXPECT_GT(eng.last_step_cost().wall_ns, 0.0);
+    EXPECT_EQ(eng.last_step_cost().weight_walks, 1.0);
+
+    const std::vector<std::int32_t> tile(ReferenceEngine::kMaxFeedTokens, 5);
+    const std::size_t rows = tile.size();
+    std::vector<float> logits(gqa_cfg().vocab_size);
+    eng.decode_batch(tile, std::span<const std::size_t>(&slot, 1),
+                     std::span<const std::size_t>(&rows, 1), logits);
+    EXPECT_EQ(eng.last_step_cost().weight_walks,
+              static_cast<double>(ReferenceEngine::kMaxFeedTokens / quant::kGemmBatchTile));
+
+    (void)eng.decode_batch(std::span<const std::int32_t>(&one, 1),
+                           std::span<const std::size_t>(&slot, 1));
+    EXPECT_GT(eng.last_step_cost().wall_ns, 0.0);
+    EXPECT_EQ(eng.last_step_cost().weight_walks, 1.0);
+}
+
 TEST(RopeTable, CachedRotationMatchesDirectKernelBitForBit) {
     const std::size_t d = 64;
     const RopeTable table(d, 32, 10000.0f);
