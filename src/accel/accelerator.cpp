@@ -12,11 +12,6 @@ namespace efld::accel {
 
 namespace {
 
-// Storage page when the cycle model prices a contiguous layout: KvPoolConfig's
-// default, the scale-zero FIFO flush width, so a page never splits a pack
-// word.
-constexpr std::size_t kContiguousPageTokens = kvpool::KvPoolConfig{}.page_tokens;
-
 const AcceleratorOptions& validated(const AcceleratorOptions& opts) {
     if (opts.max_batch == 0) {
         throw std::invalid_argument("AcceleratorOptions: max_batch must be >= 1");
@@ -41,11 +36,8 @@ Accelerator::Accelerator(const PackedModel& m, AcceleratorOptions opts)
       rope_(m.config.rope_theta),
       softmax_(exp_),
       silu_(exp_),
-      kv_(m.config,
-          kvpool::pool_config(m.config, opts.max_batch,
-                              opts.accel.kv_page_tokens > 0 ? opts.accel.kv_page_tokens
-                                                            : kContiguousPageTokens,
-                              opts.kv_pool_pages)) {
+      kv_(m.config, kvpool::pool_config(m.config, opts.max_batch,
+                                        opts.accel.kv_page_tokens, opts.kv_pool_pages)) {
     const std::size_t mb = opts_.max_batch;
     sz_fifo_.reserve(mb);
     for (std::size_t s = 0; s < mb; ++s) {
@@ -306,12 +298,19 @@ void Accelerator::decode_batch(std::span<const std::int32_t> tokens,
           "decode_batch: the accel twin takes one token per slot per step");
     check(nb <= opts_.max_batch, "decode_batch: batch exceeds max_batch");
     check(logits_out.size() >= nb * vocab, "decode_batch: logits_out too small");
+    std::size_t pages = 0;
     for (std::size_t b = 0; b < nb; ++b) {
         check(slots[b] < opts_.max_batch, "decode_batch: slot out of range");
         for (std::size_t c = b + 1; c < nb; ++c) {
             check(slots[b] != slots[c], "decode_batch: duplicate slot");
         }
+        pages += kv_.pages_to_append(slots[b], 1);
     }
+    // Checked before any lane quantizes or appends, so a step the pool
+    // refuses leaves every slot's KV, position and scale-zero FIFO as it was.
+    check(pages <= kv_.pool().pages_free(),
+          "decode_batch: KV pool exhausted (admission should have deferred a "
+          "sequence)");
 
     const auto t0 = std::chrono::steady_clock::now();
     ctx_scratch_.clear();

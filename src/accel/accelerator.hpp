@@ -24,8 +24,9 @@
 // (one sequence per slot), the same page store the host engine uses, so
 // both backends share its copy-on-write, cadence and pool-exhaustion rules.
 // Attention reads history through the slot's block table. Pages are
-// AccelConfig::kv_page_tokens tokens when set, else 16 (the scale-zero FIFO
-// flush width), and the pool holds AcceleratorOptions::kv_pool_pages of them.
+// AccelConfig::kv_page_tokens tokens, sized by kvpool::pool_config as on the
+// host (0 = its 16-token default), and the pool holds
+// AcceleratorOptions::kv_pool_pages of them.
 //
 // Paged KV (AccelConfig::kv_page_tokens > 0): the cycle model prices a
 // session's history as one DDR burst per block-table page (each with its own
@@ -103,7 +104,7 @@ public:
     }
     void set_profiler(obs::Profiler* profiler) override { profiler_ = profiler; }
 
-    // Prefix sharing (paged only; 0 otherwise): the contract is in
+    // Prefix sharing (kv_page_tokens > 0; 0 otherwise): the contract is in
     // decode_backend.hpp, the store and adoption rule in prefix::PrefixStore.
     // Adoption replays the adopted packs through the slot's scale-zero FIFO,
     // leaving it exactly as a prefill of the covered tokens would.
@@ -167,7 +168,7 @@ private:
     std::vector<std::size_t> pos_;           // per session slot
     engine::SlotLedger slots_;               // DecodeBackend reservations
     kvpool::PagedQuantizedKvArena kv_;       // slot s = arena sequence s
-    std::optional<prefix::PrefixStore> prefix_;  // over kv_'s pool; paged only
+    std::optional<prefix::PrefixStore> prefix_;  // over kv_'s pool; kv_page_tokens > 0
     std::vector<std::size_t> ctx_scratch_;   // batch pricing, no per-step alloc
     engine::StepCost last_cost_{};
     obs::Profiler* profiler_ = nullptr;      // serving-layer owned; may be null

@@ -69,8 +69,8 @@ struct StepCost {
     double sim_overhead_ns = 0.0;
 };
 
-// Page-store state a prefix-sharing backend exposes (zeros when the backend
-// is not paged): pages_shared is the pages its prefix store currently pins
+// Page-store state a prefix-sharing backend exposes (zeros when it has no
+// prefix store, i.e. kv_page_tokens 0): pages_shared is the pages its prefix store currently pins
 // resident; cow_copies counts private copies made when a session diverged
 // into a shared page. Adoptions are counted once, by the caller of
 // adopt_prefix (serve::ServeStats::prefix_hits / prefix_hit_tokens).
@@ -104,6 +104,8 @@ public:
     // max_feed_tokens() tokens and fits the context window. The last row of
     // span i writes logits row i (vocab floats, span-major) into
     // logits_out, which must hold at least slots.size() * vocab floats.
+    // A step the KV page pool cannot hold throws efld::Error before any slot
+    // changes.
     virtual void decode_batch(std::span<const std::int32_t> tokens,
                               std::span<const std::size_t> slots,
                               std::span<const std::size_t> rows,

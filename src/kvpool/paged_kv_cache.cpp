@@ -10,10 +10,10 @@ namespace efld::kvpool {
 KvPoolConfig pool_config(const model::ModelConfig& cfg, std::size_t max_batch,
                          std::size_t page_tokens, std::size_t n_pages) {
     KvPoolConfig pc;
-    pc.page_tokens = page_tokens;
+    if (page_tokens > 0) pc.page_tokens = page_tokens;
     pc.n_pages = n_pages > 0 ? n_pages
-                             : max_batch * ((cfg.max_seq_len + page_tokens - 1) /
-                                            page_tokens);
+                             : max_batch * ((cfg.max_seq_len + pc.page_tokens - 1) /
+                                            pc.page_tokens);
     return pc;
 }
 
@@ -37,6 +37,12 @@ void PagedArena::adopt_prefix(std::size_t seq, std::span<const std::size_t> page
     cadence_[seq] = {};  // adoption lands on a span boundary
 }
 
+std::size_t PagedArena::pages_to_append(std::size_t seq, std::size_t n) const {
+    const std::size_t held = pool_.block_table(seq).size();
+    const std::size_t need = pool_.pages_for_tokens(pool_.seq_tokens(seq) + n);
+    return (need > held ? need - held : 0) + (pool_.write_needs_cow(seq) ? 1 : 0);
+}
+
 PagedArena::WriteSpan PagedArena::open_write(std::size_t seq, std::size_t layer,
                                              std::size_t n) {
     check(layer < cfg_.n_layers, "PagedArena: layer out of range");
@@ -47,14 +53,10 @@ PagedArena::WriteSpan PagedArena::open_write(std::size_t seq, std::size_t layer,
     if (cad.opens(n)) {
         // Check the whole span fits before taking anything, so a refusal
         // leaves the sequence and its cadence exactly as they were.
-        const bool cow = pool_.write_needs_cow(seq);
-        const std::size_t held = pool_.block_table(seq).size();
-        const std::size_t need = pool_.pages_for_tokens(w.first + n);
-        const std::size_t fresh = need > held ? need - held : 0;
-        check(pool_.pages_free() >= fresh + (cow ? 1 : 0),
+        check(pool_.pages_free() >= pages_to_append(seq, n),
               "PagedArena: KV pool exhausted (admission should have deferred "
               "this sequence)");
-        if (cow) {
+        if (pool_.write_needs_cow(seq)) {
             const KvBlockPool::CowResult c = pool_.cow_page(seq);
             check(c.ok,
                   "PagedArena: no free page for a copy-on-write divergence "

@@ -1,9 +1,11 @@
 // Physically paged KV storage: the KvBlockPool's block tables backed by real
-// page-resident slabs.
+// page-resident slabs. These arenas are the only KV store either backend
+// uses: the host engine keeps its float or KV8 history in one of them in
+// every configuration, and the KV260 twin keeps its KV8 entries in the
+// quantized one.
 //
 // Two arenas mirror the two contiguous caches in model/kv_cache.hpp — float
-// (golden path) and KV8-quantized (deployed form, the store of both the host
-// engine's KV8 path and the KV260 twin) — but storage is a shared
+// (golden path) and KV8-quantized (deployed form) — but storage is a shared
 // page arena instead of a per-session max_seq_len reservation: a sequence
 // owns only the pages its history actually fills, so the arena's footprint is
 // the pool budget, not sessions x context window.
@@ -12,10 +14,11 @@
 // contiguous ([layer][kv_head][token_in_page][head_dim]), matching the MCU's
 // head-major DDR layout at page granularity: reading one head's history is
 // one burst per PAGE rather than one burst per sequence. The read path
-// gathers those per-page spans into caller scratch; because the gathered
-// values are copied (or dequantized) verbatim, attention over a gathered
-// history is bit-for-bit identical to attention over a contiguous cache —
-// the parity the engine contract tests assert.
+// gathers those per-page spans into caller scratch, copying (or
+// dequantizing) each value verbatim, so a gathered history is bit-for-bit
+// what the contiguous caches return at every page size and span length —
+// the parity test_paged_kv_cache proves against them as oracles, and the
+// reason an engine's logits do not depend on its page size.
 #pragma once
 
 #include <cstdint>
@@ -29,9 +32,11 @@
 
 namespace efld::kvpool {
 
-// Pool of `page_tokens`-token pages for `max_batch` sequences: `n_pages` when
-// > 0, else enough for every sequence to fill the context window (paging
-// layout without capacity pressure).
+// Pool of `page_tokens`-token pages for `max_batch` sequences, the one sizing
+// rule both backends share. page_tokens 0 means KvPoolConfig's default (16,
+// the scale-zero FIFO flush width, so a page never splits a pack word).
+// `n_pages` when > 0, else enough for every sequence to fill the context
+// window (paging layout without capacity pressure).
 [[nodiscard]] KvPoolConfig pool_config(const model::ModelConfig& cfg,
                                        std::size_t max_batch, std::size_t page_tokens,
                                        std::size_t n_pages);
@@ -56,6 +61,12 @@ public:
     [[nodiscard]] std::size_t length(std::size_t seq) const {
         return pool_.seq_tokens(seq);
     }
+    // Pages an n-token span append to `seq` takes from the pool: fresh pages
+    // past its block table, plus one when the span starts in a page another
+    // holder still maps (copy-on-write). A step sums this over its spans and
+    // refuses up front when pages_free() cannot cover it, so a refused step
+    // leaves every sequence untouched rather than some half-appended.
+    [[nodiscard]] std::size_t pages_to_append(std::size_t seq, std::size_t n) const;
     [[nodiscard]] const KvBlockPool& pool() const noexcept { return pool_; }
     [[nodiscard]] KvBlockPool& pool() noexcept { return pool_; }
 

@@ -1,4 +1,9 @@
-// Key/value caches: float (reference) and KV8-quantized (deployed form).
+// Contiguous key/value caches: float (reference) and KV8-quantized (deployed
+// form), one max_seq_len reservation per sequence. No engine stores its KV
+// here: both backends keep it in the kvpool arenas (kvpool/paged_kv_cache.hpp).
+// These are the arenas' test oracles — the straightforward layout a paged
+// read must reproduce bit for bit (test_paged_kv_cache) — and the home of
+// SpanCadence, the append rule every store shares.
 #pragma once
 
 #include <cstdint>

@@ -46,11 +46,6 @@ void validate(const EngineOptions& opts) {
     if (opts.max_batch == 0) {
         throw std::invalid_argument("EngineOptions: max_batch must be >= 1");
     }
-    if (opts.kv_pool_pages > 0 && opts.kv_page_tokens == 0) {
-        throw std::invalid_argument(
-            "EngineOptions: kv_pool_pages needs kv_page_tokens > 0 (a pool of "
-            "pages is meaningless for contiguous caches)");
-    }
     if (opts.threads > 1) {
         // Determinism is thread-count independent, so modest oversubscription
         // (thread-schedule determinism tests) is fine — but a private pool
@@ -73,30 +68,18 @@ void ReferenceEngine::init_scratch() {
     if (opts_.threads > 1) pool_ = std::make_unique<ThreadPool>(opts_.threads);
     rope_ = RopeTable(cfg_.head_dim(), cfg_.max_seq_len, cfg_.rope_theta);
 
-    // Only the cache variant the options select is constructed: a full float
-    // KV reservation per slot is exactly the kind of dead capacity the
-    // batch dimension would multiply.
     const std::size_t mb = opts_.max_batch;
-    if (opts_.kv_page_tokens > 0) {
-        const kvpool::KvPoolConfig pc = kvpool::pool_config(
-            cfg_, mb, opts_.kv_page_tokens, opts_.kv_pool_pages);
-        if (opts_.use_kv8) {
-            paged_quant_ =
-                std::make_unique<kvpool::PagedQuantizedKvArena>(cfg_, pc, opts_.kv_bits);
-            paged_ = paged_quant_.get();
-        } else {
-            paged_float_ = std::make_unique<kvpool::PagedKvArena>(cfg_, pc);
-            paged_ = paged_float_.get();
-        }
-        for (std::size_t s = 0; s < mb; ++s) (void)paged_->create_sequence();
-        prefix_.emplace(paged_->pool());
-    } else if (opts_.use_kv8) {
-        kv_quant_.reserve(mb);
-        for (std::size_t s = 0; s < mb; ++s) kv_quant_.emplace_back(cfg_, opts_.kv_bits);
+    const kvpool::KvPoolConfig pc =
+        kvpool::pool_config(cfg_, mb, opts_.kv_page_tokens, opts_.kv_pool_pages);
+    if (opts_.use_kv8) {
+        quant_kv_ = std::make_unique<kvpool::PagedQuantizedKvArena>(cfg_, pc, opts_.kv_bits);
+        kv_ = quant_kv_.get();
     } else {
-        kv_float_.reserve(mb);
-        for (std::size_t s = 0; s < mb; ++s) kv_float_.emplace_back(cfg_);
+        float_kv_ = std::make_unique<kvpool::PagedKvArena>(cfg_, pc);
+        kv_ = float_kv_.get();
     }
+    for (std::size_t s = 0; s < mb; ++s) (void)kv_->create_sequence();
+    if (opts_.kv_page_tokens > 0) prefix_.emplace(kv_->pool());
     pos_.assign(mb, 0);
     slots_ = engine::SlotLedger(mb);
     spans_.reserve(mb);
@@ -112,12 +95,9 @@ void ReferenceEngine::init_scratch() {
     up_.resize(row_cap_ * cfg_.hidden_dim);
     logits_.resize(mb * cfg_.vocab_size);
     scores_.resize(mb * cfg_.n_kv_heads * cfg_.max_seq_len);
-    if (opts_.use_kv8 || paged()) {
-        // Dequant scratch (KV8) or page-gather scratch (paged float): either
-        // way the attention kernel consumes one contiguous history per task.
-        kv_deq_k_.resize(mb * cfg_.n_kv_heads * cfg_.max_seq_len * cfg_.head_dim());
-        kv_deq_v_.resize(mb * cfg_.n_kv_heads * cfg_.max_seq_len * cfg_.head_dim());
-    }
+    // The attention kernel consumes one contiguous history per task.
+    kv_deq_k_.resize(mb * cfg_.n_kv_heads * cfg_.max_seq_len * cfg_.head_dim());
+    kv_deq_v_.resize(mb * cfg_.n_kv_heads * cfg_.max_seq_len * cfg_.head_dim());
 
     if (opts_.packed_weights) {
         check(qw_ != nullptr, "ReferenceEngine: packed_weights needs quantized weights");
@@ -151,13 +131,7 @@ std::size_t ReferenceEngine::position(std::size_t slot) const {
 
 void ReferenceEngine::reset_session(std::size_t slot) {
     check(slot < opts_.max_batch, "reset_session: slot out of range");
-    if (paged()) {
-        paged_->reset_sequence(slot);  // pages back to the pool
-    } else if (opts_.use_kv8) {
-        kv_quant_[slot].reset();
-    } else {
-        kv_float_[slot].reset();
-    }
+    kv_->reset_sequence(slot);  // pages back to the pool
     pos_[slot] = 0;
 }
 
@@ -231,7 +205,7 @@ std::size_t ReferenceEngine::attention_block(std::size_t layer, std::size_t nr) 
         }
     };
 
-    // Every row's K and V land in its slot's cache before any row attends,
+    // Every row's K and V land in its slot's history before any row attends,
     // so a row reads the rows before it in its own tile.
     proj(layer, kWk, nr, std::span<const float>(xb_).first(nr * dim),
          std::span<float>(k_).first(nr * kvd));
@@ -246,14 +220,10 @@ std::size_t ReferenceEngine::attention_block(std::size_t layer, std::size_t nr) 
             std::span<const float>(k_).subspan(sp.first * kvd, sp.n * kvd);
         const std::span<const float> vs =
             std::span<const float>(v_).subspan(sp.first * kvd, sp.n * kvd);
-        if (paged_quant_ != nullptr) {
-            paged_quant_->append(sp.slot, layer, ks, vs);
-        } else if (paged_float_ != nullptr) {
-            paged_float_->append(sp.slot, layer, ks, vs);
-        } else if (opts_.use_kv8) {
-            kv_quant_[sp.slot].append(layer, ks, vs);
+        if (quant_kv_ != nullptr) {
+            quant_kv_->append(sp.slot, layer, ks, vs);
         } else {
-            kv_float_[sp.slot].append(layer, ks, vs);
+            float_kv_->append(sp.slot, layer, ks, vs);
         }
     }
 
@@ -290,8 +260,8 @@ std::size_t ReferenceEngine::attention_block(std::size_t layer, std::size_t nr) 
     const std::size_t heads_per_kv = cfg_.n_heads / cfg_.n_kv_heads;
 
     // One task per (span, KV head): a span's query-head cluster shares one
-    // history, so a quantized cache is dequantized (a paged one gathered)
-    // once per cluster up to the span's end — not once per query head or per
+    // history, so its pages are dequantized (KV8) or gathered (float) once
+    // per cluster up to the span's end — not once per query head or per
     // row — and every query row then attends causally over its own prefix of
     // it. Parallel tasks touch disjoint scratch slices.
     const std::size_t slab = cfg_.max_seq_len * hd;
@@ -302,27 +272,17 @@ std::size_t ReferenceEngine::attention_block(std::size_t layer, std::size_t nr) 
         const std::size_t slot = sp.slot;
         const std::size_t ctx = pos_[slot] + sp.n;
         const std::size_t deq = task * slab;
+        const std::span<float> kbuf = std::span<float>(kv_deq_k_).subspan(deq, slab);
+        const std::span<float> vbuf = std::span<float>(kv_deq_v_).subspan(deq, slab);
         std::span<const float> keys, vals;
-        if (paged_quant_ != nullptr) {
-            keys = paged_quant_->dequant_keys_into(
-                slot, layer, kvh, ctx, std::span<float>(kv_deq_k_).subspan(deq, slab));
-            vals = paged_quant_->dequant_values_into(
-                slot, layer, kvh, ctx, std::span<float>(kv_deq_v_).subspan(deq, slab));
-        } else if (paged_float_ != nullptr) {
-            // Per-page gather instead of one zero-copy span: the host pays a
-            // copy for paging exactly where the device pays per-page bursts.
-            keys = paged_float_->gather_keys(
-                slot, layer, kvh, ctx, std::span<float>(kv_deq_k_).subspan(deq, slab));
-            vals = paged_float_->gather_values(
-                slot, layer, kvh, ctx, std::span<float>(kv_deq_v_).subspan(deq, slab));
-        } else if (opts_.use_kv8) {
-            keys = kv_quant_[slot].dequant_keys_into(
-                layer, kvh, ctx, std::span<float>(kv_deq_k_).subspan(deq, slab));
-            vals = kv_quant_[slot].dequant_values_into(
-                layer, kvh, ctx, std::span<float>(kv_deq_v_).subspan(deq, slab));
+        if (quant_kv_ != nullptr) {
+            keys = quant_kv_->dequant_keys_into(slot, layer, kvh, ctx, kbuf);
+            vals = quant_kv_->dequant_values_into(slot, layer, kvh, ctx, vbuf);
         } else {
-            keys = kv_float_[slot].keys_span(layer, kvh, ctx);
-            vals = kv_float_[slot].values_span(layer, kvh, ctx);
+            // One copy per page: the host pays for paging exactly where the
+            // device pays per-page bursts.
+            keys = float_kv_->gather_keys(slot, layer, kvh, ctx, kbuf);
+            vals = float_kv_->gather_values(slot, layer, kvh, ctx, vbuf);
         }
         const std::span<float> scores =
             std::span<float>(scores_).subspan(task * cfg_.max_seq_len, cfg_.max_seq_len);
@@ -385,6 +345,7 @@ std::span<const float> ReferenceEngine::step(std::span<const std::int32_t> token
     check(ns <= opts_.max_batch, "decode_batch: batch exceeds max_batch");
     check(rows.empty() || rows.size() == ns, "decode_batch: rows/slots size mismatch");
     std::size_t total = 0;
+    std::size_t pages = 0;  // the pool pages the step's appends take
     for (std::size_t b = 0; b < ns; ++b) {
         const std::size_t n = rows.empty() ? 1 : rows[b];
         check(slots[b] < opts_.max_batch, "decode_batch: slot out of range");
@@ -395,12 +356,18 @@ std::span<const float> ReferenceEngine::step(std::span<const std::int32_t> token
         check(pos_[slots[b]] + n <= cfg_.max_seq_len,
               "decode_batch: context window exhausted");
         total += n;
+        pages += kv_->pages_to_append(slots[b], n);
     }
     check(total == tokens.size(), "decode_batch: rows do not sum to the token count");
     for (const std::int32_t t : tokens) {
         check(t >= 0 && static_cast<std::uint64_t>(t) < cfg_.vocab_size,
               "decode_batch: token out of range");
     }
+    // Checked before any slot appends, so a step the pool refuses leaves
+    // every slot as it was.
+    check(pages <= kv_->pool().pages_free(),
+          "decode_batch: KV pool exhausted (admission should have deferred a "
+          "sequence)");
 
     // Spans run in chunks of at most row_cap_ rows (whole spans, so every
     // chunk is an independent forward pass over distinct slots); one chunk
@@ -475,7 +442,7 @@ std::size_t ReferenceEngine::adopt_prefix(std::size_t slot,
     if (!prefix_) return 0;
     const prefix::PrefixStore::Match m = prefix_->match(prompt, max_cover);
     if (m.covered == 0) return 0;
-    paged_->adopt_prefix(slot, m.pages, m.covered);
+    kv_->adopt_prefix(slot, m.pages, m.covered);
     pos_[slot] = m.covered;
     return m.covered;
 }
@@ -493,7 +460,7 @@ std::size_t ReferenceEngine::drop_prefix_cache() {
 engine::PrefixSharingStats ReferenceEngine::prefix_stats() const {
     if (!prefix_) return {};
     return {.pages_shared = prefix_->pages_held(),
-            .cow_copies = static_cast<std::size_t>(paged_->pool().cow_copies())};
+            .cow_copies = static_cast<std::size_t>(kv_->pool().cow_copies())};
 }
 
 std::size_t ReferenceEngine::reserve_slot() { return slots_.acquire(); }

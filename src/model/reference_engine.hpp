@@ -1,12 +1,12 @@
 // Software reference inference engine (the golden model).
 //
 // Runs a full LLaMA-style forward pass in float32, with optional W4A16
-// weights and/or KV8 cache so each quantization stage of the deployed
+// weights and/or KV8 storage so each quantization stage of the deployed
 // pipeline can be validated in isolation:
 //
 //   float weights + float KV   -> pure golden
 //   W4A16 weights + float KV   -> weight-quantization effect only
-//   W4A16 weights + KV8 cache  -> software twin of the accelerator
+//   W4A16 weights + KV8 KV     -> software twin of the accelerator
 //
 // Decode advances one token per session per step (the phase the paper
 // optimizes); a prompt instead advances in tiles of up to max_feed_tokens()
@@ -23,14 +23,14 @@
 // whose batch-1 tile overlaps four rows' lane chains, so single-stream decode
 // pays no skinny-GEMM tax (or preallocated buffers on the float path),
 // RoPE trigonometry is precomputed per position at construction, attention
-// reuses per-head scores scratch, and the KV history is read as zero-copy
-// spans (float cache) or dequantized into persistent per-head scratch
-// (quantized cache). With `threads > 1` GEMV rows and attention KV-head
+// reuses per-head scores scratch, and the KV history is gathered (float) or
+// dequantized (KV8) page by page into persistent per-head scratch. With
+// `threads > 1` GEMV rows and attention KV-head
 // clusters are partitioned across a persistent worker pool; results are
 // bit-for-bit independent of the thread count.
 //
 // Multi-session decode: with `max_batch > 1` the engine owns that many
-// session slots, each with its own KV cache and position. `decode_batch`
+// session slots, each with its own KV history and position. `decode_batch`
 // advances any subset of them in lockstep, walking the quantized weights
 // once per kGemmBatchTile rows via the skinny-GEMM fast path — decoding is
 // weight-bound, so amortizing the walk across sessions and prompt rows is
@@ -38,12 +38,14 @@
 // logits are bit-for-bit identical to what a dedicated single-session engine
 // fed the same tokens one at a time would produce.
 //
-// Paged KV (EngineOptions::kv_page_tokens > 0): slots draw fixed-size token
-// pages from a shared kvpool arena instead of reserving max_seq_len each, so
-// aggregate KV capacity follows the pool budget (the paper's capacity axis)
-// rather than max_batch x context window. Histories are gathered per page
-// into scratch before attention; logits stay bit-for-bit identical to the
-// contiguous path on every option combination. A paged engine shares prompt
+// KV storage: as on the KV260 twin, every slot's history lives in one kvpool
+// arena (PagedKvArena, or PagedQuantizedKvArena with use_kv8), slot s being
+// its sequence s. Slots draw fixed-size token pages from the shared pool
+// instead of reserving max_seq_len each, so aggregate KV capacity follows the
+// pool budget (the paper's capacity axis) rather than max_batch x context
+// window. Logits do not depend on the page size: the arenas copy or
+// dequantize each value exactly as the contiguous caches in kv_cache.hpp do.
+// With EngineOptions::kv_page_tokens > 0 the engine also shares prompt
 // prefixes through a prefix::PrefixStore over the arena's pool.
 #pragma once
 
@@ -57,7 +59,6 @@
 #include "engine/decode_backend.hpp"
 #include "kvpool/paged_kv_cache.hpp"
 #include "model/kernels.hpp"
-#include "model/kv_cache.hpp"
 #include "model/weights.hpp"
 #include "prefix/prefix_index.hpp"
 #include "quant/groupquant.hpp"
@@ -65,8 +66,8 @@
 namespace efld::model {
 
 struct EngineOptions {
-    bool use_kv8 = false;  // quantized KV cache instead of float
-    unsigned kv_bits = 8;  // cache grid when use_kv8 (8 = KV8, 4 = KV4)
+    bool use_kv8 = false;  // quantized KV arena instead of float
+    unsigned kv_bits = 8;  // code grid when use_kv8 (8 = KV8, 4 = KV4)
     // 1 = fully single-threaded; N > 1 = private worker pool of N; 0 = borrow
     // the process-wide ThreadPool::global() (sized by
     // ThreadPool::set_global_threads).
@@ -74,21 +75,21 @@ struct EngineOptions {
     // oversubscription only adds context switches; borrow the global pool for
     // process-wide sizing instead.
     std::size_t threads = 1;
-    // Concurrent session slots (KV caches + positions) for decode_batch.
+    // Concurrent session slots (KV histories + positions) for decode_batch.
     std::size_t max_batch = 1;
     // Walk projections through the packed 4-bit bus streams (pack_codes) the
     // way the hardware does, instead of the byte-per-code functional storage.
     // Requires quantized weights with 4-bit codes. Bit-for-bit identical.
     bool packed_weights = false;
-    // Paged KV cache: > 0 replaces the per-slot max_seq_len reservations with
-    // a shared kvpool arena of kv_page_tokens-token pages — slots take pages
-    // as their history grows and return them on release, so aggregate KV
-    // capacity is the POOL size, not max_batch x max_seq_len. Logits are
-    // bit-for-bit identical to the contiguous path. 0 = contiguous caches.
+    // Tokens per page of the kvpool arena every slot's KV lives in: slots take
+    // pages as their history grows and return them on release, so aggregate
+    // KV capacity is the POOL size, not max_batch x max_seq_len. Logits do not
+    // depend on it. > 0 also turns on prefix sharing; 0 = the default 16-token
+    // pages (kvpool::pool_config) and no prefix store, as on the twin.
     std::size_t kv_page_tokens = 0;
-    // Pool size in pages when paging. 0 = worst case (max_batch full-context
-    // sessions — paging layout without capacity pressure); an admission layer
-    // (serve::ServeEngine's CapacityGovernor) sizes this from the DDR budget.
+    // Pool size in pages. 0 = worst case (max_batch full-context sessions —
+    // no capacity pressure); an admission layer (serve::ServeEngine's
+    // CapacityGovernor) sizes this from the DDR budget.
     std::size_t kv_pool_pages = 0;
 };
 
@@ -143,7 +144,7 @@ public:
     }
     void set_profiler(obs::Profiler* profiler) override { profiler_ = profiler; }
 
-    // Prefix sharing (paged only; 0 otherwise): see decode_backend.hpp for the
+    // Prefix sharing (kv_page_tokens > 0; 0 otherwise): see decode_backend.hpp for the
     // contract and prefix::PrefixStore for the store, its adoption rule and
     // its threading.
     [[nodiscard]] std::size_t probe_prefix(std::span<const std::int32_t> prompt,
@@ -203,23 +204,18 @@ private:
     const ModelWeights* fw_ = nullptr;
     const QuantizedModelWeights* qw_ = nullptr;
 
-    [[nodiscard]] bool paged() const noexcept { return paged_ != nullptr; }
-
-    // Per-session-slot state (size max_batch). Only the cache variant the
-    // options select is constructed; the other vectors stay empty. With
-    // paging, slot s is sequence s of the shared arena instead.
-    std::vector<KvCache> kv_float_;
-    std::vector<QuantizedKvCache> kv_quant_;
-    std::unique_ptr<kvpool::PagedKvArena> paged_float_;
-    std::unique_ptr<kvpool::PagedQuantizedKvArena> paged_quant_;
-    kvpool::PagedArena* paged_ = nullptr;  // whichever of the two exists
-    std::vector<std::size_t> pos_;
+    // The KV arena (slot s = sequence s): only the precision the options
+    // select is constructed.
+    std::unique_ptr<kvpool::PagedKvArena> float_kv_;
+    std::unique_ptr<kvpool::PagedQuantizedKvArena> quant_kv_;
+    kvpool::PagedArena* kv_ = nullptr;  // whichever of the two exists
+    std::vector<std::size_t> pos_;      // per session slot
     engine::SlotLedger slots_;  // DecodeBackend reservations
     std::vector<Span> spans_;   // the current pass's spans (max_batch reserved)
     engine::StepCost last_cost_{};  // of the last step, booked by step()
     obs::Profiler* profiler_ = nullptr;  // serving-layer owned; may be null
 
-    std::optional<prefix::PrefixStore> prefix_;  // over paged_'s pool; paged only
+    std::optional<prefix::PrefixStore> prefix_;  // over kv_'s pool; kv_page_tokens > 0
 
     std::unique_ptr<ThreadPool> pool_;  // only when opts_.threads > 1
     RopeTable rope_;                    // per-position sin/cos, built once
@@ -239,8 +235,8 @@ private:
     std::vector<float> logits_;   // [batch][vocab]: one row per span
     // [batch][n_kv_heads][max_seq_len] attention scores, one slice per task.
     std::vector<float> scores_;
-    // [batch][n_kv_heads][max_seq_len*head_dim] history scratch: dequant
-    // target for the KV8 cache, gather target for paged float pages.
+    // [batch][n_kv_heads][max_seq_len*head_dim] history scratch: the gather
+    // (float) or dequant (KV8) target of the arena's pages.
     std::vector<float> kv_deq_k_;
     std::vector<float> kv_deq_v_;
 };

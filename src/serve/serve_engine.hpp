@@ -34,9 +34,9 @@
 // or carry deadlines — all observed at token boundaries, so the batch never
 // stalls on control operations either.
 //
-// Capacity-aware admission (ServeOptions::paging): the per-slot max_seq_len
-// KV reservations are replaced by a kvpool page pool sized from the DDR
-// budget runtime::MemoryPlanner derives (device minus weights minus
+// Capacity-aware admission (ServeOptions::paging): the backend's kvpool page
+// pool, otherwise sized for every slot to fill its context window, is sized
+// from the DDR budget runtime::MemoryPlanner derives (device minus weights minus
 // firmware), and a kvpool::CapacityGovernor admits queued requests only when
 // their worst-case page demand — ceil((prompt + max_new) / page_tokens) —
 // fits next to every admitted session's. A request whose demand does not fit

@@ -1,10 +1,13 @@
 // The DecodeBackend seam: both implementations (host ReferenceEngine, accel
 // Accelerator) must honor the same slot-lifecycle and decode contract, report
-// honest StepCosts, and stay bit-identical to a token-by-token solo run — with
-// contiguous per-slot KV reservations AND with the paged kvpool layout (every
-// parity assertion compares a paged batch against a contiguous solo run, so
-// paged-vs-contiguous bit-exactness is part of the contract). engine::generate,
-// the single-stream driver over the seam, is held to a hand-fed decode loop.
+// honest StepCosts, and stay bit-identical to a token-by-token solo run. Both
+// keep every slot's KV in a kvpool arena, with the default 16-token pages
+// (kv_page_tokens 0, no prefix store) or explicit pages with prefix sharing;
+// every parity assertion compares a batch against a solo run on default
+// pages, so logits that do not depend on the page size are part of the
+// contract. A step the pool refuses leaves every slot unchanged.
+// engine::generate, the single-stream driver over the seam, is held to a
+// hand-fed decode loop.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -34,7 +37,8 @@ const model::QuantizedModelWeights& test_weights() {
     return qw;
 }
 
-// (backend kind, kv_page_tokens): 0 = contiguous KV, > 0 = paged kvpool.
+// (backend kind, kv_page_tokens): 0 = default 16-token pages without a prefix
+// store, > 0 = that page size with prefix sharing.
 using ContractParam = std::tuple<BackendKind, std::size_t>;
 
 BackendBundle make_with(BackendKind kind, std::size_t max_batch,
@@ -52,8 +56,9 @@ protected:
     BackendBundle make(std::size_t max_batch) {
         return make_with(std::get<0>(GetParam()), max_batch, std::get<1>(GetParam()));
     }
-    // The parity oracle: always a CONTIGUOUS solo backend of the same kind.
-    BackendBundle make_solo_contiguous() {
+    // The parity oracle: always a solo backend of the same kind on default
+    // pages.
+    BackendBundle make_solo_default_pages() {
         return make_with(std::get<0>(GetParam()), 1, 0);
     }
     [[nodiscard]] BackendKind kind() const { return std::get<0>(GetParam()); }
@@ -111,10 +116,10 @@ TEST_P(DecodeBackendContract, StepCostReported) {
 
 TEST_P(DecodeBackendContract, BatchNeverChangesLogits) {
     // Two slots fed the same token stream produce each lane bit-identical to
-    // a fresh CONTIGUOUS solo backend of the same kind — for the paged
-    // params this is the paged-vs-contiguous bit-for-bit parity guarantee.
+    // a fresh solo backend of the same kind on default pages — for the
+    // explicit-page params this is the page-size bit-for-bit parity guarantee.
     BackendBundle batched = make(2);
-    BackendBundle solo = make_solo_contiguous();
+    BackendBundle solo = make_solo_default_pages();
     DecodeBackend& bb = *batched.backend;
     DecodeBackend& sb = *solo.backend;
     const std::size_t b0 = bb.reserve_slot();
@@ -178,7 +183,8 @@ TEST_P(DecodeBackendContract, AdoptedPrefixCopiesOnWriteWithSoloLogits) {
     const std::size_t registered = be.register_prefix(a, prompt, 16);
     const std::size_t bslot = be.reserve_slot();
     if (pt == 0) {
-        // Not paged: nothing to share, and every prefix call says so.
+        // Default pages carry no prefix store: nothing to share, and every
+        // prefix call says so.
         EXPECT_EQ(registered, 0u);
         EXPECT_EQ(be.probe_prefix(prompt, n - 1), 0u);
         EXPECT_EQ(be.adopt_prefix(bslot, prompt, n - 1), 0u);
@@ -193,7 +199,7 @@ TEST_P(DecodeBackendContract, AdoptedPrefixCopiesOnWriteWithSoloLogits) {
                     std::span<const std::size_t>(&bslot, 1), logits);
     EXPECT_EQ(be.prefix_stats().cow_copies, 1u);
 
-    BackendBundle solo = make_solo_contiguous();
+    BackendBundle solo = make_solo_default_pages();
     DecodeBackend& sb = *solo.backend;
     const std::size_t s0 = sb.reserve_slot();
     std::vector<float> solo_logits(vocab);
@@ -211,8 +217,8 @@ TEST_P(DecodeBackendContract, AdoptedPrefixCopiesOnWriteWithSoloLogits) {
     EXPECT_EQ(be.prefix_stats().pages_shared, 0u);
 }
 
-// Token-by-token oracle: a contiguous solo backend of the same kind fed one
-// token per step.
+// Token-by-token oracle: a solo backend of the same kind on default pages fed
+// one token per step.
 struct TokenByToken {
     BackendBundle bundle;
     tests::SoloStream stream;
@@ -256,8 +262,8 @@ TEST_P(DecodeBackendContract, TileFeedMatchesTokenByToken) {
     };
 
     // Slot A: a 5-row span, then a 16-row span over positions 5..20 — across
-    // the page boundaries at 8 and 16 on the paged layout.
-    TokenByToken oracle_a(make_solo_contiguous());
+    // the page boundaries at 8 and 16 on 8-token pages.
+    TokenByToken oracle_a(make_solo_default_pages());
     const std::size_t a = be.reserve_slot();
     const std::size_t five = 5;
     be.decode_batch(s.first(5), std::span<const std::size_t>(&a, 1),
@@ -271,8 +277,8 @@ TEST_P(DecodeBackendContract, TileFeedMatchesTokenByToken) {
     EXPECT_TRUE(same_bits(row(0), oracle_a.stream.feed(s.subspan(5, 16))));
 
     // One step mixing A's next 16-row span with two single-token lanes.
-    TokenByToken oracle_b(make_solo_contiguous());
-    TokenByToken oracle_c(make_solo_contiguous());
+    TokenByToken oracle_b(make_solo_default_pages());
+    TokenByToken oracle_c(make_solo_default_pages());
     const std::size_t bs = be.reserve_slot();
     const std::size_t cs = be.reserve_slot();
     {
@@ -296,7 +302,7 @@ TEST_P(DecodeBackendContract, TileFeedMatchesTokenByToken) {
     EXPECT_TRUE(same_bits(row(0), oracle_a.stream.feed(s.subspan(21, 16))));
     EXPECT_TRUE(same_bits(row(1), oracle_b.stream.feed(s.subspan(1, 1))));
     EXPECT_TRUE(same_bits(row(2), oracle_c.stream.feed(s.subspan(2, 1))));
-    if (pt == 0) return;  // adoption needs the paged layout
+    if (pt == 0) return;  // adoption needs a prefix store
 
     // A span right after a mid-page adoption: slot D maps A's registered
     // pages up to position 29 (mid-page), and its 16-row span first copies
@@ -309,7 +315,7 @@ TEST_P(DecodeBackendContract, TileFeedMatchesTokenByToken) {
                     std::span<const std::size_t>(&sixteen, 1), logits);
     EXPECT_EQ(be.position(d), 45u);
     EXPECT_EQ(be.prefix_stats().cow_copies, 1u);
-    TokenByToken oracle_d(make_solo_contiguous());
+    TokenByToken oracle_d(make_solo_default_pages());
     EXPECT_TRUE(same_bits(row(0), oracle_d.stream.feed(s.first(45))));
 }
 
@@ -367,7 +373,7 @@ TEST_P(DecodeBackendContract, GenerateMatchesHandFedDecode) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    BothBackendsBothLayouts, DecodeBackendContract,
+    BothBackendsBothPageRules, DecodeBackendContract,
     ::testing::Values(ContractParam{BackendKind::kHost, 0},
                       ContractParam{BackendKind::kHost, 8},
                       ContractParam{BackendKind::kAccel, 0},
@@ -375,32 +381,32 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<ContractParam>& info) {
         const std::size_t pt = std::get<1>(info.param);
         return std::string(to_string(std::get<0>(info.param))) +
-               (pt > 0 ? "_paged" + std::to_string(pt) : "_contiguous");
+               (pt > 0 ? "_paged" + std::to_string(pt) : "_default_pages");
     });
 
 TEST(DecodeBackendPaged, HostFloatCachePagedParity) {
     // The float (non-KV8) host path pages through a different arena (gathered
-    // spans instead of dequant) — its logits must also be bit-for-bit the
-    // contiguous float path's.
+    // spans instead of dequant) — its logits on 4-token pages must also be
+    // bit-for-bit the float path's on default pages.
     model::EngineOptions paged_eo;
     paged_eo.use_kv8 = false;
     paged_eo.max_batch = 2;
     paged_eo.kv_page_tokens = 4;
-    model::EngineOptions contig_eo;
-    contig_eo.use_kv8 = false;
+    model::EngineOptions default_eo;
+    default_eo.use_kv8 = false;
     model::ReferenceEngine paged(test_weights(), paged_eo);
-    model::ReferenceEngine contig(test_weights(), contig_eo);
+    model::ReferenceEngine default_pages(test_weights(), default_eo);
 
     const std::size_t vocab = test_cfg().vocab_size;
     std::vector<float> got(2 * vocab), want(vocab);
     const std::size_t p0 = paged.reserve_slot();
     const std::size_t p1 = paged.reserve_slot();
-    const std::size_t c0 = contig.reserve_slot();
+    const std::size_t c0 = default_pages.reserve_slot();
     for (const std::int32_t tok : {2, 6, 10, 14, 3, 1, 12, 9, 5}) {
         const std::int32_t toks[] = {tok, tok};
         const std::size_t slots[] = {p0, p1};
         paged.decode_batch(toks, slots, got);
-        contig.decode_batch(std::span<const std::int32_t>(&tok, 1),
+        default_pages.decode_batch(std::span<const std::int32_t>(&tok, 1),
                             std::span<const std::size_t>(&c0, 1), want);
         for (std::size_t lane = 0; lane < 2; ++lane) {
             for (std::size_t i = 0; i < vocab; ++i) {
@@ -445,6 +451,82 @@ TEST(DecodeBackendPaged, HostPoolSmallerThanWorstCaseStillServesShortSessions) {
     EXPECT_THROW(eng.decode_batch(std::span<const std::int32_t>(&overflow, 1),
                                   std::span<const std::size_t>(&s, 1), row),
                  efld::Error);
+}
+
+TEST(DecodeBackendPaged, RefusedStepLeavesEverySlotUnchanged) {
+    // 4-token pages in a 3-page pool: slot B holds 8 tokens (two pages) and
+    // slot A 3 (one page), so the pool is full. The step {A, B} needs a fresh
+    // page for B's 9th token and is refused before A, listed first, appends
+    // anything. A's 4th token, which still fits its page, then gives a solo
+    // run's logits, and so does B's 9th once A's release frees a page.
+    struct Case {
+        BackendKind kind;
+        bool kv8;
+        const char* name;
+    };
+    const std::vector<std::int32_t> a_stream = {5, 9, 13, 17};
+    const std::vector<std::int32_t> b_stream = {4, 8, 12, 16, 20, 24, 28, 32, 36};
+    for (const Case& c : {Case{BackendKind::kHost, false, "host float"},
+                          Case{BackendKind::kHost, true, "host KV8"},
+                          Case{BackendKind::kAccel, true, "accel"}}) {
+        SCOPED_TRACE(c.name);
+        model::EngineOptions eo;
+        eo.use_kv8 = c.kv8;
+        eo.max_batch = 2;
+        eo.kv_page_tokens = 4;
+        eo.kv_pool_pages = 3;
+        BackendBundle b = make_backend(c.kind, test_weights(), eo);
+        DecodeBackend& be = *b.backend;
+        tests::SoloStream a(be);
+        tests::SoloStream bs(be);
+        (void)bs.feed(std::span<const std::int32_t>(b_stream).first(8));
+        (void)a.feed(std::span<const std::int32_t>(a_stream).first(3));
+
+        const std::int32_t toks[] = {a_stream[3], b_stream[8]};
+        const std::size_t slots[] = {a.slot(), bs.slot()};
+        std::vector<float> logits(2 * be.config().vocab_size);
+        EXPECT_THROW(be.decode_batch(toks, slots, logits), efld::Error);
+        EXPECT_EQ(a.position(), 3u);
+        EXPECT_EQ(bs.position(), 8u);
+
+        const model::EngineOptions solo_eo{.use_kv8 = c.kv8};
+        BackendBundle solo_a = make_backend(c.kind, test_weights(), solo_eo);
+        EXPECT_TRUE(same_bits(a.step(a_stream[3]),
+                              tests::SoloStream(*solo_a.backend).feed(a_stream)));
+        be.release_slot(a.slot());
+        BackendBundle solo_b = make_backend(c.kind, test_weights(), solo_eo);
+        EXPECT_TRUE(same_bits(bs.step(b_stream[8]),
+                              tests::SoloStream(*solo_b.backend).feed(b_stream)));
+    }
+}
+
+TEST(DecodeBackendPaged, DefaultPagesAreSixteenTokensOnBothBackends) {
+    // kv_page_tokens 0 means the same on both backends: 16-token pages
+    // (kvpool::pool_config), a pool of kv_pool_pages of them, and no prefix
+    // store. One page holds 16 tokens; the 17th is refused with the slot
+    // unchanged, and its release returns the page.
+    std::vector<std::int32_t> stream(16);
+    for (std::size_t i = 0; i < stream.size(); ++i) {
+        stream[i] = static_cast<std::int32_t>(3 + i * 5);
+    }
+    for (const BackendKind kind : {BackendKind::kHost, BackendKind::kAccel}) {
+        SCOPED_TRACE(std::string(to_string(kind)));
+        const model::EngineOptions eo{.use_kv8 = true, .kv_page_tokens = 0,
+                                      .kv_pool_pages = 1};
+        BackendBundle b = make_backend(kind, test_weights(), eo);
+        DecodeBackend& be = *b.backend;
+        tests::SoloStream s(be);
+        (void)s.feed(stream);
+        ASSERT_EQ(s.position(), 16u);
+        EXPECT_THROW((void)s.step(stream[0]), efld::Error);
+        EXPECT_EQ(s.position(), 16u);
+        EXPECT_EQ(be.register_prefix(s.slot(), stream, 1), 0u);
+
+        be.release_slot(s.slot());
+        tests::SoloStream again(be);
+        (void)again.feed(stream);
+        EXPECT_EQ(again.position(), 16u);
+    }
 }
 
 TEST(DecodeBackendFactory, KindRoundTrips) {

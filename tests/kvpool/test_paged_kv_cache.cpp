@@ -1,7 +1,9 @@
 // Paged KV arenas vs the contiguous caches: page-gathered (or
 // page-dequantized) history must be bit-for-bit what the contiguous
-// reservation returns, pages must recycle across sequences, and exhaustion
-// must surface as an error, not corruption.
+// reservation returns at every page size, span length and history length,
+// pages must recycle across sequences, and exhaustion must surface as an
+// error, not corruption. Both engines keep all their KV in these arenas, so
+// this is the proof that their logits do not depend on the page size.
 #include <gtest/gtest.h>
 
 #include <span>
@@ -27,42 +29,70 @@ std::vector<float> random_vec(Xoshiro256& rng, std::size_t n) {
     return v;
 }
 
-TEST(PagedKvArena, GatherMatchesContiguousSpansBitForBit) {
-    const model::ModelConfig c = cfg();
-    // Pages deliberately smaller than the history so gathers cross pages.
-    PagedKvArena arena(c, {.page_tokens = 4, .n_pages = 64});
-    model::KvCache oracle(c);
-    const std::size_t seq = arena.create_sequence();
-
-    Xoshiro256 rng(7);
-    const std::size_t n_tokens = 19;  // not a page multiple: partial last page
-    for (std::size_t t = 0; t < n_tokens; ++t) {
+// Appends the same random spans of `spans[i]` rows each to an arena sequence
+// and to its contiguous oracle, every layer in turn (the engines' cadence);
+// returns the token count.
+template <class Arena, class Oracle>
+std::size_t append_spans(const model::ModelConfig& c, Arena& arena, std::size_t seq,
+                         Oracle& oracle, std::span<const std::size_t> spans,
+                         Xoshiro256& rng) {
+    std::size_t tokens = 0;
+    for (const std::size_t n : spans) {
         for (std::size_t l = 0; l < c.n_layers; ++l) {
-            const std::vector<float> k = random_vec(rng, c.kv_dim());
-            const std::vector<float> v = random_vec(rng, c.kv_dim());
+            const std::vector<float> k = random_vec(rng, n * c.kv_dim());
+            const std::vector<float> v = random_vec(rng, n * c.kv_dim());
             arena.append(seq, l, k, v);
             oracle.append(l, k, v);
         }
+        tokens += n;
     }
-    ASSERT_EQ(arena.length(seq), n_tokens);
+    return tokens;
+}
 
-    std::vector<float> scratch(n_tokens * c.head_dim());
-    for (std::size_t l = 0; l < c.n_layers; ++l) {
-        for (std::size_t h = 0; h < c.n_kv_heads; ++h) {
-            for (const std::size_t len : {std::size_t{1}, std::size_t{4},
-                                          std::size_t{5}, n_tokens}) {
-                const std::span<const float> got =
-                    arena.gather_keys(seq, l, h, len, scratch);
-                const std::span<const float> want = oracle.keys_span(l, h, len);
-                ASSERT_EQ(got.size(), want.size());
-                for (std::size_t i = 0; i < got.size(); ++i) {
-                    ASSERT_EQ(got[i], want[i]) << "keys l" << l << " h" << h;
-                }
-                const std::span<const float> gv =
-                    arena.gather_values(seq, l, h, len, scratch);
-                const std::span<const float> wv = oracle.values_span(l, h, len);
-                for (std::size_t i = 0; i < gv.size(); ++i) {
-                    ASSERT_EQ(gv[i], wv[i]) << "values l" << l << " h" << h;
+// The layouts both store tests sweep: single-token appends on pages smaller
+// than the history, then 1-, 5- and 16-row spans (as prefill tiles append)
+// across 4- and 16-token pages. Every history length is read back, so reads
+// cross pages and end mid-page.
+struct Layout {
+    std::size_t page_tokens;
+    std::vector<std::size_t> spans;
+};
+std::vector<Layout> layouts(std::size_t single_tokens) {
+    const std::vector<std::size_t> tiles = {1, 5, 16, 1, 5, 16};  // 44 tokens
+    return {{4, std::vector<std::size_t>(single_tokens, 1)}, {4, tiles}, {16, tiles}};
+}
+
+TEST(PagedKvArena, GatherMatchesContiguousSpansBitForBit) {
+    const model::ModelConfig c = cfg();
+    // 19 single tokens: not a page multiple, so a partial last page.
+    for (const Layout& lay : layouts(19)) {
+        SCOPED_TRACE(lay.page_tokens);
+        PagedKvArena arena(c, {.page_tokens = lay.page_tokens, .n_pages = 64});
+        model::KvCache oracle(c);
+        const std::size_t seq = arena.create_sequence();
+
+        Xoshiro256 rng(7);
+        const std::size_t n_tokens = append_spans(c, arena, seq, oracle, lay.spans, rng);
+        ASSERT_EQ(arena.length(seq), n_tokens);
+
+        std::vector<float> scratch(n_tokens * c.head_dim());
+        for (std::size_t l = 0; l < c.n_layers; ++l) {
+            for (std::size_t h = 0; h < c.n_kv_heads; ++h) {
+                for (std::size_t len = 1; len <= n_tokens; ++len) {
+                    const std::span<const float> got =
+                        arena.gather_keys(seq, l, h, len, scratch);
+                    const std::span<const float> want = oracle.keys_span(l, h, len);
+                    ASSERT_EQ(got.size(), want.size());
+                    for (std::size_t i = 0; i < got.size(); ++i) {
+                        ASSERT_EQ(got[i], want[i]) << "keys l" << l << " h" << h;
+                    }
+                    const std::span<const float> gv =
+                        arena.gather_values(seq, l, h, len, scratch);
+                    const std::span<const float> wv = oracle.values_span(l, h, len);
+                    ASSERT_EQ(gv.size(), wv.size());
+                    for (std::size_t i = 0; i < gv.size(); ++i) {
+                        ASSERT_EQ(gv[i], wv[i]) << "values l" << l << " h" << h;
+                    }
                 }
             }
         }
@@ -71,33 +101,61 @@ TEST(PagedKvArena, GatherMatchesContiguousSpansBitForBit) {
 
 TEST(PagedQuantizedKvArena, DequantMatchesContiguousQuantizedCache) {
     const model::ModelConfig c = cfg();
-    PagedQuantizedKvArena arena(c, {.page_tokens = 4, .n_pages = 64}, 8);
-    model::QuantizedKvCache oracle(c, 8);
-    const std::size_t seq = arena.create_sequence();
+    for (const Layout& lay : layouts(13)) {
+        SCOPED_TRACE(lay.page_tokens);
+        PagedQuantizedKvArena arena(c, {.page_tokens = lay.page_tokens, .n_pages = 64}, 8);
+        model::QuantizedKvCache oracle(c, 8);
+        const std::size_t seq = arena.create_sequence();
 
-    Xoshiro256 rng(11);
-    const std::size_t n_tokens = 13;
-    for (std::size_t t = 0; t < n_tokens; ++t) {
+        Xoshiro256 rng(11);
+        const std::size_t n_tokens = append_spans(c, arena, seq, oracle, lay.spans, rng);
+        ASSERT_EQ(arena.length(seq), n_tokens);
+
+        std::vector<float> got(n_tokens * c.head_dim());
+        std::vector<float> want(n_tokens * c.head_dim());
         for (std::size_t l = 0; l < c.n_layers; ++l) {
-            const std::vector<float> k = random_vec(rng, c.kv_dim());
-            const std::vector<float> v = random_vec(rng, c.kv_dim());
-            arena.append(seq, l, k, v);
-            oracle.append(l, k, v);
+            for (std::size_t h = 0; h < c.n_kv_heads; ++h) {
+                for (std::size_t len = 1; len <= n_tokens; ++len) {
+                    const auto g = arena.dequant_keys_into(seq, l, h, len, got);
+                    const auto w = oracle.dequant_keys_into(l, h, len, want);
+                    ASSERT_EQ(g.size(), w.size());
+                    for (std::size_t i = 0; i < g.size(); ++i) {
+                        ASSERT_EQ(g[i], w[i]) << "keys l" << l << " h" << h;
+                    }
+                    const auto gv = arena.dequant_values_into(seq, l, h, len, got);
+                    const auto wv = oracle.dequant_values_into(l, h, len, want);
+                    ASSERT_EQ(gv.size(), wv.size());
+                    for (std::size_t i = 0; i < gv.size(); ++i) {
+                        ASSERT_EQ(gv[i], wv[i]) << "values l" << l << " h" << h;
+                    }
+                }
+            }
         }
     }
+}
 
-    std::vector<float> got(n_tokens * c.head_dim());
-    std::vector<float> want(n_tokens * c.head_dim());
-    for (std::size_t l = 0; l < c.n_layers; ++l) {
-        for (std::size_t h = 0; h < c.n_kv_heads; ++h) {
-            const auto g = arena.dequant_keys_into(seq, l, h, n_tokens, got);
-            const auto w = oracle.dequant_keys_into(l, h, n_tokens, want);
-            for (std::size_t i = 0; i < g.size(); ++i) ASSERT_EQ(g[i], w[i]);
-            const auto gv = arena.dequant_values_into(seq, l, h, n_tokens, got);
-            const auto wv = oracle.dequant_values_into(l, h, n_tokens, want);
-            for (std::size_t i = 0; i < gv.size(); ++i) ASSERT_EQ(gv[i], wv[i]);
-        }
-    }
+TEST(PagedArena, PagesToAppendCountsFreshAndCopyOnWritePages) {
+    const model::ModelConfig c = cfg();
+    PagedKvArena arena(c, {.page_tokens = 4, .n_pages = 16});
+    const std::size_t a = arena.create_sequence();
+    EXPECT_EQ(arena.pages_to_append(a, 1), 1u);
+    EXPECT_EQ(arena.pages_to_append(a, 5), 2u);
+    Xoshiro256 rng(9);
+    model::KvCache oracle(c);
+    const std::size_t six[] = {6};
+    (void)append_spans(c, arena, a, oracle, six, rng);
+    EXPECT_EQ(arena.pages_to_append(a, 2), 0u);  // fills page 2
+    EXPECT_EQ(arena.pages_to_append(a, 3), 1u);
+
+    // A sequence that adopts a's two pages at 6 tokens writes into the
+    // shared page 2 first: one copy-on-write page on top of the fresh ones.
+    const std::size_t b = arena.create_sequence();
+    arena.adopt_prefix(b, arena.pool().block_table(a), 6);
+    EXPECT_EQ(arena.pages_to_append(b, 1), 1u);
+    EXPECT_EQ(arena.pages_to_append(b, 3), 2u);
+    const std::size_t free_before = arena.pool().pages_free();
+    arena.append(b, 0, random_vec(rng, 3 * c.kv_dim()), random_vec(rng, 3 * c.kv_dim()));
+    EXPECT_EQ(free_before - arena.pool().pages_free(), 2u);
 }
 
 TEST(PagedKvArena, SequencesInterleaveWithoutCrosstalk) {
