@@ -107,13 +107,16 @@ std::size_t Accelerator::adopt_prefix(std::size_t slot,
     // prefill order, so it holds exactly what prefilling the covered tokens
     // would have left in it, partial last page included.
     const model::ModelConfig& cfg = model_->config;
+    const std::size_t pt = kv_.pool().page_tokens();
     for (std::size_t tok = 0; tok < m.covered; ++tok) {
         for (std::size_t layer = 0; layer < cfg.n_layers; ++layer) {
             for (std::size_t h = 0; h < cfg.n_kv_heads; ++h) {
-                (void)sz_fifo_[slot].append(layer, h, false, tok,
-                                            kv_.key(slot, layer, h, tok).params);
-                (void)sz_fifo_[slot].append(layer, h, true, tok,
-                                            kv_.value(slot, layer, h, tok).params);
+                for (const kvpool::KvPart part :
+                     {kvpool::KvPart::kKeys, kvpool::KvPart::kValues}) {
+                    (void)sz_fifo_[slot].append(
+                        layer, h, part == kvpool::KvPart::kValues, tok,
+                        kv_.page(slot, layer, h, part, tok / pt)[tok % pt].params);
+                }
             }
         }
     }
@@ -195,10 +198,19 @@ void Accelerator::attend(std::size_t layer, std::size_t lane_idx, std::size_t sl
     }
     kv_.append_quantized(slot, layer, kq_, vq_);
 
-    // Head-wise attention: history from the arena's pages, the current
-    // token's K/V used pre-quantization (they are still on chip — §V.A).
-    // Lanes are exact fp16 floats and every multiply and add rounds once,
-    // as in the VPU.
+    // Head-wise attention: history rows 0 .. pos - 1 stream in from the
+    // arena one page burst at a time, the current token's K/V used
+    // pre-quantization (they are still on chip — §V.A). Lanes are exact fp16
+    // floats and every multiply and add rounds once, as in the VPU.
+    const std::size_t pt = kv_.pool().page_tokens();
+    using quant::KvQuantized;
+    const auto walk = [&](std::size_t kvh, kvpool::KvPart part, const auto& fn) {
+        for (std::size_t t0 = 0; t0 < pos; t0 += pt) {
+            const std::span<const KvQuantized> page =
+                kv_.page(slot, layer, kvh, part, t0 / pt);
+            for (std::size_t t = t0; t < std::min(t0 + pt, pos); ++t) fn(t, page[t - t0]);
+        }
+    };
     const Fp16 inv_sqrt_d = Fp16::from_float(1.0f / std::sqrt(static_cast<float>(hd)));
     const std::span<const Fp16> scores(scores_.data(), pos + 1);
     const std::span<Fp16> probs(probs_.data(), pos + 1);
@@ -206,11 +218,10 @@ void Accelerator::attend(std::size_t layer, std::size_t lane_idx, std::size_t sl
         const std::size_t kvh = h / heads_per_kv;
         for (std::size_t i = 0; i < hd; ++i) q_head_[i] = q[h * hd + i].to_float();
 
-        for (std::size_t t = 0; t < pos; ++t) {
-            const quant::KvQuantized& e = kv_.key(slot, layer, kvh, t);
+        walk(kvh, kvpool::KvPart::kKeys, [&](std::size_t t, const KvQuantized& e) {
             DequantUnit::run_kv(e.codes, e.params, kv_head_);
             scores_[t] = Fp16::from_float(DotEngine::dot(q_head_, kv_head_)) * inv_sqrt_d;
-        }
+        });
         for (std::size_t i = 0; i < hd; ++i) kv_head_[i] = k[kvh * hd + i].to_float();
         scores_[pos] = Fp16::from_float(DotEngine::dot(q_head_, kv_head_)) * inv_sqrt_d;
 
@@ -225,11 +236,10 @@ void Accelerator::attend(std::size_t layer, std::size_t lane_idx, std::size_t sl
                 out_head_[i] = round_to_fp16(out_head_[i] + round_to_fp16(p * kv_head_[i]));
             }
         };
-        for (std::size_t t = 0; t < pos; ++t) {
-            const quant::KvQuantized& e = kv_.value(slot, layer, kvh, t);
+        walk(kvh, kvpool::KvPart::kValues, [&](std::size_t t, const KvQuantized& e) {
             DequantUnit::run_kv(e.codes, e.params, kv_head_);
             accumulate(probs[t]);
-        }
+        });
         for (std::size_t i = 0; i < hd; ++i) kv_head_[i] = v[kvh * hd + i].to_float();
         accumulate(probs[pos]);
         for (std::size_t i = 0; i < hd; ++i) att_out[h * hd + i] = Fp16::from_float(out_head_[i]);

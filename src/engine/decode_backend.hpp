@@ -142,8 +142,8 @@ public:
     // (capacity math), adopts after reserving a slot (skipping prefill for
     // covered tokens), and registers a prompt's pages once its prefill
     // completes. Tokens covered by adoption are NEVER fed through
-    // decode_batch — the slot's position starts past them — and gathering
-    // from adopted pages is bit-for-bit what re-prefilling would store, so
+    // decode_batch — the slot's position starts past them — and reading
+    // adopted pages is bit-for-bit what re-prefilling would store, so
     // generated tokens stay identical to a no-sharing run.
 
     // Tokens of `prompt` an adoption would cover right now, capped at

@@ -43,6 +43,16 @@ std::size_t PagedArena::pages_to_append(std::size_t seq, std::size_t n) const {
     return (need > held ? need - held : 0) + (pool_.write_needs_cow(seq) ? 1 : 0);
 }
 
+PagedArena::PageRows PagedArena::page_rows(std::size_t seq, std::size_t layer,
+                                            std::size_t kv_head, std::size_t i) const {
+    check(layer < cfg_.n_layers && kv_head < cfg_.n_kv_heads, "PagedArena: bad head");
+    const std::size_t len = pool_.seq_tokens(seq);
+    const std::size_t first = i * pool_.page_tokens();
+    check(first < len, "PagedArena: page past the sequence's history");
+    return {.first = row_index(pool_.block_table(seq)[i], layer, kv_head, 0),
+            .rows = std::min(pool_.page_tokens(), len - first)};
+}
+
 PagedArena::WriteSpan PagedArena::open_write(std::size_t seq, std::size_t layer,
                                              std::size_t n) {
     check(layer < cfg_.n_layers, "PagedArena: layer out of range");
@@ -97,48 +107,20 @@ void PagedKvArena::append(std::size_t seq, std::size_t layer, std::span<const fl
     const std::size_t hd = cfg_.head_dim();
     for (std::size_t t = 0; t < n; ++t) {
         const KvBlockPool::PageSlot at = pool_.locate(seq, w.first + t);
-        float* kp = k_.data() + at.page * page_floats_;
-        float* vp = v_.data() + at.page * page_floats_;
         for (std::size_t h = 0; h < cfg_.n_kv_heads; ++h) {
-            const std::size_t off = page_off(layer, h, at.offset);
-            std::copy_n(k.data() + t * kvd + h * hd, hd, kp + off);
-            std::copy_n(v.data() + t * kvd + h * hd, hd, vp + off);
+            const std::size_t off = row_index(at.page, layer, h, at.offset) * hd;
+            std::copy_n(k.data() + t * kvd + h * hd, hd, k_.data() + off);
+            std::copy_n(v.data() + t * kvd + h * hd, hd, v_.data() + off);
         }
     }
 }
 
-std::span<const float> PagedKvArena::gather(const std::vector<float>& store,
-                                            std::size_t seq, std::size_t layer,
-                                            std::size_t kv_head, std::size_t len,
-                                            std::span<float> out) const {
-    check(layer < cfg_.n_layers && kv_head < cfg_.n_kv_heads,
-          "PagedKvArena: bad head");
-    check(len <= pool_.seq_tokens(seq), "PagedKvArena: history longer than sequence");
-    const std::size_t hd = cfg_.head_dim();
-    check(out.size() >= len * hd, "PagedKvArena: gather scratch too small");
-    const std::vector<std::size_t>& table = pool_.block_table(seq);
-    const std::size_t pt = pool_.page_tokens();
-    // One contiguous copy per page: the host-side mirror of the per-page DDR
-    // bursts the cycle model prices.
-    for (std::size_t t = 0; t < len; t += pt) {
-        const std::size_t rows = std::min(pt, len - t);
-        const float* src = store.data() + table[t / pt] * page_floats_ +
-                           page_off(layer, kv_head, 0);
-        std::copy_n(src, rows * hd, out.data() + t * hd);
-    }
-    return out.first(len * hd);
-}
-
-std::span<const float> PagedKvArena::gather_keys(std::size_t seq, std::size_t layer,
-                                                 std::size_t kv_head, std::size_t len,
-                                                 std::span<float> out) const {
-    return gather(k_, seq, layer, kv_head, len, out);
-}
-
-std::span<const float> PagedKvArena::gather_values(std::size_t seq, std::size_t layer,
-                                                   std::size_t kv_head, std::size_t len,
-                                                   std::span<float> out) const {
-    return gather(v_, seq, layer, kv_head, len, out);
+std::span<const float> PagedKvArena::page(std::size_t seq, std::size_t layer,
+                                          std::size_t kv_head, KvPart part,
+                                          std::size_t i) const {
+    const PageRows p = page_rows(seq, layer, kv_head, i);
+    const std::vector<float>& store = part == KvPart::kKeys ? k_ : v_;
+    return {store.data() + p.first * cfg_.head_dim(), p.rows * cfg_.head_dim()};
 }
 
 PagedQuantizedKvArena::PagedQuantizedKvArena(const model::ModelConfig& cfg,
@@ -174,7 +156,7 @@ void PagedQuantizedKvArena::append(std::size_t seq, std::size_t layer,
         const KvBlockPool::PageSlot at = pool_.locate(seq, w.first + t);
         for (std::size_t h = 0; h < cfg_.n_kv_heads; ++h) {
             const std::size_t off = t * kvd + h * hd;
-            const std::size_t e = entry_idx(at.page, layer, h, at.offset);
+            const std::size_t e = row_index(at.page, layer, h, at.offset);
             quant::kv_quantize_bits_into(k.subspan(off, hd), kv_bits_, k_[e]);
             quant::kv_quantize_bits_into(v.subspan(off, hd), kv_bits_, v_[e]);
         }
@@ -190,61 +172,17 @@ void PagedQuantizedKvArena::append_quantized(std::size_t seq, std::size_t layer,
     copy_on_write(seq, w);
     const KvBlockPool::PageSlot at = pool_.locate(seq, w.first);
     for (std::size_t h = 0; h < cfg_.n_kv_heads; ++h) {
-        std::swap(k_[entry_idx(at.page, layer, h, at.offset)], k[h]);
-        std::swap(v_[entry_idx(at.page, layer, h, at.offset)], v[h]);
+        std::swap(k_[row_index(at.page, layer, h, at.offset)], k[h]);
+        std::swap(v_[row_index(at.page, layer, h, at.offset)], v[h]);
     }
 }
 
-const quant::KvQuantized& PagedQuantizedKvArena::entry(
-    const std::vector<quant::KvQuantized>& store, std::size_t seq, std::size_t layer,
-    std::size_t kv_head, std::size_t token) const {
-    check(layer < cfg_.n_layers && kv_head < cfg_.n_kv_heads,
-          "PagedQuantizedKvArena: bad head");
-    const KvBlockPool::PageSlot slot = pool_.locate(seq, token);
-    return store[entry_idx(slot.page, layer, kv_head, slot.offset)];
-}
-
-const quant::KvQuantized& PagedQuantizedKvArena::key(std::size_t seq, std::size_t layer,
-                                                     std::size_t kv_head,
-                                                     std::size_t token) const {
-    return entry(k_, seq, layer, kv_head, token);
-}
-
-const quant::KvQuantized& PagedQuantizedKvArena::value(std::size_t seq,
-                                                       std::size_t layer,
-                                                       std::size_t kv_head,
-                                                       std::size_t token) const {
-    return entry(v_, seq, layer, kv_head, token);
-}
-
-std::span<const float> PagedQuantizedKvArena::dequant(
-    const std::vector<quant::KvQuantized>& store, std::size_t seq, std::size_t layer,
-    std::size_t kv_head, std::size_t len, std::span<float> out) const {
-    check(layer < cfg_.n_layers && kv_head < cfg_.n_kv_heads,
-          "PagedQuantizedKvArena: bad head");
-    check(len <= pool_.seq_tokens(seq),
-          "PagedQuantizedKvArena: history longer than sequence");
-    const std::size_t hd = cfg_.head_dim();
-    check(out.size() >= len * hd, "PagedQuantizedKvArena: dequant scratch too small");
-    const std::vector<std::size_t>& table = pool_.block_table(seq);
-    const std::size_t pt = pool_.page_tokens();
-    for (std::size_t t = 0; t < len; ++t) {
-        const quant::KvQuantized& e = store[entry_idx(table[t / pt], layer, kv_head, t % pt)];
-        quant::kv_dequantize_into(e.codes, e.params, out.subspan(t * hd, hd));
-    }
-    return out.first(len * hd);
-}
-
-std::span<const float> PagedQuantizedKvArena::dequant_keys_into(
-    std::size_t seq, std::size_t layer, std::size_t kv_head, std::size_t len,
-    std::span<float> out) const {
-    return dequant(k_, seq, layer, kv_head, len, out);
-}
-
-std::span<const float> PagedQuantizedKvArena::dequant_values_into(
-    std::size_t seq, std::size_t layer, std::size_t kv_head, std::size_t len,
-    std::span<float> out) const {
-    return dequant(v_, seq, layer, kv_head, len, out);
+std::span<const quant::KvQuantized> PagedQuantizedKvArena::page(
+    std::size_t seq, std::size_t layer, std::size_t kv_head, KvPart part,
+    std::size_t i) const {
+    const PageRows p = page_rows(seq, layer, kv_head, i);
+    const std::vector<quant::KvQuantized>& store = part == KvPart::kKeys ? k_ : v_;
+    return {store.data() + p.first, p.rows};
 }
 
 }  // namespace efld::kvpool

@@ -13,12 +13,15 @@
 // Within a page, a (layer, kv_head) keeps its page_tokens token rows
 // contiguous ([layer][kv_head][token_in_page][head_dim]), matching the MCU's
 // head-major DDR layout at page granularity: reading one head's history is
-// one burst per PAGE rather than one burst per sequence. The read path
-// gathers those per-page spans into caller scratch, copying (or
-// dequantizing) each value verbatim, so a gathered history is bit-for-bit
-// what the contiguous caches return at every page size and span length —
-// the parity test_paged_kv_cache proves against them as oracles, and the
-// reason an engine's logits do not depend on its page size.
+// one burst per PAGE rather than one burst per sequence. The read path is
+// one page at a time, in place: `page` hands back the rows one (layer,
+// kv_head, keys or values) holds in the i-th page of a sequence's block
+// table, with no copy, and attention walks the block table page by page
+// (model::attention_paged on the host, Accelerator::attend on the twin).
+// Page rows hold each value verbatim, so walking them is bit-for-bit reading
+// the contiguous caches at every page size and span length — the parity
+// test_paged_kv_cache proves against them as oracles, and the reason an
+// engine's logits do not depend on its page size.
 #pragma once
 
 #include <cstdint>
@@ -40,6 +43,9 @@ namespace efld::kvpool {
 [[nodiscard]] KvPoolConfig pool_config(const model::ModelConfig& cfg,
                                        std::size_t max_batch, std::size_t page_tokens,
                                        std::size_t n_pages);
+
+// Which half of a (layer, kv_head)'s history a page read returns.
+enum class KvPart { kKeys, kValues };
 
 // What both arenas share: the pool, its block tables, and the append cadence
 // (model::SpanCadence, as in KvCache::append: all layers append the same
@@ -89,6 +95,25 @@ protected:
     [[nodiscard]] WriteSpan open_write(std::size_t seq, std::size_t layer,
                                        std::size_t n);
 
+    // Both arenas store token rows in [page][layer][kv_head][tok_in_page]
+    // order; this is a row's index in it.
+    [[nodiscard]] std::size_t row_index(std::size_t page, std::size_t layer,
+                                        std::size_t kv_head,
+                                        std::size_t tok_in_page) const noexcept {
+        return ((page * cfg_.n_layers + layer) * cfg_.n_kv_heads + kv_head) *
+                   pool_.page_tokens() +
+               tok_in_page;
+    }
+    // One head's rows in page i of seq's block table: the first's row_index
+    // and how many the history fills (page_tokens, fewer in the last page).
+    // Throws efld::Error on a bad head or a page past the history.
+    struct PageRows {
+        std::size_t first = 0;
+        std::size_t rows = 0;
+    };
+    [[nodiscard]] PageRows page_rows(std::size_t seq, std::size_t layer,
+                                     std::size_t kv_head, std::size_t i) const;
+
     model::ModelConfig cfg_;
     KvBlockPool pool_;
 
@@ -106,28 +131,14 @@ public:
     void append(std::size_t seq, std::size_t layer, std::span<const float> k,
                 std::span<const float> v);
 
-    // Gathers `len` history rows of one head into caller scratch (at least
-    // len * head_dim floats), one contiguous copy per page. Returns the
-    // filled prefix.
-    std::span<const float> gather_keys(std::size_t seq, std::size_t layer,
-                                       std::size_t kv_head, std::size_t len,
-                                       std::span<float> out) const;
-    std::span<const float> gather_values(std::size_t seq, std::size_t layer,
-                                         std::size_t kv_head, std::size_t len,
-                                         std::span<float> out) const;
+    // The history rows of one head's keys or values in page i of seq's block
+    // table, in place: rows x head_dim floats (page_tokens rows, fewer in the
+    // last page), valid until the next append into that page.
+    [[nodiscard]] std::span<const float> page(std::size_t seq, std::size_t layer,
+                                              std::size_t kv_head, KvPart part,
+                                              std::size_t i) const;
 
 private:
-    // Float offset of (layer, kv_head, token_in_page) inside a page slab.
-    [[nodiscard]] std::size_t page_off(std::size_t layer, std::size_t kv_head,
-                                       std::size_t tok_in_page) const noexcept {
-        return ((layer * cfg_.n_kv_heads + kv_head) * pool_.page_tokens() +
-                tok_in_page) *
-               cfg_.head_dim();
-    }
-    std::span<const float> gather(const std::vector<float>& store, std::size_t seq,
-                                  std::size_t layer, std::size_t kv_head,
-                                  std::size_t len, std::span<float> out) const;
-
     std::size_t page_floats_ = 0;  // floats per page slab (K or V)
     std::vector<float> k_;         // [page][layer][kv_head][tok_in_page][head_dim]
     std::vector<float> v_;
@@ -155,40 +166,17 @@ public:
                           std::span<quant::KvQuantized> k,
                           std::span<quant::KvQuantized> v);
 
-    // One stored entry of history token `token` (read through the block
-    // table), for consumers that dequantize with their own datapath.
-    [[nodiscard]] const quant::KvQuantized& key(std::size_t seq, std::size_t layer,
-                                                std::size_t kv_head,
-                                                std::size_t token) const;
-    [[nodiscard]] const quant::KvQuantized& value(std::size_t seq, std::size_t layer,
-                                                  std::size_t kv_head,
-                                                  std::size_t token) const;
-
-    // Dequantizes `len` history rows of one head into caller scratch
-    // (matches QuantizedKvCache::dequant_*_into bit-for-bit).
-    std::span<const float> dequant_keys_into(std::size_t seq, std::size_t layer,
-                                             std::size_t kv_head, std::size_t len,
-                                             std::span<float> out) const;
-    std::span<const float> dequant_values_into(std::size_t seq, std::size_t layer,
-                                               std::size_t kv_head, std::size_t len,
-                                               std::span<float> out) const;
+    // The stored entries of one head's keys or values in page i of seq's
+    // block table, in place (page_tokens entries, fewer in the last page), for
+    // readers that dequantize with their own datapath: the host with
+    // quant::kv_dequantize_into, the twin with its DequantUnit.
+    [[nodiscard]] std::span<const quant::KvQuantized> page(std::size_t seq,
+                                                           std::size_t layer,
+                                                           std::size_t kv_head,
+                                                           KvPart part,
+                                                           std::size_t i) const;
 
 private:
-    [[nodiscard]] std::size_t entry_idx(std::size_t page, std::size_t layer,
-                                        std::size_t kv_head,
-                                        std::size_t tok_in_page) const noexcept {
-        return ((page * cfg_.n_layers + layer) * cfg_.n_kv_heads + kv_head) *
-                   pool_.page_tokens() +
-               tok_in_page;
-    }
-    [[nodiscard]] const quant::KvQuantized& entry(
-        const std::vector<quant::KvQuantized>& store, std::size_t seq,
-        std::size_t layer, std::size_t kv_head, std::size_t token) const;
-    std::span<const float> dequant(const std::vector<quant::KvQuantized>& store,
-                                   std::size_t seq, std::size_t layer,
-                                   std::size_t kv_head, std::size_t len,
-                                   std::span<float> out) const;
-
     // Copies the shared page a span append diverged from into the span's
     // first page (no-op when the write needed no copy-on-write).
     void copy_on_write(std::size_t seq, const WriteSpan& w);

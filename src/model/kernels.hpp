@@ -5,9 +5,14 @@
 // convention, as in LLaMA), numerically stable softmax, SiLU, and attention.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <span>
 #include <vector>
+
+#include "common/check.hpp"
+#include "common/mathutil.hpp"
 
 namespace efld::model {
 
@@ -64,7 +69,8 @@ void silu_inplace(std::span<float> x);
 void silu_gate(std::span<const float> gate, std::span<const float> up,
                std::span<float> out);
 
-// Single-head attention over a contiguous KV history.
+// Single-head attention over a contiguous KV history: the reference the
+// engines' paged walk (attention_paged below) is held to.
 // q: [head_dim]; keys/values: ctx rows of [head_dim]; out: [head_dim].
 void attention_head(std::span<const float> q, std::span<const float> keys,
                     std::span<const float> values, std::size_t ctx,
@@ -76,5 +82,82 @@ void attention_head(std::span<const float> q, std::span<const float> keys,
                     std::span<const float> values, std::size_t ctx,
                     std::size_t head_dim, std::span<float> out,
                     std::span<float> scores);
+
+// One attention_paged call: `rows` query rows (row j at j * row_stride in q
+// and out), each with `heads` consecutive query heads of head_dim floats that
+// share one KV head. Row j attends history rows 0 .. ctx + j - 1 (a prompt
+// tile's causal mask), stored in pages of page_tokens rows.
+struct PagedAttentionShape {
+    std::size_t rows = 1;
+    std::size_t heads = 1;
+    std::size_t head_dim = 0;
+    std::size_t row_stride = 0;
+    std::size_t ctx = 1;
+    std::size_t page_tokens = 0;
+};
+
+// attention_head for every (row, head) of `s`, reading the history where it
+// lives: key_page(i) / value_page(i) return page i's rows (head_dim floats
+// each, at least those the last row attends), read only until the next call.
+// Key pages are walked once to score every query, each query's scores go
+// through softmax_inplace, and value pages are walked once to accumulate
+// every output. Each query runs attention_head's float ops in its order
+// (dot_f32 x 1/sqrt(d), softmax, out[i] += p * v[i] in t order), so outputs
+// are bit-identical to it. `scores`: rows x heads x (ctx + rows - 1) floats.
+template <class KeyPage, class ValuePage>
+void attention_paged(std::span<const float> q, std::span<float> out,
+                     const PagedAttentionShape& s, KeyPage&& key_page,
+                     ValuePage&& value_page, std::span<float> scores) {
+    const std::size_t hd = s.head_dim, pt = s.page_tokens;
+    const std::size_t n_ctx = s.ctx + s.rows - 1;  // the last row's history
+    const std::size_t extent = (s.rows - 1) * s.row_stride + s.heads * hd;
+    check(s.rows > 0 && s.heads > 0 && s.ctx > 0 && pt > 0 && q.size() >= extent &&
+              out.size() >= extent && scores.size() >= s.rows * s.heads * n_ctx,
+          "attention_paged: bad shape or scratch");
+    const float inv_sqrt_d = 1.0f / std::sqrt(static_cast<float>(hd));
+    const auto page = [&](const auto& read, std::size_t t0) {
+        const std::span<const float> rows = read(t0 / pt);
+        check(rows.size() >= (std::min(t0 + pt, n_ctx) - t0) * hd,
+              "attention_paged: page shorter than the history it holds");
+        return rows;
+    };
+    // fn(offset of query (j, h) in q and out, its scores, end of the rows it
+    // attends in the page at t0), for every query attending into that page.
+    const auto for_each_query = [&](std::size_t t0, const auto& fn) {
+        for (std::size_t j = 0; j < s.rows; ++j) {
+            const std::size_t end = std::min(t0 + pt, s.ctx + j);
+            if (end <= t0) continue;  // row j attends no row of this page
+            for (std::size_t h = 0; h < s.heads; ++h) {
+                fn(j * s.row_stride + h * hd, &scores[(j * s.heads + h) * n_ctx], end);
+            }
+        }
+    };
+    for (std::size_t t0 = 0; t0 < n_ctx; t0 += pt) {
+        const std::span<const float> keys = page(key_page, t0);
+        for_each_query(t0, [&](std::size_t at, float* sc, std::size_t end) {
+            for (std::size_t t = t0; t < end; ++t) {
+                sc[t] = dot_f32(q.subspan(at, hd), keys.subspan((t - t0) * hd, hd)) *
+                        inv_sqrt_d;
+            }
+        });
+    }
+    for (std::size_t j = 0; j < s.rows; ++j) {
+        for (std::size_t h = 0; h < s.heads; ++h) {
+            softmax_inplace(scores.subspan((j * s.heads + h) * n_ctx, s.ctx + j));
+            std::fill_n(&out[j * s.row_stride + h * hd], hd, 0.0f);
+        }
+    }
+    for (std::size_t t0 = 0; t0 < n_ctx; t0 += pt) {
+        const std::span<const float> values = page(value_page, t0);
+        for_each_query(t0, [&](std::size_t at, const float* sc, std::size_t end) {
+            float* o = &out[at];
+            for (std::size_t t = t0; t < end; ++t) {
+                const float p = sc[t];
+                const float* v = &values[(t - t0) * hd];
+                for (std::size_t i = 0; i < hd; ++i) o[i] += p * v[i];
+            }
+        });
+    }
+}
 
 }  // namespace efld::model

@@ -94,10 +94,11 @@ void ReferenceEngine::init_scratch() {
     gate_.resize(row_cap_ * cfg_.hidden_dim);
     up_.resize(row_cap_ * cfg_.hidden_dim);
     logits_.resize(mb * cfg_.vocab_size);
-    scores_.resize(mb * cfg_.n_kv_heads * cfg_.max_seq_len);
-    // The attention kernel consumes one contiguous history per task.
-    kv_deq_k_.resize(mb * cfg_.n_kv_heads * cfg_.max_seq_len * cfg_.head_dim());
-    kv_deq_v_.resize(mb * cfg_.n_kv_heads * cfg_.max_seq_len * cfg_.head_dim());
+    scores_.resize(row_cap_ * cfg_.n_heads * cfg_.max_seq_len);
+    if (quant_kv_ != nullptr) {
+        kv_page_.resize(mb * cfg_.n_kv_heads * kv_->pool().page_tokens() *
+                        cfg_.head_dim());
+    }
 
     if (opts_.packed_weights) {
         check(qw_ != nullptr, "ReferenceEngine: packed_weights needs quantized weights");
@@ -259,43 +260,47 @@ std::size_t ReferenceEngine::attention_block(std::size_t layer, std::size_t nr) 
 
     const std::size_t heads_per_kv = cfg_.n_heads / cfg_.n_kv_heads;
 
-    // One task per (span, KV head): a span's query-head cluster shares one
-    // history, so its pages are dequantized (KV8) or gathered (float) once
-    // per cluster up to the span's end — not once per query head or per
-    // row — and every query row then attends causally over its own prefix of
-    // it. Parallel tasks touch disjoint scratch slices.
-    const std::size_t slab = cfg_.max_seq_len * hd;
+    // One task per (span, KV head): the span's query rows and the KV head's
+    // cluster of query heads walk its pages together — each key and value
+    // page is read (KV8: dequantized) once per task, not once per query head
+    // or per row — and every query row attends causally over its own prefix.
+    // Parallel tasks touch disjoint scratch slices: a task's scores start at
+    // its first query row's n_heads x max_seq_len block.
+    const std::size_t page_floats = kv_->pool().page_tokens() * hd;
     auto span_kv_task = [&](std::size_t task) {
         const std::size_t b = task / cfg_.n_kv_heads;
         const std::size_t kvh = task % cfg_.n_kv_heads;
         const Span& sp = spans_[b];
         const std::size_t slot = sp.slot;
-        const std::size_t ctx = pos_[slot] + sp.n;
-        const std::size_t deq = task * slab;
-        const std::span<float> kbuf = std::span<float>(kv_deq_k_).subspan(deq, slab);
-        const std::span<float> vbuf = std::span<float>(kv_deq_v_).subspan(deq, slab);
-        std::span<const float> keys, vals;
-        if (quant_kv_ != nullptr) {
-            keys = quant_kv_->dequant_keys_into(slot, layer, kvh, ctx, kbuf);
-            vals = quant_kv_->dequant_values_into(slot, layer, kvh, ctx, vbuf);
-        } else {
-            // One copy per page: the host pays for paging exactly where the
-            // device pays per-page bursts.
-            keys = float_kv_->gather_keys(slot, layer, kvh, ctx, kbuf);
-            vals = float_kv_->gather_values(slot, layer, kvh, ctx, vbuf);
-        }
-        const std::span<float> scores =
-            std::span<float>(scores_).subspan(task * cfg_.max_seq_len, cfg_.max_seq_len);
-        for (std::size_t j = 0; j < (final_layer ? 1 : sp.n); ++j) {
-            const auto [r, pos] = query(b, j);
-            const std::size_t row = r * dim;
-            for (std::size_t h = kvh * heads_per_kv; h < (kvh + 1) * heads_per_kv; ++h) {
-                attention_head(std::span<const float>(q_).subspan(row + h * hd, hd), keys,
-                               vals, pos + 1, hd,
-                               std::span<float>(att_out_).subspan(row + h * hd, hd),
-                               scores);
-            }
-        }
+        const std::size_t nq = final_layer ? 1 : sp.n;
+        const auto [row, pos] = query(b, 0);
+        const PagedAttentionShape shape{.rows = nq,
+                                        .heads = heads_per_kv,
+                                        .head_dim = hd,
+                                        .row_stride = dim,
+                                        .ctx = pos + 1,
+                                        .page_tokens = kv_->pool().page_tokens()};
+        const std::size_t at = row * dim + kvh * heads_per_kv * hd;
+        const std::span<const float> q = std::span<const float>(q_).subspan(at);
+        const std::span<float> out = std::span<float>(att_out_).subspan(at);
+        const std::span<float> scores = std::span<float>(scores_).subspan(
+            (row * cfg_.n_heads + kvh * nq * heads_per_kv) * cfg_.max_seq_len);
+        // Page i of this task's keys or values: the float arena's rows in
+        // place, or a KV8 page dequantized into the task's page scratch.
+        const auto rows = [&](kvpool::KvPart part) {
+            return [&, part](std::size_t i) -> std::span<const float> {
+                if (float_kv_ != nullptr) return float_kv_->page(slot, layer, kvh, part, i);
+                const auto page = quant_kv_->page(slot, layer, kvh, part, i);
+                float* deq = kv_page_.data() + task * page_floats;
+                for (std::size_t t = 0; t < page.size(); ++t) {
+                    quant::kv_dequantize_into(page[t].codes, page[t].params,
+                                              {deq + t * hd, hd});
+                }
+                return {deq, page.size() * hd};
+            };
+        };
+        attention_paged(q, out, shape, rows(kvpool::KvPart::kKeys),
+                        rows(kvpool::KvPart::kValues), scores);
     };
     const std::size_t n_tasks = spans_.size() * cfg_.n_kv_heads;
     if (ThreadPool* p = pool(); p != nullptr) {

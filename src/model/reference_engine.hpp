@@ -23,8 +23,8 @@
 // whose batch-1 tile overlaps four rows' lane chains, so single-stream decode
 // pays no skinny-GEMM tax (or preallocated buffers on the float path),
 // RoPE trigonometry is precomputed per position at construction, attention
-// reuses per-head scores scratch, and the KV history is gathered (float) or
-// dequantized (KV8) page by page into persistent per-head scratch. With
+// walks each slot's history page by page where it lives (attention_paged:
+// float pages in place, KV8 pages dequantized one page at a time). With
 // `threads > 1` GEMV rows and attention KV-head
 // clusters are partitioned across a persistent worker pool; results are
 // bit-for-bit independent of the thread count.
@@ -43,8 +43,9 @@
 // its sequence s. Slots draw fixed-size token pages from the shared pool
 // instead of reserving max_seq_len each, so aggregate KV capacity follows the
 // pool budget (the paper's capacity axis) rather than max_batch x context
-// window. Logits do not depend on the page size: the arenas copy or
-// dequantize each value exactly as the contiguous caches in kv_cache.hpp do.
+// window. Logits do not depend on the page size: a page holds each value
+// exactly as the contiguous caches in kv_cache.hpp do, and the page walk runs
+// attention_head's float ops in its order.
 // With EngineOptions::kv_page_tokens > 0 the engine also shares prompt
 // prefixes through a prefix::PrefixStore over the arena's pool.
 #pragma once
@@ -233,12 +234,12 @@ private:
     std::size_t row_cap_ = 0;
     std::vector<float> x_, xb_, q_, k_, v_, att_out_, gate_, up_;
     std::vector<float> logits_;   // [batch][vocab]: one row per span
-    // [batch][n_kv_heads][max_seq_len] attention scores, one slice per task.
+    // [row][n_heads][max_seq_len] attention scores: each (span, KV head)
+    // task's block starts at its first query row (attention_paged's scratch).
     std::vector<float> scores_;
-    // [batch][n_kv_heads][max_seq_len*head_dim] history scratch: the gather
-    // (float) or dequant (KV8) target of the arena's pages.
-    std::vector<float> kv_deq_k_;
-    std::vector<float> kv_deq_v_;
+    // KV8 only: [batch][n_kv_heads][page_tokens * head_dim], one dequantized
+    // page per (span, KV head) task. The float arena's pages are read in place.
+    std::vector<float> kv_page_;
 };
 
 }  // namespace efld::model

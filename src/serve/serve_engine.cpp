@@ -185,29 +185,15 @@ void ServeEngine::trace(std::uint64_t request_id, obs::TraceEvent event,
     if (opts_.trace) opts_.trace->record(request_id, opts_.shard_id, event, arg);
 }
 
-FinishReason ServeEngine::finish_reason_of(Retire why) noexcept {
-    switch (why) {
-        case Retire::kEos: return FinishReason::kEos;
-        case Retire::kBudget: return FinishReason::kBudget;
-        case Retire::kContext: return FinishReason::kContextOverflow;
-        case Retire::kCancelled: return FinishReason::kCancelled;
-        case Retire::kDeadline: return FinishReason::kDeadline;
-        case Retire::kShed: return FinishReason::kShedOverload;
-    }
-    return FinishReason::kNone;
-}
-
-void ServeEngine::resolve_unstarted(PendingRequest&& req, Retire why) {
+void ServeEngine::resolve_unstarted(PendingRequest&& req, FinishReason why) {
     ServeResult r;
     r.id = req.id;
     r.prompt_tokens = req.prompt.size();
-    r.finish_reason = finish_reason_of(why);
+    r.finish_reason = why;
     r.times_deferred = req.times_deferred;
     r.failovers = req.failovers;
     r.tokens = std::move(req.resumed);  // a resumed request keeps its progress
     r.text = tokenizer_.decode(r.tokens);
-    r.cancelled = why == Retire::kCancelled;
-    r.hit_deadline = why == Retire::kDeadline;
     trace(req.id, obs::TraceEvent::kRetired,
           static_cast<std::uint64_t>(r.finish_reason));
     req.promise.set_value(std::move(r));
@@ -239,7 +225,7 @@ RequestHandle ServeEngine::submit(Request req) {
     std::shared_future<ServeResult> fut = p.promise.get_future().share();
     if (p.max_new_tokens == 0) {
         // Nothing to decode: resolve immediately without occupying a slot.
-        resolve_unstarted(std::move(p), Retire::kBudget);
+        resolve_unstarted(std::move(p), FinishReason::kBudget);
     } else {
         check(queue_.push(std::move(p)), "ServeEngine: request queue full");
         // A failure landing between the failed() check inside step and this
@@ -392,27 +378,22 @@ void ServeEngine::admit() {
     }
 }
 
-void ServeEngine::retire(SessionState& s, Retire why) {
+void ServeEngine::retire(SessionState& s, FinishReason why) {
     const obs::ScopedPhase retire_span(&prof_, obs::Phase::kRetire);
     ServeResult r;
     r.id = s.id;
     r.tokens = std::move(s.generated);
     r.text = tokenizer_.decode(r.tokens);
     r.prompt_tokens = s.prompt.size();
-    r.finish_reason = finish_reason_of(why);
+    r.finish_reason = why;
     r.times_deferred = s.times_deferred;
     r.failovers = s.failovers;
-    r.hit_eos = why == Retire::kEos;
-    r.hit_context_limit = why == Retire::kContext;
-    r.cancelled = why == Retire::kCancelled;
-    r.hit_deadline = why == Retire::kDeadline;
     const std::size_t committed = s.committed_pages;
     const std::uint64_t now_ns = clock_->now_ns();
     if (s.submitted_ns != 0) {
         hist_e2e_->record(now_ns > s.submitted_ns ? now_ns - s.submitted_ns : 0);
     }
-    trace(s.id, obs::TraceEvent::kRetired,
-          static_cast<std::uint64_t>(finish_reason_of(why)));
+    trace(s.id, obs::TraceEvent::kRetired, static_cast<std::uint64_t>(why));
     const std::size_t slot = s.slot;
     try {
         backend_->release_slot(slot);  // clears the slot's KV for the next tenant
@@ -436,8 +417,8 @@ void ServeEngine::retire(SessionState& s, Retire why) {
         // unblocked by get() must see its request in stats_snapshot().
         const std::lock_guard<std::mutex> g(stats_mu_);
         ++stats_.requests_completed;
-        if (why == Retire::kCancelled) ++stats_.requests_cancelled;
-        if (why == Retire::kDeadline) ++stats_.requests_expired;
+        if (why == FinishReason::kCancelled) ++stats_.requests_cancelled;
+        if (why == FinishReason::kDeadline) ++stats_.requests_expired;
     }
     std::promise<ServeResult> promise = std::move(s.promise);
     slots_[slot].reset();
@@ -641,9 +622,9 @@ void ServeEngine::control_plane() {
         if (!slots_[slot].has_value()) continue;
         SessionState& s = *slots_[slot];
         if (s.cancel_requested()) {
-            retire(s, Retire::kCancelled);
+            retire(s, FinishReason::kCancelled);
         } else if (s.deadline_passed(now)) {
-            retire(s, Retire::kDeadline);
+            retire(s, FinishReason::kDeadline);
         }
     }
 
@@ -667,8 +648,8 @@ void ServeEngine::control_plane() {
                 ++stats_.requests_expired;
             }
         }
-        resolve_unstarted(std::move(dead),
-                          was_cancelled ? Retire::kCancelled : Retire::kDeadline);
+        resolve_unstarted(std::move(dead), was_cancelled ? FinishReason::kCancelled
+                                                         : FinishReason::kDeadline);
     }
 
     // Overload shedding: while an SLO alert has the governor engaged, shed
@@ -698,7 +679,7 @@ void ServeEngine::control_plane() {
             ++stats_.requests_completed;
             ++stats_.requests_shed;
         }
-        resolve_unstarted(std::move(doomed), Retire::kShed);
+        resolve_unstarted(std::move(doomed), FinishReason::kShedOverload);
     }
 }
 
@@ -804,7 +785,7 @@ void ServeEngine::sample_and_book() {
         stats_.replayed_tokens += std::exchange(step_replayed_tokens, 0);
         stats_.generated_tokens += std::exchange(step_generated_tokens, 0);
     };
-    auto book_and_retire = [&](SessionState& s, Retire why) {
+    auto book_and_retire = [&](SessionState& s, FinishReason why) {
         book();
         retire(s, why);
     };
@@ -890,11 +871,11 @@ void ServeEngine::sample_and_book() {
         }
 
         if (next == model::ByteTokenizer::kEos) {
-            book_and_retire(s, Retire::kEos);
+            book_and_retire(s, FinishReason::kEos);
         } else if (s.generated.size() >= s.max_new_tokens) {
-            book_and_retire(s, Retire::kBudget);
+            book_and_retire(s, FinishReason::kBudget);
         } else if (backend_->position(s.slot) >= backend_->config().max_seq_len) {
-            book_and_retire(s, Retire::kContext);
+            book_and_retire(s, FinishReason::kContextOverflow);
         } else {
             s.pending_token = next;
         }

@@ -305,15 +305,12 @@ public:
     bool resubmit(PendingRequest& req);
 
 private:
-    enum class Retire { kEos, kBudget, kContext, kCancelled, kDeadline, kShed };
-
     void init();
     void init_governor(const model::ModelConfig& cfg);
     // Resolves a request that never took a slot here (zero budget, shed from
     // the queue by cancel/deadline) — a resumed request keeps the tokens the
     // dead shard already generated.
-    void resolve_unstarted(PendingRequest&& req, Retire why);
-    static FinishReason finish_reason_of(Retire why) noexcept;
+    void resolve_unstarted(PendingRequest&& req, FinishReason why);
     // step() body; the driver calls it directly. A step runs its phases in
     // order: control_plane, admit, build_feed, run_feed, sample_and_book.
     bool step_locked();
@@ -330,7 +327,7 @@ private:
     // Advances prefill, samples every samplable lane, streams, retires, and
     // books token counters before any future resolves.
     void sample_and_book();
-    void retire(SessionState& s, Retire why);
+    void retire(SessionState& s, FinishReason why);
     void driver_loop();
     // Consumes backend_error_: marks the engine failed, releases the
     // governor's pages, fires the failure callback, then resolves anything

@@ -75,8 +75,7 @@ enum class FinishReason {
     return "none";
 }
 
-// Resolution of one submitted request. `finish_reason` is authoritative; the
-// bool flags mirror it for existing call sites.
+// Resolution of one submitted request; `finish_reason` says why it retired.
 struct ServeResult {
     std::uint64_t id = 0;
     std::string text;                     // decoded generated tokens
@@ -95,10 +94,6 @@ struct ServeResult {
     // the head of `tokens` was generated on the dead shard, the tail on the
     // survivor, and each token was streamed to on_token exactly once.
     std::size_t failovers = 0;
-    bool hit_eos = false;                 // stopped on the EOS token
-    bool hit_context_limit = false;       // stopped by the KV reservation
-    bool cancelled = false;               // retired by RequestHandle::cancel()
-    bool hit_deadline = false;            // retired by Request::deadline
 };
 
 // State shared between a RequestHandle and the engine's bookkeeping for one

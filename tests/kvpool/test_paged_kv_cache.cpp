@@ -1,11 +1,12 @@
-// Paged KV arenas vs the contiguous caches: page-gathered (or
-// page-dequantized) history must be bit-for-bit what the contiguous
-// reservation returns at every page size, span length and history length,
+// Paged KV arenas vs the contiguous caches: history read page by page (KV8
+// pages dequantized) must be bit-for-bit what the contiguous reservation
+// returns at every page size, span length and history length,
 // pages must recycle across sequences, and exhaustion must surface as an
 // error, not corruption. Both engines keep all their KV in these arenas, so
 // this is the proof that their logits do not depend on the page size.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <span>
 #include <vector>
 
@@ -49,6 +50,38 @@ std::size_t append_spans(const model::ModelConfig& c, Arena& arena, std::size_t 
     return tokens;
 }
 
+// The first `len` rows of one head's keys or values, read through the
+// arena's page accessor one block-table page at a time.
+std::vector<float> read_pages(const PagedKvArena& arena, std::size_t seq,
+                              std::size_t layer, std::size_t kv_head, KvPart part,
+                              std::size_t len, std::size_t head_dim) {
+    std::vector<float> out;
+    for (std::size_t i = 0; out.size() < len * head_dim; ++i) {
+        const std::span<const float> page = arena.page(seq, layer, kv_head, part, i);
+        const std::size_t n = std::min(page.size(), len * head_dim - out.size());
+        out.insert(out.end(), page.begin(),
+                   page.begin() + static_cast<std::ptrdiff_t>(n));
+    }
+    return out;
+}
+
+// The same for KV8, each entry dequantized as the host engine does.
+std::vector<float> read_pages(const PagedQuantizedKvArena& arena, std::size_t seq,
+                              std::size_t layer, std::size_t kv_head, KvPart part,
+                              std::size_t len, std::size_t head_dim) {
+    std::vector<float> out(len * head_dim);
+    std::size_t t = 0;
+    for (std::size_t i = 0; t < len; ++i) {
+        for (const quant::KvQuantized& e : arena.page(seq, layer, kv_head, part, i)) {
+            if (t == len) break;
+            quant::kv_dequantize_into(e.codes, e.params,
+                                      std::span(out).subspan(t * head_dim, head_dim));
+            ++t;
+        }
+    }
+    return out;
+}
+
 // The layouts both store tests sweep: single-token appends on pages smaller
 // than the history, then 1-, 5- and 16-row spans (as prefill tiles append)
 // across 4- and 16-token pages. Every history length is read back, so reads
@@ -62,7 +95,7 @@ std::vector<Layout> layouts(std::size_t single_tokens) {
     return {{4, std::vector<std::size_t>(single_tokens, 1)}, {4, tiles}, {16, tiles}};
 }
 
-TEST(PagedKvArena, GatherMatchesContiguousSpansBitForBit) {
+TEST(PagedKvArena, PagesMatchContiguousSpansBitForBit) {
     const model::ModelConfig c = cfg();
     // 19 single tokens: not a page multiple, so a partial last page.
     for (const Layout& lay : layouts(19)) {
@@ -75,19 +108,18 @@ TEST(PagedKvArena, GatherMatchesContiguousSpansBitForBit) {
         const std::size_t n_tokens = append_spans(c, arena, seq, oracle, lay.spans, rng);
         ASSERT_EQ(arena.length(seq), n_tokens);
 
-        std::vector<float> scratch(n_tokens * c.head_dim());
         for (std::size_t l = 0; l < c.n_layers; ++l) {
             for (std::size_t h = 0; h < c.n_kv_heads; ++h) {
                 for (std::size_t len = 1; len <= n_tokens; ++len) {
-                    const std::span<const float> got =
-                        arena.gather_keys(seq, l, h, len, scratch);
+                    const std::vector<float> got =
+                        read_pages(arena, seq, l, h, KvPart::kKeys, len, c.head_dim());
                     const std::span<const float> want = oracle.keys_span(l, h, len);
                     ASSERT_EQ(got.size(), want.size());
                     for (std::size_t i = 0; i < got.size(); ++i) {
                         ASSERT_EQ(got[i], want[i]) << "keys l" << l << " h" << h;
                     }
-                    const std::span<const float> gv =
-                        arena.gather_values(seq, l, h, len, scratch);
+                    const std::vector<float> gv =
+                        read_pages(arena, seq, l, h, KvPart::kValues, len, c.head_dim());
                     const std::span<const float> wv = oracle.values_span(l, h, len);
                     ASSERT_EQ(gv.size(), wv.size());
                     for (std::size_t i = 0; i < gv.size(); ++i) {
@@ -99,7 +131,7 @@ TEST(PagedKvArena, GatherMatchesContiguousSpansBitForBit) {
     }
 }
 
-TEST(PagedQuantizedKvArena, DequantMatchesContiguousQuantizedCache) {
+TEST(PagedQuantizedKvArena, DequantizedPagesMatchContiguousQuantizedCache) {
     const model::ModelConfig c = cfg();
     for (const Layout& lay : layouts(13)) {
         SCOPED_TRACE(lay.page_tokens);
@@ -111,18 +143,19 @@ TEST(PagedQuantizedKvArena, DequantMatchesContiguousQuantizedCache) {
         const std::size_t n_tokens = append_spans(c, arena, seq, oracle, lay.spans, rng);
         ASSERT_EQ(arena.length(seq), n_tokens);
 
-        std::vector<float> got(n_tokens * c.head_dim());
         std::vector<float> want(n_tokens * c.head_dim());
         for (std::size_t l = 0; l < c.n_layers; ++l) {
             for (std::size_t h = 0; h < c.n_kv_heads; ++h) {
                 for (std::size_t len = 1; len <= n_tokens; ++len) {
-                    const auto g = arena.dequant_keys_into(seq, l, h, len, got);
+                    const auto g =
+                        read_pages(arena, seq, l, h, KvPart::kKeys, len, c.head_dim());
                     const auto w = oracle.dequant_keys_into(l, h, len, want);
                     ASSERT_EQ(g.size(), w.size());
                     for (std::size_t i = 0; i < g.size(); ++i) {
                         ASSERT_EQ(g[i], w[i]) << "keys l" << l << " h" << h;
                     }
-                    const auto gv = arena.dequant_values_into(seq, l, h, len, got);
+                    const auto gv =
+                        read_pages(arena, seq, l, h, KvPart::kValues, len, c.head_dim());
                     const auto wv = oracle.dequant_values_into(l, h, len, want);
                     ASSERT_EQ(gv.size(), wv.size());
                     for (std::size_t i = 0; i < gv.size(); ++i) {
@@ -132,6 +165,32 @@ TEST(PagedQuantizedKvArena, DequantMatchesContiguousQuantizedCache) {
             }
         }
     }
+}
+
+TEST(PagedArena, PageReadsHoldTheRowsTheHistoryFills) {
+    // 6 tokens on 4-token pages: page 0 holds 4 rows, page 1 the 2 filled
+    // rows of its 4, and a page past the history is refused, on both arenas.
+    const model::ModelConfig c = cfg();
+    PagedKvArena arena(c, {.page_tokens = 4, .n_pages = 8});
+    PagedQuantizedKvArena qarena(c, {.page_tokens = 4, .n_pages = 8});
+    model::KvCache oracle(c);
+    model::QuantizedKvCache qoracle(c);
+    const std::size_t six[] = {6};
+    Xoshiro256 rng(13);
+    const std::size_t seq = arena.create_sequence();
+    const std::size_t qseq = qarena.create_sequence();
+    (void)append_spans(c, arena, seq, oracle, six, rng);
+    (void)append_spans(c, qarena, qseq, qoracle, six, rng);
+    for (const KvPart part : {KvPart::kKeys, KvPart::kValues}) {
+        EXPECT_EQ(arena.page(seq, 1, 1, part, 0).size(), 4 * c.head_dim());
+        EXPECT_EQ(arena.page(seq, 1, 1, part, 1).size(), 2 * c.head_dim());
+        EXPECT_THROW((void)arena.page(seq, 1, 1, part, 2), efld::Error);
+        EXPECT_EQ(qarena.page(qseq, 1, 1, part, 0).size(), 4u);
+        EXPECT_EQ(qarena.page(qseq, 1, 1, part, 1).size(), 2u);
+        EXPECT_THROW((void)qarena.page(qseq, 1, 1, part, 2), efld::Error);
+    }
+    EXPECT_THROW((void)arena.page(seq, c.n_layers, 0, KvPart::kKeys, 0), efld::Error);
+    EXPECT_THROW((void)qarena.page(qseq, 0, c.n_kv_heads, KvPart::kKeys, 0), efld::Error);
 }
 
 TEST(PagedArena, PagesToAppendCountsFreshAndCopyOnWritePages) {
@@ -178,12 +237,11 @@ TEST(PagedKvArena, SequencesInterleaveWithoutCrosstalk) {
             oracle_b.append(l, kb, vb);
         }
     }
-    std::vector<float> scratch(7 * c.head_dim());
     for (std::size_t h = 0; h < c.n_kv_heads; ++h) {
-        const auto ga = arena.gather_keys(a, 1, h, 7, scratch);
+        const auto ga = read_pages(arena, a, 1, h, KvPart::kKeys, 7, c.head_dim());
         const auto wa = oracle_a.keys_span(1, h, 7);
         for (std::size_t i = 0; i < ga.size(); ++i) ASSERT_EQ(ga[i], wa[i]);
-        const auto gb = arena.gather_values(b, 1, h, 7, scratch);
+        const auto gb = read_pages(arena, b, 1, h, KvPart::kValues, 7, c.head_dim());
         const auto wb = oracle_b.values_span(1, h, 7);
         for (std::size_t i = 0; i < gb.size(); ++i) ASSERT_EQ(gb[i], wb[i]);
     }

@@ -5,12 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/mathutil.hpp"
 #include "common/rng.hpp"
 #include "model/kernels.hpp"
 #include "model/reference_engine.hpp"
+#include "model/sampler.hpp"
 #include "support/solo_stream.hpp"
 
 namespace efld::model {
@@ -151,6 +154,54 @@ TEST(EngineFast, SpanOverloadReportsItsStepCost) {
                            std::span<const std::size_t>(&slot, 1));
     EXPECT_GT(eng.last_step_cost().wall_ns, 0.0);
     EXPECT_EQ(eng.last_step_cost().weight_walks, 1.0);
+}
+
+// FNV-1a over every logit's bits: a first step feeding 5-, 16- and 1-row
+// spans into 3 slots (prompt tiles crossing a 16-token page), then 20 batched
+// greedy decode steps.
+std::uint64_t golden_logits_hash(ReferenceEngine& eng) {
+    const std::size_t vocab = gqa_cfg().vocab_size;
+    const std::vector<std::size_t> slots{eng.reserve_slot(), eng.reserve_slot(),
+                                         eng.reserve_slot()};
+    const std::vector<std::size_t> rows{5, 16, 1};
+    std::vector<std::int32_t> tokens;
+    for (std::int32_t t = 0; t < 22; ++t) tokens.push_back((t * 37 + 11) % 251);
+    std::vector<float> logits(slots.size() * vocab);
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+    for (int step = 0; step <= 20; ++step) {
+        if (step == 0) {
+            eng.decode_batch(tokens, slots, rows, logits);
+        } else {
+            eng.decode_batch(tokens, slots, logits);
+        }
+        for (const float v : logits) {
+            hash = (hash ^ std::bit_cast<std::uint32_t>(v)) * 0x100000001b3ull;
+        }
+        tokens.resize(slots.size());
+        for (std::size_t b = 0; b < slots.size(); ++b) {
+            tokens[b] = Sampler::argmax(std::span(logits).subspan(b * vocab, vocab));
+        }
+    }
+    return hash;
+}
+
+TEST(EngineFast, GoldenLogitsHash) {
+    // Bit-exact pin on the host engine's logits, on the float engine (float
+    // weights, float KV arena) and the KV8 engine (W4 weights, KV8 arena), at
+    // 1 and 4 threads. Any change to the attention read path, a kernel's
+    // reduction order or the KV store's values moves the hash.
+    static const ModelWeights fw = ModelWeights::synthetic(gqa_cfg(), 42);
+    for (const std::size_t threads : {1u, 4u}) {
+        SCOPED_TRACE(threads);
+        ReferenceEngine golden(fw, EngineOptions{.threads = threads, .max_batch = 3});
+        const std::uint64_t gh = golden_logits_hash(golden);
+        EXPECT_EQ(gh, 0xf9320a319ab32eadull) << std::hex << gh;
+        ReferenceEngine kv8(quant_weights(), EngineOptions{.use_kv8 = true,
+                                                           .threads = threads,
+                                                           .max_batch = 3});
+        const std::uint64_t qh = golden_logits_hash(kv8);
+        EXPECT_EQ(qh, 0xb532e42240aa24feull) << std::hex << qh;
+    }
 }
 
 TEST(RopeTable, CachedRotationMatchesDirectKernelBitForBit) {

@@ -1,11 +1,16 @@
-// Reference kernels: RMSNorm, RoPE, softmax, SiLU, attention.
+// Reference kernels: RMSNorm, RoPE, softmax, SiLU, attention, and the paged
+// attention walk the engines run, held to the reference bit for bit.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 
 #include "common/rng.hpp"
+#include "kvpool/paged_kv_cache.hpp"
 #include "model/kernels.hpp"
+#include "model/kv_cache.hpp"
 
 namespace efld::model {
 namespace {
@@ -151,6 +156,132 @@ TEST(Attention, UniformKeysAverageValues) {
     attention_head(q, keys, values, ctx, hd, out);
     EXPECT_NEAR(out[0], 1.5f, 1e-5f);  // mean of 0..3
     EXPECT_NEAR(out[1], 1.0f, 1e-5f);
+}
+
+// A history of `n` random tokens in one arena (page_tokens per page) and
+// its contiguous oracle, every layer per token (the append cadence).
+template <class Arena, class Oracle>
+void fill_history(const ModelConfig& c, Arena& arena, std::size_t seq, Oracle& oracle,
+                  std::size_t n, Xoshiro256& rng) {
+    std::vector<float> k(c.kv_dim()), v(c.kv_dim());
+    for (std::size_t t = 0; t < n; ++t) {
+        for (std::size_t l = 0; l < c.n_layers; ++l) {
+            for (float& x : k) x = static_cast<float>(rng.uniform(-2.0, 2.0));
+            for (float& x : v) x = static_cast<float>(rng.uniform(-2.0, 2.0));
+            arena.append(seq, l, k, v);
+            oracle.append(l, k, v);
+        }
+    }
+}
+
+// Sweeps attention_paged against attention_head over every ctx 1..n, with
+// 1 and 16 query rows and 1 and 3 query heads per KV head. history(l, h,
+// part, len) is the oracle's contiguous rows; key_page/value_page the walk's.
+template <class History, class Pages>
+void expect_walk_matches_reference(const ModelConfig& c, std::size_t n,
+                                   std::size_t page_tokens, const History& history,
+                                   const Pages& pages) {
+    const std::size_t hd = c.head_dim();
+    const std::size_t layer = 1, kvh = 1;
+    Xoshiro256 rng(page_tokens);
+    for (const std::size_t rows : {std::size_t{1}, std::size_t{16}}) {
+        for (const std::size_t heads : {std::size_t{1}, std::size_t{3}}) {
+            // Query rows sit `stride` floats apart, wider than their heads, as
+            // an engine's rows of n_heads heads do.
+            const std::size_t stride = heads * hd + 8;
+            std::vector<float> q(rows * stride), got(rows * stride), want(hd);
+            std::vector<float> scores(rows * heads * n), ref_scores(n);
+            for (std::size_t ctx = 1; ctx + rows - 1 <= n; ++ctx) {
+                SCOPED_TRACE(::testing::Message() << "pages " << page_tokens << " rows "
+                                                  << rows << " heads " << heads
+                                                  << " ctx " << ctx);
+                for (float& x : q) x = static_cast<float>(rng.gaussian());
+                const PagedAttentionShape shape{.rows = rows,
+                                                .heads = heads,
+                                                .head_dim = hd,
+                                                .row_stride = stride,
+                                                .ctx = ctx,
+                                                .page_tokens = page_tokens};
+                attention_paged(q, got, shape, pages(layer, kvh, kvpool::KvPart::kKeys),
+                                pages(layer, kvh, kvpool::KvPart::kValues), scores);
+                for (std::size_t j = 0; j < rows; ++j) {
+                    const std::size_t len = ctx + j;
+                    for (std::size_t h = 0; h < heads; ++h) {
+                        const std::size_t at = j * stride + h * hd;
+                        attention_head(std::span<const float>(q).subspan(at, hd),
+                                       history(layer, kvh, kvpool::KvPart::kKeys, len),
+                                       history(layer, kvh, kvpool::KvPart::kValues, len),
+                                       len, hd, want, ref_scores);
+                        for (std::size_t i = 0; i < hd; ++i) {
+                            ASSERT_EQ(std::bit_cast<std::uint32_t>(got[at + i]),
+                                      std::bit_cast<std::uint32_t>(want[i]))
+                                << "row " << j << " head " << h << " lane " << i;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+ModelConfig paged_cfg() {
+    ModelConfig c = ModelConfig::micro_256();
+    c.max_seq_len = 64;
+    return c;
+}
+
+TEST(AttentionPaged, FloatPagesMatchReferenceBitForBit) {
+    const ModelConfig c = paged_cfg();
+    const std::size_t n = 37;  // a partial last page at every page size but 1
+    for (const std::size_t pt : {std::size_t{1}, std::size_t{4}, std::size_t{16}}) {
+        kvpool::PagedKvArena arena(c, kvpool::pool_config(c, 1, pt, 0));
+        KvCache oracle(c);
+        const std::size_t seq = arena.create_sequence();
+        Xoshiro256 rng(21);
+        fill_history(c, arena, seq, oracle, n, rng);
+        const auto history = [&](std::size_t l, std::size_t h, kvpool::KvPart part,
+                                 std::size_t len) {
+            return part == kvpool::KvPart::kKeys ? oracle.keys_span(l, h, len)
+                                                 : oracle.values_span(l, h, len);
+        };
+        const auto pages = [&](std::size_t l, std::size_t h, kvpool::KvPart part) {
+            return [&, l, h, part](std::size_t i) {
+                return arena.page(seq, l, h, part, i);
+            };
+        };
+        expect_walk_matches_reference(c, n, pt, history, pages);
+    }
+}
+
+TEST(AttentionPaged, Kv8PagesMatchReferenceBitForBit) {
+    const ModelConfig c = paged_cfg();
+    const std::size_t n = 37, hd = c.head_dim();
+    for (const std::size_t pt : {std::size_t{1}, std::size_t{4}, std::size_t{16}}) {
+        kvpool::PagedQuantizedKvArena arena(c, kvpool::pool_config(c, 1, pt, 0));
+        QuantizedKvCache oracle(c);
+        const std::size_t seq = arena.create_sequence();
+        Xoshiro256 rng(22);
+        fill_history(c, arena, seq, oracle, n, rng);
+        std::vector<float> keys(n * hd), values(n * hd), page_rows(pt * hd);
+        const auto history = [&](std::size_t l, std::size_t h, kvpool::KvPart part,
+                                 std::size_t len) {
+            return part == kvpool::KvPart::kKeys
+                       ? oracle.dequant_keys_into(l, h, len, keys)
+                       : oracle.dequant_values_into(l, h, len, values);
+        };
+        // The engine's reader: one page dequantized into page_tokens rows.
+        const auto pages = [&](std::size_t l, std::size_t h, kvpool::KvPart part) {
+            return [&, l, h, part](std::size_t i) {
+                const auto page = arena.page(seq, l, h, part, i);
+                for (std::size_t t = 0; t < page.size(); ++t) {
+                    quant::kv_dequantize_into(page[t].codes, page[t].params,
+                                              std::span(page_rows).subspan(t * hd, hd));
+                }
+                return std::span<const float>(page_rows).first(page.size() * hd);
+            };
+        };
+        expect_walk_matches_reference(c, n, pt, history, pages);
+    }
 }
 
 }  // namespace

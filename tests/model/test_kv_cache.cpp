@@ -206,17 +206,26 @@ TEST(QuantizedKvCache, RefillAfterResetAllocatesNothing) {
     ASSERT_EQ(cache.length(), tokens);
     ASSERT_EQ(arena.length(seq), tokens);
     std::vector<float> want(tokens * hd), got(tokens * hd);
+    // The arena's history, dequantized page by page as the host engine reads it.
+    const auto arena_rows = [&](std::size_t l, std::size_t h, kvpool::KvPart part) {
+        const std::size_t pt = arena.pool().page_tokens();
+        for (std::size_t t = 0; t < tokens; ++t) {
+            const quant::KvQuantized& e = arena.page(seq, l, h, part, t / pt)[t % pt];
+            quant::kv_dequantize_into(e.codes, e.params,
+                                      std::span(got).subspan(t * hd, hd));
+        }
+    };
     for (std::size_t l = 0; l < cfg.n_layers; ++l) {
         for (std::size_t h = 0; h < cfg.n_kv_heads; ++h) {
             fresh.dequant_keys_into(l, h, tokens, want);
             cache.dequant_keys_into(l, h, tokens, got);
             EXPECT_EQ(got, want) << "keys, layer " << l << " head " << h;
-            arena.dequant_keys_into(seq, l, h, tokens, got);
+            arena_rows(l, h, kvpool::KvPart::kKeys);
             EXPECT_EQ(got, want) << "arena keys, layer " << l << " head " << h;
             fresh.dequant_values_into(l, h, tokens, want);
             cache.dequant_values_into(l, h, tokens, got);
             EXPECT_EQ(got, want) << "values, layer " << l << " head " << h;
-            arena.dequant_values_into(seq, l, h, tokens, got);
+            arena_rows(l, h, kvpool::KvPart::kValues);
             EXPECT_EQ(got, want) << "arena values, layer " << l << " head " << h;
         }
     }

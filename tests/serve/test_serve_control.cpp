@@ -79,11 +79,12 @@ TEST(ServeControl, CancelActiveSessionDeliversPartialOutput) {
     d.engine->run_until_idle();
 
     const ServeResult& rv = victim.get();
-    EXPECT_TRUE(rv.cancelled);
-    EXPECT_FALSE(rv.hit_eos);
+    EXPECT_EQ(rv.finish_reason, FinishReason::kCancelled);
+    EXPECT_NE(rv.finish_reason, FinishReason::kEos);
     EXPECT_LT(rv.tokens.size(), 200u);  // retired early
     const ServeResult& rs = survivor.get();
-    EXPECT_FALSE(rs.cancelled);  // the batch-mate was untouched
+    // The batch-mate was untouched.
+    EXPECT_NE(rs.finish_reason, FinishReason::kCancelled);
 
     EXPECT_EQ(d.engine->stats().requests_cancelled, 1u);
     EXPECT_EQ(d.engine->active_sessions(), 0u);
@@ -105,10 +106,10 @@ TEST(ServeControl, CancelQueuedRequestIsShedWithoutASlot) {
     d.engine->run_until_idle();
 
     const ServeResult& rq = queued.get();
-    EXPECT_TRUE(rq.cancelled);
+    EXPECT_EQ(rq.finish_reason, FinishReason::kCancelled);
     EXPECT_TRUE(rq.tokens.empty());  // never decoded a token
     EXPECT_GT(rq.prompt_tokens, 0u);
-    EXPECT_FALSE(running.get().cancelled);
+    EXPECT_NE(running.get().finish_reason, FinishReason::kCancelled);
     EXPECT_EQ(d.engine->stats().requests_cancelled, 1u);
 }
 
@@ -124,9 +125,9 @@ TEST(ServeControl, ExpiredQueuedDeadlineIsShed) {
     d.engine->run_until_idle();
 
     const ServeResult& re = expired.get();
-    EXPECT_TRUE(re.hit_deadline);
+    EXPECT_EQ(re.finish_reason, FinishReason::kDeadline);
     EXPECT_TRUE(re.tokens.empty());
-    EXPECT_FALSE(running.get().hit_deadline);
+    EXPECT_NE(running.get().finish_reason, FinishReason::kDeadline);
     EXPECT_EQ(d.engine->stats().requests_expired, 1u);
 }
 
@@ -141,8 +142,9 @@ TEST(ServeControl, ActiveSessionRetiresAtDeadline) {
                 .deadline = steady_clock::now() + std::chrono::milliseconds(40)});
     d.engine->run_until_idle();
     const ServeResult& r = h.get();
-    if (!r.hit_eos && !r.hit_context_limit) {
-        EXPECT_TRUE(r.hit_deadline);
+    if (r.finish_reason != FinishReason::kEos &&
+        r.finish_reason != FinishReason::kContextOverflow) {
+        EXPECT_EQ(r.finish_reason, FinishReason::kDeadline);
         EXPECT_LT(r.tokens.size(), 100000u);
         EXPECT_EQ(d.engine->stats().requests_expired, 1u);
     }
@@ -223,9 +225,9 @@ TEST(ServeControl, SjfCannotStarveADeadQueuedRequest) {
     starved.cancel();
     ASSERT_TRUE(d.engine->step());  // swept from the queue this boundary
     EXPECT_TRUE(starved.done());
-    EXPECT_TRUE(starved.get().cancelled);
+    EXPECT_EQ(starved.get().finish_reason, FinishReason::kCancelled);
     d.engine->run_until_idle();
-    EXPECT_FALSE(active.get().cancelled);
+    EXPECT_NE(active.get().finish_reason, FinishReason::kCancelled);
 }
 
 TEST(ServeControl, ThrowingOnTokenDoesNotCorruptTheBatch) {
@@ -349,7 +351,7 @@ TEST(ServeControl, AccelBackendServesAndReportsSimulatedTime) {
     EXPECT_GT(st.simulated_tokens_per_s(), 0.0);
     EXPECT_GT(st.wall_ns, 0.0);
     EXPECT_EQ(st.peak_batch, 2u);
-    if (!r0.hit_eos) {
+    if (r0.finish_reason != FinishReason::kEos) {
         // Two fully-overlapped sessions: fewer walks than generated tokens.
         EXPECT_LT(st.weight_walks_per_token(), 1.0);
     }

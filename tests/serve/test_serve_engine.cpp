@@ -272,7 +272,9 @@ TEST(ServeEngine, ContextLimitRetiresSessionLikeSolo) {
     const ServeResult r = fut.get();
     const std::vector<std::int32_t> want = solo_generate(*d.weights, opts, "abcd", 100);
     EXPECT_EQ(r.tokens, want);
-    if (!r.hit_eos) EXPECT_TRUE(r.hit_context_limit);
+    if (r.finish_reason != FinishReason::kEos) {
+        EXPECT_EQ(r.finish_reason, FinishReason::kContextOverflow);
+    }
     EXPECT_LE(r.tokens.size(), 4u);
 }
 
