@@ -10,8 +10,14 @@
 //   fused Nt: same with GEMV rows / attention heads across a worker pool
 //   packed  : fused 4 threads over the 4-bit bus-word streams
 //
+// Each row is the median of kReps runs (the configurations take turns, one
+// run each per round, so drift on a shared host hits every row alike), with
+// the interquartile range beside it and the row's speedup over the 1-thread
+// median: micro's runs last a few ms, and two single 1-thread runs on one
+// 4-core host read 2567 and 3570 tok/s.
+//
 // It is also a parity gate: the thread and packed-walk contracts make every
-// row's logits bit-identical, so a row whose hash over every logit's bits
+// row's logits bit-identical, so a run whose hash over every logit's bits
 // differs from the 1-thread row's fails the run (exit 1).
 //
 // Each fused row also reports its weight walk rate — weight bytes per token
@@ -42,6 +48,8 @@
 using namespace efld;
 
 namespace {
+
+constexpr int kReps = 5;
 
 struct RunResult {
     double tokens_per_s = 0.0;
@@ -119,6 +127,22 @@ double read_peak_gbps(std::uint64_t bytes, std::size_t threads) {
     return static_cast<double>(buf.size() * 8 * sweeps) / secs[secs.size() / 2] / 1e9;
 }
 
+// Median and interquartile range (linear interpolation between order
+// statistics).
+struct Spread {
+    double median = 0.0, iqr = 0.0;
+};
+Spread spread(std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    const auto q = [&](double f) {
+        const double x = f * static_cast<double>(v.size() - 1);
+        const auto i = static_cast<std::size_t>(x);
+        const double frac = x - static_cast<double>(i);
+        return i + 1 < v.size() ? v[i] + frac * (v[i + 1] - v[i]) : v[i];
+    };
+    return Spread{q(0.5), q(0.75) - q(0.25)};
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -178,39 +202,55 @@ int main(int argc, char** argv) {
 
     struct Row {
         std::string label, key;
-        RunResult r;
-        double walk_gbps, util;
+        model::EngineOptions opts;
+        std::vector<RunResult> runs{};
+        Spread tok_s{};
+        double speedup = 0.0, walk_gbps = 0.0, util = 0.0;
     };
     std::vector<Row> rows;
-    const auto run_row = [&](std::string label, std::string key, model::EngineOptions o) {
-        const RunResult r = run_decode(qw, o, prefill_tokens, decode_tokens);
-        const double walk = static_cast<double>(weight_bytes) * r.tokens_per_s / 1e9;
-        double peak = 0.0;
-        for (const auto& [t, gbps] : peaks) peak = t == o.threads ? gbps : peak;
-        rows.push_back({std::move(label), std::move(key), r, walk, walk / peak});
-    };
-
-    run_row("fused, 1 thread", "fused_1t", fused1);
+    rows.push_back({"fused, 1 thread", "fused_1t", fused1});
     for (const std::size_t t : {2u, 4u}) {
         model::EngineOptions o = fused1;
         o.threads = t;
-        run_row("fused, " + std::to_string(t) + " threads", "fused_" + std::to_string(t) + "t", o);
+        rows.push_back(
+            {"fused, " + std::to_string(t) + " threads", "fused_" + std::to_string(t) + "t", o});
     }
     model::EngineOptions packed = fused1;
     packed.threads = 4;
     packed.packed_weights = true;
-    run_row("fused, packed, 4 threads", "fused_packed_4t", packed);
+    rows.push_back({"fused, packed, 4 threads", "fused_packed_4t", packed});
 
-    std::printf("%-26s | %10s | %9s | %12s\n", "configuration", "token/s", "walk GB/s",
-                "host_bw_util");
-    std::printf("---------------------------------------------------------------\n");
+    for (int rep = 0; rep < kReps; ++rep) {
+        for (Row& row : rows) {
+            row.runs.push_back(run_decode(qw, row.opts, prefill_tokens, decode_tokens));
+        }
+    }
+    for (Row& row : rows) {
+        std::vector<double> tok_s;
+        for (const RunResult& r : row.runs) tok_s.push_back(r.tokens_per_s);
+        row.tok_s = spread(tok_s);
+        row.speedup = row.tok_s.median / rows[0].tok_s.median;
+        row.walk_gbps = static_cast<double>(weight_bytes) * row.tok_s.median / 1e9;
+        double peak = 0.0;
+        for (const auto& [t, gbps] : peaks) peak = t == row.opts.threads ? gbps : peak;
+        row.util = row.walk_gbps / peak;
+    }
+
+    std::printf("median of %d runs per row\n", kReps);
+    std::printf("%-26s | %10s | %8s | %8s | %9s | %12s\n", "configuration", "token/s", "IQR",
+                "vs 1t", "walk GB/s", "host_bw_util");
+    std::printf("--------------------------------------------------------------------------"
+                "----------\n");
     bool parity = true;
     for (const Row& row : rows) {
-        std::printf("%-26s | %10.2f | %9.2f | %12.3f\n", row.label.c_str(),
-                    row.r.tokens_per_s, row.walk_gbps, row.util);
-        if (row.r.logit_hash != rows[0].r.logit_hash) {
-            std::printf("  FAIL: logits diverged from the 1-thread row's\n");
-            parity = false;
+        std::printf("%-26s | %10.2f | %8.2f | %7.2fx | %9.2f | %12.3f\n", row.label.c_str(),
+                    row.tok_s.median, row.tok_s.iqr, row.speedup, row.walk_gbps, row.util);
+        for (const RunResult& r : row.runs) {
+            if (r.logit_hash != rows[0].runs[0].logit_hash) {
+                std::printf("  FAIL: logits diverged from the 1-thread row's\n");
+                parity = false;
+                break;
+            }
         }
     }
     std::printf("(walk GB/s counts 1 B per code; the packed row reads half the code bytes)\n");
@@ -220,7 +260,7 @@ int main(int argc, char** argv) {
     const double sim_tok_s =
         sim.token_timing(prefill_tokens + decode_tokens / 2).tokens_per_s();
     double best_host = 0.0;
-    for (const Row& row : rows) best_host = std::max(best_host, row.r.tokens_per_s);
+    for (const Row& row : rows) best_host = std::max(best_host, row.tok_s.median);
     std::printf("\nsimulated KV260 decode rate : %10.2f token/s\n", sim_tok_s);
     std::printf("host-vs-simulated gap       : %10.2fx (host %s)\n",
                 best_host > sim_tok_s ? best_host / sim_tok_s : sim_tok_s / best_host,
@@ -232,12 +272,15 @@ int main(int argc, char** argv) {
             << "  \"bench\": \"host_decode\",\n"
             << "  \"model\": \"" << cfg.name << "\",\n"
             << "  \"decode_tokens\": " << decode_tokens << ",\n"
+            << "  \"reps\": " << kReps << ",\n"
             << "  \"weight_bytes_per_token\": " << weight_bytes << ",\n";
         for (const auto& [t, gbps] : peaks) {
             out << "  \"read_peak_" << t << "t_gbps\": " << gbps << ",\n";
         }
         for (const Row& row : rows) {
-            out << "  \"" << row.key << "_tok_s\": " << row.r.tokens_per_s << ",\n"
+            out << "  \"" << row.key << "_tok_s\": " << row.tok_s.median << ",\n"
+                << "  \"" << row.key << "_tok_s_iqr\": " << row.tok_s.iqr << ",\n"
+                << "  \"" << row.key << "_speedup_vs_1t\": " << row.speedup << ",\n"
                 << "  \"" << row.key << "_walk_gbps\": " << row.walk_gbps << ",\n"
                 << "  \"" << row.key << "_host_bw_util\": " << row.util << ",\n";
         }

@@ -48,10 +48,11 @@ void validate(const EngineOptions& opts) {
     }
     if (opts.threads > 1) {
         // Determinism is thread-count independent, so modest oversubscription
-        // (thread-schedule determinism tests) is fine — but a private pool
-        // far wider than the machine is almost certainly a garbage value
-        // (e.g. a byte count). Borrow the global pool (0) for process-wide
-        // sizing.
+        // (thread-schedule determinism tests) is fine: a pool wider than the
+        // machine parks its idle workers at once rather than spinning. But a
+        // private pool far wider than the machine is almost certainly a
+        // garbage value (e.g. a byte count). Borrow the global pool (0) for
+        // process-wide sizing.
         const std::size_t cap = std::max<std::size_t>(
             4, 4 * static_cast<std::size_t>(std::thread::hardware_concurrency()));
         if (opts.threads > cap) {

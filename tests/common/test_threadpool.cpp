@@ -2,7 +2,9 @@
 // across pool sizes, exception propagation, reuse across many jobs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -137,6 +139,83 @@ TEST(ThreadPool, ConcurrentCallersEachCoverTheirRangeOnce) {
     other.join();
     EXPECT_EQ(bad_a, 0);
     EXPECT_EQ(bad_b, 0);
+}
+
+TEST(ThreadPool, WakesAfterWorkersPark) {
+    // Workers spin for a short window after a job, then park. A job that
+    // arrives after they parked must still wake them (or run on the caller)
+    // and cover every index exactly once.
+    ThreadPool pool(4);
+    for (int job = 0; job < 5; ++job) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        std::vector<std::atomic<int>> hits(257);
+        pool.parallel_for(hits.size(), [&](std::size_t b, std::size_t e) {
+            for (std::size_t i = b; i < e; ++i) hits[i].fetch_add(1);
+        });
+        for (const auto& h : hits) ASSERT_EQ(h.load(), 1) << "job " << job;
+    }
+}
+
+TEST(ThreadPool, ExceptionOnWorkerChunkPropagates) {
+    // Only chunks in the upper half throw. The caller claims chunks from the
+    // front as soon as the job is published, so the throwing chunks usually
+    // run on workers; the exception must still reach the caller.
+    ThreadPool pool(4);
+    constexpr std::size_t n = 1000;
+    for (int round = 0; round < 20; ++round) {
+        std::atomic<std::size_t> covered{0};
+        EXPECT_THROW(pool.parallel_for(n,
+                                       [&](std::size_t b, std::size_t e) {
+                                           covered.fetch_add(e - b);
+                                           if (b >= n / 2) throw Error("worker boom");
+                                       }),
+                     Error);
+        // Every chunk still ran before parallel_for returned.
+        EXPECT_EQ(covered.load(), n);
+    }
+    std::atomic<int> total{0};
+    pool.parallel_for(10, [&](std::size_t b, std::size_t e) {
+        total.fetch_add(static_cast<int>(e - b));
+    });
+    EXPECT_EQ(total.load(), 10);
+}
+
+TEST(ThreadPool, WiderThanMachinePoolCoversEveryIndexOnce) {
+    // A pool wider than the machine parks its idle workers instead of
+    // spinning; coverage and reuse must be unchanged.
+    const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
+    ThreadPool pool(2 * hw);
+    EXPECT_EQ(pool.size(), 2 * hw);
+    for (int job = 0; job < 50; ++job) {
+        std::vector<std::atomic<int>> hits(64 + static_cast<std::size_t>(job) * 13);
+        pool.parallel_for(hits.size(), [&](std::size_t b, std::size_t e) {
+            for (std::size_t i = b; i < e; ++i) hits[i].fetch_add(1);
+        });
+        for (const auto& h : hits) ASSERT_EQ(h.load(), 1) << "job " << job;
+    }
+}
+
+TEST(ThreadPool, GenerationTagWrapsAcrossManyTinyJobs) {
+    // The claim word's generation tag is 16 bits wide; 150k back-to-back
+    // tiny jobs wrap it twice. Each job must still cover its range once.
+    ThreadPool pool(4);
+    constexpr int kJobs = 150'000;
+    std::vector<std::atomic<int>> hits(8);
+    long bad_jobs = 0;
+    for (int job = 0; job < kJobs; ++job) {
+        const std::size_t n = 2 + static_cast<std::size_t>(job) % 7;
+        for (std::size_t i = 0; i < n; ++i) hits[i].store(0, std::memory_order_relaxed);
+        pool.parallel_for(n, [&](std::size_t b, std::size_t e) {
+            for (std::size_t i = b; i < e; ++i) hits[i].fetch_add(1, std::memory_order_relaxed);
+        });
+        for (std::size_t i = 0; i < n; ++i) {
+            if (hits[i].load(std::memory_order_relaxed) != 1) {
+                ++bad_jobs;
+                break;
+            }
+        }
+    }
+    EXPECT_EQ(bad_jobs, 0);
 }
 
 TEST(ThreadPool, GlobalPoolResizable) {
