@@ -8,7 +8,6 @@
 //
 //   fused 1t: fused dequantize×dot fast path, allocation-free decode loop
 //   fused Nt: same with GEMV rows / attention heads across a worker pool
-//   packed  : fused 4 threads over the 4-bit bus-word streams
 //
 // Each row is the median of kReps runs (the configurations take turns, one
 // run each per round, so drift on a shared host hits every row alike), with
@@ -16,11 +15,11 @@
 // median: micro's runs last a few ms, and two single 1-thread runs on one
 // 4-core host read 2567 and 3570 tok/s.
 //
-// It is also a parity gate: the thread and packed-walk contracts make every
-// row's logits bit-identical, so a run whose hash over every logit's bits
-// differs from the 1-thread row's fails the run (exit 1).
+// It is also a parity gate: the thread contract makes every row's logits
+// bit-identical, so a run whose hash over every logit's bits differs from the
+// 1-thread row's fails the run (exit 1).
 //
-// Each fused row also reports its weight walk rate — weight bytes per token
+// Each row also reports its weight walk rate — weight bytes per token
 // (1 B per code, the fp16 scale and the zero per group) × token/s — and
 // host_bw_util, that rate over a STREAM-style read peak measured at the same
 // thread count over a buffer the size of those weight bytes. The walk rate
@@ -215,10 +214,6 @@ int main(int argc, char** argv) {
         rows.push_back(
             {"fused, " + std::to_string(t) + " threads", "fused_" + std::to_string(t) + "t", o});
     }
-    model::EngineOptions packed = fused1;
-    packed.threads = 4;
-    packed.packed_weights = true;
-    rows.push_back({"fused, packed, 4 threads", "fused_packed_4t", packed});
 
     for (int rep = 0; rep < kReps; ++rep) {
         for (Row& row : rows) {
@@ -253,7 +248,7 @@ int main(int argc, char** argv) {
             }
         }
     }
-    std::printf("(walk GB/s counts 1 B per code; the packed row reads half the code bytes)\n");
+    std::printf("(walk GB/s counts 1 B per code)\n");
 
     // The simulated KV260 rate the host baseline is measured against.
     accel::DecodeCycleModel sim(cfg, model::QuantScheme::w4a16_kv8(), accel::AccelConfig{});

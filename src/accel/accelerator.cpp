@@ -330,18 +330,11 @@ void Accelerator::decode_batch(std::span<const std::int32_t> tokens,
     const auto t1 = std::chrono::steady_clock::now();
 
     last_cost_.wall_ns = std::chrono::duration<double, std::nano>(t1 - t0).count();
-    if (opts_.collect_timing) {
-        const TokenTiming timing = timing_.batch_timing(ctx_scratch_);
-        last_cost_.simulated_ns = timing.total_ns;
-        last_cost_.sim_mem_bound_ns = timing.mem_bound_ns;
-        last_cost_.sim_compute_ns = timing.spu_exposed_ns;
-        last_cost_.sim_overhead_ns = timing.overhead_ns;
-    } else {
-        last_cost_.simulated_ns = 0.0;
-        last_cost_.sim_mem_bound_ns = 0.0;
-        last_cost_.sim_compute_ns = 0.0;
-        last_cost_.sim_overhead_ns = 0.0;
-    }
+    const TokenTiming timing = timing_.batch_timing(ctx_scratch_);
+    last_cost_.simulated_ns = timing.total_ns;
+    last_cost_.sim_mem_bound_ns = timing.mem_bound_ns;
+    last_cost_.sim_compute_ns = timing.spu_exposed_ns;
+    last_cost_.sim_overhead_ns = timing.overhead_ns;
     last_cost_.weight_walks = 1.0;  // one streaming pass over the weights per step
 }
 

@@ -60,7 +60,6 @@ namespace efld::accel {
 struct AcceleratorOptions {
     AccelConfig accel{};
     memsim::MemorySystemConfig mem = memsim::MemorySystemConfig::kv260();
-    bool collect_timing = true;  // disable to run functional-only (faster)
     // Concurrent KV session slots (DecodeBackend), each with its own arena
     // sequence, position, and scale-zero FIFO.
     std::size_t max_batch = 1;

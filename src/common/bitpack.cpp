@@ -38,22 +38,6 @@ void Word512::set_word32(std::size_t i, std::uint32_t v) noexcept {
     lane = (lane & ~(0xFFFF'FFFFull << shift)) | (static_cast<std::uint64_t>(v) << shift);
 }
 
-std::vector<Word512> pack_nibbles(std::span<const std::uint8_t> values) {
-    std::vector<Word512> words(div_ceil(values.size(), kNibblesPerWord));
-    for (std::size_t i = 0; i < values.size(); ++i) {
-        words[i / kNibblesPerWord].set_nibble(i % kNibblesPerWord, values[i]);
-    }
-    return words;
-}
-
-std::vector<std::uint8_t> unpack_nibbles(std::span<const Word512> words, std::size_t count) {
-    std::vector<std::uint8_t> out(count);
-    for (std::size_t i = 0; i < count; ++i) {
-        out[i] = words[i / kNibblesPerWord].nibble(i % kNibblesPerWord);
-    }
-    return out;
-}
-
 std::vector<Word512> pack_halfs(std::span<const Fp16> values) {
     std::vector<Word512> words(div_ceil(values.size(), kHalfsPerWord));
     for (std::size_t i = 0; i < values.size(); ++i) {

@@ -1,4 +1,4 @@
-// 512-bit bus words and nibble packing.
+// 512-bit bus words and their nibble, byte, half and u32 lanes.
 //
 // The accelerator moves data over a 512-bit stream (4 × 128-bit AXI ports
 // concatenated). Word512 is the unit of every transaction in the simulator:
@@ -49,14 +49,6 @@ struct Word512 {
     [[nodiscard]] std::uint32_t word32(std::size_t i) const noexcept;
     void set_word32(std::size_t i, std::uint32_t v) noexcept;
 };
-
-// Packs `values.size()` nibbles (low 4 bits of each byte) into bus words,
-// padding the tail word with zeros. One word per 128 values.
-[[nodiscard]] std::vector<Word512> pack_nibbles(std::span<const std::uint8_t> values);
-
-// Inverse of pack_nibbles; `count` selects how many leading nibbles are valid.
-[[nodiscard]] std::vector<std::uint8_t> unpack_nibbles(std::span<const Word512> words,
-                                                       std::size_t count);
 
 // Packs fp16 values, 32 per word.
 [[nodiscard]] std::vector<Word512> pack_halfs(std::span<const Fp16> values);

@@ -100,26 +100,6 @@ void ReferenceEngine::init_scratch() {
         kv_page_.resize(mb * cfg_.n_kv_heads * kv_->pool().page_tokens() *
                         cfg_.head_dim());
     }
-
-    if (opts_.packed_weights) {
-        check(qw_ != nullptr, "ReferenceEngine: packed_weights needs quantized weights");
-        check(qw_->quant_config.bits == 4,
-              "ReferenceEngine: packed_weights needs 4-bit codes");
-        packed_.resize(cfg_.n_layers * 7 + 1);
-        for (std::size_t layer = 0; layer < cfg_.n_layers; ++layer) {
-            for (int which = kWq; which <= kWDown; ++which) {
-                packed_[layer * 7 + static_cast<std::size_t>(which)] =
-                    quant_proj(*qw_, layer, which).pack_codes();
-            }
-        }
-        packed_[cfg_.n_layers * 7] = qw_->lm_head.pack_codes();
-    }
-}
-
-const std::vector<Word512>& ReferenceEngine::packed_stream(std::size_t layer,
-                                                           int which) const {
-    return which == kLmHead ? packed_[cfg_.n_layers * 7]
-                            : packed_[layer * 7 + static_cast<std::size_t>(which)];
 }
 
 void ReferenceEngine::reset() {
@@ -168,12 +148,7 @@ void ReferenceEngine::proj(std::size_t layer, int which, std::size_t nb,
             }
         }
     } else {
-        const quant::QuantizedLinear& m = quant_proj(*qw_, layer, which);
-        if (opts_.packed_weights) {
-            m.gemm_packed(packed_stream(layer, which), x, nb, y, pool());
-        } else {
-            m.gemm(x, nb, y, pool());
-        }
+        quant_proj(*qw_, layer, which).gemm(x, nb, y, pool());
     }
 }
 

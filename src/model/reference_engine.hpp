@@ -72,16 +72,13 @@ struct EngineOptions {
     // 1 = fully single-threaded; N > 1 = private worker pool of N; 0 = borrow
     // the process-wide ThreadPool::global() (sized by
     // ThreadPool::set_global_threads).
-    // A private pool wider than the machine is rejected at construction —
-    // oversubscription only adds context switches; borrow the global pool for
-    // process-wide sizing instead.
+    // A private pool may be wider than the machine (its idle workers park at
+    // once instead of spinning); one wider than max(4, 4 x hardware threads)
+    // is rejected at construction as a garbage value — borrow the global pool
+    // for process-wide sizing instead.
     std::size_t threads = 1;
     // Concurrent session slots (KV histories + positions) for decode_batch.
     std::size_t max_batch = 1;
-    // Walk projections through the packed 4-bit bus streams (pack_codes) the
-    // way the hardware does, instead of the byte-per-code functional storage.
-    // Requires quantized weights with 4-bit codes. Bit-for-bit identical.
-    bool packed_weights = false;
     // Tokens per page of the kvpool arena every slot's KV lives in: slots take
     // pages as their history grows and return them on release, so aggregate
     // KV capacity is the POOL size, not max_batch x max_seq_len. Logits do not
@@ -96,7 +93,7 @@ struct EngineOptions {
 
 // Throws std::invalid_argument on option combinations that would silently
 // misbehave: max_batch == 0 (no session slots) or a private thread pool wider
-// than the hardware. Called by the engine constructor; exposed so serving
+// than max(4, 4 x hardware threads). Called by the engine constructor; exposed so serving
 // layers can validate before building anything expensive.
 void validate(const EngineOptions& opts);
 
@@ -220,12 +217,6 @@ private:
 
     std::unique_ptr<ThreadPool> pool_;  // only when opts_.threads > 1
     RopeTable rope_;                    // per-position sin/cos, built once
-
-    // Packed 4-bit bus streams, one per projection, built at construction
-    // when packed_weights is set (index layer * 7 + which; lm_head last).
-    std::vector<std::vector<Word512>> packed_;
-    [[nodiscard]] const std::vector<Word512>& packed_stream(std::size_t layer,
-                                                            int which) const;
 
     // Scratch buffers reused across steps, one row per fed token (no per-step
     // allocation): row_cap_ = max(max_batch, max_feed_tokens()) rows, the

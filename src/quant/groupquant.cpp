@@ -28,7 +28,6 @@ inline float lane_tree_sum(const Lanes8& p) noexcept {
 #define EFLD_GEMV_VECTOR 1
 typedef float Lanes __attribute__((vector_size(kGemvLanes * sizeof(float))));
 typedef std::int32_t LanesI __attribute__((vector_size(kGemvLanes * sizeof(std::int32_t))));
-typedef std::uint32_t LanesU __attribute__((vector_size(kGemvLanes * sizeof(std::uint32_t))));
 #else
 struct Lanes {
     float v[kGemvLanes] = {};
@@ -52,66 +51,22 @@ inline Lanes load_lanes(const float* p) noexcept {
     return v;
 }
 
-// Code loaders. load() yields the centered codes float(code - z) of kStep
-// consecutive weights of row r from column c on, as kStep / kGemvLanes lane
-// vectors in element order; code() is one raw code, for group tails.
-
-// One byte per code (QuantizedLinear::codes()).
-struct ByteCodes {
-    static constexpr std::size_t kStep = kGemvLanes;
-    const std::uint8_t* codes;
-    std::size_t cols;
-
-    [[nodiscard]] int code(std::size_t r, std::size_t c) const noexcept {
-        return codes[r * cols + c];
-    }
-    void load(std::size_t r, std::size_t c, int z, Lanes* d) const noexcept {
+// float(code - z) of the kGemvLanes byte codes from b on, one per lane.
+inline Lanes centered_codes(const std::uint8_t* b, int z) noexcept {
 #if EFLD_GEMV_VECTOR
-        const std::uint8_t* b = codes + r * cols + c;
-        const LanesI ci = {b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]};
-        d[0] = __builtin_convertvector(ci - z, Lanes);
+    const LanesI ci = {b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]};
+    return __builtin_convertvector(ci - z, Lanes);
 #else
-        for (std::size_t l = 0; l < kGemvLanes; ++l) {
-            d[0][l] = static_cast<float>(code(r, c + l) - z);
-        }
+    Lanes d;
+    for (std::size_t l = 0; l < kGemvLanes; ++l) d[l] = static_cast<float>(b[l] - z);
+    return d;
 #endif
-    }
-};
-
-// The packed nibble stream (pack_codes()): 16 codes per 64-bit word lane,
-// element e at bits 4e. Row and group starts are lane aligned (cols is a
-// multiple of group_size, group_size a multiple of 16).
-struct NibbleCodes {
-    static constexpr std::size_t kStep = 16;
-    const Word512* words;
-    std::size_t cols;
-
-    [[nodiscard]] int code(std::size_t r, std::size_t c) const noexcept {
-        const std::size_t nib = r * cols + c;
-        return words[nib / kNibblesPerWord].nibble(nib % kNibblesPerWord);
-    }
-    void load(std::size_t r, std::size_t c, int z, Lanes* d) const noexcept {
-        const std::size_t nib = r * cols + c;
-        const std::uint64_t lane = words[nib / kNibblesPerWord].lanes[(nib / 16) % 8];
-#if EFLD_GEMV_VECTOR
-        // Broadcast each 32-bit half and shift every lane by its own amount.
-        const LanesU shift = {0, 4, 8, 12, 16, 20, 24, 28};
-        const LanesU lo = (LanesU{} + static_cast<std::uint32_t>(lane)) >> shift;
-        const LanesU hi = (LanesU{} + static_cast<std::uint32_t>(lane >> 32)) >> shift;
-        d[0] = __builtin_convertvector(__builtin_convertvector(lo & 0xFu, LanesI) - z, Lanes);
-        d[1] = __builtin_convertvector(__builtin_convertvector(hi & 0xFu, LanesI) - z, Lanes);
-#else
-        for (std::size_t e = 0; e < kStep; ++e) {
-            d[e / kGemvLanes][e % kGemvLanes] =
-                static_cast<float>(static_cast<int>((lane >> (4 * e)) & 0xFu) - z);
-        }
-#endif
-    }
-};
+}
 
 // One gemm call as the tile sees it: weights, shapes, and the current column
 // tile (column b of x at x + b * cols, its outputs at y + b * rows).
 struct TileArgs {
+    const std::uint8_t* codes;
     const Fp16* scales;
     const std::uint8_t* zeros;
     std::size_t rows, cols, gs;
@@ -123,37 +78,33 @@ struct TileArgs {
 // One code decode feeds all NB columns, and the R * NB partial-lane vectors
 // are independent add chains, so their latencies overlap. Every (row,
 // column) still runs the contract recipe on its own accumulators.
-template <std::size_t R, std::size_t NB, class Codes>
-void tile(const Codes& w, const TileArgs& t, std::size_t r0) {
-    constexpr std::size_t kVecs = Codes::kStep / kGemvLanes;
+template <std::size_t R, std::size_t NB>
+void tile(const TileArgs& t, std::size_t r0) {
     const std::size_t gpr = t.cols / t.gs;
     float acc[R][NB] = {};
     for (std::size_t g = 0; g < gpr; ++g) {
         const std::size_t c0 = g * t.gs;
+        const std::uint8_t* row[R] = {};
         int z[R] = {};
-        for (std::size_t r = 0; r < R; ++r) z[r] = t.zeros[(r0 + r) * gpr + g];
+        for (std::size_t r = 0; r < R; ++r) {
+            row[r] = t.codes + (r0 + r) * t.cols + c0;
+            z[r] = t.zeros[(r0 + r) * gpr + g];
+        }
         Lanes p[R][NB] = {};
         std::size_t i = 0;
-        for (; i + Codes::kStep <= t.gs; i += Codes::kStep) {
-            Lanes xv[NB][kVecs];
-            for (std::size_t b = 0; b < NB; ++b) {
-                for (std::size_t k = 0; k < kVecs; ++k) {
-                    xv[b][k] = load_lanes(t.x + b * t.cols + c0 + i + k * kGemvLanes);
-                }
-            }
+        for (; i + kGemvLanes <= t.gs; i += kGemvLanes) {
+            Lanes xv[NB];
+            for (std::size_t b = 0; b < NB; ++b) xv[b] = load_lanes(t.x + b * t.cols + c0 + i);
             for (std::size_t r = 0; r < R; ++r) {
-                Lanes d[kVecs];
-                w.load(r0 + r, c0 + i, z[r], d);
-                for (std::size_t b = 0; b < NB; ++b) {
-                    for (std::size_t k = 0; k < kVecs; ++k) p[r][b] += d[k] * xv[b][k];
-                }
+                const Lanes d = centered_codes(row[r] + i, z[r]);
+                for (std::size_t b = 0; b < NB; ++b) p[r][b] += d * xv[b];
             }
         }
-        // Group tail (byte codes, group_size % kGemvLanes != 0): the vector
-        // loop stopped on a lane boundary, so element i + l lands on lane l.
+        // Group tail (group_size % kGemvLanes != 0): the vector loop stopped
+        // on a lane boundary, so element i + l lands on lane l.
         for (std::size_t l = 0; l < kGemvLanes && i + l < t.gs; ++l) {
             for (std::size_t r = 0; r < R; ++r) {
-                const float d = static_cast<float>(w.code(r0 + r, c0 + i + l) - z[r]);
+                const float d = static_cast<float>(row[r][i + l] - z[r]);
                 for (std::size_t b = 0; b < NB; ++b) {
                     p[r][b][l] += d * t.x[b * t.cols + c0 + i + l];
                 }
@@ -171,32 +122,32 @@ void tile(const Codes& w, const TileArgs& t, std::size_t r0) {
 
 // Rows [row_begin, row_end) at NB columns: R-row blocks, then single rows.
 // Fewer columns leave registers for more rows.
-template <std::size_t NB, class Codes>
-void tile_rows(const Codes& w, const TileArgs& t, std::size_t row_begin, std::size_t row_end) {
+template <std::size_t NB>
+void tile_rows(const TileArgs& t, std::size_t row_begin, std::size_t row_end) {
     constexpr std::size_t R = NB == 1 ? 4 : NB == 2 ? 2 : 1;
     std::size_t r = row_begin;
-    for (; r + R <= row_end; r += R) tile<R, NB>(w, t, r);
-    for (; r < row_end; ++r) tile<1, NB>(w, t, r);
+    for (; r + R <= row_end; r += R) tile<R, NB>(t, r);
+    for (; r < row_end; ++r) tile<1, NB>(t, r);
 }
 
 // Every gemm: batch columns in tiles of kGemmBatchTile, rows partitioned
 // across `pool` when one is given.
-template <class Codes>
-void gemm_tiles(const QuantizedLinear& q, const Codes& w, const float* x, std::size_t batch,
-                float* y, ThreadPool* pool) {
+void gemm_tiles(const QuantizedLinear& q, const float* x, std::size_t batch, float* y,
+                ThreadPool* pool) {
     const auto walk = [&](std::size_t row_begin, std::size_t row_end) {
         for (std::size_t bt = 0; bt < batch; bt += kGemmBatchTile) {
-            const TileArgs t{q.scales().data(), q.zeros().data(), q.rows(), q.cols(),
-                             q.config().group_size, x + bt * q.cols(), y + bt * q.rows()};
+            const TileArgs t{q.codes().data(), q.scales().data(), q.zeros().data(), q.rows(),
+                             q.cols(), q.config().group_size, x + bt * q.cols(),
+                             y + bt * q.rows()};
             switch (std::min(kGemmBatchTile, batch - bt)) {
-                case 1: tile_rows<1>(w, t, row_begin, row_end); break;
-                case 2: tile_rows<2>(w, t, row_begin, row_end); break;
-                case 3: tile_rows<3>(w, t, row_begin, row_end); break;
-                case 4: tile_rows<4>(w, t, row_begin, row_end); break;
-                case 5: tile_rows<5>(w, t, row_begin, row_end); break;
-                case 6: tile_rows<6>(w, t, row_begin, row_end); break;
-                case 7: tile_rows<7>(w, t, row_begin, row_end); break;
-                default: tile_rows<8>(w, t, row_begin, row_end); break;
+                case 1: tile_rows<1>(t, row_begin, row_end); break;
+                case 2: tile_rows<2>(t, row_begin, row_end); break;
+                case 3: tile_rows<3>(t, row_begin, row_end); break;
+                case 4: tile_rows<4>(t, row_begin, row_end); break;
+                case 5: tile_rows<5>(t, row_begin, row_end); break;
+                case 6: tile_rows<6>(t, row_begin, row_end); break;
+                case 7: tile_rows<7>(t, row_begin, row_end); break;
+                default: tile_rows<8>(t, row_begin, row_end); break;
             }
         }
     };
@@ -330,31 +281,7 @@ void QuantizedLinear::gemm(std::span<const float> x, std::size_t batch,
     check(batch > 0, "gemm: empty batch");
     check(x.size() == batch * cols_, "gemm: input size mismatch");
     check(y.size() == batch * rows_, "gemm: output size mismatch");
-    gemm_tiles(*this, ByteCodes{codes_.data(), cols_}, x.data(), batch, y.data(), pool);
-}
-
-std::vector<Word512> QuantizedLinear::pack_codes() const {
-    check(cfg_.bits == 4, "pack_codes: codes wider than a nibble");
-    return pack_nibbles(codes_);
-}
-
-void QuantizedLinear::gemv_packed(std::span<const Word512> packed,
-                                  std::span<const float> x, std::span<float> y,
-                                  ThreadPool* pool) const {
-    gemm_packed(packed, x, 1, y, pool);
-}
-
-void QuantizedLinear::gemm_packed(std::span<const Word512> packed,
-                                  std::span<const float> x, std::size_t batch,
-                                  std::span<float> y, ThreadPool* pool) const {
-    check(cfg_.bits == 4, "gemm_packed: codes wider than a nibble");
-    check(cfg_.group_size % 16 == 0, "gemm_packed: group_size must align to word lanes");
-    check(batch > 0, "gemm_packed: empty batch");
-    check(x.size() == batch * cols_, "gemm_packed: input size mismatch");
-    check(y.size() == batch * rows_, "gemm_packed: output size mismatch");
-    check(packed.size() == div_ceil(rows_ * cols_, kNibblesPerWord),
-          "gemm_packed: packed stream size mismatch");
-    gemm_tiles(*this, NibbleCodes{packed.data(), cols_}, x.data(), batch, y.data(), pool);
+    gemm_tiles(*this, x.data(), batch, y.data(), pool);
 }
 
 std::uint64_t QuantizedLinear::packed_bytes() const noexcept {

@@ -10,7 +10,6 @@
 #include <span>
 #include <vector>
 
-#include "common/bitpack.hpp"
 #include "common/fp16.hpp"
 
 namespace efld {
@@ -30,10 +29,9 @@ struct GroupQuantConfig {
 
 // GEMV accumulation contract ------------------------------------------------
 //
-// Every GEMV/GEMM in QuantizedLinear — the readable oracle and every fast path
-// (byte codes or packed nibbles, any batch, any thread pool) — performs the
-// exact same float operations in the same order, so their outputs are
-// bit-for-bit identical:
+// Every GEMV/GEMM in QuantizedLinear — the readable oracle and the fast path
+// at any batch and any thread pool — performs the exact same float
+// operations in the same order, so their outputs are bit-for-bit identical:
 //
 //   per row r and activation column b (each pair is independent; threading
 //   partitions rows):
@@ -60,9 +58,9 @@ inline constexpr std::size_t kGemvLanes = 8;
 // so the only way past the single-stream roofline is to amortize one weight
 // walk across more activations). At batch 1 the R rows' partial-lane chains
 // are independent and overlap, which is what keeps a single-stream walk off
-// the float-add latency. gemv is gemm at batch 1. Two code loaders feed the
-// tile: byte codes, and the packed nibble stream, unpacked 8 lanes at a time
-// by a vector shift-and-mask. Each group's fp16 scale is decoded inline.
+// the float-add latency. gemv is gemm at batch 1. The tile reads the byte
+// codes 8 lanes at a time (a group tail that is not a multiple of
+// kGemvLanes runs lane by lane); each group's fp16 scale is decoded inline.
 inline constexpr std::size_t kGemmBatchTile = 8;
 
 // A quantized linear layer y = W x, W of shape [rows, cols] (out, in).
@@ -96,17 +94,6 @@ public:
     void gemv(std::span<const float> x, std::span<float> y,
               ThreadPool* pool = nullptr) const;
 
-    // Bus-word form of the codes (bits must be 4): one Word512 per 128 codes,
-    // row-major, as pack_nibbles lays them out.
-    [[nodiscard]] std::vector<Word512> pack_codes() const;
-
-    // Fast path walking the packed nibble stream the way the hardware streams
-    // it (requires bits == 4 and group_size % 16 == 0 so groups align to the
-    // 64-bit word lanes); gemm_packed at batch 1. `packed` must come from
-    // pack_codes().
-    void gemv_packed(std::span<const Word512> packed, std::span<const float> x,
-                     std::span<float> y, ThreadPool* pool = nullptr) const;
-
     // Skinny GEMM: Y = W X for a block of `batch` activation vectors.
     // X is [batch][cols] row-major (each session's activation contiguous),
     // Y is [batch][rows] row-major. Bit-for-bit identical to `batch`
@@ -119,11 +106,6 @@ public:
     // The parity oracle for gemm: literally `batch` gemv_reference calls.
     void gemm_reference(std::span<const float> x, std::size_t batch,
                         std::span<float> y) const;
-
-    // gemm over the packed nibble stream (same preconditions as gemv_packed).
-    void gemm_packed(std::span<const Word512> packed, std::span<const float> x,
-                     std::size_t batch, std::span<float> y,
-                     ThreadPool* pool = nullptr) const;
 
     [[nodiscard]] std::size_t rows() const noexcept { return rows_; }
     [[nodiscard]] std::size_t cols() const noexcept { return cols_; }

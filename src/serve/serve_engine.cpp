@@ -20,7 +20,6 @@ model::EngineOptions engine_options(const ServeOptions& o) {
     e.kv_bits = o.kv_bits;
     e.threads = o.threads;
     e.max_batch = o.max_batch;
-    e.packed_weights = o.packed_weights;
     return e;
 }
 
@@ -37,10 +36,10 @@ void validate(const ServeOptions& o) {
         throw std::invalid_argument(
             "ServeOptions: paging needs kv_page_tokens >= 1");
     }
-    if (!o.paging && (o.kv_pool_pages != 0 || o.kv_pool_bytes != 0)) {
+    if (!o.paging && o.kv_pool_pages != 0) {
         throw std::invalid_argument(
-            "ServeOptions: kv_pool_pages/kv_pool_bytes have no effect without "
-            "paging (set paging = true)");
+            "ServeOptions: kv_pool_pages has no effect without paging (set "
+            "paging = true)");
     }
     if (o.prefix_sharing && !o.paging) {
         throw std::invalid_argument(
@@ -64,13 +63,10 @@ void ServeEngine::init_governor(const model::ModelConfig& cfg) {
     scheme.kv_bits = opts_.kv_bits;
     std::size_t pages = opts_.kv_pool_pages;
     if (pages == 0) {
-        // The pool's DDR budget: explicit, or whatever the KV260 plan leaves
-        // after the weights and the bare-metal firmware reservation.
-        std::uint64_t budget = opts_.kv_pool_bytes;
-        if (budget == 0) {
-            budget = kvpool::kv_budget_from_plan(
-                runtime::MemoryPlanner::plan_kv260(cfg, scheme));
-        }
+        // Whatever DDR the KV260 plan leaves after the weights and the
+        // bare-metal firmware reservation.
+        const std::uint64_t budget = kvpool::kv_budget_from_plan(
+            runtime::MemoryPlanner::plan_kv260(cfg, scheme));
         pages = kvpool::pages_for_budget(cfg, scheme, budget, opts_.kv_page_tokens);
     }
     check(pages > 0,
@@ -84,8 +80,6 @@ ServeEngine::ServeEngine(const model::QuantizedModelWeights& weights, ServeOptio
     : opts_(opts), queue_(opts.max_queue) {
     validate(opts_);
     if (opts_.paging) init_governor(weights.config);
-    accel::AcceleratorOptions accel_opts;
-    accel_opts.collect_timing = opts_.collect_timing;
     model::EngineOptions eo = engine_options(opts_);
     if (governor_ != nullptr) {
         // Either backend's paged arena and the governor's ledger budget the
@@ -93,7 +87,7 @@ ServeEngine::ServeEngine(const model::QuantizedModelWeights& weights, ServeOptio
         eo.kv_page_tokens = opts_.kv_page_tokens;
         eo.kv_pool_pages = governor_->total_pages();
     }
-    bundle_ = engine::make_backend(opts_.backend, weights, eo, accel_opts,
+    bundle_ = engine::make_backend(opts_.backend, weights, eo, {},
                                    opts_.fault_spec);
     backend_ = bundle_.backend.get();
     init();

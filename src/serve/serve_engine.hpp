@@ -90,16 +90,13 @@ struct ServeOptions {
     std::size_t max_queue = 64;       // pending requests before submit rejects
     bool use_kv8 = true;              // software twin of the deployed KV8 cache
     unsigned kv_bits = 8;
-    bool packed_weights = false;      // host: walk the 4-bit bus streams
     std::size_t threads = 1;          // engine worker pool (see EngineOptions)
-    bool collect_timing = true;       // accel: price steps via the cycle model
     // Paged KV pool + capacity-aware admission. Pool sizing precedence:
-    // kv_pool_pages if set; else kv_pool_bytes / page_bytes; else the KV260
-    // plan's post-weight DDR headroom (MemoryPlanner::plan_kv260).
+    // kv_pool_pages if set; else the KV260 plan's post-weight DDR headroom
+    // (MemoryPlanner::plan_kv260).
     bool paging = false;
     std::size_t kv_page_tokens = 16;  // page size (16 = pack-word aligned)
     std::size_t kv_pool_pages = 0;    // explicit pool size in pages
-    std::uint64_t kv_pool_bytes = 0;  // explicit DDR budget for the pool
     // Prefix sharing over the paged pool (requires paging; the one switch for
     // it — every paged backend keeps a prefix::PrefixStore, and only this
     // option makes the engine call it). Both backends share one page store

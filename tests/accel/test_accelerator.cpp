@@ -95,14 +95,6 @@ TEST(Accelerator, TimingAttachedToSteps) {
     EXPECT_GT(acc.last_step_cost().sim_mem_bound_ns, 0.0);  // the weight stream
 }
 
-TEST(Accelerator, TimingOptional) {
-    AcceleratorOptions opts;
-    opts.collect_timing = false;
-    Accelerator acc(micro_fixture().packed, opts);
-    (void)tests::SoloStream(acc).step(1);
-    EXPECT_EQ(acc.last_step_cost().simulated_ns, 0.0);
-}
-
 TEST(Accelerator, ScaleZeroFifoFollowsSchedule) {
     Accelerator acc(micro_fixture().packed);
     const auto& cfg = micro_fixture().packed.config;
@@ -143,7 +135,6 @@ TEST(Accelerator, GoldenBatchedLogitsHash) {
     // reduction order moves the hash.
     AcceleratorOptions opts;
     opts.max_batch = 4;
-    opts.collect_timing = false;
     Accelerator acc(micro_fixture().packed, opts);
     const std::size_t vocab = micro_fixture().packed.config.vocab_size;
     const std::vector<std::size_t> slots{0, 1, 2, 3};
@@ -179,7 +170,6 @@ TEST(Accelerator, BatchedLanesMatchSoloRuns) {
     for (const std::size_t page_tokens : {std::size_t{0}, std::size_t{16}}) {
         SCOPED_TRACE(page_tokens);
         AcceleratorOptions opts;
-        opts.collect_timing = false;
         opts.accel.kv_page_tokens = page_tokens;
         std::vector<std::unique_ptr<Accelerator>> solo;
         for (int s = 0; s < 4; ++s) solo.push_back(std::make_unique<Accelerator>(packed, opts));

@@ -1,4 +1,4 @@
-// Tests of the 512-bit bus word and nibble/half packing.
+// Tests of the 512-bit bus word's lanes and of half packing.
 #include <gtest/gtest.h>
 
 #include "common/bitpack.hpp"
@@ -64,24 +64,6 @@ TEST(Word512, LanesDoNotAlias) {
     EXPECT_EQ(w.byte(0), 0xAA);
     EXPECT_EQ(w.byte(1), 0xBB);
     EXPECT_EQ(w.byte(2), 0x05);
-}
-
-TEST(Pack, NibblesRoundTripExactMultiple) {
-    Xoshiro256 rng(1);
-    std::vector<std::uint8_t> vals(256);
-    for (auto& v : vals) v = static_cast<std::uint8_t>(rng.below(16));
-    const auto words = pack_nibbles(vals);
-    EXPECT_EQ(words.size(), 2u);
-    EXPECT_EQ(unpack_nibbles(words, vals.size()), vals);
-}
-
-TEST(Pack, NibblesRoundTripWithTail) {
-    std::vector<std::uint8_t> vals(150, 7);
-    const auto words = pack_nibbles(vals);
-    EXPECT_EQ(words.size(), 2u);  // 128 + 22 padded
-    EXPECT_EQ(unpack_nibbles(words, vals.size()), vals);
-    // Padding lanes are zero.
-    EXPECT_EQ(words[1].nibble(127), 0);
 }
 
 TEST(Pack, HalfsRoundTrip) {

@@ -94,26 +94,13 @@ TEST(EngineBatch, MatchesIndependentDecodes8BitWeights) {
     }
 }
 
-TEST(EngineBatch, MatchesIndependentDecodesPacked4BitWeights) {
+TEST(EngineBatch, MatchesIndependentDecodes4BitWeights) {
     for (const std::size_t batch : {1u, 2u, 4u, 8u}) {
         for (const std::size_t threads : {1u, 4u}) {
             expect_batch_matches_solo(
-                weights_w4(),
-                EngineOptions{.use_kv8 = true, .threads = threads, .packed_weights = true},
+                weights_w4(), EngineOptions{.use_kv8 = true, .threads = threads},
                 batch, 3);
         }
-    }
-}
-
-TEST(EngineBatch, PackedWalkIdenticalToByteCodeWalk) {
-    // The packed 4-bit bus stream and the byte-per-code storage follow the
-    // same accumulation contract, so whole-engine logits agree bit-for-bit.
-    ReferenceEngine bytes(weights_w4(), EngineOptions{.use_kv8 = true});
-    ReferenceEngine packed(weights_w4(),
-                           EngineOptions{.use_kv8 = true, .packed_weights = true});
-    tests::SoloStream sb(bytes), sp(packed);
-    for (const std::int32_t t : {1, 7, 30, 2, 99}) {
-        EXPECT_EQ(sb.step(t), sp.step(t)) << "token " << t;
     }
 }
 
@@ -233,37 +220,33 @@ TEST(EngineBatch, TileSpansMatchSoloAcrossThreadCounts) {
         }
     }
     const std::size_t vocab = gqa_cfg().vocab_size;
-    for (const bool packed : {false, true}) {
-        for (const std::size_t threads : {1u, 4u}) {
-            ReferenceEngine eng(weights_w4(),
-                                EngineOptions{.use_kv8 = true,
-                                              .threads = threads,
-                                              .max_batch = kSessions,
-                                              .packed_weights = packed});
-            std::vector<std::size_t> fed(kSessions, 0);
-            const std::vector<std::size_t> slots{0, 1, 2};
-            std::vector<float> logits(kSessions * vocab);
-            for (std::size_t i = 0; i < plan.size(); ++i) {
-                std::vector<std::int32_t> tokens;
-                for (std::size_t s = 0; s < kSessions; ++s) {
-                    for (std::size_t j = 0; j < plan[i][s]; ++j) {
-                        tokens.push_back(stream_token(s, fed[s]++));
-                    }
-                }
-                eng.decode_batch(tokens, slots, plan[i], logits);
-                for (std::size_t s = 0; s < kSessions; ++s) {
-                    const std::vector<float> got(logits.begin() + s * vocab,
-                                                 logits.begin() + (s + 1) * vocab);
-                    ASSERT_EQ(got, want[s][i]) << "session " << s << " step " << i
-                                               << " threads " << threads;
-                    ASSERT_EQ(eng.position(s), fed[s]);
+    for (const std::size_t threads : {1u, 4u}) {
+        ReferenceEngine eng(weights_w4(), EngineOptions{.use_kv8 = true,
+                                                        .threads = threads,
+                                                        .max_batch = kSessions});
+        std::vector<std::size_t> fed(kSessions, 0);
+        const std::vector<std::size_t> slots{0, 1, 2};
+        std::vector<float> logits(kSessions * vocab);
+        for (std::size_t i = 0; i < plan.size(); ++i) {
+            std::vector<std::int32_t> tokens;
+            for (std::size_t s = 0; s < kSessions; ++s) {
+                for (std::size_t j = 0; j < plan[i][s]; ++j) {
+                    tokens.push_back(stream_token(s, fed[s]++));
                 }
             }
-            // The last step held 33 rows, more than one pass's 16: three
-            // passes of 16, 16 and 1 rows, walking the weight codes 2 + 2 + 1
-            // times.
-            EXPECT_DOUBLE_EQ(eng.last_step_cost().weight_walks, 5.0);
+            eng.decode_batch(tokens, slots, plan[i], logits);
+            for (std::size_t s = 0; s < kSessions; ++s) {
+                const std::vector<float> got(logits.begin() + s * vocab,
+                                             logits.begin() + (s + 1) * vocab);
+                ASSERT_EQ(got, want[s][i]) << "session " << s << " step " << i
+                                           << " threads " << threads;
+                ASSERT_EQ(eng.position(s), fed[s]);
+            }
         }
+        // The last step held 33 rows, more than one pass's 16: three
+        // passes of 16, 16 and 1 rows, walking the weight codes 2 + 2 + 1
+        // times.
+        EXPECT_DOUBLE_EQ(eng.last_step_cost().weight_walks, 5.0);
     }
 }
 

@@ -97,69 +97,40 @@ TEST(GemmFused, ThreadedMatchesScalarBitForBit) {
     }
 }
 
-TEST(GemmFused, Packed4BitMatchesReferenceBitForBit) {
-    for (const std::size_t gs : {32u, 128u}) {
-        const QuantizedLinear q = make_layer(33, 256, 4, gs, 7 + gs);
-        const auto packed = q.pack_codes();
-        for (const std::size_t batch : {1u, 2u, 4u, 8u, 11u}) {
-            const auto x = random_floats(batch * 256, 8 + gs + batch, 1.0);
-            std::vector<float> want(batch * 33);
-            q.gemm_reference(x, batch, want);
-            std::vector<float> got(batch * 33, -1.0f);
-            q.gemm_packed(packed, x, batch, got);
-            EXPECT_EQ(got, want) << "gs=" << gs << " batch=" << batch;
-
-            ThreadPool pool(4);
-            std::vector<float> got_mt(batch * 33, -1.0f);
-            q.gemm_packed(packed, x, batch, got_mt, &pool);
-            EXPECT_EQ(got_mt, want) << "threaded, gs=" << gs << " batch=" << batch;
-        }
-    }
-}
-
-TEST(GemmFused, PackedBatch1IsIdenticalToGemvPacked) {
-    const QuantizedLinear q = make_layer(20, 384, 4, 128, 55);
-    const auto packed = q.pack_codes();
-    const auto x = random_floats(384, 56, 1.0);
-    std::vector<float> via_gemv(20, -1.0f), via_gemm(20, -2.0f);
-    q.gemv_packed(packed, x, via_gemv);
-    q.gemm_packed(packed, x, 1, via_gemm);
-    EXPECT_EQ(via_gemm, via_gemv);
-}
-
 TEST(GemmFused, EveryTileShapeMatchesReference) {
     // Batch 1..17 reaches every column-tile width (1..kGemmBatchTile) and
     // the wrap into a second tile; the row counts leave every row-block
-    // remainder; pools of 3 and 4 split rows at block-unaligned points.
+    // remainder; pools of 3 and 4 split rows at block-unaligned points. The
+    // 240-column shapes have group sizes that are not a multiple of
+    // kGemvLanes, so every group ends in the tile's lane-by-lane tail (a
+    // 4-weight group is all tail).
+    struct Shape {
+        std::size_t cols, gs, pools;  // pools: how many of {none, 3, 4}
+    };
+    const std::vector<Shape> shapes = {{256, 32, 3}, {256, 128, 3}, {240, 4, 2},
+                                       {240, 12, 2}, {240, 20, 2},  {240, 60, 2}};
     std::vector<std::unique_ptr<ThreadPool>> pools;
     pools.push_back(nullptr);
     pools.push_back(std::make_unique<ThreadPool>(3));
     pools.push_back(std::make_unique<ThreadPool>(4));
-    constexpr std::size_t cols = 256;
     std::uint64_t seed = 300;
     for (const unsigned bits : {2u, 4u, 8u}) {
-        for (const std::size_t gs : {32u, 128u}) {
+        for (const Shape& shape : shapes) {
+            const std::size_t cols = shape.cols;
             for (const std::size_t rows : {1u, 2u, 3u, 5u, 33u}) {
-                const QuantizedLinear q = make_layer(rows, cols, bits, gs, seed++);
-                const std::vector<Word512> packed =
-                    bits == 4 ? q.pack_codes() : std::vector<Word512>{};
+                const QuantizedLinear q = make_layer(rows, cols, bits, shape.gs, seed++);
                 for (std::size_t batch = 1; batch <= 17; ++batch) {
                     const auto x = random_floats(batch * cols, seed++, 1.0);
                     std::vector<float> want(batch * rows);
                     q.gemm_reference(x, batch, want);
-                    for (const auto& pool : pools) {
-                        const std::string where =
-                            "bits=" + std::to_string(bits) + " gs=" + std::to_string(gs) +
-                            " rows=" + std::to_string(rows) +
-                            " batch=" + std::to_string(batch) +
-                            " pool=" + std::to_string(pool ? pool->size() : 0);
+                    for (std::size_t p = 0; p < shape.pools; ++p) {
+                        ThreadPool* pool = pools[p].get();
                         std::vector<float> got(batch * rows, -1.0f);
-                        q.gemm(x, batch, got, pool.get());
-                        EXPECT_EQ(got, want) << where;
-                        if (bits != 4) continue;
-                        std::vector<float> got_packed(batch * rows, -1.0f);
-                        q.gemm_packed(packed, x, batch, got_packed, pool.get());
-                        EXPECT_EQ(got_packed, want) << "packed " << where;
+                        q.gemm(x, batch, got, pool);
+                        EXPECT_EQ(got, want)
+                            << "bits=" << bits << " cols=" << cols << " gs=" << shape.gs
+                            << " rows=" << rows << " batch=" << batch
+                            << " pool=" << (pool ? pool->size() : 0);
                     }
                 }
             }
@@ -198,30 +169,25 @@ std::vector<float> activations_with_zeros(std::size_t n, std::uint64_t seed) {
     return x;
 }
 
-// Every fast path (gemm and gemm_packed at several batches and with a pool,
-// gemv and gemv_packed) against gemm_reference, through `same`.
+// Every fast path (gemm at several batches and with a pool, and gemv)
+// against gemm_reference, through `same`.
 template <class Same>
 void check_every_path(const QuantizedLinear& q, std::uint64_t seed, Same same) {
     const std::size_t rows = q.rows(), cols = q.cols();
-    const auto packed = q.pack_codes();
     ThreadPool pool(3);
     for (const std::size_t batch : {1u, 2u, 5u, 8u, 11u}) {
         const auto x = activations_with_zeros(batch * cols, seed + batch);
         std::vector<float> want(batch * rows);
         q.gemm_reference(x, batch, want);
         for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-            std::vector<float> got(batch * rows), got_packed(batch * rows);
+            std::vector<float> got(batch * rows);
             q.gemm(x, batch, got, p);
-            q.gemm_packed(packed, x, batch, got_packed, p);
             same(got, want, "gemm batch " + std::to_string(batch));
-            same(got_packed, want, "gemm_packed batch " + std::to_string(batch));
         }
         if (batch != 1) continue;
-        std::vector<float> got(rows), got_packed(rows);
+        std::vector<float> got(rows);
         q.gemv(x, got);
-        q.gemv_packed(packed, x, got_packed);
         same(got, want, "gemv");
-        same(got_packed, want, "gemv_packed");
     }
 }
 
@@ -280,10 +246,6 @@ TEST(GemmFused, RejectsBadShapes) {
     EXPECT_THROW(q.gemm(x, 0, std::span<float>()), efld::Error);
     EXPECT_THROW(q.gemm(std::span<const float>(x).first(255), 2, y), efld::Error);
     EXPECT_THROW(q.gemm(x, 2, std::span<float>(y).first(7)), efld::Error);
-    const auto packed = q.pack_codes();
-    EXPECT_THROW(
-        q.gemm_packed(std::span<const Word512>(packed).first(0), x, 2, y),
-        efld::Error);
 }
 
 }  // namespace

@@ -84,28 +84,6 @@ TEST(GemvFused, ThreadCountNeverChangesResults) {
     }
 }
 
-TEST(GemvFused, Packed4BitMatchesReferenceBitForBit) {
-    for (const std::size_t gs : {32u, 64u, 128u}) {
-        for (const auto& [rows, cols] :
-             std::vector<std::pair<std::size_t, std::size_t>>{
-                 {5, 128}, {33, 256}, {96, 640}}) {
-            if (cols % gs != 0) continue;
-            const QuantizedLinear q = make_layer(rows, cols, 4, gs, 7 + gs);
-            const auto packed = q.pack_codes();
-            const auto x = random_floats(cols, 8 + gs, 1.0);
-            const std::vector<float> want = q.gemv_reference(x);
-            std::vector<float> got(rows, -1.0f);
-            q.gemv_packed(packed, x, got);
-            EXPECT_EQ(got, want) << "gs=" << gs << " " << rows << "x" << cols;
-
-            ThreadPool pool(4);
-            std::vector<float> got_mt(rows, -1.0f);
-            q.gemv_packed(packed, x, got_mt, &pool);
-            EXPECT_EQ(got_mt, want) << "threaded, gs=" << gs;
-        }
-    }
-}
-
 TEST(GemvFused, ReferenceStillMatchesDequantizedGemv) {
     // The rewritten oracle must still agree (to float tolerance) with a GEMV
     // over fully materialized weights — it changed accumulation structure,
@@ -128,18 +106,6 @@ TEST(GemvFused, SpanReferenceOverloadMatchesVectorForm) {
     std::vector<float> y(10, -1.0f);
     q.gemv_reference(x, y);
     EXPECT_EQ(y, q.gemv_reference(x));
-}
-
-TEST(GemvFused, PackedRejectsWideCodesAndBadStream) {
-    const QuantizedLinear q8 = make_layer(4, 128, 8, 64, 31);
-    EXPECT_THROW((void)q8.pack_codes(), efld::Error);
-
-    const QuantizedLinear q4 = make_layer(4, 128, 4, 64, 32);
-    const auto packed = q4.pack_codes();
-    const auto x = random_floats(128, 33, 1.0);
-    std::vector<float> y(4);
-    EXPECT_THROW(q4.gemv_packed(std::span<const Word512>(packed).first(1), x, y),
-                 efld::Error);
 }
 
 TEST(GemvFused, RejectsBadShapes) {

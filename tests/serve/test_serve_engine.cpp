@@ -39,8 +39,7 @@ std::vector<std::int32_t> solo_generate(const model::QuantizedModelWeights& qw,
     model::ByteTokenizer tok;
     OneTokenFeed eng(qw, {.use_kv8 = opts.use_kv8,
                           .kv_bits = opts.kv_bits,
-                          .threads = opts.threads,
-                          .packed_weights = opts.packed_weights});
+                          .threads = opts.threads});
     model::Sampler sampler(opts.sampler);
     return engine::generate(eng, eng.reserve_slot(), tok.encode(prompt), max_new, sampler,
                             model::ByteTokenizer::kEos)
@@ -108,25 +107,6 @@ TEST(ServeEngine, BatchSizeNeverChangesTokens) {
     }
     EXPECT_EQ(all[0], all[1]);
     EXPECT_EQ(all[0], all[2]);
-}
-
-TEST(ServeEngine, PackedWeightServingMatchesByteCodes) {
-    ServeOptions packed;
-    packed.max_batch = 2;
-    packed.packed_weights = true;
-    runtime::ServeDeployment dp = runtime::synthetic_serve(test_cfg(), 7, packed);
-
-    ServeOptions plain;
-    plain.max_batch = 2;
-    runtime::ServeDeployment db = runtime::synthetic_serve(test_cfg(), 7, plain);
-
-    auto fp = dp.engine->submit(Request{
-        .prompt = "packed parity", .max_new_tokens = 5});
-    auto fb = db.engine->submit(Request{
-        .prompt = "packed parity", .max_new_tokens = 5});
-    dp.engine->run_until_idle();
-    db.engine->run_until_idle();
-    EXPECT_EQ(fp.get().tokens, fb.get().tokens);
 }
 
 TEST(ServeEngine, PrefillTilesMatchTokenByTokenSoloRuns) {
