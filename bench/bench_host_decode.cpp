@@ -19,8 +19,9 @@
 // bit-identical, so a run whose hash over every logit's bits differs from the
 // 1-thread row's fails the run (exit 1).
 //
-// Each row also reports its weight walk rate — weight bytes per token
-// (1 B per code, the fp16 scale and the zero per group) × token/s — and
+// Each row also reports its weight walk rate — weight bytes per token (the
+// stored code bytes, half a byte per W4 code, plus the fp16 scale and the
+// zero per group) × token/s — and
 // host_bw_util, that rate over a STREAM-style read peak measured at the same
 // thread count over a buffer the size of those weight bytes. The walk rate
 // counts every decode op's time against the weights alone, so it is a floor
@@ -87,7 +88,8 @@ RunResult run_decode(const model::QuantizedModelWeights& qw, model::EngineOption
 }
 
 // Bytes of stored weights one decode token walks: every projection and the
-// LM head, at 1 B per code plus the fp16 scale and the zero per group.
+// LM head, its stored code bytes (two W4 codes per byte) plus the fp16 scale
+// and the zero byte per group.
 std::uint64_t walk_bytes(const model::QuantizedModelWeights& qw) {
     const auto bytes = [](const quant::QuantizedLinear& m) {
         return static_cast<std::uint64_t>(m.codes().size() + m.scales().size() * sizeof(Fp16) +
@@ -248,7 +250,7 @@ int main(int argc, char** argv) {
             }
         }
     }
-    std::printf("(walk GB/s counts 1 B per code)\n");
+    std::printf("(walk GB/s counts the stored bytes: 0.5 B per W4 code)\n");
 
     // The simulated KV260 rate the host baseline is measured against.
     accel::DecodeCycleModel sim(cfg, model::QuantScheme::w4a16_kv8(), accel::AccelConfig{});

@@ -64,6 +64,25 @@ void BM_PackedGemv(benchmark::State& state) {
 }
 BENCHMARK(BM_PackedGemv)->Arg(16)->Arg(64)->Arg(256);
 
+// The host W4 kernel on bench-m's FFN shape (2048 x 768, group 128), one
+// thread, at batch range(0): per-weight decode cost of the register tile.
+void BM_HostW4Gemm(benchmark::State& state) {
+    const std::size_t rows = 2048, cols = 768;
+    const auto batch = static_cast<std::size_t>(state.range(0));
+    Xoshiro256 rng(11);
+    std::vector<float> w(rows * cols), x(batch * cols), y(batch * rows);
+    for (auto& v : w) v = static_cast<float>(rng.gaussian(0.0, 0.05));
+    for (auto& v : x) v = static_cast<float>(rng.gaussian());
+    const auto q = quant::QuantizedLinear::quantize(w, rows, cols, {});
+    for (auto _ : state) {
+        q.gemm(x, batch, y);
+        benchmark::DoNotOptimize(y.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(rows * cols));
+}
+BENCHMARK(BM_HostW4Gemm)->Arg(1)->Arg(8);
+
 void BM_WeightPack(benchmark::State& state) {
     Xoshiro256 rng(6);
     std::vector<float> w(64 * 512);

@@ -19,7 +19,7 @@ class ThreadPool;
 namespace efld::quant {
 
 struct GroupQuantConfig {
-    std::size_t group_size = 128;  // weights per scale/zero group
+    std::size_t group_size = 128;  // weights per scale/zero group (even for bits <= 4)
     unsigned bits = 4;             // code width
 
     [[nodiscard]] std::uint8_t qmax() const noexcept {
@@ -43,6 +43,11 @@ struct GroupQuantConfig {
 //       acc += scale_g * group_dot
 //     y[r] = acc
 //
+// The fast path may produce float(code_i - zero) any exact way (with
+// AVX-512VL it looks the value up in a 16-entry table per group) and may form
+// group_dot with in-register lane shuffles, as long as every add keeps the
+// operands and order written above.
+//
 // The per-group form mirrors the VPU datapath: centered integer codes
 // accumulated against activations with a single scale multiply per group and
 // no materialized fp weights. The independent partial lanes are the adder-tree
@@ -58,14 +63,22 @@ inline constexpr std::size_t kGemvLanes = 8;
 // so the only way past the single-stream roofline is to amortize one weight
 // walk across more activations). At batch 1 the R rows' partial-lane chains
 // are independent and overlap, which is what keeps a single-stream walk off
-// the float-add latency. gemv is gemm at batch 1. The tile reads the byte
-// codes 8 lanes at a time (a group tail that is not a multiple of
-// kGemvLanes runs lane by lane); each group's fp16 scale is decoded inline.
+// the float-add latency. gemv is gemm at batch 1. The tile reads the codes
+// 8 lanes at a time (a group tail that is not a multiple of kGemvLanes runs
+// lane by lane); each group's fp16 scale is decoded inline. Nibble codes
+// (bits <= 4) are read one 32-bit word of 8 codes per step: each lane shifts
+// out its own nibble and, with AVX-512VL, picks float(code - zero) from a
+// per-(row, group) 16-entry table (the exact values the contract computes);
+// every other target subtracts and converts per lane.
 inline constexpr std::size_t kGemmBatchTile = 8;
 
 // A quantized linear layer y = W x, W of shape [rows, cols] (out, in).
-// Codes are stored one byte per weight for the functional model; the bus
-// format (weight_format.hpp) packs them to 4 bits.
+// Codes of bits <= 4 are stored two per byte in row-major element order,
+// element e in bits 4 * (e % 2) of byte e / 2; their group size must be even,
+// so every group starts on a byte and a 128-weight group is byte for byte its
+// Fig. 4A weight word (weight_format.hpp): the host walks the same half byte
+// per weight the bus moves. Wider codes (bits > 4) are stored one byte per
+// weight.
 class QuantizedLinear {
 public:
     QuantizedLinear() = default;
@@ -78,7 +91,7 @@ public:
     // Full dequantization to float (golden reference).
     [[nodiscard]] std::vector<float> dequantize() const;
 
-    // Dequantizes a single group (128 weights) into `out`.
+    // Dequantizes a single group (group_size weights) into `out`.
     void dequantize_group(std::size_t group_index, std::span<float> out) const;
 
     // Reference GEMV (the parity oracle): the contract above written as the
@@ -113,7 +126,13 @@ public:
     [[nodiscard]] std::size_t num_groups() const noexcept { return rows_ * groups_per_row(); }
     [[nodiscard]] const GroupQuantConfig& config() const noexcept { return cfg_; }
 
+    // The stored code bytes: two codes per byte for bits <= 4, else one.
     [[nodiscard]] std::span<const std::uint8_t> codes() const noexcept { return codes_; }
+    // The code of element i (row-major, i < rows * cols).
+    [[nodiscard]] std::uint8_t code(std::size_t i) const noexcept {
+        return cfg_.bits <= 4 ? static_cast<std::uint8_t>((codes_[i / 2] >> (4 * (i % 2))) & 0xFu)
+                              : codes_[i];
+    }
     [[nodiscard]] std::span<const Fp16> scales() const noexcept { return scales_; }
     [[nodiscard]] std::span<const std::uint8_t> zeros() const noexcept { return zeros_; }
 
@@ -125,7 +144,8 @@ public:
     // input.
     [[nodiscard]] std::uint64_t packed_bytes() const noexcept;
 
-    // Construction from raw parts (used by the format decoder and tests).
+    // Construction from raw parts (used by the format decoder and tests):
+    // one byte per code, rows * cols of them, each at most qmax.
     [[nodiscard]] static QuantizedLinear from_parts(std::vector<std::uint8_t> codes,
                                                     std::vector<Fp16> scales,
                                                     std::vector<std::uint8_t> zeros,
@@ -136,7 +156,7 @@ private:
     GroupQuantConfig cfg_;
     std::size_t rows_ = 0;
     std::size_t cols_ = 0;
-    std::vector<std::uint8_t> codes_;  // rows*cols, values in [0, qmax]
+    std::vector<std::uint8_t> codes_;  // see codes(); values in [0, qmax]
     std::vector<Fp16> scales_;         // one per group
     std::vector<std::uint8_t> zeros_;  // one per group, values in [0, qmax]
 };

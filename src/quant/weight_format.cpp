@@ -65,14 +65,11 @@ std::vector<Word512> pack_weight_stream(const QuantizedLinear& layer) {
             }
             words.push_back(scale_word);
 
+            // The layer stores each group's codes as its weight word's bytes.
             for (std::size_t i = 0; i < block; ++i) {
-                const std::size_t group = g + done + i;
+                const auto bytes = layer.codes().subspan((g + done + i) * kBusBytes, kBusBytes);
                 Word512 w{};
-                const auto codes = layer.codes().subspan(group * kFormatGroupSize,
-                                                         kFormatGroupSize);
-                for (std::size_t n = 0; n < kFormatGroupSize; ++n) {
-                    w.set_nibble(n, codes[n]);
-                }
+                for (std::size_t n = 0; n < kBusBytes; ++n) w.set_byte(n, bytes[n]);
                 words.push_back(w);
             }
             done += block;

@@ -43,7 +43,7 @@ std::vector<Fp16> oracle_gemv(const quant::QuantizedLinear& q, std::span<const F
             const float s = q.scale(g).to_float();
             std::vector<Fp16> prod(kVpuLanes);
             for (std::size_t i = 0; i < kVpuLanes; ++i) {
-                const int code = q.codes()[g * kVpuLanes + i];
+                const int code = q.code(g * kVpuLanes + i);
                 const Fp16 w = Fp16::from_float(static_cast<float>(code - q.zero(g)) * s);
                 prod[i] = w * x[gc * kVpuLanes + i];
             }

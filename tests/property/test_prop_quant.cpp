@@ -88,7 +88,7 @@ TEST_P(GroupQuantProperty, CodesAndZerosInRange) {
     cfg.bits = bits;
     const auto q = QuantizedLinear::quantize(w, rows, cols, cfg);
     const std::uint8_t qmax = cfg.qmax();
-    for (const auto c : q.codes()) ASSERT_LE(c, qmax);
+    for (std::size_t i = 0; i < rows * cols; ++i) ASSERT_LE(q.code(i), qmax);
     for (const auto z : q.zeros()) ASSERT_LE(z, qmax);
 }
 

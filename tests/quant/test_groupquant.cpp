@@ -20,7 +20,7 @@ std::vector<float> random_weights(std::size_t n, std::uint64_t seed, double scal
 TEST(GroupQuant, CodesWithinRange) {
     const auto w = random_weights(4 * 512, 1);
     const auto q = QuantizedLinear::quantize(w, 4, 512, GroupQuantConfig{});
-    for (const std::uint8_t c : q.codes()) EXPECT_LE(c, 15);
+    for (std::size_t i = 0; i < 4 * 512; ++i) EXPECT_LE(q.code(i), 15);
     for (const std::uint8_t z : q.zeros()) EXPECT_LE(z, 15);
 }
 
@@ -137,15 +137,83 @@ TEST(GroupQuant, RejectsMisalignedCols) {
                  efld::Error);
 }
 
+// One byte per code, as from_parts takes them.
+std::vector<std::uint8_t> byte_codes(const QuantizedLinear& q) {
+    std::vector<std::uint8_t> codes(q.rows() * q.cols());
+    for (std::size_t i = 0; i < codes.size(); ++i) codes[i] = q.code(i);
+    return codes;
+}
+
 TEST(GroupQuant, FromPartsRoundTrip) {
     const auto w = random_weights(2 * 256, 10);
     const auto q = QuantizedLinear::quantize(w, 2, 256, GroupQuantConfig{});
     const auto q2 = QuantizedLinear::from_parts(
-        std::vector<std::uint8_t>(q.codes().begin(), q.codes().end()),
-        std::vector<Fp16>(q.scales().begin(), q.scales().end()),
+        byte_codes(q), std::vector<Fp16>(q.scales().begin(), q.scales().end()),
         std::vector<std::uint8_t>(q.zeros().begin(), q.zeros().end()), 2, 256,
         q.config());
     EXPECT_EQ(q.dequantize(), q2.dequantize());
+}
+
+TEST(GroupQuant, FromPartsByteCodesRoundTripEveryWidth) {
+    // 3 x 12 weights in groups of 6: a group that is not a multiple of the
+    // 8-code word, so groups start mid-word at bits <= 4.
+    const std::size_t rows = 3, cols = 12, n = rows * cols;
+    efld::Xoshiro256 rng(11);
+    for (unsigned bits = 2; bits <= 8; ++bits) {
+        GroupQuantConfig cfg;
+        cfg.bits = bits;
+        cfg.group_size = 6;
+        const std::size_t groups = n / cfg.group_size;
+        std::vector<std::uint8_t> codes(n), zeros(groups);
+        std::vector<Fp16> scales(groups);
+        for (auto& c : codes) c = static_cast<std::uint8_t>(rng.below(cfg.qmax() + 1u));
+        for (auto& z : zeros) z = static_cast<std::uint8_t>(rng.below(cfg.qmax() + 1u));
+        for (auto& s : scales) s = Fp16::from_float(static_cast<float>(rng.uniform(0.01, 1.0)));
+        const auto q = QuantizedLinear::from_parts(codes, scales, zeros, rows, cols, cfg);
+
+        EXPECT_EQ(q.codes().size(), bits <= 4 ? n / 2 : n) << "bits=" << bits;
+        const auto back = q.dequantize();
+        for (std::size_t i = 0; i < n; ++i) {
+            ASSERT_EQ(q.code(i), codes[i]) << "bits=" << bits << " i=" << i;
+            const std::size_t g = i / cfg.group_size;
+            EXPECT_EQ(back[i], static_cast<float>(codes[i] - zeros[g]) * scales[g].to_float())
+                << "bits=" << bits << " i=" << i;
+        }
+        const auto again = QuantizedLinear::from_parts(byte_codes(q), scales, zeros, rows, cols,
+                                                       cfg);
+        EXPECT_EQ(again.dequantize(), back) << "bits=" << bits;
+    }
+}
+
+TEST(GroupQuant, OddGroupSizeNeedsByteCodes) {
+    // Two codes per byte need an even group, so every group starts on a byte.
+    GroupQuantConfig cfg;
+    cfg.group_size = 5;
+    const auto w = random_weights(2 * 15, 12);
+    for (unsigned bits = 2; bits <= 8; ++bits) {
+        cfg.bits = bits;
+        const std::vector<std::uint8_t> codes(30, 1), zeros(6, 0);
+        const std::vector<Fp16> scales(6, Fp16::from_float(1.0f));
+        if (bits <= 4) {
+            EXPECT_THROW((void)QuantizedLinear::quantize(w, 2, 15, cfg), efld::Error) << bits;
+            EXPECT_THROW((void)QuantizedLinear::from_parts(codes, scales, zeros, 2, 15, cfg),
+                         efld::Error)
+                << bits;
+        } else {
+            EXPECT_EQ(QuantizedLinear::quantize(w, 2, 15, cfg).codes().size(), 30u) << bits;
+            EXPECT_EQ(QuantizedLinear::from_parts(codes, scales, zeros, 2, 15, cfg).code(29), 1)
+                << bits;
+        }
+    }
+}
+
+TEST(GroupQuant, FromPartsRejectsCodesAboveQmax) {
+    GroupQuantConfig cfg;
+    cfg.group_size = 4;
+    std::vector<std::uint8_t> codes = {0, 15, 3, 16};
+    EXPECT_THROW((void)QuantizedLinear::from_parts(codes, {Fp16::from_float(1.0f)}, {0}, 1, 4,
+                                                   cfg),
+                 efld::Error);
 }
 
 }  // namespace

@@ -73,6 +73,19 @@ TEST(WeightFormat, PackUnpackRoundTripMultiChunk) {
     }
 }
 
+TEST(WeightFormat, PackedStreamPinned) {
+    // The stream's words for a seeded two-chunk layer, hashed (FNV-1a over
+    // every 64-bit lane): the value the one-byte-per-code packer produced,
+    // so copying stored weight words must keep every bit in its place.
+    const auto words = pack_weight_stream(random_layer(40, 512, 2));
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+    for (const auto& w : words) {
+        for (const std::uint64_t lane : w.lanes) hash = (hash ^ lane) * 0x100000001b3ull;
+    }
+    EXPECT_EQ(words.size(), 167u);
+    EXPECT_EQ(hash, 0x156fd308037a599aull);
+}
+
 TEST(WeightFormat, DecoderAttachesCorrectScaleZero) {
     const auto layer = random_layer(2, 128 * 40, 3);  // 80 groups
     const auto words = pack_weight_stream(layer);
@@ -82,9 +95,8 @@ TEST(WeightFormat, DecoderAttachesCorrectScaleZero) {
         if (const auto grp = dec.consume(w)) {
             EXPECT_EQ(grp->scale.bits(), layer.scale(g).bits()) << g;
             EXPECT_EQ(grp->zero, layer.zero(g)) << g;
-            const auto codes = layer.codes().subspan(g * 128, 128);
             for (std::size_t i = 0; i < 128; ++i) {
-                EXPECT_EQ(grp->codes.nibble(i), codes[i]);
+                EXPECT_EQ(grp->codes.nibble(i), layer.code(g * 128 + i));
             }
             ++g;
         }
