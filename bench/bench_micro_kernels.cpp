@@ -6,7 +6,9 @@
 #include "accel/spu_softmax.hpp"
 #include "accel/vpu.hpp"
 #include "common/rng.hpp"
+#include "kvpool/paged_kv_cache.hpp"
 #include "memsim/memory_system.hpp"
+#include "model/kernels.hpp"
 #include "quant/groupquant.hpp"
 #include "quant/kvquant.hpp"
 #include "quant/weight_format.hpp"
@@ -105,6 +107,59 @@ void BM_KvQuantize(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations() * 128);
 }
 BENCHMARK(BM_KvQuantize);
+
+// model::attention_paged over a bench-m KV8 arena (dim 768, 12 query heads
+// on 4 KV heads, head_dim 64, 16-token pages) at context range(0): one KV
+// head's 3 query heads for one row, each page dequantized into scratch as
+// ReferenceEngine reads it. The host's KV8 history walk per context token.
+void BM_Kv8PageWalk(benchmark::State& state) {
+    model::ModelConfig c;
+    c.name = "bench-m";
+    c.dim = 768;
+    c.n_layers = 8;
+    c.n_heads = 12;
+    c.n_kv_heads = 4;
+    c.hidden_dim = 2048;
+    c.vocab_size = 512;
+    c.max_seq_len = 1024;
+    const auto ctx = static_cast<std::size_t>(state.range(0));
+    const std::size_t hd = c.head_dim(), pt = 16, heads = c.n_heads / c.n_kv_heads;
+    kvpool::PagedQuantizedKvArena arena(c, kvpool::pool_config(c, 1, pt, 0));
+    const std::size_t seq = arena.create_sequence();
+    Xoshiro256 rng(12);
+    std::vector<float> k(c.kv_dim()), v(c.kv_dim());
+    for (std::size_t t = 0; t < ctx; ++t) {
+        for (std::size_t l = 0; l < c.n_layers; ++l) {
+            for (auto* x : {&k, &v}) {
+                for (auto& e : *x) e = static_cast<float>(rng.gaussian());
+            }
+            arena.append(seq, l, k, v);
+        }
+    }
+    std::vector<float> q(heads * hd), out(heads * hd), scores(heads * ctx), rows(pt * hd);
+    for (auto& e : q) e = static_cast<float>(rng.gaussian());
+    const model::PagedAttentionShape shape{
+        .rows = 1, .heads = heads, .head_dim = hd, .row_stride = c.dim, .ctx = ctx,
+        .page_tokens = pt};
+    const auto pages = [&](kvpool::KvPart part) {
+        return [&, part](std::size_t i) {
+            const kvpool::KvPage page = arena.page(seq, 0, 0, part, i);
+            for (std::size_t t = 0; t < page.rows(); ++t) {
+                quant::kv_dequantize_into(page.row(t), page.params[t],
+                                          std::span(rows).subspan(t * hd, hd));
+            }
+            return std::span<const float>(rows).first(page.rows() * hd);
+        };
+    };
+    for (auto _ : state) {
+        model::attention_paged(q, out, shape, pages(kvpool::KvPart::kKeys),
+                               pages(kvpool::KvPart::kValues), scores);
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(ctx));
+}
+BENCHMARK(BM_Kv8PageWalk)->Arg(64)->Arg(512);
 
 void BM_HwExp(benchmark::State& state) {
     const accel::HwExp hw;

@@ -58,8 +58,8 @@ Accelerator::Accelerator(const PackedModel& m, AcceleratorOptions opts)
     scores_.resize(c.max_seq_len);
     probs_.resize(c.max_seq_len);
     for (auto* v : {&q_head_, &kv_head_, &out_head_}) v->resize(c.head_dim());
-    kq_.resize(c.n_kv_heads);
-    vq_.resize(c.n_kv_heads);
+    k_row_.resize(c.kv_dim());
+    v_row_.resize(c.kv_dim());
 }
 
 void Accelerator::reset_session(std::size_t slot) {
@@ -106,18 +106,9 @@ std::size_t Accelerator::adopt_prefix(std::size_t slot,
     // Replay the adopted scale-zero packs through the slot's fresh FIFO in
     // prefill order, so it holds exactly what prefilling the covered tokens
     // would have left in it, partial last page included.
-    const model::ModelConfig& cfg = model_->config;
-    const std::size_t pt = kv_.pool().page_tokens();
     for (std::size_t tok = 0; tok < m.covered; ++tok) {
-        for (std::size_t layer = 0; layer < cfg.n_layers; ++layer) {
-            for (std::size_t h = 0; h < cfg.n_kv_heads; ++h) {
-                for (const kvpool::KvPart part :
-                     {kvpool::KvPart::kKeys, kvpool::KvPart::kValues}) {
-                    (void)sz_fifo_[slot].append(
-                        layer, h, part == kvpool::KvPart::kValues, tok,
-                        kv_.page(slot, layer, h, part, tok / pt)[tok % pt].params);
-                }
-            }
+        for (std::size_t layer = 0; layer < model_->config.n_layers; ++layer) {
+            push_packs(slot, layer, tok);
         }
     }
     pos_[slot] = m.covered;
@@ -184,31 +175,29 @@ void Accelerator::attend(std::size_t layer, std::size_t lane_idx, std::size_t sl
     for (std::size_t h = 0; h < cfg.n_heads; ++h) rope_.run(q.subspan(h * hd, hd), pos);
     for (std::size_t h = 0; h < cfg.n_kv_heads; ++h) rope_.run(k.subspan(h * hd, hd), pos);
 
-    // Online KV8 quantization; packs go through the Fig. 4B FIFO, codes
-    // through the serial-to-parallel unit (to DDR on the real device).
-    for (std::size_t h = 0; h < cfg.n_kv_heads; ++h) {
-        SpuQuant::Result qk = kv_quant_.run(k.subspan(h * hd, hd));
-        SpuQuant::Result qv = kv_quant_.run(v.subspan(h * hd, hd));
-        for (const std::uint8_t c : qk.codes) (void)s2p_.push_byte(c);
-        for (const std::uint8_t c : qv.codes) (void)s2p_.push_byte(c);
-        (void)sz_fifo_[slot].append(layer, h, false, pos, qk.params);
-        (void)sz_fifo_[slot].append(layer, h, true, pos, qv.params);
-        kq_[h] = std::move(qk);
-        vq_[h] = std::move(qv);
+    // Online KV8 quantization: the arena quantizes the token's K and V
+    // (exact fp16 values, so the float conversion is lossless) into its codes
+    // and packs regions, and the packs go through the Fig. 4B FIFO.
+    for (std::size_t i = 0; i < cfg.kv_dim(); ++i) {
+        k_row_[i] = k[i].to_float();
+        v_row_[i] = v[i].to_float();
     }
-    kv_.append_quantized(slot, layer, kq_, vq_);
+    kv_.append(slot, layer, k_row_, v_row_);
+    push_packs(slot, layer, pos);
 
     // Head-wise attention: history rows 0 .. pos - 1 stream in from the
-    // arena one page burst at a time, the current token's K/V used
-    // pre-quantization (they are still on chip — §V.A). Lanes are exact fp16
-    // floats and every multiply and add rounds once, as in the VPU.
+    // arena one page burst at a time and go through the DequantUnit, the
+    // current token's K/V used pre-quantization (they are still on chip —
+    // §V.A). Lanes are exact fp16 floats and every multiply and add rounds
+    // once, as in the VPU.
     const std::size_t pt = kv_.pool().page_tokens();
-    using quant::KvQuantized;
     const auto walk = [&](std::size_t kvh, kvpool::KvPart part, const auto& fn) {
         for (std::size_t t0 = 0; t0 < pos; t0 += pt) {
-            const std::span<const KvQuantized> page =
-                kv_.page(slot, layer, kvh, part, t0 / pt);
-            for (std::size_t t = t0; t < std::min(t0 + pt, pos); ++t) fn(t, page[t - t0]);
+            const kvpool::KvPage page = kv_.page(slot, layer, kvh, part, t0 / pt);
+            for (std::size_t t = t0; t < std::min(t0 + pt, pos); ++t) {
+                DequantUnit::run_kv(page.row(t - t0), page.params[t - t0], kv_head_);
+                fn(t);
+            }
         }
     };
     const Fp16 inv_sqrt_d = Fp16::from_float(1.0f / std::sqrt(static_cast<float>(hd)));
@@ -218,8 +207,7 @@ void Accelerator::attend(std::size_t layer, std::size_t lane_idx, std::size_t sl
         const std::size_t kvh = h / heads_per_kv;
         for (std::size_t i = 0; i < hd; ++i) q_head_[i] = q[h * hd + i].to_float();
 
-        walk(kvh, kvpool::KvPart::kKeys, [&](std::size_t t, const KvQuantized& e) {
-            DequantUnit::run_kv(e.codes, e.params, kv_head_);
+        walk(kvh, kvpool::KvPart::kKeys, [&](std::size_t t) {
             scores_[t] = Fp16::from_float(DotEngine::dot(q_head_, kv_head_)) * inv_sqrt_d;
         });
         for (std::size_t i = 0; i < hd; ++i) kv_head_[i] = k[kvh * hd + i].to_float();
@@ -236,13 +224,20 @@ void Accelerator::attend(std::size_t layer, std::size_t lane_idx, std::size_t sl
                 out_head_[i] = round_to_fp16(out_head_[i] + round_to_fp16(p * kv_head_[i]));
             }
         };
-        walk(kvh, kvpool::KvPart::kValues, [&](std::size_t t, const KvQuantized& e) {
-            DequantUnit::run_kv(e.codes, e.params, kv_head_);
-            accumulate(probs[t]);
-        });
+        walk(kvh, kvpool::KvPart::kValues, [&](std::size_t t) { accumulate(probs[t]); });
         for (std::size_t i = 0; i < hd; ++i) kv_head_[i] = v[kvh * hd + i].to_float();
         accumulate(probs[pos]);
         for (std::size_t i = 0; i < hd; ++i) att_out[h * hd + i] = Fp16::from_float(out_head_[i]);
+    }
+}
+
+void Accelerator::push_packs(std::size_t slot, std::size_t layer, std::size_t tok) {
+    const std::size_t pt = kv_.pool().page_tokens();
+    for (std::size_t h = 0; h < model_->config.n_kv_heads; ++h) {
+        for (const kvpool::KvPart part : {kvpool::KvPart::kKeys, kvpool::KvPart::kValues}) {
+            (void)sz_fifo_[slot].append(layer, h, part == kvpool::KvPart::kValues, tok,
+                                        kv_.page(slot, layer, h, part, tok / pt).params[tok % pt]);
+        }
     }
 }
 

@@ -20,10 +20,12 @@
 // bit-identical to one; the serving layer reports simulated KV260 serving
 // throughput, not just single-stream decode.
 //
-// KV storage: the slots' KV8 entries live in a kvpool::PagedQuantizedKvArena
+// KV storage: the slots' KV8 rows live in a kvpool::PagedQuantizedKvArena
 // (one sequence per slot), the same page store the host engine uses, so
-// both backends share its copy-on-write, cadence and pool-exhaustion rules.
-// Attention reads history through the slot's block table. Pages are
+// both backends share its quantizer and its copy-on-write, cadence and
+// pool-exhaustion rules. The arena quantizes each token's RoPE'd K and V into
+// its codes and packs regions, and the FIFO takes each pack from the stored
+// row. Attention reads history through the slot's block table. Pages are
 // AccelConfig::kv_page_tokens tokens, sized by kvpool::pool_config as on the
 // host (0 = its 16-token default), and the pool holds
 // AcceleratorOptions::kv_pool_pages of them.
@@ -43,8 +45,6 @@
 #include "accel/cycle_model.hpp"
 #include "accel/hw_exp.hpp"
 #include "accel/packed_model.hpp"
-#include "accel/serial_to_parallel.hpp"
-#include "accel/spu_quant.hpp"
 #include "accel/spu_rmsnorm.hpp"
 #include "accel/spu_rope.hpp"
 #include "accel/spu_silu.hpp"
@@ -137,6 +137,9 @@ private:
     // Lane `lane`'s per-session part of attention(): RoPE, KV8 quantize and
     // store into session `slot`, and head-wise attention into att_out_.
     void attend(std::size_t layer, std::size_t lane, std::size_t slot);
+    // Pushes token `tok`'s stored K and V packs for `layer` through the slot's
+    // scale-zero FIFO, head by head (keys before values).
+    void push_packs(std::size_t slot, std::size_t layer, std::size_t tok);
 
     const PackedModel* model_;
     AcceleratorOptions opts_;
@@ -147,14 +150,12 @@ private:
     SpuRmsNorm rms_;
     SpuSoftmax softmax_;
     SpuSilu silu_;
-    SpuQuant kv_quant_;
-    SerialToParallel s2p_;
     DotEngine vpu_;
     std::vector<quant::ScaleZeroFifo> sz_fifo_;  // one per session slot
 
     // Forward-pass scratch, sized once at construction so a step allocates
-    // only the KV entries it stores. fp16 vectors feed the SPUs and GEMVs;
-    // the float ones hold exact fp16 lanes for the attention dot products.
+    // none. fp16 vectors feed the SPUs and GEMVs; the float ones hold exact
+    // fp16 lanes for the KV store and the attention dot products.
     // Per-lane vectors are [max_batch][n]; attention scratch is single, since
     // lanes attend one after another.
     std::vector<Fp16> x_, xn_, q_, k_, v_, att_out_, proj_;  // [lane][dim / kv_dim]
@@ -162,7 +163,7 @@ private:
     std::vector<Fp16> logits_h_;                             // [lane][vocab_size]
     std::vector<Fp16> scores_, probs_;                       // max_seq_len
     std::vector<float> q_head_, kv_head_, out_head_;         // head_dim
-    std::vector<quant::KvQuantized> kq_, vq_;                // n_kv_heads
+    std::vector<float> k_row_, v_row_;                       // kv_dim
 
     std::vector<std::size_t> pos_;           // per session slot
     engine::SlotLedger slots_;               // DecodeBackend reservations

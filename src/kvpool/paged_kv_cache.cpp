@@ -1,11 +1,31 @@
 #include "kvpool/paged_kv_cache.hpp"
 
+#include <sys/mman.h>
+
 #include <algorithm>
-#include <utility>
+#include <new>
 
 #include "common/check.hpp"
 
 namespace efld::kvpool {
+
+namespace detail {
+
+void* map_zeroed(std::size_t bytes) {
+    if (bytes == 0) return nullptr;
+    // MAP_NORESERVE: a pool sized for the whole DDR budget commits swap for
+    // none of it; pages come into being as rows are written.
+    void* p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    if (p == MAP_FAILED) throw std::bad_alloc();
+    return p;
+}
+
+void unmap(void* p, std::size_t bytes) noexcept {
+    if (p != nullptr) (void)munmap(p, bytes);
+}
+
+}  // namespace detail
 
 KvPoolConfig pool_config(const model::ModelConfig& cfg, std::size_t max_batch,
                          std::size_t page_tokens, std::size_t n_pages) {
@@ -72,6 +92,7 @@ PagedArena::WriteSpan PagedArena::open_write(std::size_t seq, std::size_t layer,
                   "PagedArena: no free page for a copy-on-write divergence "
                   "(admission should have reserved it)");
             w.cow_source = c.old_page;
+            w.cow_page = c.new_page;
         }
         for (std::size_t t = 0; t < n; ++t) {
             check(pool_.append_token(seq), "PagedArena: KV pool exhausted");
@@ -84,12 +105,9 @@ PagedArena::WriteSpan PagedArena::open_write(std::size_t seq, std::size_t layer,
 }
 
 PagedKvArena::PagedKvArena(const model::ModelConfig& cfg, KvPoolConfig pool_cfg)
-    : PagedArena(cfg, pool_cfg) {
-    page_floats_ =
-        cfg_.n_layers * cfg_.n_kv_heads * pool_.page_tokens() * cfg_.head_dim();
-    k_.resize(pool_.pages_total() * page_floats_);
-    v_.resize(pool_.pages_total() * page_floats_);
-}
+    : PagedArena(cfg, pool_cfg),
+      k_(rows_total(), cfg_.head_dim()),
+      v_(rows_total(), cfg_.head_dim()) {}
 
 void PagedKvArena::append(std::size_t seq, std::size_t layer, std::span<const float> k,
                           std::span<const float> v) {
@@ -97,20 +115,14 @@ void PagedKvArena::append(std::size_t seq, std::size_t layer, std::span<const fl
     check(k.size() % kvd == 0 && v.size() == k.size(), "PagedKvArena: bad vector size");
     const std::size_t n = k.size() / kvd;
     const WriteSpan w = open_write(seq, layer, n);
-    if (w.cow_source != KvBlockPool::kNoPage) {
-        const std::size_t page = pool_.locate(seq, w.first).page;
-        std::copy_n(k_.data() + w.cow_source * page_floats_, page_floats_,
-                    k_.data() + page * page_floats_);
-        std::copy_n(v_.data() + w.cow_source * page_floats_, page_floats_,
-                    v_.data() + page * page_floats_);
-    }
+    copy_on_write(w, k_, v_);
     const std::size_t hd = cfg_.head_dim();
     for (std::size_t t = 0; t < n; ++t) {
         const KvBlockPool::PageSlot at = pool_.locate(seq, w.first + t);
         for (std::size_t h = 0; h < cfg_.n_kv_heads; ++h) {
-            const std::size_t off = row_index(at.page, layer, h, at.offset) * hd;
-            std::copy_n(k.data() + t * kvd + h * hd, hd, k_.data() + off);
-            std::copy_n(v.data() + t * kvd + h * hd, hd, v_.data() + off);
+            const std::size_t r = row_index(at.page, layer, h, at.offset);
+            std::copy_n(k.data() + t * kvd + h * hd, hd, k_.row(r).data());
+            std::copy_n(v.data() + t * kvd + h * hd, hd, v_.row(r).data());
         }
     }
 }
@@ -119,29 +131,17 @@ std::span<const float> PagedKvArena::page(std::size_t seq, std::size_t layer,
                                           std::size_t kv_head, KvPart part,
                                           std::size_t i) const {
     const PageRows p = page_rows(seq, layer, kv_head, i);
-    const std::vector<float>& store = part == KvPart::kKeys ? k_ : v_;
-    return {store.data() + p.first * cfg_.head_dim(), p.rows * cfg_.head_dim()};
+    return (part == KvPart::kKeys ? k_ : v_).rows(p.first, p.rows);
 }
 
 PagedQuantizedKvArena::PagedQuantizedKvArena(const model::ModelConfig& cfg,
                                              KvPoolConfig pool_cfg, unsigned kv_bits)
-    : PagedArena(cfg, pool_cfg), kv_bits_(kv_bits) {
-    const std::size_t entries_per_page =
-        cfg_.n_layers * cfg_.n_kv_heads * pool_.page_tokens();
-    k_.resize(pool_.pages_total() * entries_per_page);
-    v_.resize(pool_.pages_total() * entries_per_page);
-}
-
-void PagedQuantizedKvArena::copy_on_write(std::size_t seq, const WriteSpan& w) {
-    if (w.cow_source == KvBlockPool::kNoPage) return;
-    // Deep entry copies: the sharers keep their codes untouched.
-    const std::size_t page = pool_.locate(seq, w.first).page;
-    const std::size_t epp = cfg_.n_layers * cfg_.n_kv_heads * pool_.page_tokens();
-    for (std::size_t i = 0; i < epp; ++i) {
-        k_[page * epp + i] = k_[w.cow_source * epp + i];
-        v_[page * epp + i] = v_[w.cow_source * epp + i];
-    }
-}
+    : PagedArena(cfg, pool_cfg),
+      kv_bits_(kv_bits),
+      k_codes_(rows_total(), cfg_.head_dim()),
+      v_codes_(rows_total(), cfg_.head_dim()),
+      k_packs_(rows_total(), 1),
+      v_packs_(rows_total(), 1) {}
 
 void PagedQuantizedKvArena::append(std::size_t seq, std::size_t layer,
                                    std::span<const float> k, std::span<const float> v) {
@@ -150,39 +150,27 @@ void PagedQuantizedKvArena::append(std::size_t seq, std::size_t layer,
           "PagedQuantizedKvArena: bad vector size");
     const std::size_t n = k.size() / kvd;
     const WriteSpan w = open_write(seq, layer, n);
-    copy_on_write(seq, w);
+    copy_on_write(w, k_codes_, v_codes_, k_packs_, v_packs_);
     const std::size_t hd = cfg_.head_dim();
     for (std::size_t t = 0; t < n; ++t) {
         const KvBlockPool::PageSlot at = pool_.locate(seq, w.first + t);
         for (std::size_t h = 0; h < cfg_.n_kv_heads; ++h) {
             const std::size_t off = t * kvd + h * hd;
-            const std::size_t e = row_index(at.page, layer, h, at.offset);
-            quant::kv_quantize_bits_into(k.subspan(off, hd), kv_bits_, k_[e]);
-            quant::kv_quantize_bits_into(v.subspan(off, hd), kv_bits_, v_[e]);
+            const std::size_t r = row_index(at.page, layer, h, at.offset);
+            k_packs_.row(r)[0] =
+                quant::kv_quantize_bits_into(k.subspan(off, hd), kv_bits_, k_codes_.row(r));
+            v_packs_.row(r)[0] =
+                quant::kv_quantize_bits_into(v.subspan(off, hd), kv_bits_, v_codes_.row(r));
         }
     }
 }
 
-void PagedQuantizedKvArena::append_quantized(std::size_t seq, std::size_t layer,
-                                             std::span<quant::KvQuantized> k,
-                                             std::span<quant::KvQuantized> v) {
-    check(k.size() == cfg_.n_kv_heads && v.size() == cfg_.n_kv_heads,
-          "PagedQuantizedKvArena: need one entry per KV head");
-    const WriteSpan w = open_write(seq, layer, 1);
-    copy_on_write(seq, w);
-    const KvBlockPool::PageSlot at = pool_.locate(seq, w.first);
-    for (std::size_t h = 0; h < cfg_.n_kv_heads; ++h) {
-        std::swap(k_[row_index(at.page, layer, h, at.offset)], k[h]);
-        std::swap(v_[row_index(at.page, layer, h, at.offset)], v[h]);
-    }
-}
-
-std::span<const quant::KvQuantized> PagedQuantizedKvArena::page(
-    std::size_t seq, std::size_t layer, std::size_t kv_head, KvPart part,
-    std::size_t i) const {
+KvPage PagedQuantizedKvArena::page(std::size_t seq, std::size_t layer,
+                                   std::size_t kv_head, KvPart part, std::size_t i) const {
     const PageRows p = page_rows(seq, layer, kv_head, i);
-    const std::vector<quant::KvQuantized>& store = part == KvPart::kKeys ? k_ : v_;
-    return {store.data() + p.first, p.rows};
+    const bool keys = part == KvPart::kKeys;
+    return {.codes = (keys ? k_codes_ : v_codes_).rows(p.first, p.rows),
+            .params = (keys ? k_packs_ : v_packs_).rows(p.first, p.rows)};
 }
 
 }  // namespace efld::kvpool

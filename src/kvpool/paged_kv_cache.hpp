@@ -1,7 +1,7 @@
 // Physically paged KV storage: the KvBlockPool's block tables backed by real
 // page-resident slabs. These arenas are the only KV store either backend
 // uses: the host engine keeps its float or KV8 history in one of them in
-// every configuration, and the KV260 twin keeps its KV8 entries in the
+// every configuration, and the KV260 twin keeps its KV8 rows in the
 // quantized one.
 //
 // Two arenas mirror the two contiguous caches in model/kv_cache.hpp — float
@@ -10,22 +10,30 @@
 // owns only the pages its history actually fills, so the arena's footprint is
 // the pool budget, not sessions x context window.
 //
-// Within a page, a (layer, kv_head) keeps its page_tokens token rows
-// contiguous ([layer][kv_head][token_in_page][head_dim]), matching the MCU's
-// head-major DDR layout at page granularity: reading one head's history is
-// one burst per PAGE rather than one burst per sequence. The read path is
-// one page at a time, in place: `page` hands back the rows one (layer,
-// kv_head, keys or values) holds in the i-th page of a sequence's block
-// table, with no copy, and attention walks the block table page by page
-// (model::attention_paged on the host, Accelerator::attend on the twin).
-// Page rows hold each value verbatim, so walking them is bit-for-bit reading
-// the contiguous caches at every page size and span length — the parity
-// test_paged_kv_cache proves against them as oracles, and the reason an
-// engine's logits do not depend on its page size.
+// Storage is flat, as in the MCU's DDR map: each arena keeps its token rows
+// in slabs (RowSlab), one row per (page, layer, kv_head, token_in_page), in
+// that order, so a (layer, kv_head) keeps its page_tokens rows contiguous and
+// reading one head's history is one burst per PAGE rather than per sequence.
+// The float arena has a K and a V slab of head_dim floats per row; the KV8
+// arena has a K and a V codes slab (head_dim bytes per row, the codes region)
+// and a K and a V packs slab (one scale-zero pack per row, the packs region).
+// A slab is one anonymous mapping the OS zero-fills on first touch, so the
+// resident bytes follow the pages sequences fill, not the pool size.
+//
+// The read path is one page at a time, in place: `page` hands back the rows
+// one (layer, kv_head, keys or values) holds in the i-th page of a
+// sequence's block table, with no copy, and attention walks the block table
+// page by page (model::attention_paged on the host, Accelerator::attend on
+// the twin). Page rows hold each value verbatim, so walking them is
+// bit-for-bit reading the contiguous caches at every page size and span
+// length — the parity test_paged_kv_cache proves against them as oracles,
+// and the reason an engine's logits do not depend on its page size.
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "kvpool/kv_block_pool.hpp"
@@ -46,6 +54,64 @@ namespace efld::kvpool {
 
 // Which half of a (layer, kv_head)'s history a page read returns.
 enum class KvPart { kKeys, kValues };
+
+namespace detail {
+// A zero-filled anonymous mapping of `bytes` (nullptr for 0); throws
+// std::bad_alloc when the OS refuses it.
+[[nodiscard]] void* map_zeroed(std::size_t bytes);
+void unmap(void* p, std::size_t bytes) noexcept;
+}  // namespace detail
+
+// `rows` rows of `width` Ts in one anonymous private mapping, zero until
+// written. The OS backs a page of it only when a row on that page is first
+// touched, so an arena sized for the whole pool holds resident only the rows
+// its sequences write. Rows are copied as bytes (copy-on-write pages).
+template <class T>
+class RowSlab {
+    static_assert(std::is_trivially_copyable_v<T>);
+
+public:
+    RowSlab(std::size_t rows, std::size_t width)
+        : data_(static_cast<T*>(detail::map_zeroed(rows * width * sizeof(T)))),
+          bytes_(rows * width * sizeof(T)),
+          width_(width) {}
+    ~RowSlab() { detail::unmap(data_, bytes_); }
+    RowSlab(const RowSlab&) = delete;
+    RowSlab& operator=(const RowSlab&) = delete;
+
+    [[nodiscard]] std::span<T> rows(std::size_t first, std::size_t n) noexcept {
+        return {data_ + first * width_, n * width_};
+    }
+    [[nodiscard]] std::span<const T> rows(std::size_t first, std::size_t n) const noexcept {
+        return {data_ + first * width_, n * width_};
+    }
+    [[nodiscard]] std::span<T> row(std::size_t r) noexcept { return rows(r, 1); }
+
+    // Copies n rows starting at row `from` over the n rows starting at `to`
+    // (the ranges must not overlap).
+    void copy_rows(std::size_t from, std::size_t to, std::size_t n) noexcept {
+        std::memcpy(data_ + to * width_, data_ + from * width_, n * width_ * sizeof(T));
+    }
+
+private:
+    T* data_;
+    std::size_t bytes_;
+    std::size_t width_;
+};
+
+// One head's KV8 rows in one page, in place: rows x head_dim codes (the
+// codes region) and one scale-zero pack per row (the packs region).
+struct KvPage {
+    std::span<const std::uint8_t> codes;
+    std::span<const quant::KvQuantParams> params;
+
+    [[nodiscard]] std::size_t rows() const noexcept { return params.size(); }
+    // Row t's head_dim codes.
+    [[nodiscard]] std::span<const std::uint8_t> row(std::size_t t) const noexcept {
+        const std::size_t w = codes.size() / params.size();
+        return codes.subspan(t * w, w);
+    }
+};
 
 // What both arenas share: the pool, its block tables, and the append cadence
 // (model::SpanCadence, as in KvCache::append: all layers append the same
@@ -86,17 +152,36 @@ protected:
     // — the admission governor exists to make that unreachable for admitted
     // sequences. When the span starts in a page another holder still maps,
     // `seq` first gets a private page: cow_source is then the shared
-    // original, whose contents the caller copies into the span's first page
-    // before writing (only that page can be shared; later pages are fresh).
+    // original and cow_page the private copy, which copy_on_write fills
+    // before the caller writes (only that page can be shared; later pages
+    // are fresh).
     struct WriteSpan {
         std::size_t first = 0;
         std::size_t cow_source = KvBlockPool::kNoPage;
+        std::size_t cow_page = KvBlockPool::kNoPage;
     };
     [[nodiscard]] WriteSpan open_write(std::size_t seq, std::size_t layer,
                                        std::size_t n);
 
+    // Copies the shared page a span append diverged from into its private
+    // page, in every slab the arena keeps (a no-op when the write needed no
+    // copy-on-write).
+    template <class... Slab>
+    void copy_on_write(const WriteSpan& w, Slab&... slabs) const noexcept {
+        if (w.cow_source == KvBlockPool::kNoPage) return;
+        const std::size_t n = rows_per_page();
+        (slabs.copy_rows(w.cow_source * n, w.cow_page * n, n), ...);
+    }
+
     // Both arenas store token rows in [page][layer][kv_head][tok_in_page]
-    // order; this is a row's index in it.
+    // order; this is a row's index in it, and a page's rows are
+    // rows_per_page() consecutive indices.
+    [[nodiscard]] std::size_t rows_per_page() const noexcept {
+        return cfg_.n_layers * cfg_.n_kv_heads * pool_.page_tokens();
+    }
+    [[nodiscard]] std::size_t rows_total() const noexcept {
+        return pool_.pages_total() * rows_per_page();
+    }
     [[nodiscard]] std::size_t row_index(std::size_t page, std::size_t layer,
                                         std::size_t kv_head,
                                         std::size_t tok_in_page) const noexcept {
@@ -139,51 +224,34 @@ public:
                                               std::size_t i) const;
 
 private:
-    std::size_t page_floats_ = 0;  // floats per page slab (K or V)
-    std::vector<float> k_;         // [page][layer][kv_head][tok_in_page][head_dim]
-    std::vector<float> v_;
+    RowSlab<float> k_, v_;  // head_dim floats per row
 };
 
-// KV8 paged arena (deployed form): per-(token, head) code vectors + params,
-// page-resident like the codes/packs regions in DDR.
+// KV8 paged arena (deployed form): the codes and packs regions of DDR, one
+// codes row and one scale-zero pack per (token, layer, kv_head).
 class PagedQuantizedKvArena : public PagedArena {
 public:
     PagedQuantizedKvArena(const model::ModelConfig& cfg, KvPoolConfig pool_cfg,
                           unsigned kv_bits = 8);
 
     // Quantizes each head of a span of n >= 1 tokens' K and V (per-head
-    // params, like QuantizedKvCache; k and v hold n rows of kv_dim) and
-    // stores them in place, reusing the replaced entries' code buffers (no
-    // allocation in steady state).
+    // params, like QuantizedKvCache; k and v hold n rows of kv_dim) straight
+    // into its rows. Both backends quantize their KV here: the host its float
+    // K and V, the twin its fp16 lanes held exactly in floats.
     void append(std::size_t seq, std::size_t layer, std::span<const float> k,
                 std::span<const float> v);
 
-    // Stores one token's already-quantized K and V heads (n_kv_heads entries
-    // each) for `layer` — a one-token span. Entries are swapped in: k and v
-    // come back holding the entries they replaced, so a caller can reuse
-    // their code buffers.
-    void append_quantized(std::size_t seq, std::size_t layer,
-                          std::span<quant::KvQuantized> k,
-                          std::span<quant::KvQuantized> v);
-
-    // The stored entries of one head's keys or values in page i of seq's
-    // block table, in place (page_tokens entries, fewer in the last page), for
-    // readers that dequantize with their own datapath: the host with
+    // The stored rows of one head's keys or values in page i of seq's block
+    // table, in place (page_tokens rows, fewer in the last page), for readers
+    // that dequantize with their own datapath: the host with
     // quant::kv_dequantize_into, the twin with its DequantUnit.
-    [[nodiscard]] std::span<const quant::KvQuantized> page(std::size_t seq,
-                                                           std::size_t layer,
-                                                           std::size_t kv_head,
-                                                           KvPart part,
-                                                           std::size_t i) const;
+    [[nodiscard]] KvPage page(std::size_t seq, std::size_t layer, std::size_t kv_head,
+                              KvPart part, std::size_t i) const;
 
 private:
-    // Copies the shared page a span append diverged from into the span's
-    // first page (no-op when the write needed no copy-on-write).
-    void copy_on_write(std::size_t seq, const WriteSpan& w);
-
     unsigned kv_bits_ = 8;
-    std::vector<quant::KvQuantized> k_;  // [page][layer][kv_head][tok_in_page]
-    std::vector<quant::KvQuantized> v_;
+    RowSlab<std::uint8_t> k_codes_, v_codes_;         // head_dim codes per row
+    RowSlab<quant::KvQuantParams> k_packs_, v_packs_;  // one pack per row
 };
 
 }  // namespace efld::kvpool

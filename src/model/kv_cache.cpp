@@ -77,15 +77,19 @@ void QuantizedKvCache::append(std::size_t layer, std::span<const float> k,
     (void)cadence_.opens(n);
     check(len_ + n <= cfg_.max_seq_len, "QuantizedKvCache: capacity exceeded");
     const std::size_t hd = cfg_.head_dim();
+    // Quantized in place, reusing the entry's code buffer.
+    const auto store = [&](std::span<const float> x, quant::KvQuantized& e) {
+        e.codes.resize(hd);
+        e.params = quant::kv_quantize_bits_into(x, kv_bits_, e.codes);
+    };
     for (std::size_t t = 0; t < n; ++t) {
         for (std::size_t h = 0; h < cfg_.n_kv_heads; ++h) {
             // Per-head quantization: one scale-zero pack per head per token,
-            // the granularity the SPU quantizer and the Fig. 4B FIFO operate
-            // at. Quantized in place, reusing the entry's code buffer.
+            // the granularity the paged arena and the Fig. 4B FIFO use.
             const std::size_t off = t * kvd + h * hd;
             const std::size_t e = slot(layer, len_ + t, h);
-            quant::kv_quantize_bits_into(k.subspan(off, hd), kv_bits_, k_[e]);
-            quant::kv_quantize_bits_into(v.subspan(off, hd), kv_bits_, v_[e]);
+            store(k.subspan(off, hd), k_[e]);
+            store(v.subspan(off, hd), v_[e]);
         }
     }
     if (cadence_.advance(n, cfg_.n_layers)) len_ += n;

@@ -46,6 +46,11 @@ void validate(const EngineOptions& opts) {
     if (opts.max_batch == 0) {
         throw std::invalid_argument("EngineOptions: max_batch must be >= 1");
     }
+    if (opts.use_kv8 && (opts.kv_bits < 2 || opts.kv_bits > 8)) {
+        throw std::invalid_argument(
+            "EngineOptions: kv_bits must be in [2, 8] with use_kv8 (the KV8 "
+            "arena stores one byte per code)");
+    }
     if (opts.threads > 1) {
         // Determinism is thread-count independent, so modest oversubscription
         // (thread-schedule determinism tests) is fine: a pool wider than the
@@ -266,13 +271,12 @@ std::size_t ReferenceEngine::attention_block(std::size_t layer, std::size_t nr) 
         const auto rows = [&](kvpool::KvPart part) {
             return [&, part](std::size_t i) -> std::span<const float> {
                 if (float_kv_ != nullptr) return float_kv_->page(slot, layer, kvh, part, i);
-                const auto page = quant_kv_->page(slot, layer, kvh, part, i);
+                const kvpool::KvPage page = quant_kv_->page(slot, layer, kvh, part, i);
                 float* deq = kv_page_.data() + task * page_floats;
-                for (std::size_t t = 0; t < page.size(); ++t) {
-                    quant::kv_dequantize_into(page[t].codes, page[t].params,
-                                              {deq + t * hd, hd});
+                for (std::size_t t = 0; t < page.rows(); ++t) {
+                    quant::kv_dequantize_into(page.row(t), page.params[t], {deq + t * hd, hd});
                 }
-                return {deq, page.size() * hd};
+                return {deq, page.rows() * hd};
             };
         };
         attention_paged(q, out, shape, rows(kvpool::KvPart::kKeys),

@@ -92,9 +92,10 @@ struct EngineOptions {
 };
 
 // Throws std::invalid_argument on option combinations that would silently
-// misbehave: max_batch == 0 (no session slots) or a private thread pool wider
-// than max(4, 4 x hardware threads). Called by the engine constructor; exposed so serving
-// layers can validate before building anything expensive.
+// misbehave: max_batch == 0 (no session slots), a kv_bits outside [2, 8] with
+// use_kv8, or a private thread pool wider than max(4, 4 x hardware threads).
+// Called by the engine constructor; exposed so serving layers can validate
+// before building anything expensive.
 void validate(const EngineOptions& opts);
 
 class ReferenceEngine : public engine::DecodeBackend {

@@ -11,12 +11,15 @@ KvQuantized kv_quantize(std::span<const float> x) { return kv_quantize_bits(x, 8
 
 KvQuantized kv_quantize_bits(std::span<const float> x, unsigned bits) {
     KvQuantized out;
-    kv_quantize_bits_into(x, bits, out);
+    out.codes.resize(x.size());
+    out.params = kv_quantize_bits_into(x, bits, out.codes);
     return out;
 }
 
-void kv_quantize_bits_into(std::span<const float> x, unsigned bits, KvQuantized& out) {
+KvQuantParams kv_quantize_bits_into(std::span<const float> x, unsigned bits,
+                                    std::span<std::uint8_t> codes) {
     check(!x.empty(), "kv_quantize: empty vector");
+    check(codes.size() == x.size(), "kv_quantize: codes size mismatch");
     check(bits >= 2 && bits <= 8, "kv_quantize: bits out of range");
     const int qmax = static_cast<int>((1u << bits) - 1u);
 
@@ -37,12 +40,11 @@ void kv_quantize_bits_into(std::span<const float> x, unsigned bits, KvQuantized&
         std::clamp(static_cast<int>(std::lround(-lo / s)), 0, qmax));
 
     // Pass 2: quantize against the stored fp16 scale.
-    out.params = {scale_h, z};
-    out.codes.resize(x.size());
     for (std::size_t i = 0; i < x.size(); ++i) {
         const int q = static_cast<int>(std::lround(x[i] / s)) + z;
-        out.codes[i] = static_cast<std::uint8_t>(std::clamp(q, 0, qmax));
+        codes[i] = static_cast<std::uint8_t>(std::clamp(q, 0, qmax));
     }
+    return {scale_h, z};
 }
 
 std::vector<float> kv_dequantize(std::span<const std::uint8_t> codes, KvQuantParams params) {

@@ -32,9 +32,10 @@ struct KvQuantized {
 // still occupy one byte of storage each; `bits` selects the grid (2..8).
 [[nodiscard]] KvQuantized kv_quantize_bits(std::span<const float> x, unsigned bits);
 
-// In-place variant: overwrites `out`, reusing its code buffer (no allocation
-// once the buffer has held x.size() codes).
-void kv_quantize_bits_into(std::span<const float> x, unsigned bits, KvQuantized& out);
+// The one KV quantizer: writes x's codes into `codes` (x.size() bytes, e.g.
+// a row of a paged arena's codes region) and returns their scale-zero pack.
+[[nodiscard]] KvQuantParams kv_quantize_bits_into(std::span<const float> x, unsigned bits,
+                                                  std::span<std::uint8_t> codes);
 
 // Dequantizes codes back to float.
 [[nodiscard]] std::vector<float> kv_dequantize(std::span<const std::uint8_t> codes,

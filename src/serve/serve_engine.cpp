@@ -59,8 +59,9 @@ void validate(const ServeOptions& o) {
 }  // namespace
 
 void ServeEngine::init_governor(const model::ModelConfig& cfg) {
-    model::QuantScheme scheme = model::QuantScheme::w4a16_kv8();
-    scheme.kv_bits = opts_.kv_bits;
+    // Pages are priced as the KV8 arena stores them, one byte per code at
+    // any kv_bits.
+    const model::QuantScheme scheme = model::QuantScheme::w4a16_kv8();
     std::size_t pages = opts_.kv_pool_pages;
     if (pages == 0) {
         // Whatever DDR the KV260 plan leaves after the weights and the

@@ -4,8 +4,6 @@
 #include <cmath>
 
 #include "accel/hw_exp.hpp"
-#include "accel/serial_to_parallel.hpp"
-#include "accel/spu_quant.hpp"
 #include "accel/spu_rmsnorm.hpp"
 #include "accel/spu_rope.hpp"
 #include "accel/spu_silu.hpp"
@@ -13,7 +11,6 @@
 #include "accel/vpu.hpp"
 #include "common/rng.hpp"
 #include "model/kernels.hpp"
-#include "quant/kvquant.hpp"
 
 namespace efld::accel {
 namespace {
@@ -173,59 +170,6 @@ TEST(SpuSilu, MatchesReference) {
     for (std::size_t i = 0; i < ref.size(); ++i) {
         EXPECT_NEAR(out[i].to_float(), ref[i], 0.02f + 0.01f * std::abs(ref[i])) << i;
     }
-}
-
-TEST(SpuQuant, AgreesWithOfflineKvQuant) {
-    Xoshiro256 rng(6);
-    std::vector<float> xf(128);
-    for (auto& v : xf) v = static_cast<float>(rng.gaussian());
-    // Snap to fp16 resolution first: the SPU sees fp16 inputs.
-    auto xh = to_fp16(xf);
-    const auto xf16 = to_float(xh);
-
-    SpuQuant sq;
-    const auto hw = sq.run(xh);
-    const auto sw = quant::kv_quantize(xf16);
-    EXPECT_EQ(hw.params.scale.bits(), sw.params.scale.bits());
-    EXPECT_EQ(hw.params.zero, sw.params.zero);
-    EXPECT_EQ(hw.codes, sw.codes);
-}
-
-TEST(SpuQuant, TwoPassCycleCount) {
-    SpuQuant sq;
-    std::vector<Fp16> x(128, Fp16::one());
-    EXPECT_EQ(sq.run(x).cycles.cycles, 2u * 128 + 8);
-}
-
-TEST(SerialToParallel, EmitsEvery64Bytes) {
-    SerialToParallel s2p;
-    for (int i = 0; i < 63; ++i) {
-        EXPECT_FALSE(s2p.push_byte(static_cast<std::uint8_t>(i)).has_value());
-    }
-    const auto word = s2p.push_byte(63);
-    ASSERT_TRUE(word.has_value());
-    for (std::size_t i = 0; i < 64; ++i) EXPECT_EQ(word->byte(i), i);
-    EXPECT_EQ(s2p.words_emitted(), 1u);
-}
-
-TEST(SerialToParallel, HalfLanes) {
-    SerialToParallel s2p;
-    for (int i = 0; i < 31; ++i) {
-        EXPECT_FALSE(s2p.push_half(Fp16::from_float(static_cast<float>(i))).has_value());
-    }
-    const auto word = s2p.push_half(Fp16::from_float(31.0f));
-    ASSERT_TRUE(word.has_value());
-    EXPECT_FLOAT_EQ(word->half(31).to_float(), 31.0f);
-}
-
-TEST(SerialToParallel, DrainPartial) {
-    SerialToParallel s2p;
-    (void)s2p.push_byte(0xAB);
-    const auto word = s2p.drain();
-    ASSERT_TRUE(word.has_value());
-    EXPECT_EQ(word->byte(0), 0xAB);
-    EXPECT_EQ(word->byte(1), 0);
-    EXPECT_FALSE(s2p.drain().has_value());
 }
 
 }  // namespace

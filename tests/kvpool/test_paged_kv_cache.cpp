@@ -72,11 +72,10 @@ std::vector<float> read_pages(const PagedQuantizedKvArena& arena, std::size_t se
     std::vector<float> out(len * head_dim);
     std::size_t t = 0;
     for (std::size_t i = 0; t < len; ++i) {
-        for (const quant::KvQuantized& e : arena.page(seq, layer, kv_head, part, i)) {
-            if (t == len) break;
-            quant::kv_dequantize_into(e.codes, e.params,
+        const KvPage page = arena.page(seq, layer, kv_head, part, i);
+        for (std::size_t r = 0; r < page.rows() && t < len; ++r, ++t) {
+            quant::kv_dequantize_into(page.row(r), page.params[r],
                                       std::span(out).subspan(t * head_dim, head_dim));
-            ++t;
         }
     }
     return out;
@@ -185,8 +184,9 @@ TEST(PagedArena, PageReadsHoldTheRowsTheHistoryFills) {
         EXPECT_EQ(arena.page(seq, 1, 1, part, 0).size(), 4 * c.head_dim());
         EXPECT_EQ(arena.page(seq, 1, 1, part, 1).size(), 2 * c.head_dim());
         EXPECT_THROW((void)arena.page(seq, 1, 1, part, 2), efld::Error);
-        EXPECT_EQ(qarena.page(qseq, 1, 1, part, 0).size(), 4u);
-        EXPECT_EQ(qarena.page(qseq, 1, 1, part, 1).size(), 2u);
+        EXPECT_EQ(qarena.page(qseq, 1, 1, part, 0).rows(), 4u);
+        EXPECT_EQ(qarena.page(qseq, 1, 1, part, 1).rows(), 2u);
+        EXPECT_EQ(qarena.page(qseq, 1, 1, part, 1).codes.size(), 2 * c.head_dim());
         EXPECT_THROW((void)qarena.page(qseq, 1, 1, part, 2), efld::Error);
     }
     EXPECT_THROW((void)arena.page(seq, c.n_layers, 0, KvPart::kKeys, 0), efld::Error);
@@ -215,6 +215,83 @@ TEST(PagedArena, PagesToAppendCountsFreshAndCopyOnWritePages) {
     const std::size_t free_before = arena.pool().pages_free();
     arena.append(b, 0, random_vec(rng, 3 * c.kv_dim()), random_vec(rng, 3 * c.kv_dim()));
     EXPECT_EQ(free_before - arena.pool().pages_free(), 2u);
+}
+
+// One token's K and V for every layer ([layer][kv_dim] each).
+struct Token {
+    std::vector<float> k, v;
+};
+
+// A appends 6 tokens on 4-token pages; B adopts A's block table at 6 tokens
+// (mid-page) and appends 3 different tokens, so its first write copies the
+// shared page 1. Each sequence must then read back exactly its own history:
+// A its 6 tokens, B A's first 6 and its own 3. expect_row(seq, t, layer,
+// kv_head, part, want) checks the stored row against the head's input row.
+template <class Arena, class ExpectRow>
+void expect_cow_round_trip(const model::ModelConfig& c, Arena& arena,
+                           ExpectRow&& expect_row) {
+    const std::size_t kvd = c.kv_dim(), hd = c.head_dim();
+    Xoshiro256 rng(17);
+    const auto append = [&](std::size_t seq, std::vector<Token>& hist) {
+        hist.push_back({random_vec(rng, c.n_layers * kvd), random_vec(rng, c.n_layers * kvd)});
+        for (std::size_t l = 0; l < c.n_layers; ++l) {
+            arena.append(seq, l, std::span(hist.back().k).subspan(l * kvd, kvd),
+                         std::span(hist.back().v).subspan(l * kvd, kvd));
+        }
+    };
+    std::vector<Token> a_hist;
+    const std::size_t a = arena.create_sequence();
+    for (int t = 0; t < 6; ++t) append(a, a_hist);
+    const std::size_t b = arena.create_sequence();
+    arena.adopt_prefix(b, arena.pool().block_table(a), 6);
+    std::vector<Token> b_hist = a_hist;
+    for (int t = 0; t < 3; ++t) append(b, b_hist);
+    EXPECT_EQ(arena.pool().cow_copies(), 1u);
+    ASSERT_EQ(arena.length(a), 6u);
+    ASSERT_EQ(arena.length(b), 9u);
+
+    for (const auto& [seq, hist] : {std::pair{a, &a_hist}, std::pair{b, &b_hist}}) {
+        for (std::size_t t = 0; t < hist->size(); ++t) {
+            for (std::size_t l = 0; l < c.n_layers; ++l) {
+                for (std::size_t h = 0; h < c.n_kv_heads; ++h) {
+                    const std::size_t off = l * kvd + h * hd;
+                    SCOPED_TRACE(testing::Message() << "seq " << seq << " token " << t
+                                                    << " layer " << l << " head " << h);
+                    expect_row(seq, t, l, h, KvPart::kKeys,
+                               std::span<const float>((*hist)[t].k).subspan(off, hd));
+                    expect_row(seq, t, l, h, KvPart::kValues,
+                               std::span<const float>((*hist)[t].v).subspan(off, hd));
+                }
+            }
+        }
+    }
+}
+
+TEST(PagedArena, CopyOnWriteKeepsBothHistories) {
+    const model::ModelConfig c = cfg();
+    const std::size_t pt = 4, hd = c.head_dim();
+    {
+        PagedKvArena arena(c, {.page_tokens = pt, .n_pages = 8});
+        expect_cow_round_trip(c, arena, [&](std::size_t seq, std::size_t t, std::size_t l,
+                                            std::size_t h, KvPart part,
+                                            std::span<const float> want) {
+            const std::span<const float> got =
+                arena.page(seq, l, h, part, t / pt).subspan((t % pt) * hd, hd);
+            EXPECT_TRUE(std::ranges::equal(got, want));
+        });
+    }
+    {
+        PagedQuantizedKvArena arena(c, {.page_tokens = pt, .n_pages = 8});
+        expect_cow_round_trip(c, arena, [&](std::size_t seq, std::size_t t, std::size_t l,
+                                            std::size_t h, KvPart part,
+                                            std::span<const float> want) {
+            const quant::KvQuantized q = quant::kv_quantize(want);
+            const KvPage page = arena.page(seq, l, h, part, t / pt);
+            EXPECT_TRUE(std::ranges::equal(page.row(t % pt), q.codes));
+            EXPECT_EQ(page.params[t % pt].scale.bits(), q.params.scale.bits());
+            EXPECT_EQ(page.params[t % pt].zero, q.params.zero);
+        });
+    }
 }
 
 TEST(PagedKvArena, SequencesInterleaveWithoutCrosstalk) {

@@ -272,12 +272,12 @@ TEST(AttentionPaged, Kv8PagesMatchReferenceBitForBit) {
         // The engine's reader: one page dequantized into page_tokens rows.
         const auto pages = [&](std::size_t l, std::size_t h, kvpool::KvPart part) {
             return [&, l, h, part](std::size_t i) {
-                const auto page = arena.page(seq, l, h, part, i);
-                for (std::size_t t = 0; t < page.size(); ++t) {
-                    quant::kv_dequantize_into(page[t].codes, page[t].params,
+                const kvpool::KvPage page = arena.page(seq, l, h, part, i);
+                for (std::size_t t = 0; t < page.rows(); ++t) {
+                    quant::kv_dequantize_into(page.row(t), page.params[t],
                                               std::span(page_rows).subspan(t * hd, hd));
                 }
-                return std::span<const float>(page_rows).first(page.size() * hd);
+                return std::span<const float>(page_rows).first(page.rows() * hd);
             };
         };
         expect_walk_matches_reference(c, n, pt, history, pages);

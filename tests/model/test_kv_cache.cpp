@@ -152,9 +152,10 @@ TEST(QuantizedKvCache, ValuesRoundTripToo) {
 
 TEST(QuantizedKvCache, RefillAfterResetAllocatesNothing) {
     // Decode must not allocate once the KV stores are warm: after reset(), a
-    // re-fill reuses every entry's code buffer, in the contiguous cache and
-    // in a paged arena sequence, and stores exactly what a fresh cache
-    // stores for the same data.
+    // re-fill reuses every entry's code buffer in the contiguous cache, and
+    // a paged arena writes into the rows it mapped at construction, so
+    // neither its first fill nor a re-fill allocates per row. Both store
+    // exactly what a fresh cache stores for the same data.
     const ModelConfig cfg = micro();
     const std::size_t tokens = 20, span = 4, kvd = cfg.kv_dim(), hd = cfg.head_dim();
     const auto history = [&](std::uint64_t seed) {
@@ -176,8 +177,8 @@ TEST(QuantizedKvCache, RefillAfterResetAllocatesNothing) {
     };
 
     QuantizedKvCache cache(cfg), fresh(cfg);
-    // Two 16-token pages: the re-fill can only land on pages whose entries
-    // the first fill gave code buffers.
+    // Two 16-token pages: the re-fill lands on the pages the first fill
+    // wrote.
     kvpool::PagedQuantizedKvArena arena(cfg, kvpool::pool_config(cfg, 1, 16, 2));
     const std::size_t seq = arena.create_sequence();
     const auto cache_append = [&](QuantizedKvCache& c) {
@@ -188,7 +189,14 @@ TEST(QuantizedKvCache, RefillAfterResetAllocatesNothing) {
     const auto arena_append = [&](std::size_t l, std::span<const float> k,
                                   std::span<const float> v) { arena.append(seq, l, k, v); };
     fill(ka, va, cache_append(cache));
+    g_allocs = 0;
+    g_count_allocs = true;
     fill(ka, va, arena_append);
+    const std::size_t first_fill_allocs = g_allocs.load();
+    g_count_allocs = false;
+    // Only the sequence's bookkeeping grows on a first fill: its span
+    // cadence and its block table (at most one allocation per page).
+    EXPECT_LE(first_fill_allocs, arena.pool().block_table(seq).size() + 1);
     fill(kb, vb, cache_append(fresh));
     cache.reset();
     arena.reset_sequence(seq);
@@ -210,8 +218,8 @@ TEST(QuantizedKvCache, RefillAfterResetAllocatesNothing) {
     const auto arena_rows = [&](std::size_t l, std::size_t h, kvpool::KvPart part) {
         const std::size_t pt = arena.pool().page_tokens();
         for (std::size_t t = 0; t < tokens; ++t) {
-            const quant::KvQuantized& e = arena.page(seq, l, h, part, t / pt)[t % pt];
-            quant::kv_dequantize_into(e.codes, e.params,
+            const kvpool::KvPage page = arena.page(seq, l, h, part, t / pt);
+            quant::kv_dequantize_into(page.row(t % pt), page.params[t % pt],
                                       std::span(got).subspan(t * hd, hd));
         }
     };

@@ -317,6 +317,11 @@ TEST(ServeControl, InvalidServeOptionsRejected) {
         o.threads = 1u << 20;  // garbage value, not a plausible pool
         EXPECT_THROW(ServeEngine(qw, o), std::invalid_argument);
     }
+    for (const unsigned bits : {0u, 1u, 9u, 16u}) {
+        ServeOptions o;  // use_kv8 by default: one stored byte per code
+        o.kv_bits = bits;
+        EXPECT_THROW(ServeEngine(qw, o), std::invalid_argument) << bits;
+    }
 }
 
 TEST(ServeControl, InvalidEngineOptionsRejected) {
@@ -327,6 +332,12 @@ TEST(ServeControl, InvalidEngineOptionsRejected) {
     EXPECT_THROW(
         model::ReferenceEngine(qw, model::EngineOptions{.threads = 1u << 20}),
         std::invalid_argument);
+    for (const unsigned bits : {0u, 1u, 9u, 16u}) {
+        EXPECT_THROW(model::ReferenceEngine(
+                         qw, model::EngineOptions{.use_kv8 = true, .kv_bits = bits}),
+                     std::invalid_argument)
+            << bits;
+    }
 }
 
 // ---- the accel backend behind the same serve loop ----

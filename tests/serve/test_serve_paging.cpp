@@ -13,6 +13,7 @@
 
 #include "common/check.hpp"
 #include "kvpool/kv_block_pool.hpp"
+#include "model/reference_engine.hpp"
 #include "runtime/serve.hpp"
 
 namespace efld::serve {
@@ -50,6 +51,27 @@ TEST(ServePaging, GovernorSizedFromKv260PlanByDefault) {
                                        kvpool::kv_budget_from_plan(plan), 16));
     // micro-256 weights are tiny: nearly the whole 4 GiB backs KV pages.
     EXPECT_GT(g->total_pages(), 1000u);
+}
+
+TEST(ServePaging, GovernorPricesTheStoredKv8RowAtAnyKvBits) {
+    // The KV8 arena stores one byte per code whatever grid kv_bits picks, so
+    // a KV4 engine's plan-sized governor holds as many pages as a KV8 one.
+    // The backend brings its own small pool: only the governor is plan-sized.
+    const model::QuantizedModelWeights qw = model::QuantizedModelWeights::quantize(
+        model::ModelWeights::synthetic(test_cfg(), 1), quant::GroupQuantConfig{});
+    auto backend = std::make_unique<model::ReferenceEngine>(
+        qw, model::EngineOptions{.use_kv8 = true, .kv_bits = 4, .kv_pool_pages = 8});
+    ServeOptions o;
+    o.paging = true;
+    o.kv_bits = 4;
+    ServeEngine eng(std::move(backend), o);
+    ASSERT_NE(eng.governor(), nullptr);
+    const model::QuantScheme kv8 = model::QuantScheme::w4a16_kv8();
+    EXPECT_EQ(eng.governor()->total_pages(),
+              kvpool::pages_for_budget(
+                  test_cfg(), kv8,
+                  kvpool::kv_budget_from_plan(runtime::MemoryPlanner::plan_kv260(test_cfg(), kv8)),
+                  16));
 }
 
 TEST(ServePaging, PoolPressureDefersAndSerializesButServesEveryone) {
