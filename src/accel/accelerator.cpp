@@ -30,7 +30,8 @@ std::span<Fp16> lanes(std::vector<Fp16>& v, std::size_t nb, std::size_t n) {
 }  // namespace
 
 Accelerator::Accelerator(const PackedModel& m, AcceleratorOptions opts)
-    : model_(&m),
+    : PagedBackend(m.config, opts.max_batch),
+      model_(&m),
       opts_(validated(opts)),
       timing_(m.config, model::QuantScheme::w4a16_kv8(), opts.accel, opts.mem),
       rope_(m.config.rope_theta),
@@ -39,14 +40,8 @@ Accelerator::Accelerator(const PackedModel& m, AcceleratorOptions opts)
       kv_(m.config, kvpool::pool_config(m.config, opts.max_batch,
                                         opts.accel.kv_page_tokens, opts.kv_pool_pages)) {
     const std::size_t mb = opts_.max_batch;
-    sz_fifo_.reserve(mb);
-    for (std::size_t s = 0; s < mb; ++s) {
-        sz_fifo_.emplace_back(m.config.n_layers, m.config.n_kv_heads);
-        (void)kv_.create_sequence();
-    }
-    if (opts_.accel.kv_page_tokens > 0) prefix_.emplace(kv_.pool());
-    pos_.assign(mb, 0);
-    slots_ = engine::SlotLedger(mb);
+    sz_fifo_.assign(mb, quant::ScaleZeroFifo(m.config.n_layers, m.config.n_kv_heads));
+    attach(kv_, opts_.accel.kv_page_tokens > 0);
     ctx_scratch_.reserve(mb);
 
     const model::ModelConfig& c = m.config;
@@ -62,71 +57,25 @@ Accelerator::Accelerator(const PackedModel& m, AcceleratorOptions opts)
     v_row_.resize(c.kv_dim());
 }
 
-void Accelerator::reset_session(std::size_t slot) {
-    check(slot < opts_.max_batch, "Accelerator: slot out of range");
-    pos_[slot] = 0;
-    sz_fifo_[slot] =
-        quant::ScaleZeroFifo(model_->config.n_layers, model_->config.n_kv_heads);
-    kv_.reset_sequence(slot);  // pages back to the pool
-}
-
-void Accelerator::reset() {
-    for (std::size_t s = 0; s < opts_.max_batch; ++s) reset_session(s);
-}
-
-std::size_t Accelerator::position(std::size_t slot) const {
-    check(slot < opts_.max_batch, "Accelerator: slot out of range");
-    return pos_[slot];
-}
-
 const quant::ScaleZeroFifo& Accelerator::scale_zero_fifo(std::size_t slot) const {
-    check(slot < opts_.max_batch, "Accelerator: slot out of range");
+    check(slot < max_batch(), "Accelerator: slot out of range");
     return sz_fifo_[slot];
 }
 
-std::size_t Accelerator::reserve_slot() { return slots_.acquire(); }
-
-void Accelerator::release_slot(std::size_t slot) {
-    check(slots_.release(slot), "release_slot: slot out of range or not reserved");
-    reset_session(slot);
+void Accelerator::on_reset_session(std::size_t slot) {
+    sz_fifo_[slot] =
+        quant::ScaleZeroFifo(model_->config.n_layers, model_->config.n_kv_heads);
 }
 
-std::size_t Accelerator::probe_prefix(std::span<const std::int32_t> prompt,
-                                      std::size_t max_cover) const {
-    return prefix_ ? prefix_->match(prompt, max_cover).covered : 0;
-}
-
-std::size_t Accelerator::adopt_prefix(std::size_t slot,
-                                      std::span<const std::int32_t> prompt,
-                                      std::size_t max_cover) {
-    if (!prefix_) return 0;
-    const prefix::PrefixStore::Match m = prefix_->match(prompt, max_cover);
-    if (m.covered == 0) return 0;
-    kv_.adopt_prefix(slot, m.pages, m.covered);
+void Accelerator::on_prefix_adopted(std::size_t slot, std::size_t covered) {
     // Replay the adopted scale-zero packs through the slot's fresh FIFO in
     // prefill order, so it holds exactly what prefilling the covered tokens
     // would have left in it, partial last page included.
-    for (std::size_t tok = 0; tok < m.covered; ++tok) {
+    for (std::size_t tok = 0; tok < covered; ++tok) {
         for (std::size_t layer = 0; layer < model_->config.n_layers; ++layer) {
             push_packs(slot, layer, tok);
         }
     }
-    pos_[slot] = m.covered;
-    return m.covered;
-}
-
-std::size_t Accelerator::register_prefix(std::size_t slot,
-                                         std::span<const std::int32_t> prompt,
-                                         std::size_t max_new_pages) {
-    return prefix_ ? prefix_->register_prefix(slot, prompt, max_new_pages) : 0;
-}
-
-std::size_t Accelerator::drop_prefix_cache() { return prefix_ ? prefix_->drop() : 0; }
-
-engine::PrefixSharingStats Accelerator::prefix_stats() const {
-    if (!prefix_) return {};
-    return {.pages_shared = prefix_->pages_held(),
-            .cow_copies = static_cast<std::size_t>(kv_.pool().cow_copies())};
 }
 
 void Accelerator::norm(std::span<const Fp16> weight, std::size_t nb) {
@@ -265,15 +214,10 @@ void Accelerator::forward(std::span<const std::int32_t> tokens,
     const std::size_t nb = tokens.size();
     const std::size_t dim = cfg.dim;
     const std::size_t vocab = cfg.vocab_size;
-    check(logits_out.size() >= nb * vocab, "Accelerator: logits_out too small");
     for (std::size_t b = 0; b < nb; ++b) {
-        const std::int32_t token = tokens[b];
-        check(token >= 0 && static_cast<std::uint64_t>(token) < vocab,
-              "Accelerator: token out of range");
-        check(pos_[slots[b]] < cfg.max_seq_len, "Accelerator: KV reservation exhausted");
         // Embedding row (fp16 in DDR).
         std::copy_n(model_->embedding.begin() +
-                        static_cast<std::ptrdiff_t>(static_cast<std::size_t>(token) * dim),
+                        static_cast<std::ptrdiff_t>(static_cast<std::size_t>(tokens[b]) * dim),
                     dim, lane(x_, b, dim).begin());
     }
 
@@ -293,33 +237,13 @@ void Accelerator::decode_batch(std::span<const std::int32_t> tokens,
                                std::span<const std::size_t> slots,
                                std::span<const std::size_t> rows,
                                std::span<float> logits_out) {
-    const std::size_t nb = tokens.size();
-    const std::size_t vocab = model_->config.vocab_size;
-    check(nb >= 1, "decode_batch: empty batch");
-    check(nb == slots.size(), "decode_batch: tokens/slots size mismatch");
-    check(rows.empty() || (rows.size() == nb &&
-                           std::all_of(rows.begin(), rows.end(),
-                                       [](std::size_t r) { return r == 1; })),
-          "decode_batch: the accel twin takes one token per slot per step");
-    check(nb <= opts_.max_batch, "decode_batch: batch exceeds max_batch");
-    check(logits_out.size() >= nb * vocab, "decode_batch: logits_out too small");
-    std::size_t pages = 0;
-    for (std::size_t b = 0; b < nb; ++b) {
-        check(slots[b] < opts_.max_batch, "decode_batch: slot out of range");
-        for (std::size_t c = b + 1; c < nb; ++c) {
-            check(slots[b] != slots[c], "decode_batch: duplicate slot");
-        }
-        pages += kv_.pages_to_append(slots[b], 1);
-    }
-    // Checked before any lane quantizes or appends, so a step the pool
-    // refuses leaves every slot's KV, position and scale-zero FIFO as it was.
-    check(pages <= kv_.pool().pages_free(),
-          "decode_batch: KV pool exhausted (admission should have deferred a "
-          "sequence)");
+    // Checked before any lane quantizes or appends, so a refused step leaves
+    // every slot's KV, position and scale-zero FIFO as it was.
+    check_step(tokens, slots, rows, logits_out.size());
 
     const auto t0 = std::chrono::steady_clock::now();
     ctx_scratch_.clear();
-    for (std::size_t b = 0; b < nb; ++b) ctx_scratch_.push_back(pos_[slots[b]]);
+    for (const std::size_t slot : slots) ctx_scratch_.push_back(pos_[slot]);
 
     forward(tokens, slots, logits_out);
     const auto t1 = std::chrono::steady_clock::now();

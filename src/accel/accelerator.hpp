@@ -35,10 +35,14 @@
 // descriptor overhead) instead of one contiguous burst, and the twin shares
 // prefixes through prefix::PrefixStore like the host. Functional results are
 // unchanged — paging is a capacity/layout property.
+//
+// Slots, positions, reservation, the step checks and the prefix calls come
+// from engine::PagedBackend, as on the host; the twin adds its one piece of
+// per-slot state outside the arena, the scale-zero FIFO, through the base's
+// reset and adoption hooks.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -50,9 +54,8 @@
 #include "accel/spu_silu.hpp"
 #include "accel/spu_softmax.hpp"
 #include "accel/vpu.hpp"
-#include "engine/decode_backend.hpp"
+#include "engine/paged_backend.hpp"
 #include "kvpool/paged_kv_cache.hpp"
-#include "prefix/prefix_index.hpp"
 #include "quant/scale_zero_pack.hpp"
 
 namespace efld::accel {
@@ -69,7 +72,7 @@ struct AcceleratorOptions {
     std::size_t kv_pool_pages = 0;
 };
 
-class Accelerator : public engine::DecodeBackend {
+class Accelerator : public engine::PagedBackend {
 public:
     // Non-owning: `m` must outlive the accelerator.
     explicit Accelerator(const PackedModel& m, AcceleratorOptions opts = {});
@@ -79,16 +82,7 @@ public:
     [[nodiscard]] DecodeCycleModel& cycle_model() noexcept { return timing_; }
 
     // --- engine::DecodeBackend ---
-    [[nodiscard]] const model::ModelConfig& config() const noexcept override {
-        return model_->config;
-    }
-    [[nodiscard]] std::size_t max_batch() const noexcept override {
-        return opts_.max_batch;
-    }
     [[nodiscard]] std::string_view name() const noexcept override { return "accel"; }
-    [[nodiscard]] std::size_t position(std::size_t slot) const override;
-    [[nodiscard]] std::size_t reserve_slot() override;
-    void release_slot(std::size_t slot) override;
     // One token per slot per step (max_feed_tokens() stays 1): a span longer
     // than one row is rejected. Pricing prompt tiles through the cycle
     // model's prefill tile walk is not modeled here yet.
@@ -97,33 +91,20 @@ public:
                       std::span<const std::size_t> slots,
                       std::span<const std::size_t> rows,
                       std::span<float> logits_out) override;
-    void reset() override;  // all slots (reservations survive)
-    [[nodiscard]] engine::StepCost last_step_cost() const noexcept override {
-        return last_cost_;
-    }
-    void set_profiler(obs::Profiler* profiler) override { profiler_ = profiler; }
 
-    // Prefix sharing (kv_page_tokens > 0; 0 otherwise): the contract is in
-    // decode_backend.hpp, the store and adoption rule in prefix::PrefixStore.
-    // Adoption replays the adopted packs through the slot's scale-zero FIFO,
+protected:
+    // A reset slot starts an empty FIFO.
+    void on_reset_session(std::size_t slot) override;
+    // Adoption replays the adopted packs through the slot's fresh FIFO,
     // leaving it exactly as a prefill of the covered tokens would.
-    [[nodiscard]] std::size_t probe_prefix(std::span<const std::int32_t> prompt,
-                                           std::size_t max_cover) const override;
-    std::size_t adopt_prefix(std::size_t slot, std::span<const std::int32_t> prompt,
-                             std::size_t max_cover) override;
-    std::size_t register_prefix(std::size_t slot,
-                                std::span<const std::int32_t> prompt,
-                                std::size_t max_new_pages) override;
-    std::size_t drop_prefix_cache() override;
-    [[nodiscard]] engine::PrefixSharingStats prefix_stats() const override;
+    void on_prefix_adopted(std::size_t slot, std::size_t covered) override;
 
 private:
-    void reset_session(std::size_t slot);
-
     // One functional forward pass of tokens[b] through session slots[b] for
-    // every lane b, layer by layer across the lanes: each weight stream is
-    // walked once (DotEngine::gemm) and feeds all lanes. Writes float logits
-    // ([nb][vocab]) and advances each slot's position. No timing.
+    // every lane b (a step that passed check_step), layer by layer across the
+    // lanes: each weight stream is walked once (DotEngine::gemm) and feeds
+    // all lanes. Writes float logits ([nb][vocab]) and advances each slot's
+    // position. No timing.
     void forward(std::span<const std::int32_t> tokens, std::span<const std::size_t> slots,
                  std::span<float> logits_out);
 
@@ -165,13 +146,8 @@ private:
     std::vector<float> q_head_, kv_head_, out_head_;         // head_dim
     std::vector<float> k_row_, v_row_;                       // kv_dim
 
-    std::vector<std::size_t> pos_;           // per session slot
-    engine::SlotLedger slots_;               // DecodeBackend reservations
     kvpool::PagedQuantizedKvArena kv_;       // slot s = arena sequence s
-    std::optional<prefix::PrefixStore> prefix_;  // over kv_'s pool; kv_page_tokens > 0
     std::vector<std::size_t> ctx_scratch_;   // batch pricing, no per-step alloc
-    engine::StepCost last_cost_{};
-    obs::Profiler* profiler_ = nullptr;      // serving-layer owned; may be null
 };
 
 }  // namespace efld::accel

@@ -95,17 +95,25 @@ TokenTiming DecodeCycleModel::batch_timing(std::span<const std::size_t> ctxs,
         return div_ceil(txn.bytes, kBusBytes) * nb;  // VPU: one word/clk/lane
     };
 
-    // A session's KV history is one burst per block-table page when paging is
-    // on (each paying its own descriptor/FSM start), one burst per history
-    // otherwise.
+    // One lane's pass over its KV history for (layer, KV head), keys or
+    // values: one codes burst per block-table page when paging is on (each
+    // paying its own descriptor/FSM start), one per history otherwise, each
+    // followed by its range's scale-zero packs. `cover_ns` is SPU work hidden
+    // behind the FIRST burst only — shorter cover ops are the latency cost of
+    // paging. Bursts are serviced in issue order (the DDR model is stateful).
     const std::size_t page_tok = accel_.kv_page_tokens;
-    auto history_pages = [page_tok](std::size_t ctx, auto&& fn) {
-        if (page_tok == 0) {
-            fn(std::size_t{0}, ctx);
-            return;
-        }
-        for (std::size_t t = 0; t < ctx; t += page_tok) {
-            fn(t, std::min(ctx, t + page_tok));
+    auto history_pass = [&](std::size_t layer, std::size_t kvh, bool is_value,
+                            std::size_t ctx, double cover_ns) {
+        const std::size_t burst = page_tok == 0 ? ctx : page_tok;
+        for (std::size_t tb = 0; tb < ctx; tb += burst) {
+            const std::size_t te = std::min(ctx, tb + burst);
+            const Transaction codes = mcu_.kv_code_read_range(layer, kvh, is_value, tb, te);
+            dense_op(octx, is_value ? "kv_av_hist" : "kv_qk_hist", codes,
+                     div_ceil(codes.bytes, kBusBytes), tb == 0 ? cover_ns : 0.0);
+            const Transaction packs = mcu_.kv_pack_read_range(layer, kvh, is_value, tb, te);
+            if (packs.bytes > 0) {
+                dense_op(octx, is_value ? "kv_av_packs" : "kv_qk_packs", packs, 0, 0.0);
+            }
         }
     };
 
@@ -153,18 +161,7 @@ TokenTiming DecodeCycleModel::batch_timing(std::span<const std::size_t> ctxs,
 
                 // Dot against each lane's rotated-key history (+ packs every
                 // 16 tokens) — KV traffic is per-session, per page.
-                for (std::size_t b = 0; b < nb; ++b) {
-                    if (ctxs[b] == 0) continue;
-                    history_pages(ctxs[b], [&](std::size_t tb, std::size_t te) {
-                        const Transaction kc =
-                            mcu_.kv_code_read_range(layer, kvh, false, tb, te);
-                        dense_op(octx, "kv_qk_hist", kc, div_ceil(kc.bytes, kBusBytes),
-                                 0.0);
-                        const Transaction kp =
-                            mcu_.kv_pack_read_range(layer, kvh, false, tb, te);
-                        if (kp.bytes > 0) dense_op(octx, "kv_qk_packs", kp, 0, 0.0);
-                    });
-                }
+                for (const std::size_t ctx : ctxs) history_pass(layer, kvh, false, ctx, 0.0);
 
                 if (new_kv_head) {
                     // V projection; every lane's softmax and value
@@ -179,27 +176,12 @@ TokenTiming DecodeCycleModel::batch_timing(std::span<const std::size_t> ctxs,
                 // GQA heads that reuse a cached V projection, a lane's
                 // softmax hides behind its own history stream instead — or is
                 // exposed when that lane has no history yet.
-                for (std::size_t b = 0; b < nb; ++b) {
-                    if (ctxs[b] > 0) {
-                        // A paged history hides the lane's softmax behind its
-                        // FIRST page burst only — shorter cover ops are the
-                        // latency cost of paging.
-                        bool first_page = true;
-                        history_pages(ctxs[b], [&](std::size_t tb, std::size_t te) {
-                            const Transaction vc =
-                                mcu_.kv_code_read_range(layer, kvh, true, tb, te);
-                            dense_op(octx, "kv_av_hist", vc,
-                                     div_ceil(vc.bytes, kBusBytes),
-                                     first_page && !new_kv_head
-                                         ? softmax_ns(ctxs[b])
-                                         : 0.0);
-                            first_page = false;
-                            const Transaction vp =
-                                mcu_.kv_pack_read_range(layer, kvh, true, tb, te);
-                            if (vp.bytes > 0) dense_op(octx, "kv_av_packs", vp, 0, 0.0);
-                        });
+                for (const std::size_t ctx : ctxs) {
+                    if (ctx > 0) {
+                        history_pass(layer, kvh, true, ctx,
+                                     new_kv_head ? 0.0 : softmax_ns(ctx));
                     } else if (!new_kv_head) {
-                        spu_only_op(octx, "softmax_exposed", softmax_ns(ctxs[b]));
+                        spu_only_op(octx, "softmax_exposed", softmax_ns(ctx));
                     }
                 }
 
@@ -224,31 +206,9 @@ TokenTiming DecodeCycleModel::batch_timing(std::span<const std::size_t> ctxs,
                         static_cast<double>(2 * cfg_.n_kv_heads) * quant_head_ns * nbd);
             for (std::size_t h = 0; h < cfg_.n_heads; ++h) {
                 const std::size_t kvh = h / heads_per_kv;
-                for (std::size_t b = 0; b < nb; ++b) {
-                    if (ctxs[b] == 0) continue;
-                    history_pages(ctxs[b], [&](std::size_t tb, std::size_t te) {
-                        const Transaction kc =
-                            mcu_.kv_code_read_range(layer, kvh, false, tb, te);
-                        dense_op(octx, "kv_qk_hist", kc, div_ceil(kc.bytes, kBusBytes),
-                                 0.0);
-                        const Transaction kp =
-                            mcu_.kv_pack_read_range(layer, kvh, false, tb, te);
-                        if (kp.bytes > 0) dense_op(octx, "kv_qk_packs", kp, 0, 0.0);
-                    });
-                }
+                for (const std::size_t ctx : ctxs) history_pass(layer, kvh, false, ctx, 0.0);
                 spu_only_op(octx, "softmax", softmax_all_ns());
-                for (std::size_t b = 0; b < nb; ++b) {
-                    if (ctxs[b] == 0) continue;
-                    history_pages(ctxs[b], [&](std::size_t tb, std::size_t te) {
-                        const Transaction vc =
-                            mcu_.kv_code_read_range(layer, kvh, true, tb, te);
-                        dense_op(octx, "kv_av_hist", vc, div_ceil(vc.bytes, kBusBytes),
-                                 0.0);
-                        const Transaction vp =
-                            mcu_.kv_pack_read_range(layer, kvh, true, tb, te);
-                        if (vp.bytes > 0) dense_op(octx, "kv_av_packs", vp, 0, 0.0);
-                    });
-                }
+                for (const std::size_t ctx : ctxs) history_pass(layer, kvh, true, ctx, 0.0);
             }
         }
 

@@ -21,7 +21,6 @@ BackendKind backend_kind_from_string(std::string_view name) {
 
 BackendBundle make_backend(BackendKind kind, const model::QuantizedModelWeights& weights,
                            const model::EngineOptions& host_opts,
-                           accel::AcceleratorOptions accel_opts,
                            std::string_view fault_spec) {
     // Parse before building: a malformed spec must not cost a packed-model
     // construction just to throw.
@@ -32,9 +31,11 @@ BackendBundle make_backend(BackendKind kind, const model::QuantizedModelWeights&
     } else {
         b.packed =
             std::make_unique<accel::PackedModel>(accel::PackedModel::build(weights));
+        // Same slots, page layout and pool as the host: the twin stores its
+        // KV in a kvpool arena and prices the per-page bursts in its cycle
+        // model.
+        accel::AcceleratorOptions accel_opts;
         accel_opts.max_batch = host_opts.max_batch;
-        // Same page layout and pool as the host: the twin stores its KV in a
-        // kvpool arena and prices the per-page bursts in its cycle model.
         accel_opts.accel.kv_page_tokens = host_opts.kv_page_tokens;
         accel_opts.kv_pool_pages = host_opts.kv_pool_pages;
         b.backend = std::make_unique<accel::Accelerator>(*b.packed, accel_opts);

@@ -42,8 +42,9 @@ struct BackendBundle {
 // Builds the selected backend around `weights` (non-owning for kHost:
 // `weights` must outlive the bundle; kAccel copies what it needs into the
 // packed image). host_opts.max_batch, kv_page_tokens and kv_pool_pages size
-// the slots and the KV page pool for both kinds; accel_opts contributes the
-// cycle-model/memory configuration for kAccel.
+// the slots and the KV page pool for both kinds; kAccel prices its steps
+// with the default AccelConfig on the KV260 memory system (construct an
+// accel::Accelerator directly for any other cycle-model configuration).
 // A non-empty `fault_spec` (see fault_injection.hpp for the grammar) wraps
 // the backend in a FaultInjectingBackend with that scripted schedule, so
 // tests and benches can spawn an engine guaranteed to die at step K; throws
@@ -51,7 +52,6 @@ struct BackendBundle {
 [[nodiscard]] BackendBundle make_backend(BackendKind kind,
                                          const model::QuantizedModelWeights& weights,
                                          const model::EngineOptions& host_opts,
-                                         accel::AcceleratorOptions accel_opts = {},
                                          std::string_view fault_spec = {});
 
 }  // namespace efld::engine

@@ -33,13 +33,18 @@
 // zero otherwise), and how many streaming passes over the quantized weights
 // the step performed. The serving layer aggregates these into its
 // tokens/s — wall for the host backend, simulated-KV260 for the accelerator.
+//
+// Both engines derive from engine::PagedBackend (paged_backend.hpp), which
+// implements the slot side of this contract once over a kvpool arena:
+// reservation, positions, reset, the prefix calls and the decode_batch
+// checks. A new paged engine builds its arena and implements decode_batch,
+// name and, when it takes prompt tiles, max_feed_tokens.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string_view>
-#include <vector>
 
 #include "model/config.hpp"
 
@@ -128,86 +133,50 @@ public:
     [[nodiscard]] virtual StepCost last_step_cost() const noexcept = 0;
 
     // Hands the backend a phase profiler (owned by the serving layer;
-    // outlives the backend's use of it, nullptr detaches). Backends that
-    // opt in scope their internal phases — attention, for now — so the
-    // profiler can split a decode step's cost. Default: ignore it.
-    virtual void set_profiler(obs::Profiler* /*profiler*/) {}
+    // outlives the backend's use of it, nullptr detaches). Backends scope
+    // their internal phases — attention, for now — so the profiler can split
+    // a decode step's cost.
+    virtual void set_profiler(obs::Profiler* profiler) = 0;
 
-    // ---- prefix sharing (optional; default: no sharing) ----
+    // ---- prefix sharing ----
     //
     // A paged backend keeps a prefix::PrefixStore of full prompt pages it has
-    // already computed KV for (both backends share that store's code, so
-    // they answer every call below identically for the same prompt and
-    // pool). The serving layer probes before admission
-    // (capacity math), adopts after reserving a slot (skipping prefill for
-    // covered tokens), and registers a prompt's pages once its prefill
-    // completes. Tokens covered by adoption are NEVER fed through
-    // decode_batch — the slot's position starts past them — and reading
-    // adopted pages is bit-for-bit what re-prefilling would store, so
+    // already computed KV for (both engines get theirs from
+    // engine::PagedBackend, so they answer every call below identically for
+    // the same prompt and pool). A backend without a prefix store
+    // (kv_page_tokens 0) answers 0 to every call. The serving layer probes
+    // before admission (capacity math), adopts after reserving a slot
+    // (skipping prefill for covered tokens), and registers a prompt's pages
+    // once its prefill completes. Tokens covered by adoption are NEVER fed
+    // through decode_batch — the slot's position starts past them — and
+    // reading adopted pages is bit-for-bit what re-prefilling would store, so
     // generated tokens stay identical to a no-sharing run.
 
     // Tokens of `prompt` an adoption would cover right now, capped at
     // `max_cover` (full covered pages, plus up to a partial last page).
     // Pure lookup; no state changes.
-    [[nodiscard]] virtual std::size_t probe_prefix(
-        std::span<const std::int32_t> /*prompt*/,
-        std::size_t /*max_cover*/) const {
-        return 0;
-    }
+    [[nodiscard]] virtual std::size_t probe_prefix(std::span<const std::int32_t> prompt,
+                                                   std::size_t max_cover) const = 0;
 
     // Maps the longest indexed prefix of `prompt` into the freshly reserved
     // `slot` (position advances past the covered tokens). Returns the tokens
-    // covered, <= max_cover; 0 when nothing matched or the backend is not
-    // paged.
-    virtual std::size_t adopt_prefix(std::size_t /*slot*/,
-                                     std::span<const std::int32_t> /*prompt*/,
-                                     std::size_t /*max_cover*/) {
-        return 0;
-    }
+    // covered, <= max_cover; 0 when nothing matched or there is no store.
+    virtual std::size_t adopt_prefix(std::size_t slot, std::span<const std::int32_t> prompt,
+                                     std::size_t max_cover) = 0;
 
     // Indexes the full pages of `prompt` now resident in `slot` (its prefill
     // just completed), pinning at most `max_new_pages` additional pages.
     // Returns how many pages the index newly pinned.
-    virtual std::size_t register_prefix(std::size_t /*slot*/,
-                                        std::span<const std::int32_t> /*prompt*/,
-                                        std::size_t /*max_new_pages*/) {
-        return 0;
-    }
+    virtual std::size_t register_prefix(std::size_t slot,
+                                        std::span<const std::int32_t> prompt,
+                                        std::size_t max_new_pages) = 0;
 
     // Drops the whole prefix index, releasing its page pins. Returns pages
     // released — the serving layer's escape hatch when pinned prefixes starve
     // an otherwise-admissible request.
-    virtual std::size_t drop_prefix_cache() { return 0; }
+    virtual std::size_t drop_prefix_cache() = 0;
 
-    [[nodiscard]] virtual PrefixSharingStats prefix_stats() const { return {}; }
-};
-
-// Shared reserve/release bookkeeping for backends: which of the max_batch
-// slots are handed out. Backends pair release() with their own session reset.
-class SlotLedger {
-public:
-    SlotLedger() = default;
-    explicit SlotLedger(std::size_t n_slots) : used_(n_slots, 0) {}
-
-    // First free slot (marked used), or DecodeBackend::kNoSlot when full.
-    [[nodiscard]] std::size_t acquire() noexcept {
-        for (std::size_t s = 0; s < used_.size(); ++s) {
-            if (used_[s] == 0) {
-                used_[s] = 1;
-                return s;
-            }
-        }
-        return DecodeBackend::kNoSlot;
-    }
-    // False when `slot` is out of range or was not reserved.
-    [[nodiscard]] bool release(std::size_t slot) noexcept {
-        if (slot >= used_.size() || used_[slot] == 0) return false;
-        used_[slot] = 0;
-        return true;
-    }
-
-private:
-    std::vector<std::uint8_t> used_;
+    [[nodiscard]] virtual PrefixSharingStats prefix_stats() const = 0;
 };
 
 }  // namespace efld::engine

@@ -6,7 +6,6 @@
 #include <thread>
 #include <utility>
 
-#include "common/check.hpp"
 #include "model/tensor.hpp"
 #include "obs/profiler.hpp"
 
@@ -33,12 +32,12 @@ const quant::QuantizedLinear& quant_proj(const QuantizedModelWeights& qw,
 }  // namespace
 
 ReferenceEngine::ReferenceEngine(const ModelWeights& weights, EngineOptions opts)
-    : cfg_(weights.config), opts_(opts), fw_(&weights) {
+    : PagedBackend(weights.config, opts.max_batch), opts_(opts), fw_(&weights) {
     init_scratch();
 }
 
 ReferenceEngine::ReferenceEngine(const QuantizedModelWeights& weights, EngineOptions opts)
-    : cfg_(weights.config), opts_(opts), qw_(&weights) {
+    : PagedBackend(weights.config, opts.max_batch), opts_(opts), qw_(&weights) {
     init_scratch();
 }
 
@@ -79,15 +78,11 @@ void ReferenceEngine::init_scratch() {
         kvpool::pool_config(cfg_, mb, opts_.kv_page_tokens, opts_.kv_pool_pages);
     if (opts_.use_kv8) {
         quant_kv_ = std::make_unique<kvpool::PagedQuantizedKvArena>(cfg_, pc, opts_.kv_bits);
-        kv_ = quant_kv_.get();
+        attach(*quant_kv_, opts_.kv_page_tokens > 0);
     } else {
         float_kv_ = std::make_unique<kvpool::PagedKvArena>(cfg_, pc);
-        kv_ = float_kv_.get();
+        attach(*float_kv_, opts_.kv_page_tokens > 0);
     }
-    for (std::size_t s = 0; s < mb; ++s) (void)kv_->create_sequence();
-    if (opts_.kv_page_tokens > 0) prefix_.emplace(kv_->pool());
-    pos_.assign(mb, 0);
-    slots_ = engine::SlotLedger(mb);
     spans_.reserve(mb);
 
     row_cap_ = std::max(mb, max_feed_tokens());
@@ -102,24 +97,8 @@ void ReferenceEngine::init_scratch() {
     logits_.resize(mb * cfg_.vocab_size);
     scores_.resize(row_cap_ * cfg_.n_heads * cfg_.max_seq_len);
     if (quant_kv_ != nullptr) {
-        kv_page_.resize(mb * cfg_.n_kv_heads * kv_->pool().page_tokens() *
-                        cfg_.head_dim());
+        kv_page_.resize(mb * cfg_.n_kv_heads * pc.page_tokens * cfg_.head_dim());
     }
-}
-
-void ReferenceEngine::reset() {
-    for (std::size_t s = 0; s < opts_.max_batch; ++s) reset_session(s);
-}
-
-std::size_t ReferenceEngine::position(std::size_t slot) const {
-    check(slot < opts_.max_batch, "position: slot out of range");
-    return pos_[slot];
-}
-
-void ReferenceEngine::reset_session(std::size_t slot) {
-    check(slot < opts_.max_batch, "reset_session: slot out of range");
-    kv_->reset_sequence(slot);  // pages back to the pool
-    pos_[slot] = 0;
 }
 
 void ReferenceEngine::proj(std::size_t layer, int which, std::size_t nb,
@@ -247,7 +226,8 @@ std::size_t ReferenceEngine::attention_block(std::size_t layer, std::size_t nr) 
     // or per row — and every query row attends causally over its own prefix.
     // Parallel tasks touch disjoint scratch slices: a task's scores start at
     // its first query row's n_heads x max_seq_len block.
-    const std::size_t page_floats = kv_->pool().page_tokens() * hd;
+    const std::size_t page_tokens = arena().pool().page_tokens();
+    const std::size_t page_floats = page_tokens * hd;
     auto span_kv_task = [&](std::size_t task) {
         const std::size_t b = task / cfg_.n_kv_heads;
         const std::size_t kvh = task % cfg_.n_kv_heads;
@@ -260,7 +240,7 @@ std::size_t ReferenceEngine::attention_block(std::size_t layer, std::size_t nr) 
                                         .head_dim = hd,
                                         .row_stride = dim,
                                         .ctx = pos + 1,
-                                        .page_tokens = kv_->pool().page_tokens()};
+                                        .page_tokens = page_tokens};
         const std::size_t at = row * dim + kvh * heads_per_kv * hd;
         const std::span<const float> q = std::span<const float>(q_).subspan(at);
         const std::span<float> out = std::span<float>(att_out_).subspan(at);
@@ -326,33 +306,6 @@ std::span<const float> ReferenceEngine::step(std::span<const std::int32_t> token
                                              std::span<const std::size_t> rows) {
     const auto t0 = std::chrono::steady_clock::now();
     const std::size_t ns = slots.size();
-    check(ns >= 1, "decode_batch: empty batch");
-    check(ns <= opts_.max_batch, "decode_batch: batch exceeds max_batch");
-    check(rows.empty() || rows.size() == ns, "decode_batch: rows/slots size mismatch");
-    std::size_t total = 0;
-    std::size_t pages = 0;  // the pool pages the step's appends take
-    for (std::size_t b = 0; b < ns; ++b) {
-        const std::size_t n = rows.empty() ? 1 : rows[b];
-        check(slots[b] < opts_.max_batch, "decode_batch: slot out of range");
-        for (std::size_t c = b + 1; c < ns; ++c) {
-            check(slots[b] != slots[c], "decode_batch: duplicate slot");
-        }
-        check(n >= 1 && n <= max_feed_tokens(), "decode_batch: span length out of range");
-        check(pos_[slots[b]] + n <= cfg_.max_seq_len,
-              "decode_batch: context window exhausted");
-        total += n;
-        pages += kv_->pages_to_append(slots[b], n);
-    }
-    check(total == tokens.size(), "decode_batch: rows do not sum to the token count");
-    for (const std::int32_t t : tokens) {
-        check(t >= 0 && static_cast<std::uint64_t>(t) < cfg_.vocab_size,
-              "decode_batch: token out of range");
-    }
-    // Checked before any slot appends, so a step the pool refuses leaves
-    // every slot as it was.
-    check(pages <= kv_->pool().pages_free(),
-          "decode_batch: KV pool exhausted (admission should have deferred a "
-          "sequence)");
 
     // Spans run in chunks of at most row_cap_ rows (whole spans, so every
     // chunk is an independent forward pass over distinct slots); one chunk
@@ -416,51 +369,11 @@ void ReferenceEngine::forward_rows(std::span<const std::int32_t> tokens,
                                            ns * cfg_.vocab_size));
 }
 
-std::size_t ReferenceEngine::probe_prefix(std::span<const std::int32_t> prompt,
-                                          std::size_t max_cover) const {
-    return prefix_ ? prefix_->match(prompt, max_cover).covered : 0;
-}
-
-std::size_t ReferenceEngine::adopt_prefix(std::size_t slot,
-                                          std::span<const std::int32_t> prompt,
-                                          std::size_t max_cover) {
-    if (!prefix_) return 0;
-    const prefix::PrefixStore::Match m = prefix_->match(prompt, max_cover);
-    if (m.covered == 0) return 0;
-    kv_->adopt_prefix(slot, m.pages, m.covered);
-    pos_[slot] = m.covered;
-    return m.covered;
-}
-
-std::size_t ReferenceEngine::register_prefix(std::size_t slot,
-                                             std::span<const std::int32_t> prompt,
-                                             std::size_t max_new_pages) {
-    return prefix_ ? prefix_->register_prefix(slot, prompt, max_new_pages) : 0;
-}
-
-std::size_t ReferenceEngine::drop_prefix_cache() {
-    return prefix_ ? prefix_->drop() : 0;
-}
-
-engine::PrefixSharingStats ReferenceEngine::prefix_stats() const {
-    if (!prefix_) return {};
-    return {.pages_shared = prefix_->pages_held(),
-            .cow_copies = static_cast<std::size_t>(kv_->pool().cow_copies())};
-}
-
-std::size_t ReferenceEngine::reserve_slot() { return slots_.acquire(); }
-
-void ReferenceEngine::release_slot(std::size_t slot) {
-    check(slots_.release(slot), "release_slot: slot out of range or not reserved");
-    reset_session(slot);
-}
-
 void ReferenceEngine::decode_batch(std::span<const std::int32_t> tokens,
                                    std::span<const std::size_t> slots,
                                    std::span<const std::size_t> rows,
                                    std::span<float> logits_out) {
-    check(logits_out.size() >= slots.size() * cfg_.vocab_size,
-          "decode_batch: logits_out too small");
+    check_step(tokens, slots, rows, logits_out.size());
     const std::span<const float> logits = step(tokens, slots, rows);
     std::copy(logits.begin(), logits.end(), logits_out.begin());
 }

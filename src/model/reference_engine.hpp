@@ -46,22 +46,22 @@
 // window. Logits do not depend on the page size: a page holds each value
 // exactly as the contiguous caches in kv_cache.hpp do, and the page walk runs
 // attention_head's float ops in its order.
-// With EngineOptions::kv_page_tokens > 0 the engine also shares prompt
-// prefixes through a prefix::PrefixStore over the arena's pool.
+// Slots, positions, reservation, the step checks and prefix sharing (a
+// prefix::PrefixStore over the arena's pool when EngineOptions::
+// kv_page_tokens > 0) come from engine::PagedBackend; this class builds the
+// arena and runs the forward pass.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
 #include "common/threadpool.hpp"
-#include "engine/decode_backend.hpp"
+#include "engine/paged_backend.hpp"
 #include "kvpool/paged_kv_cache.hpp"
 #include "model/kernels.hpp"
 #include "model/weights.hpp"
-#include "prefix/prefix_index.hpp"
 #include "quant/groupquant.hpp"
 
 namespace efld::model {
@@ -98,7 +98,7 @@ struct EngineOptions {
 // before building anything expensive.
 void validate(const EngineOptions& opts);
 
-class ReferenceEngine : public engine::DecodeBackend {
+class ReferenceEngine : public engine::PagedBackend {
 public:
     // Non-owning: `weights` must outlive the engine.
     explicit ReferenceEngine(const ModelWeights& weights, EngineOptions opts = {});
@@ -112,6 +112,7 @@ public:
     // aliasing internal scratch until the next step or reset.
     std::span<const float> decode_batch(std::span<const std::int32_t> tokens,
                                         std::span<const std::size_t> slots) {
+        check_step(tokens, slots, {}, logits_.size());
         return step(tokens, slots, {});
     }
 
@@ -120,15 +121,9 @@ public:
     static constexpr std::size_t kMaxFeedTokens = 2 * quant::kGemmBatchTile;
 
     [[nodiscard]] const EngineOptions& options() const noexcept { return opts_; }
-    void reset_session(std::size_t slot);  // one slot's KV history + position
 
     // --- engine::DecodeBackend ---
-    [[nodiscard]] const ModelConfig& config() const noexcept override { return cfg_; }
-    [[nodiscard]] std::size_t max_batch() const noexcept override { return opts_.max_batch; }
     [[nodiscard]] std::string_view name() const noexcept override { return "host"; }
-    [[nodiscard]] std::size_t position(std::size_t slot) const override;
-    [[nodiscard]] std::size_t reserve_slot() override;
-    void release_slot(std::size_t slot) override;
     using DecodeBackend::decode_batch;
     void decode_batch(std::span<const std::int32_t> tokens,
                       std::span<const std::size_t> slots,
@@ -137,24 +132,6 @@ public:
     [[nodiscard]] std::size_t max_feed_tokens() const noexcept override {
         return kMaxFeedTokens;
     }
-    void reset() override;  // all slots (reservations survive)
-    [[nodiscard]] engine::StepCost last_step_cost() const noexcept override {
-        return last_cost_;
-    }
-    void set_profiler(obs::Profiler* profiler) override { profiler_ = profiler; }
-
-    // Prefix sharing (kv_page_tokens > 0; 0 otherwise): see decode_backend.hpp for the
-    // contract and prefix::PrefixStore for the store, its adoption rule and
-    // its threading.
-    [[nodiscard]] std::size_t probe_prefix(std::span<const std::int32_t> prompt,
-                                           std::size_t max_cover) const override;
-    std::size_t adopt_prefix(std::size_t slot, std::span<const std::int32_t> prompt,
-                             std::size_t max_cover) override;
-    std::size_t register_prefix(std::size_t slot,
-                                std::span<const std::int32_t> prompt,
-                                std::size_t max_new_pages) override;
-    std::size_t drop_prefix_cache() override;
-    [[nodiscard]] engine::PrefixSharingStats prefix_stats() const override;
 
 private:
     // One slot's token span within a step: rows first .. first + n - 1.
@@ -165,10 +142,10 @@ private:
     };
 
     void init_scratch();
-    // The step both decode_batch overloads run: spans as in DecodeBackend::
-    // decode_batch (empty rows = one token per slot). Books last_cost_ and
-    // returns the last-row logits [slots.size()][vocab], aliasing internal
-    // scratch.
+    // The step both decode_batch overloads run once check_step has passed:
+    // spans as in DecodeBackend::decode_batch (empty rows = one token per
+    // slot). Books last_cost_ and returns the last-row logits
+    // [slots.size()][vocab], aliasing internal scratch.
     std::span<const float> step(std::span<const std::int32_t> tokens,
                                 std::span<const std::size_t> slots,
                                 std::span<const std::size_t> rows);
@@ -198,7 +175,6 @@ private:
         return nullptr;
     }
 
-    ModelConfig cfg_;
     EngineOptions opts_;
     const ModelWeights* fw_ = nullptr;
     const QuantizedModelWeights* qw_ = nullptr;
@@ -207,14 +183,7 @@ private:
     // select is constructed.
     std::unique_ptr<kvpool::PagedKvArena> float_kv_;
     std::unique_ptr<kvpool::PagedQuantizedKvArena> quant_kv_;
-    kvpool::PagedArena* kv_ = nullptr;  // whichever of the two exists
-    std::vector<std::size_t> pos_;      // per session slot
-    engine::SlotLedger slots_;  // DecodeBackend reservations
-    std::vector<Span> spans_;   // the current pass's spans (max_batch reserved)
-    engine::StepCost last_cost_{};  // of the last step, booked by step()
-    obs::Profiler* profiler_ = nullptr;  // serving-layer owned; may be null
-
-    std::optional<prefix::PrefixStore> prefix_;  // over kv_'s pool; kv_page_tokens > 0
+    std::vector<Span> spans_;  // the current pass's spans (max_batch reserved)
 
     std::unique_ptr<ThreadPool> pool_;  // only when opts_.threads > 1
     RopeTable rope_;                    // per-position sin/cos, built once

@@ -88,8 +88,7 @@ ServeEngine::ServeEngine(const model::QuantizedModelWeights& weights, ServeOptio
         eo.kv_page_tokens = opts_.kv_page_tokens;
         eo.kv_pool_pages = governor_->total_pages();
     }
-    bundle_ = engine::make_backend(opts_.backend, weights, eo, {},
-                                   opts_.fault_spec);
+    bundle_ = engine::make_backend(opts_.backend, weights, eo, opts_.fault_spec);
     backend_ = bundle_.backend.get();
     init();
 }

@@ -372,6 +372,58 @@ TEST_P(DecodeBackendContract, GenerateMatchesHandFedDecode) {
     }
 }
 
+TEST_P(DecodeBackendContract, MalformedStepsThrowAndChangeNothing) {
+    // Every malformed step throws efld::Error before any slot changes: slot A
+    // (2 tokens in) and a slot at a full context window keep their
+    // positions, and A's next good step still gives a solo run's logits.
+    BackendBundle b = make(2);
+    DecodeBackend& be = *b.backend;
+    const std::size_t vocab = be.config().vocab_size;
+    const std::size_t ctx = be.config().max_seq_len;
+    const std::vector<std::int32_t> a_stream = {5, 9, 13};
+    tests::SoloStream a(be);
+    tests::SoloStream full(be);
+    (void)a.feed(std::span<const std::int32_t>(a_stream).first(2));
+    (void)full.feed(std::vector<std::int32_t>(ctx, 7));
+    ASSERT_EQ(full.position(), ctx);
+
+    struct Step {
+        const char* what;
+        std::vector<std::int32_t> tokens;
+        std::vector<std::size_t> slots;
+        std::vector<std::size_t> rows;
+        std::size_t logits_floats;
+    };
+    const std::size_t sa = a.slot();
+    const std::size_t long_span = be.max_feed_tokens() + 1;
+    const std::int32_t t = a_stream[2];
+    const std::vector<Step> steps = {
+        {"empty batch", {}, {}, {}, 2 * vocab},
+        {"duplicate slot", {t, t}, {sa, sa}, {}, 2 * vocab},
+        {"slot >= max_batch", {t, t}, {sa, be.max_batch()}, {}, 2 * vocab},
+        {"rows of the wrong size", {t}, {sa}, {1, 1}, 2 * vocab},
+        {"rows not summing to the token count", {t, t}, {sa}, {1}, 2 * vocab},
+        {"span of max_feed_tokens() + 1", std::vector<std::int32_t>(long_span, t), {sa},
+         {long_span}, 2 * vocab},
+        {"token equal to the vocab size", {static_cast<std::int32_t>(vocab)}, {sa}, {},
+         2 * vocab},
+        {"negative token", {-1}, {sa}, {}, 2 * vocab},
+        {"logits_out one float short", {t}, {sa}, {}, vocab - 1},
+        {"slot at a full context window", {t, t}, {sa, full.slot()}, {}, 2 * vocab},
+    };
+    for (const Step& s : steps) {
+        SCOPED_TRACE(s.what);
+        std::vector<float> logits(s.logits_floats);
+        EXPECT_THROW(be.decode_batch(s.tokens, s.slots, s.rows, logits), efld::Error);
+        EXPECT_EQ(a.position(), 2u);
+        EXPECT_EQ(full.position(), ctx);
+    }
+
+    BackendBundle solo = make_solo_default_pages();
+    EXPECT_TRUE(same_bits(a.step(t), tests::SoloStream(*solo.backend).feed(a_stream)));
+    EXPECT_EQ(a.position(), 3u);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     BothBackendsBothPageRules, DecodeBackendContract,
     ::testing::Values(ContractParam{BackendKind::kHost, 0},

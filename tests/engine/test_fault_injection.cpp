@@ -27,7 +27,7 @@ const model::QuantizedModelWeights& test_weights() {
 BackendBundle make_faulty(std::string_view spec, std::size_t max_batch = 2) {
     model::EngineOptions eo;
     eo.max_batch = max_batch;
-    return make_backend(BackendKind::kHost, test_weights(), eo, {}, spec);
+    return make_backend(BackendKind::kHost, test_weights(), eo, spec);
 }
 
 // One single-lane decode step; returns without inspecting logits.
