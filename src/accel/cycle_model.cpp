@@ -284,22 +284,6 @@ PrefillTiming DecodeCycleModel::prefill_timing(std::size_t prompt_len,
     check(prompt_len > 0 && prompt_len <= cfg_.max_seq_len,
           "prefill_timing: bad prompt length");
     check(tile_tokens > 0, "prefill_timing: tile must be positive");
-    return prefill_span(0, prompt_len, tile_tokens);
-}
-
-PrefillTiming DecodeCycleModel::prefill_timing_shared(std::size_t prompt_len,
-                                                      std::size_t covered_tokens,
-                                                      std::size_t tile_tokens) {
-    check(prompt_len > 0 && prompt_len <= cfg_.max_seq_len,
-          "prefill_timing_shared: bad prompt length");
-    check(covered_tokens < prompt_len,
-          "prefill_timing_shared: covered span must leave a token to feed");
-    check(tile_tokens > 0, "prefill_timing_shared: tile must be positive");
-    return prefill_span(covered_tokens, prompt_len, tile_tokens);
-}
-
-PrefillTiming DecodeCycleModel::prefill_span(std::size_t start, std::size_t prompt_len,
-                                             std::size_t tile_tokens) {
     PrefillTiming p;
     p.prompt_tokens = prompt_len;
     const double clk = accel_.clk_ns();
@@ -307,14 +291,12 @@ PrefillTiming DecodeCycleModel::prefill_span(std::size_t start, std::size_t prom
 
     // Per-tile projection cost: weights stream once (memory side), the VPU
     // runs `tile` dots per group (compute side). Attention and KV traffic
-    // accumulate per token with its own growing history — positions below
-    // `start` are adopted shared pages: zero tiles of their own, but they
-    // still stream past as history under every uncovered token.
+    // accumulate per token with its own growing history.
     const MatrixId mats[] = {MatrixId::kWq, MatrixId::kWk, MatrixId::kWv,
                              MatrixId::kWo, MatrixId::kWGate, MatrixId::kWUp,
                              MatrixId::kWDown};
 
-    std::size_t done = start;
+    std::size_t done = 0;
     while (done < prompt_len) {
         const std::size_t tile = std::min(tile_tokens, prompt_len - done);
         for (std::size_t layer = 0; layer < cfg_.n_layers; ++layer) {

@@ -137,17 +137,6 @@ public:
     // weight pass (limited by on-chip activation storage; 16 on the KV260).
     PrefillTiming prefill_timing(std::size_t prompt_len, std::size_t tile_tokens = 16);
 
-    // TTFT when the first `covered_tokens` of the prompt were adopted from a
-    // shared prefix: their KV is already resident, so the covered span costs
-    // NO weight-walk tiles, attention passes, or KV writebacks — only the
-    // uncovered tail is prefilled (its attention still streams the full
-    // growing history, covered pages included). covered_tokens must leave at
-    // least one token to feed (the last prompt token produces the first
-    // logits); 0 degenerates to prefill_timing.
-    PrefillTiming prefill_timing_shared(std::size_t prompt_len,
-                                        std::size_t covered_tokens,
-                                        std::size_t tile_tokens = 16);
-
     // Hypothetical matrix-engine prefill (weights streamed once, a
     // `macs_per_cycle`-wide systolic array reusing them) — the comparison
     // point behind Chen et al.'s prefill/decode asymmetry analysis.
@@ -172,11 +161,6 @@ private:
     void dense_op(OpCtx& octx, const std::string& name, const memsim::Transaction& txn,
                   std::uint64_t vpu_cycles, double spu_ns);
     void spu_only_op(OpCtx& octx, const std::string& name, double spu_ns);
-
-    // Shared tile walk behind both prefill entry points: prefills tokens
-    // [start, prompt_len) (positions below `start` are already resident).
-    PrefillTiming prefill_span(std::size_t start, std::size_t prompt_len,
-                               std::size_t tile_tokens);
 
     model::ModelConfig cfg_;
     model::QuantScheme scheme_;

@@ -327,7 +327,7 @@ ClusterRouter::SubmitOutcome ClusterRouter::try_submit(serve::Request req) {
         // are the expensive part of placement, and an overloaded cluster
         // trades affinity for admission latency.
         const bool degrade = opts_.shard.overload != nullptr &&
-                             opts_.shard.overload->degraded_placement();
+                             opts_.shard.overload->engaged();
         if (opts_.shard.prefix_sharing && !degrade && loads.back().healthy) {
             loads.back().prefix_covered_tokens =
                 shards_[i]->probe_prefix(prompt_tokens);

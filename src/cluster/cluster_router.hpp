@@ -91,7 +91,7 @@ struct ClusterOptions {
     // backlogged shard's in-flight count, so callers back off harder the
     // deeper the cluster-wide queue is.
     std::uint32_t retry_hint_ms = 10;
-    // Per-shard fault-injection overrides for chaos tests/benches: shard i
+    // Per-shard fault-injection overrides for chaos tests: shard i
     // serves with fault spec shard_fault_specs[i] (empty string = fault-free;
     // shards past the vector's end inherit shard.fault_spec). A restarted
     // shard's replacement engine is always fault-free — the script killed the

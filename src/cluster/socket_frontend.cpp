@@ -19,6 +19,7 @@
 #include <utility>
 
 #include "common/check.hpp"
+#include "obs/clock.hpp"
 #include "obs/exposition.hpp"
 #include "serve/serve_types.hpp"
 
@@ -345,7 +346,12 @@ void SocketServer::serve_connection(std::size_t conn_index, int fd) {
             req.prompt = wreq.prompt;
             req.max_new_tokens = wreq.max_new_tokens;
             if (wreq.deadline_ms > 0) {
-                req.deadline = std::chrono::steady_clock::now() +
+                // Deadlines live on the shards' clock (ServeOptions::clock).
+                const obs::Clock& shard_clock =
+                    router_.options().shard.clock != nullptr
+                        ? *router_.options().shard.clock
+                        : obs::steady_clock();
+                req.deadline = obs::time_point(shard_clock) +
                                std::chrono::milliseconds(wreq.deadline_ms);
             }
             ClusterRouter::SubmitOutcome out = router_.try_submit(std::move(req));

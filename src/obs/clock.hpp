@@ -59,4 +59,13 @@ private:
     return clock;
 }
 
+// A clock reading as a steady_clock instant: the form serve deadlines take.
+// On the default clock it is steady_clock::now().
+[[nodiscard]] inline std::chrono::steady_clock::time_point time_point(
+    const Clock& clock) noexcept {
+    return std::chrono::steady_clock::time_point(
+        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+            std::chrono::nanoseconds(clock.now_ns())));
+}
+
 }  // namespace efld::obs

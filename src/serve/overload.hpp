@@ -31,20 +31,10 @@ namespace efld::serve {
 
 class OverloadGovernor {
 public:
-    struct Options {
-        // Multiplier on try_submit retry hints while engaged.
-        double retry_hint_scale = 4.0;
-        // Shed deadline-hopeless queued requests while engaged.
-        bool shed_hopeless = true;
-        // Skip prefix-affinity probing while engaged.
-        bool degrade_placement = true;
-        // Hopelessness margin: hopeless when
-        // now + ttft_estimate * margin > deadline.
-        double hopeless_margin = 1.0;
-    };
+    // Multiplier on try_submit retry hints while engaged.
+    static constexpr double kRetryHintScale = 4.0;
 
     OverloadGovernor() = default;
-    explicit OverloadGovernor(Options opts) : opts_(opts) {}
     OverloadGovernor(const OverloadGovernor&) = delete;
     OverloadGovernor& operator=(const OverloadGovernor&) = delete;
 
@@ -66,13 +56,7 @@ public:
         return firing_.load(std::memory_order_acquire) > 0;
     }
     [[nodiscard]] double retry_hint_scale() const noexcept {
-        return engaged() ? opts_.retry_hint_scale : 1.0;
-    }
-    [[nodiscard]] bool shed_hopeless() const noexcept {
-        return opts_.shed_hopeless && engaged();
-    }
-    [[nodiscard]] bool degraded_placement() const noexcept {
-        return opts_.degrade_placement && engaged();
+        return engaged() ? kRetryHintScale : 1.0;
     }
 
     // Cluster-wide TTFT estimate in ns; 0 = no data (the sweep never sheds).
@@ -93,10 +77,8 @@ public:
     [[nodiscard]] std::uint64_t engagements() const noexcept {
         return engagements_.load(std::memory_order_relaxed);
     }
-    [[nodiscard]] const Options& options() const noexcept { return opts_; }
 
 private:
-    Options opts_;
     std::atomic<int> firing_{0};
     std::atomic<std::uint64_t> engagements_{0};
     std::atomic<std::uint64_t> shed_{0};

@@ -607,7 +607,8 @@ bool ServeEngine::step_locked() {
 }
 
 void ServeEngine::control_plane() {
-    const auto now = std::chrono::steady_clock::now();
+    // Deadlines are instants on the engine's clock, read once per step.
+    const auto now = obs::time_point(*clock_);
 
     // Token boundary, part 1: control-plane retirements (cancel, deadline)
     // free their slots before admission looks at the queue. Partial output is
@@ -653,12 +654,10 @@ void ServeEngine::control_plane() {
     // to requests that can still land inside their SLO. Resolved with
     // kShedOverload (not kDeadline: the deadline has NOT passed yet; the
     // caller learns it was load-shed, the HTTP-503 of admission).
-    if (opts_.overload == nullptr || !opts_.overload->shed_hopeless()) return;
+    if (opts_.overload == nullptr || !opts_.overload->engaged()) return;
     const std::uint64_t ttft_ns = opts_.overload->ttft_estimate_ns();
     if (ttft_ns == 0) return;
-    const double est_ns =
-        static_cast<double>(ttft_ns) * opts_.overload->options().hopeless_margin;
-    const auto est = std::chrono::nanoseconds(static_cast<std::int64_t>(est_ns));
+    const auto est = std::chrono::nanoseconds(static_cast<std::int64_t>(ttft_ns));
     for (PendingRequest& doomed :
          queue_.remove_if([now, est](const PendingRequest& r) {
              return r.deadline.has_value() && now + est >= *r.deadline;

@@ -117,12 +117,12 @@ struct ServeOptions {
     std::size_t max_deferrals = 32;
     // Scripted fault schedule wrapped around the backend (see
     // engine/fault_injection.hpp for the grammar: step:K | alloc:K |
-    // stall:K:MS | flaky:P:SEED). Empty = no injection. Tests and chaos
-    // benches use this to spawn an engine guaranteed to die at step K.
+    // stall:K:MS | flaky:P:SEED). Empty = no injection. Tests and
+    // serve_server use this to spawn an engine guaranteed to die at step K.
     std::string fault_spec;
     // Observability seams. `trace` is a lifecycle-event ring shared across a
     // cluster's shards (null = tracing off); `clock` overrides the latency/
-    // trace timebase (null = process steady clock — tests inject a
+    // trace/deadline timebase (null = process steady clock — tests inject a
     // ManualClock); `shard_id` tags this engine's trace events and log lines
     // (the cluster router assigns it).
     std::shared_ptr<obs::TraceRecorder> trace;

@@ -34,7 +34,10 @@ using TokenCallback = std::function<void(std::int32_t token, std::string_view pi
 // `deadline` retires the request (possibly with partial output) at the first
 // token boundary past the given instant — queued requests past their deadline
 // are shed without ever taking a slot; `on_token` streams tokens as they are
-// sampled.
+// sampled. The deadline is an instant on the engine's clock
+// (ServeOptions::clock, read through obs::time_point): steady_clock::now()
+// plus a budget on the default clock, the injected clock's reading plus a
+// budget under a test clock.
 struct Request {
     std::string prompt;
     std::size_t max_new_tokens = 0;

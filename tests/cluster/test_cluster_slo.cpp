@@ -4,6 +4,7 @@
 // background sampler thread).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -270,6 +271,63 @@ TEST(ClusterSlo, BackgroundSamplerDrivesTheLoopWithoutManualTicks) {
 
     c.d.router->drain();
     c.d.router->stop();
+}
+
+TEST(ClusterSlo, FullStackIsABystanderWithoutOverload) {
+    // Light load with no deadlines: the controller sampling after every step,
+    // its queue-depth rule and the governor attached must shed nothing and
+    // change no token against a bare cluster with no SLO machinery at all.
+    // Protection stays invisible until it is needed.
+    const auto submit_all = [](ClusterRouter& router) {
+        std::vector<runtime::RequestHandle> hs;
+        for (int i = 0; i < 3; ++i) {
+            hs.push_back(router.submit(runtime::ServeRequest{
+                .prompt = "slo probe " + std::to_string(i), .max_new_tokens = 24}));
+        }
+        return hs;
+    };
+    ClusterOptions opts;
+    opts.shard.max_batch = 2;  // the third request queues behind the first two
+    ClusterOptions bare_opts = opts;
+    bare_opts.shards = 1;
+    bare_opts.shard.sampler.temperature = 0.0f;
+    runtime::ClusterDeployment bare =
+        runtime::synthetic_cluster(model::ModelConfig::micro_256(), 42, bare_opts);
+    std::vector<runtime::RequestHandle> want = submit_all(*bare.router);
+
+    SloCluster c = deploy(1, opts);
+    SloController::Options so;
+    so.rules = "overload=threshold:serve_queued:gt:3:0";
+    so.governor = c.governor;
+    SloController slo(*c.d.router, so);
+    std::vector<runtime::RequestHandle> got = submit_all(*c.d.router);
+    slo.sample_now();
+    // One sample per simulated second, one step after each: the third
+    // request waits in the queue while the published TTFT estimate is live,
+    // so a sweep that shed without a deadline or an engaged governor would
+    // take it.
+    std::size_t steps = 0;
+    std::uint64_t peak_estimate_ns = 0;
+    for (;;) {
+        c.clock->advance_ns(kSec);
+        slo.sample_now();
+        EXPECT_EQ(slo.engine().state(0), obs::AlertState::kInactive);
+        peak_estimate_ns = std::max(peak_estimate_ns, c.governor->ttft_estimate_ns());
+        if (!c.d.router->shard(0).step()) break;
+        ++steps;
+    }
+    bare.router->drain();
+
+    EXPECT_GT(steps, 0u);
+    EXPECT_GT(peak_estimate_ns, 0u);  // the controller published a live estimate
+    EXPECT_EQ(c.governor->engagements(), 0u);
+    EXPECT_EQ(c.governor->shed_total(), 0u);
+    EXPECT_EQ(c.d.router->stats().shards[0].stats.requests_shed, 0u);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].get().finish_reason, runtime::FinishReason::kBudget);
+        EXPECT_EQ(got[i].get().tokens, want[i].get().tokens) << "request " << i;
+    }
 }
 
 TEST(ClusterSlo, RejectsBadRuleSpecEagerly) {

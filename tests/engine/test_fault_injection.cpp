@@ -1,7 +1,7 @@
 // FaultInjectingBackend: the scripted fault schedule must fire exactly where
 // the spec says (reproducibly), death must be sticky, and the decorator must
 // be a transparent pass-through everywhere the plan is silent — these are the
-// guarantees the failover tests and the chaos bench stand on.
+// guarantees the failover tests stand on.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -142,7 +142,7 @@ TEST(FaultInjection, StallDelaysTheStepButDoesNotKillIt) {
 
 TEST(FaultInjection, FlakyScheduleIsDeterministicPerSeed) {
     // The same seed must fail at the same step, run after run — that is what
-    // makes a "random" chaos bench reproducible.
+    // makes a "random" chaos test reproducible.
     const auto steps_until_death = [](std::uint64_t seed) {
         BackendBundle b = make_faulty("flaky:0.3:" + std::to_string(seed));
         auto& be = dynamic_cast<FaultInjectingBackend&>(*b.backend);

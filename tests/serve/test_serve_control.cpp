@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -12,6 +13,7 @@
 #include "model/reference_engine.hpp"
 #include "model/sampler.hpp"
 #include "model/tokenizer.hpp"
+#include "obs/clock.hpp"
 #include "runtime/serve.hpp"
 
 namespace efld::serve {
@@ -132,22 +134,22 @@ TEST(ServeControl, ExpiredQueuedDeadlineIsShed) {
 }
 
 TEST(ServeControl, ActiveSessionRetiresAtDeadline) {
+    // The deadline is an instant on the engine's clock. Stepped on a
+    // ManualClock one millisecond per step, the session samples a token at
+    // t+0..3 ms and the step at t+4 ms cuts it, partial output kept.
+    auto clock = std::make_shared<obs::ManualClock>(1'000'000'000);
     ServeOptions opts;
+    opts.clock = clock;
     runtime::ServeDeployment d = deploy(opts);
-    // A budget far beyond what 40ms of micro-256 decode can produce: the
-    // deadline must cut it with partial output.
     RequestHandle h = d.engine->submit(
         Request{.prompt = "deadline bound",
-                .max_new_tokens = 100000,
-                .deadline = steady_clock::now() + std::chrono::milliseconds(40)});
-    d.engine->run_until_idle();
+                .max_new_tokens = 32,
+                .deadline = obs::time_point(*clock) + std::chrono::milliseconds(4)});
+    while (d.engine->step()) clock->advance_ns(1'000'000);
     const ServeResult& r = h.get();
-    if (r.finish_reason != FinishReason::kEos &&
-        r.finish_reason != FinishReason::kContextOverflow) {
-        EXPECT_EQ(r.finish_reason, FinishReason::kDeadline);
-        EXPECT_LT(r.tokens.size(), 100000u);
-        EXPECT_EQ(d.engine->stats().requests_expired, 1u);
-    }
+    EXPECT_EQ(r.finish_reason, FinishReason::kDeadline);
+    EXPECT_EQ(r.tokens.size(), 4u);
+    EXPECT_EQ(d.engine->stats().requests_expired, 1u);
 }
 
 TEST(ServeControl, SjfAdmitsShortestQueuedJobFirst) {

@@ -1,14 +1,18 @@
 // OverloadGovernor: the actuator half of the SLO loop. Unit tests for the
 // engagement state machine and the published TTFT estimate, plus the
 // ServeEngine queue sweep that sheds deadline-hopeless requests with
-// kShedOverload while the governor is engaged.
+// kShedOverload while the governor is engaged, and the goodput that sweep
+// buys under deadline overload on a hand-stepped ManualClock.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "obs/clock.hpp"
+#include "obs/latency_histogram.hpp"
 #include "obs/trace.hpp"
 #include "runtime/serve.hpp"
 #include "serve/overload.hpp"
@@ -37,14 +41,10 @@ TEST(OverloadGovernor, EngagementCountsFiringAlerts) {
     OverloadGovernor g;
     EXPECT_FALSE(g.engaged());
     EXPECT_DOUBLE_EQ(g.retry_hint_scale(), 1.0);
-    EXPECT_FALSE(g.shed_hopeless());
-    EXPECT_FALSE(g.degraded_placement());
 
     g.on_alert_firing();
     EXPECT_TRUE(g.engaged());
-    EXPECT_DOUBLE_EQ(g.retry_hint_scale(), 4.0);  // default scale
-    EXPECT_TRUE(g.shed_hopeless());
-    EXPECT_TRUE(g.degraded_placement());
+    EXPECT_DOUBLE_EQ(g.retry_hint_scale(), OverloadGovernor::kRetryHintScale);
 
     // Two overlapping alerts: disengages only when BOTH resolve.
     g.on_alert_firing();
@@ -52,6 +52,7 @@ TEST(OverloadGovernor, EngagementCountsFiringAlerts) {
     EXPECT_TRUE(g.engaged());
     g.on_alert_resolved();
     EXPECT_FALSE(g.engaged());
+    EXPECT_DOUBLE_EQ(g.retry_hint_scale(), 1.0);
     EXPECT_EQ(g.engagements(), 2u);
 }
 
@@ -66,23 +67,6 @@ TEST(OverloadGovernor, ResolveWithoutFiringClampsAtZero) {
     EXPECT_TRUE(g.engaged());  // one firing still engages
     g.on_alert_resolved();
     EXPECT_FALSE(g.engaged());
-}
-
-TEST(OverloadGovernor, OptionsGateEachActuator) {
-    OverloadGovernor::Options o;
-    o.retry_hint_scale = 8.0;
-    o.shed_hopeless = false;
-    o.degrade_placement = false;
-    OverloadGovernor g(o);
-    g.on_alert_firing();
-    EXPECT_TRUE(g.engaged());
-    EXPECT_DOUBLE_EQ(g.retry_hint_scale(), 8.0);
-    EXPECT_FALSE(g.shed_hopeless());
-    EXPECT_FALSE(g.degraded_placement());
-
-    g.count_shed();
-    g.count_shed();
-    EXPECT_EQ(g.shed_total(), 2u);
 }
 
 TEST(OverloadGovernor, TtftEstimateDefaultsToNoData) {
@@ -188,6 +172,82 @@ TEST(ServeOverload, NoTtftEstimateMeansNoShedding) {
         EXPECT_EQ(h.get().finish_reason, FinishReason::kBudget);
     }
     EXPECT_EQ(governor->shed_total(), 0u);
+}
+
+TEST(ServeOverload, SheddingGoodputAtLeastDetectOnlyOnManualClock) {
+    // Deadline overload, hand-stepped: 24 requests of 8 tokens arrive at once
+    // on a 2-slot engine, all due 44 steps later. The ManualClock moves 1 ms
+    // per step, so a pair takes 8 ms and only 5 pairs can finish in budget.
+    // Detect-only, the engine admits the 6th pair at 40 ms and the deadline
+    // cuts it at 44 ms. With the governor engaged and fed the mean TTFT
+    // before every step (what SloController publishes from its TSDB), the
+    // sweep sheds the queue once the estimate no longer fits the budget, so
+    // the run ends sooner. Its deadline-met completions per simulated second
+    // must be at least the detect-only run's, it must shed, and the
+    // admitted requests' TTFT p99 must stay inside 1.5x the budget.
+    constexpr std::uint64_t kStepNs = 1'000'000;
+    constexpr std::uint64_t kBudgetNs = 44 * kStepNs;
+    struct Run {
+        std::size_t deadline_met = 0;
+        std::size_t shed = 0;
+        std::uint64_t elapsed_ns = 0;
+        std::uint64_t ttft_p99_ns = 0;
+    };
+    const auto run = [&](bool govern) {
+        auto clock = std::make_shared<obs::ManualClock>(1'000'000'000);
+        ServeOptions opts;
+        opts.max_batch = 2;
+        opts.sampler.temperature = 0.0f;
+        opts.clock = clock;
+        std::shared_ptr<OverloadGovernor> governor;
+        if (govern) {
+            governor = std::make_shared<OverloadGovernor>();
+            governor->on_alert_firing();
+            opts.overload = governor;
+        }
+        runtime::ServeDeployment d = runtime::synthetic_serve(test_cfg(), 42, opts);
+        const std::uint64_t t0 = clock->now_ns();
+        const auto deadline = obs::time_point(*clock) + std::chrono::nanoseconds(kBudgetNs);
+        std::vector<RequestHandle> hs;
+        for (int r = 0; r < 24; ++r) {
+            hs.push_back(d.engine->submit(Request{
+                .prompt = "slo probe " + std::to_string(r),
+                .max_new_tokens = 8,
+                .deadline = deadline}));
+        }
+        const auto ttft = [&] {
+            return d.engine->metrics_snapshot().histograms.at("serve_ttft_ns");
+        };
+        for (;;) {
+            if (governor != nullptr) {
+                const obs::HistogramSnapshot h = ttft();
+                governor->set_ttft_estimate_ns(h.count == 0 ? 0 : h.sum / h.count);
+            }
+            if (!d.engine->step()) break;
+            clock->advance_ns(kStepNs);
+        }
+        Run out;
+        out.elapsed_ns = clock->now_ns() - t0;
+        for (RequestHandle& h : hs) {
+            out.deadline_met += h.get().finish_reason == FinishReason::kBudget ? 1 : 0;
+            out.shed += h.get().finish_reason == FinishReason::kShedOverload ? 1 : 0;
+        }
+        out.ttft_p99_ns = obs::LatencySummary::from(ttft()).p99_ns;
+        return out;
+    };
+    const Run off = run(false);
+    const Run on = run(true);
+
+    EXPECT_EQ(off.shed, 0u);
+    ASSERT_GT(off.deadline_met, 0u);
+    ASSERT_GT(on.elapsed_ns, 0u);
+    // Goodput on >= goodput off, cross-multiplied to stay in integers.
+    EXPECT_GE(on.deadline_met * off.elapsed_ns, off.deadline_met * on.elapsed_ns)
+        << "on " << on.deadline_met << " in " << on.elapsed_ns << " ns, off "
+        << off.deadline_met << " in " << off.elapsed_ns << " ns";
+    EXPECT_GT(on.shed, 0u);
+    EXPECT_GT(on.ttft_p99_ns, 0u);
+    EXPECT_LE(on.ttft_p99_ns, kBudgetNs * 3 / 2);
 }
 
 }  // namespace efld::serve

@@ -1,11 +1,13 @@
 // Capacity-aware serving: the governor defers what does not fit the page
 // pool, retirement (any reason) returns pages and lets deferred work in,
 // finish reasons name every outcome, and paged serving is token-identical to
-// contiguous serving on both backends.
+// static full-context reservations on both backends while serving more
+// sessions from the same KV budget.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -14,6 +16,7 @@
 #include "common/check.hpp"
 #include "kvpool/kv_block_pool.hpp"
 #include "model/reference_engine.hpp"
+#include "obs/clock.hpp"
 #include "runtime/serve.hpp"
 
 namespace efld::serve {
@@ -130,18 +133,21 @@ TEST(ServePaging, CancelReleasesPagesAndAdmitsDeferredRequest) {
 TEST(ServePaging, DeadlineRetirementReleasesPagesToo) {
     // Same shape, but the hog dies by deadline instead of cancel: the waiter
     // must still inherit the freed pages.
-    runtime::ServeDeployment d = deploy(tiny_pool(32, 2));
+    // The deadline is on the engine's clock, so a ManualClock moves it.
+    auto clock = std::make_shared<obs::ManualClock>(1'000'000'000);
+    ServeOptions o = tiny_pool(32, 2);
+    o.clock = clock;
+    runtime::ServeDeployment d = deploy(o);
     runtime::RequestHandle hog = d.engine->submit(runtime::ServeRequest{
         .prompt = "hog",
         .max_new_tokens = 27,
-        .deadline = std::chrono::steady_clock::now() +
-                    std::chrono::milliseconds(50)});
+        .deadline = obs::time_point(*clock) + std::chrono::milliseconds(50)});
     runtime::RequestHandle waiter = d.engine->submit(
         runtime::ServeRequest{.prompt = "waiter", .max_new_tokens = 8});
 
     ASSERT_TRUE(d.engine->step());  // hog admitted, whole pool committed
     EXPECT_EQ(d.engine->governor()->committed_pages(), 4u);
-    std::this_thread::sleep_for(std::chrono::milliseconds(60));
+    clock->advance_ns(50'000'000);  // the next step's boundary is the deadline
     d.engine->run_until_idle();
 
     EXPECT_EQ(hog.get().finish_reason, FinishReason::kDeadline);
@@ -283,31 +289,52 @@ TEST(ServePaging, OptionValidation) {
 }
 
 TEST(ServePaging, PagedTokensIdenticalToContiguousBothBackends) {
-    // Same request load served contiguous vs paged must produce identical
-    // tokens per request on the host AND the cycle-priced accel backend.
+    // One DDR budget of 128 KV tokens spent two ways on each backend: as
+    // full-context static reservations (128 / max_seq_len = 2 slots, no
+    // paging), and as eight 16-token pages behind more slots than pages, so
+    // the pool and not the slot count bounds concurrency. Paged requests are
+    // charged their real length (one page each), not the context window:
+    // the same load runs more sessions at once, more tokens per simulated
+    // second on the accel backend, and not a single token changes.
+    constexpr std::size_t kPoolTokens = 128;
+    constexpr std::size_t kPageTokens = 16;
     for (const engine::BackendKind kind :
          {engine::BackendKind::kHost, engine::BackendKind::kAccel}) {
-        ServeOptions contig;
-        contig.backend = kind;
-        contig.max_batch = 3;
-        ServeOptions paged = tiny_pool(96, 3);
+        SCOPED_TRACE(engine::to_string(kind));
+        ServeOptions fixed;
+        fixed.backend = kind;
+        fixed.max_batch = kPoolTokens / test_cfg().max_seq_len;
+        ServeOptions paged;
         paged.backend = kind;
+        paged.max_batch = 12;
+        paged.paging = true;
+        paged.kv_page_tokens = kPageTokens;
+        paged.kv_pool_pages = kPoolTokens / kPageTokens;
 
         std::vector<std::vector<std::int32_t>> outs[2];
+        ServeStats stats[2];
         int which = 0;
-        for (const ServeOptions& o : {contig, paged}) {
+        for (const ServeOptions& o : {fixed, paged}) {
             runtime::ServeDeployment d = deploy(o);
             std::vector<runtime::RequestHandle> hs;
-            for (int r = 0; r < 5; ++r) {
+            for (int r = 0; r < 12; ++r) {
                 hs.push_back(d.engine->submit(runtime::ServeRequest{
                     .prompt = "parity " + std::to_string(r),
                     .max_new_tokens = 6}));
             }
             d.engine->run_until_idle();
             for (auto& h : hs) outs[which].push_back(h.get().tokens);
+            stats[which] = d.engine->stats();
             ++which;
         }
-        EXPECT_EQ(outs[0], outs[1]) << "backend " << engine::to_string(kind);
+        EXPECT_EQ(outs[0], outs[1]);
+        EXPECT_EQ(stats[0].peak_batch, fixed.max_batch);
+        EXPECT_EQ(stats[1].peak_batch, paged.kv_pool_pages);  // one page each
+        EXPECT_GT(stats[1].peak_batch, stats[0].peak_batch);
+        if (kind == engine::BackendKind::kAccel) {
+            EXPECT_GT(stats[1].simulated_tokens_per_s(),
+                      stats[0].simulated_tokens_per_s());
+        }
     }
 }
 

@@ -145,15 +145,17 @@ TEST(ServePrefix, PageAlignedFullMatchCopiesOnWrite) {
 }
 
 TEST(ServePrefix, SharingDropsCapacityDeferralsUnderSameBudget) {
-    // The satellite regression: a 9-page pool, 32-token prompt, 8 new tokens
-    // (5-page worst case). Two concurrent sessions WITHOUT sharing need 10
-    // pages — one must defer. WITH sharing the second session is discounted
+    // A 9-page pool, 32-token prompt, 8 new tokens (5-page worst case). Two
+    // concurrent sessions WITHOUT sharing need 10 pages — one must defer, so
+    // they run one at a time. WITH sharing the second session is discounted
     // its 3 fully covered pages (the 4th, partially covered, stays charged to
-    // fund its CoW), so both fit: deferrals drop to zero on the same budget.
+    // fund its CoW), so both fit: twice the sessions on the same budget, and
+    // deferrals drop to zero. Each adopted token is a prompt token never fed,
+    // which is the whole of sharing's time-to-first-token cut.
     const std::string sys = prompt_of(31);
     for (const engine::BackendKind kind : kBothBackends) {
         SCOPED_TRACE(engine::to_string(kind));
-        std::size_t deferrals[2] = {0, 0};
+        ServeStats stats[2];
         std::vector<std::vector<std::int32_t>> tokens[2];
         int which = 0;
         for (const bool sharing : {false, true}) {
@@ -166,15 +168,17 @@ TEST(ServePrefix, SharingDropsCapacityDeferralsUnderSameBudget) {
             }
             d.engine->run_until_idle();
             for (auto& h : hs) tokens[which].push_back(h.get().tokens);
-            deferrals[which] = d.engine->stats().capacity_deferrals;
-            if (sharing) {
-                EXPECT_EQ(d.engine->stats().prefix_hits, 2u);
-                EXPECT_EQ(d.engine->stats().peak_batch, 2u);  // truly concurrent
-            }
+            stats[which] = d.engine->stats();
             ++which;
         }
-        EXPECT_GT(deferrals[0], 0u);  // no sharing: the pool can't hold both
-        EXPECT_EQ(deferrals[1], 0u);  // sharing: both admitted outright
+        EXPECT_EQ(stats[0].peak_batch, 1u);  // no sharing: one at a time
+        EXPECT_GT(stats[0].capacity_deferrals, 0u);  // the pool can't hold both
+        EXPECT_EQ(stats[1].prefix_hits, 2u);  // every follower adopted
+        EXPECT_EQ(stats[1].peak_batch, 2u);   // sharing: truly concurrent
+        EXPECT_EQ(stats[1].capacity_deferrals, 0u);  // both admitted outright
+        EXPECT_EQ(stats[0].prompt_tokens - stats[1].prompt_tokens,
+                  stats[1].prefix_hit_tokens);
+        EXPECT_GT(stats[1].prefix_hit_tokens, 0u);
         EXPECT_EQ(tokens[0], tokens[1]);  // and not by changing a single token
     }
 }

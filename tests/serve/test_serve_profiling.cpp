@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/profiler.hpp"
 #include "obs/trace.hpp"
 #include "runtime/serve.hpp"
 
@@ -79,15 +80,16 @@ TEST(ServeProfiling, AccelPhaseSimSumsReconcileWithStats) {
     const obs::MetricsSnapshot snap = d.engine->metrics_snapshot();
     double phase_sim = 0.0;
     double phase_walks = 0.0;
-    for (const char* slug : {"prefill", "decode_batch"}) {
-        phase_sim += static_cast<double>(phase_counter(
-            snap, std::string("serve_phase_") + slug + "_sim_ns_total"));
-        const auto it = snap.gauges.find(std::string("serve_phase_") + slug +
-                                         "_weight_walks");
+    for (int p = 0; p < static_cast<int>(obs::Phase::kCount); ++p) {
+        const std::string base =
+            std::string("serve_phase_") + obs::to_string(static_cast<obs::Phase>(p));
+        phase_sim += static_cast<double>(phase_counter(snap, base + "_sim_ns_total"));
+        const auto it = snap.gauges.find(base + "_weight_walks");
         if (it != snap.gauges.end()) phase_walks += it->second;
     }
-    // The attribution is exact by construction (decode = total - prefill);
-    // only the counter rounding can move the sum, so 1% is generous.
+    // Every phase's sim ns together: only prefill and decode_batch carry any,
+    // and their attribution is exact by construction (decode = total -
+    // prefill); only the counter rounding can move the sum, so 1% is generous.
     EXPECT_LE(std::abs(phase_sim - stats.simulated_ns),
               0.01 * stats.simulated_ns)
         << "phase sim " << phase_sim << " vs stats " << stats.simulated_ns;
